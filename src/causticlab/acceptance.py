@@ -343,7 +343,7 @@ def crit13_determinism(workdir=None, seed: int = 0) -> CriterionResult:
                                    details={"run_status": status, "tag": tag})
         files = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".log")
         digests.append({p.name: p.read_bytes() for p in files})
-    same = (statuses[0] == statuses[1]
+    same = (statuses == [0, 0]
             and digests[0].keys() == digests[1].keys()
             and all(digests[0][k] == digests[1][k] for k in digests[0]))
     return CriterionResult("C13", "determinism", same,

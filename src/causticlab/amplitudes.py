@@ -74,18 +74,6 @@ def bump_prime(u) -> np.ndarray:
     return -np.sign(u) * ds
 
 
-_BUMP_L2_SQ: float | None = None
-
-
-def bump_l2_norm() -> float:
-    """||chi||_{L^2(R)}, cached from a fine fixed grid."""
-    global _BUMP_L2_SQ
-    if _BUMP_L2_SQ is None:
-        u = np.linspace(-2.0, 2.0, 200001)
-        _BUMP_L2_SQ = float(np.trapezoid(bump(u) ** 2, u))
-    return math.sqrt(_BUMP_L2_SQ)
-
-
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """One h-indexed amplitude family; evaluators are pure and reusable.

@@ -176,9 +176,6 @@ class PhaseFunction:
         poly = self.theta_poly(x)
         return tuple(poly.partial(axis)(*theta) for axis in range(self.k))
 
-    def grad_x(self, *theta):
-        return tuple(mono(*theta) for mono in self.fj_monomials)
-
 
 def _monomial(k: int, coeff, *exps) -> ThetaPoly:
     return ThetaPoly.from_terms(k, [(coeff, tuple(exps))])

@@ -228,7 +228,7 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> int:
     plan = ScanPlan(ph, amp, _h_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
                     shell_lambda_count=cfg.shell_lambda_count,
                     points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
-                    eval_budget=cfg.eval_budget, seed=cfg.seed, workers=cfg.workers)
+                    eval_budget=cfg.eval_budget, workers=cfg.workers)
     result = supnorm_scan(plan)
     if cfg.tolerance is not None:
         tol = cfg.tolerance
@@ -245,6 +245,7 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> int:
         "type": t.label, "delta": cfg.delta, "fit": _fit_payload(fit),
         "slope": fit.slope, "r_squared": fit.r_squared,
         "reference": fmt_fraction(fit.reference), "verdict": fit.verdict,
+        "cost": result.cost,
     })
     return 0 if fit.verdict == "pass" else 1
 

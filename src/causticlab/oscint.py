@@ -6,10 +6,13 @@ profile over the integration box, convert it to a node-density function
 (plus a resolution floor for the amplitude), and place fixed-order panels by
 equal increments of the accumulated density.  Passes refine the density by
 sqrt(2) until two successive passes agree to rel_tol; the reported est_error
-is the running minimum of the successive-pass deltas (no rigorous bound is
-claimed).  Amplitude modulations of the form e^{i c theta^3 / h} are folded
-into the phase polynomial exactly, so the sampled amplitude factor is always
-slowly varying.
+is the delta between the last two passes, the pair the returned value comes
+from (no rigorous bound is claimed).  A spec's ``floor`` (in the units of
+``abs_value``) relaxes that test to delta <= rel_tol * max(|I|, floor): a scan
+passes |I(0; h)| there, since a point many orders below the sup cannot move it
+and needs no precision relative to its own size.  Amplitude modulations of the
+form e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
+sampled amplitude factor is always slowly varying.
 
 For k = 2 the panels tensorize and the integrand is evaluated in column
 blocks; when the effective phase has no cross terms the double integral
@@ -26,7 +29,7 @@ Also hosts the closed-form companions of the two fold-regime integrals:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +71,7 @@ class IntegralSpec:
     rel_tol: float = 1e-6
     includes_prefactor: bool = True
     budget: int | None = None
+    floor: float = 0.0
     settings: QuadSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
     def __post_init__(self):
@@ -75,6 +79,8 @@ class IntegralSpec:
             raise ValueError(f"h must lie in (0, 1), got {self.h}")
         if not 1e-10 <= self.rel_tol <= 1e-3:
             raise ValueError(f"rel_tol must lie in [1e-10, 1e-3], got {self.rel_tol}")
+        if not 0.0 <= self.floor < math.inf:
+            raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
         if len(self.x) != self.phase.k0:
             raise ValueError(
                 f"x needs {self.phase.k0} entries for {self.phase.singularity.label}")
@@ -91,6 +97,9 @@ class IntegralResult:
     est_error: float
     panels_used: int
     converged: bool
+    passes: int
+    nodes: int  # integrand evaluations over all passes
+    stop: str  # converged | budget | max_passes
 
 
 def _axis_nodes(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float,
@@ -142,16 +151,23 @@ def _pass_value_2d(phi: ThetaPoly, h_eff: float, amp_fns, axes,
 
 
 def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
-               budget: int, settings: QuadSettings, scale: complex) -> IntegralResult:
-    """Shared refinement loop; ``scale`` multiplies the raw integral at the end."""
+               budget: int, settings: QuadSettings, scale: complex,
+               floor: float) -> IntegralResult:
+    """Shared refinement loop; ``scale`` multiplies the raw integral at the end.
+
+    ``floor`` is in the units of the scaled result.
+    """
     k = phi.nvars
     separable = k == 2 and phi.is_separable()
+    mag = abs(scale)
+    raw_floor = max(floor / mag, 1e-300)
     prev: complex | None = None
     value = 0.0 + 0.0j
     est_error = math.inf
     spent = 0
+    passes = 0
     panels_total = 0
-    converged = False
+    stop = "max_passes"
 
     profiles = [_axis_profile(phi, ax, box, settings.profile_samples) for ax in range(k)]
     if separable:
@@ -159,9 +175,9 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
 
     for s in range(settings.max_passes):
         q = settings.nodes_per_period * settings.refine_factor**s
-        floor = settings.min_axis_nodes * settings.refine_factor**s
+        min_nodes = settings.min_axis_nodes * settings.refine_factor**s
         axes = [
-            _axis_nodes(g, tg, h_eff, q, floor, settings.panel_order)
+            _axis_nodes(g, tg, h_eff, q, min_nodes, settings.panel_order)
             for g, tg in profiles
         ]
         if k == 1 or separable:
@@ -171,8 +187,10 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
         if s > 0 and spent + cost > budget:
+            stop = "budget"
             break
         spent += cost
+        passes += 1
         if k == 1:
             raw = _pass_value_1d(phi, h_eff, amp_fns[0], axes[0][0], axes[0][1])
             panels_total += axes[0][2]
@@ -183,24 +201,23 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
         else:
             raw = _pass_value_2d(phi, h_eff, amp_fns, [(a[0], a[1]) for a in axes])
             panels_total += axes[0][2] * axes[1][2]
+        value = raw
         if prev is not None:
-            delta = abs(raw - prev)
-            est_error = min(est_error, delta)
-            value = raw
-            if delta <= rel_tol * max(abs(raw), 1e-300):
-                converged = True
+            est_error = abs(raw - prev)
+            if est_error <= rel_tol * max(abs(raw), raw_floor):
+                stop = "converged"
                 break
-        else:
-            value = raw
         prev = raw
 
-    mag = abs(scale)
     return IntegralResult(
         value=scale * value,
         abs_value=mag * abs(value),
         est_error=(mag * est_error) if math.isfinite(est_error) else math.inf,
         panels_used=panels_total,
-        converged=converged,
+        converged=stop == "converged",
+        passes=passes,
+        nodes=spent,
+        stop=stop,
     )
 
 
@@ -222,7 +239,7 @@ def evaluate(spec: IntegralSpec) -> IntegralResult:
     scale = spec.h ** (-k / 2.0) if spec.includes_prefactor else 1.0
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[k]
     return _integrate(phi, spec.h, amp_fns, _support_box(spec.amplitude, spec.h),
-                      spec.rel_tol, budget, spec.settings, scale)
+                      spec.rel_tol, budget, spec.settings, scale, spec.floor)
 
 
 def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
@@ -256,11 +273,7 @@ def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
         scale *= spec.h ** (-k / 2.0)
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[k]
     return _integrate(phi, spec.h / lam, amp_fns, box,
-                      spec.rel_tol, budget, spec.settings, scale)
-
-
-def with_x(spec: IntegralSpec, x) -> IntegralSpec:
-    return replace(spec, x=tuple(float(v) for v in x))
+                      spec.rel_tol, budget, spec.settings, scale, spec.floor)
 
 
 def m_alpha(alpha: float) -> float:

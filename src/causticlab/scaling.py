@@ -7,9 +7,14 @@ x_j = lambda^{1-s_j} y_j with y on the unit shell
     boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
 
 sampled by sign patterns times a fixed simplex grid in the |y_j|^{1/(1-s_j)}
-coordinates.  The fitted exponent of log(sup |I|) against log(1/h) is then
-compared with a reference rational (the caustic order, or a regime formula)
-to produce a pass/fail/inconclusive verdict.
+coordinates.  The origin of every h is evaluated first; every other candidate
+is then judged converged once its successive-pass change is within
+rel_tol * max(|I(x; h)|, |I(0; h)|).  The origin is always a candidate, so
+sup_h >= |I(0; h)| and that floor is never looser than rel_tol times the sup,
+while shadow-side points whose |I| is O(h^inf) stop spending their budget on
+digits that cannot move it.  The fitted exponent of log(sup |I|) against
+log(1/h) is then compared with a reference rational (the caustic order, or a
+regime formula) to produce a pass/fail/inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ class ScanPlan:
     points_per_shell: int = 1
     rel_tol: float = 1e-6
     eval_budget: int | None = None
-    seed: int = 0
-    random_shell_points: int = 0
     workers: int = 1
     settings: QuadSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
@@ -69,6 +72,7 @@ class ScanRow:
     abs_value: float
     est_error: float
     converged: bool
+    nodes: int
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,13 @@ class SupRow:
 class ScanResult:
     rows: tuple[ScanRow, ...]
     sup_rows: tuple[SupRow, ...]
+
+    @property
+    def cost(self) -> dict:
+        """Hardware-independent work counters; deterministic for a fixed plan."""
+        return {"evaluations": len(self.rows),
+                "nodes": sum(r.nodes for r in self.rows),
+                "unconverged": sum(not r.converged for r in self.rows)}
 
 
 @dataclass(frozen=True)
@@ -105,14 +116,12 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def shell_unit_samples(s_weights, points_per_shell: int, seed: int = 0,
-                       random_points: int = 0) -> list[tuple[float, ...]]:
+def shell_unit_samples(s_weights, points_per_shell: int) -> list[tuple[float, ...]]:
     """Deterministic sample of the unit shell in the |y_j|^{1/(1-s_j)} coordinates.
 
     Sign patterns times the lattice simplex {n/P : sum n = P} give
     2^{k0} * binom(P+k0-1, k0-1) points before deduplication of zero
-    coordinates.  ``random_points`` extra Dirichlet samples (seeded) can be
-    appended; the default of zero keeps scans seed-independent.
+    coordinates.
     """
     s = [float(v) for v in s_weights]
     k0 = len(s)
@@ -120,10 +129,6 @@ def shell_unit_samples(s_weights, points_per_shell: int, seed: int = 0,
         return [()]
     us = [tuple(n / points_per_shell for n in comp)
           for comp in _compositions(points_per_shell, k0)]
-    if random_points:
-        rng = np.random.default_rng(seed)
-        extra = rng.dirichlet(np.ones(k0), size=random_points)
-        us.extend(tuple(float(v) for v in row) for row in extra)
     pts: set[tuple[float, ...]] = set()
     for u in us:
         for signs in range(2**k0):
@@ -149,8 +154,7 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
             if any(v != 0.0 for v in x):
                 points.append((1.0, tuple(float(v) for v in x), idx))
         return points
-    ys = shell_unit_samples(plan.phase.homogeneity.s, plan.points_per_shell,
-                            plan.seed, plan.random_shell_points)
+    ys = shell_unit_samples(plan.phase.homogeneity.s, plan.points_per_shell)
     lams = np.geomspace(h, 1.0, plan.shell_lambda_count)
     for lam in lams:
         for idx, y in enumerate(ys):
@@ -164,35 +168,49 @@ def _eval_spec(spec: IntegralSpec):
 
 
 def _pmap(func, items, workers: int):
-    if workers <= 1:
+    if workers <= 1 or not items:
         return [func(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def supnorm_scan(plan: ScanPlan) -> ScanResult:
-    """Evaluate |I| on the plan's candidate set and record the sup per h."""
+    """Evaluate |I| on the plan's candidate set and record the sup per h.
+
+    Two rounds: the origins of all h, then every other candidate with its
+    converged origin's |I(0; h)| as convergence floor (0 if it did not converge).
+    """
     budget = plan.eval_budget if plan.eval_budget is not None \
         else SCAN_BUDGET[plan.phase.k]
-    tasks: list[IntegralSpec] = []
-    meta: list[tuple[float, float, int, tuple[float, ...]]] = []
-    for h in plan.h_grid:
-        for lam, x, y_idx in _candidate_points(plan, h):
-            tasks.append(IntegralSpec(
-                plan.phase, plan.amplitude, x, h, rel_tol=plan.rel_tol,
-                includes_prefactor=True, budget=budget, settings=plan.settings))
-            meta.append((h, lam, y_idx, x))
-    results = _pmap(_eval_spec, tasks, plan.workers)
-    rows = tuple(
-        ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error, res.converged)
-        for (h, lam, y_idx, x), res in zip(meta, results))
+
+    def spec(h, x, floor):
+        return IntegralSpec(plan.phase, plan.amplitude, x, h, rel_tol=plan.rel_tol,
+                            includes_prefactor=True, budget=budget, floor=floor,
+                            settings=plan.settings)
+
+    def row(h, point, res):
+        lam, x, y_idx = point
+        return ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error,
+                       res.converged, res.nodes)
+
+    points = {h: _candidate_points(plan, h) for h in plan.h_grid}
+    origins = _pmap(_eval_spec, [spec(h, pts[0][1], 0.0) for h, pts in points.items()],
+                    plan.workers)
+    shells = [(h, point, origin.abs_value if origin.converged else 0.0)
+              for (h, pts), origin in zip(points.items(), origins) for point in pts[1:]]
+    shell_results = _pmap(_eval_spec, [spec(h, point[1], floor)
+                                       for h, point, floor in shells], plan.workers)
+    # a stable sort on the decreasing h puts each origin back ahead of its shells
+    rows = sorted([row(h, pts[0], res) for (h, pts), res in zip(points.items(), origins)]
+                  + [row(h, point, res) for (h, point, _), res in zip(shells, shell_results)],
+                  key=lambda r: -r.h)
     sup_rows = []
     for h in plan.h_grid:
         here = [r for r in rows if r.h == h]
         best = max(here, key=lambda r: r.abs_value)
         sup_rows.append(SupRow(h, best.abs_value, best.x,
                                all(r.converged for r in here)))
-    return ScanResult(rows, tuple(sup_rows))
+    return ScanResult(tuple(rows), tuple(sup_rows))
 
 
 def fit_exponent(sup_rows, reference: Fraction, tolerance: float) -> ExponentFit:

@@ -118,6 +118,10 @@ def test_supnorm_run_writes_reports_and_passes(tmp_path):
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert lines[0] == "h,lambda,y_index,abs_I,est_error,converged"
     assert len(lines) == 7
+    cost = summary["cost"]
+    assert sorted(cost) == ["evaluations", "nodes", "unconverged"]
+    assert cost["evaluations"] == 6 and cost["unconverged"] == 0
+    assert cost["nodes"] > 0
 
 
 def test_repeat_run_byte_identical(tmp_path):
@@ -135,15 +139,19 @@ def test_repeat_run_byte_identical(tmp_path):
 
 
 def test_workers_do_not_change_bytes(tmp_path):
-    outs = {}
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        cfg = RunConfig(experiment="supnorm", singularity="A2",
-                        h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
-                        workers=workers, out_dir=str(out), seed=1)
-        assert run(cfg) in (0, 1)
-        outs[workers] = (out / "scan.csv").read_bytes()
-    assert outs[1] == outs[2]
+    for strategy in ("origin_only", "omega_shells"):
+        outs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"{strategy}-w{workers}"
+            cfg = RunConfig(experiment="supnorm", singularity="A2",
+                            h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
+                            x_strategy=strategy, points_per_shell=2,
+                            workers=workers, out_dir=str(out), seed=1)
+            assert run(cfg) in (0, 1)
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["config"]  # echoes the worker count
+            outs[workers] = ((out / "scan.csv").read_bytes(), summary)
+        assert outs[1] == outs[2], strategy
 
 
 def test_lemma62_run(tmp_path):

@@ -1,6 +1,7 @@
 """Quadrature engine: exact oracles, rescaling, symmetry, refinement behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.integrate import quad
 
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
-from causticlab.oscint import (IntegralSpec, closed_form_oracles, evaluate,
-                               evaluate_rescaled, m_alpha, weighted_cauchy)
+from causticlab.oscint import (IntegralSpec, QuadSettings, closed_form_oracles,
+                               evaluate, evaluate_rescaled, m_alpha, weighted_cauchy)
 
 A1 = build_phase(SingularityType.parse("A1"))
 A2 = build_phase(SingularityType.parse("A2"))
@@ -187,6 +188,36 @@ def test_unconverged_flag_with_tiny_budget():
     res = evaluate(IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-10,
                                 budget=500))
     assert not res.converged
+    assert res.stop == "budget"
+    assert res.passes == 1 and 0 < res.nodes
+
+
+def test_counters_and_stop_reasons():
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=1e-8)
+    done = evaluate(spec)
+    assert done.converged and done.stop == "converged"
+    # 1D: every panel of every pass holds panel_order nodes
+    assert done.passes >= 2
+    assert done.nodes == spec.settings.panel_order * done.panels_used
+    capped = evaluate(replace(spec, settings=QuadSettings(max_passes=1)))
+    assert (capped.converged, capped.stop, capped.passes) == (False, "max_passes", 1)
+    assert capped.est_error == math.inf
+
+
+def test_floor_stops_shadow_point_early():
+    # on the shadow side |I| is O(h^inf): a relative test cannot be met there,
+    # a floor of the origin's size stops it as soon as it is resolved to that scale
+    h = 2.0**-8
+    shadow = IntegralSpec(A2, FIXED, (0.5,), h, rel_tol=1e-6, budget=2**20)
+    origin = evaluate(replace(shadow, x=(0.0,)))
+    plain = evaluate(shadow)
+    floored = evaluate(replace(shadow, floor=origin.abs_value))
+    assert not plain.converged
+    assert floored.converged and floored.nodes < plain.nodes
+    assert floored.est_error <= 1e-6 * origin.abs_value
+    assert evaluate(replace(shadow, floor=0.0)) == plain
+    with pytest.raises(ValueError):
+        replace(shadow, floor=-1.0)
 
 
 def test_2d_separable_equals_full_path():

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import airy
 
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
 from causticlab.oscint import IntegralSpec, evaluate, evaluate_rescaled
-from causticlab.scaling import (ScanPlan, SupRow, fit_exponent, geometric_grid,
-                                shell_unit_samples, supnorm_scan, threshold_sweep)
+from causticlab.scaling import (SCAN_BUDGET, ScanPlan, SupRow, fit_exponent,
+                                geometric_grid, shell_unit_samples, supnorm_scan,
+                                threshold_sweep)
 
 
 def _rows(hs, vals, conv=True):
@@ -100,6 +102,62 @@ def test_scan_includes_origin_and_dominates_it():
         assert len(origin_rows) == 1
         sup = next(s for s in result.sup_rows if s.h == h)
         assert sup.sup_abs >= origin_rows[0].abs_value
+
+
+@pytest.fixture(scope="module")
+def a2_shell_scan():
+    # the documented `supnorm --type A2 --x-strategy omega_shells
+    # --points-per-shell 2` run on a short grid (C13's config)
+    ph = build_phase(SingularityType.parse("A2"))
+    plan = ScanPlan(ph, make_amplitude("fixed_bump"), geometric_grid(2.0**-6, 2.0**-10, 5),
+                    x_strategy="omega_shells", points_per_shell=2, rel_tol=1e-6)
+    return plan, supnorm_scan(plan)
+
+
+def test_a2_shell_scan_converges_and_passes(a2_shell_scan):
+    plan, result = a2_shell_scan
+    assert all(r.converged for r in result.rows)
+    assert result.cost == {"evaluations": len(result.rows),
+                           "nodes": sum(r.nodes for r in result.rows),
+                           "unconverged": 0}
+    fit = fit_exponent(result.sup_rows, caustic_order(plan.phase.singularity), 0.03)
+    assert fit.verdict == "pass"
+    assert fit.n_rows == len(plan.h_grid)
+
+
+def test_a2_shell_scan_matches_airy_closed_form(a2_shell_scan):
+    # integral chi(t) e^{i(xt + t^3)/h} dt = 2 pi a Ai(x a / h), a = (h/3)^{1/3}
+    # (DLMF 9.5), exact up to O(h^inf) for x <= 0 where the stationary points
+    # sit on the bump's plateau
+    plan, result = a2_shell_scan
+    checked = 0
+    for r in result.rows:
+        if r.x[0] > 0.0:
+            continue
+        a = (r.h / 3.0) ** (1.0 / 3.0)
+        exact = 2.0 * math.pi * a * abs(float(airy(r.x[0] * a / r.h)[0])) / math.sqrt(r.h)
+        assert abs(r.abs_value - exact) <= plan.rel_tol * exact, r
+        checked += 1
+    assert checked > len(result.rows) // 2
+
+
+def test_a2_shell_scan_error_within_origin_floor(a2_shell_scan):
+    plan, result = a2_shell_scan
+    origin = {r.h: r.abs_value for r in result.rows if r.y_index == -1}
+    for r in result.rows:
+        if r.y_index != -1:
+            assert r.est_error <= plan.rel_tol * max(r.abs_value, origin[r.h]), r
+
+
+def test_a2_shell_scan_origin_rows_match_standalone_evaluate(a2_shell_scan):
+    plan, result = a2_shell_scan
+    for r in result.rows:
+        if r.y_index != -1:
+            continue
+        res = evaluate(IntegralSpec(plan.phase, plan.amplitude, r.x, r.h,
+                                    rel_tol=plan.rel_tol, budget=SCAN_BUDGET[1]))
+        assert (r.abs_value, r.est_error, r.converged, r.nodes) == \
+            (res.abs_value, res.est_error, res.converged, res.nodes)
 
 
 def test_full_grid_strategy_candidates():
