@@ -14,7 +14,7 @@ from .catalog import (
 )
 from .amplitudes import (AmplitudeProfile, make_amplitude, bump,
                          check_symbol_order, check_delta_regularity_torus)
-from .oscint import IntegralSpec, IntegralResult, evaluate, evaluate_rescaled, closed_form_oracles
+from .oscint import IntegralSpec, IntegralResult, evaluate, evaluate_rescaled
 from .scaling import ScanPlan, ExponentFit, supnorm_scan, fit_exponent, threshold_sweep, geometric_grid
 from .torus import (CapQuery, ExtremizerSum, ball_count, sphere_cap_count,
                     dyadic_lower_bound_search, extremizer, eval_sum)
@@ -29,7 +29,6 @@ __all__ = [
     "AmplitudeProfile", "make_amplitude", "bump",
     "check_symbol_order", "check_delta_regularity_torus",
     "IntegralSpec", "IntegralResult", "evaluate", "evaluate_rescaled",
-    "closed_form_oracles",
     "ScanPlan", "ExponentFit", "supnorm_scan", "fit_exponent", "threshold_sweep",
     "geometric_grid",
     "CapQuery", "ExtremizerSum", "ball_count", "sphere_cap_count",

@@ -17,20 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitudes import check_symbol_order, make_amplitude
+from .amplitudes import SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
 from .catalog import (CANONICAL_LABELS, SingularityType, build_phase, caustic_order,
                       quasi_homogeneity_defect, threshold)
-from .fold import fold_curve, lemma_62_suite
+from .fold import LEMMA62_REL_TOL, fold_curve, lemma_62_suite
 from .oscint import IntegralSpec, evaluate
-from .scaling import (ScanPlan, fit_exponent, geometric_grid, supnorm_scan,
-                      threshold_sweep)
-from .torus import (CapQuery, OMEGA_PRESETS, ball_count, count_in_ball,
-                    dyadic_lower_bound_search, eval_sum, extremizer,
-                    sphere_cap_count)
+from .scaling import (DEFAULT_H_RANGE, ScanPlan, fit_exponent, geometric_grid,
+                      order_tolerance, supnorm_scan, threshold_sweep)
+from .torus import (BALL_EXPONENT_TOLERANCE, CapQuery, OMEGA_PRESETS, ball_count,
+                    count_in_ball, dyadic_exponent, dyadic_lower_bound_search,
+                    eval_sum, extremizer, ratio_exponent, sphere_cap_count,
+                    sphere_window)
 
-GRID_1D = geometric_grid(2.0**-6, 2.0**-14, 10)
-GRID_2D = geometric_grid(2.0**-4, 2.0**-10, 10)
-BUDGET_2D = 2**30
+GRID_1D = geometric_grid(*DEFAULT_H_RANGE[1], 10)
+GRID_2D = geometric_grid(*DEFAULT_H_RANGE[2], 10)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def crit03_quadrature_oracles(seed: int = 2024) -> CriterionResult:
     xs = rng.uniform(-2.5, 2.5, 20)
     eps = np.exp(rng.uniform(math.log(1e-3), 0.0, 20))
     rep = lemma_62_suite(sorted(set(eps), reverse=True), sorted(set(xs)))
-    lemma_ok = rep.max_rel_error <= 1e-6
+    lemma_ok = rep.max_rel_error <= LEMMA62_REL_TOL
     h = 1e-3
     ph = build_phase(SingularityType.parse("A1"))
     res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump"), (), h,
@@ -142,24 +142,29 @@ def crit03_quadrature_oracles(seed: int = 2024) -> CriterionResult:
                                     "fresnel_rel": fresnel_err})
 
 
-def _order_fit(label: str, grid, tolerance: float, budget=None) -> dict:
-    t = SingularityType.parse(label)
-    ph = build_phase(t)
+def _origin_scan(label: str, grid):
+    ph = build_phase(SingularityType.parse(label))
     amp = make_amplitude("fixed_bump", dim=ph.k)
-    plan = ScanPlan(ph, amp, tuple(grid), rel_tol=1e-6, eval_budget=budget)
-    fit = fit_exponent(supnorm_scan(plan).sup_rows, caustic_order(t), tolerance)
+    return ph, supnorm_scan(ScanPlan(ph, amp, tuple(grid), rel_tol=1e-6)).sup_rows
+
+
+def _order_fit(label: str, grid, tolerance: float | None = None) -> dict:
+    ph, sup_rows = _origin_scan(label, grid)
+    if tolerance is None:
+        tolerance = order_tolerance("supnorm", ph)
+    fit = fit_exponent(sup_rows, caustic_order(ph.singularity), tolerance)
     return {"label": label, "slope": fit.slope, "reference": float(fit.reference),
             "r_squared": fit.r_squared, "verdict": fit.verdict}
 
 
 def crit04_a2_order() -> CriterionResult:
-    d = _order_fit("A2", GRID_1D, 0.03)
+    d = _order_fit("A2", GRID_1D)
     return CriterionResult("C04", "A2 order 1/6", d["verdict"] == "pass", details=d)
 
 
 def crit05_a2_below_threshold() -> CriterionResult:
     entries = threshold_sweep(SingularityType.parse("A2"),
-                              [0.1, 0.2, 0.3, 1.0 / 3.0], GRID_1D, tolerance=0.05)
+                              [0.1, 0.2, 0.3, 1.0 / 3.0], GRID_1D)
     details = {f"delta_{e.delta:.4f}": {"slope": e.fit.slope, "verdict": e.fit.verdict}
                for e in entries}
     ok = all(e.fit.verdict == "pass" for e in entries)
@@ -167,7 +172,7 @@ def crit05_a2_below_threshold() -> CriterionResult:
 
 
 def crit06_a3_order() -> CriterionResult:
-    d = _order_fit("A3", GRID_1D, 0.04)
+    d = _order_fit("A3", GRID_1D, 0.04)  # pinned, looser than ORDER_TOLERANCE's 0.03
     return CriterionResult("C06", "A3 order 1/4", d["verdict"] == "pass", details=d)
 
 
@@ -177,7 +182,7 @@ def crit07_d4_orders(quick: bool = False) -> CriterionResult:
     det = {}
     ok = True
     for label in ("D4-", "D4+"):
-        d = _order_fit(label, GRID_2D, 0.06, budget=BUDGET_2D)
+        d = _order_fit(label, GRID_2D)
         det[label] = d
         ok = ok and d["verdict"] == "pass"
     return CriterionResult("C07", "D4+- order 1/3 (2D)", ok, details=det)
@@ -189,15 +194,9 @@ def crit08_e_series_boundedness(quick: bool = False) -> CriterionResult:
     det = {}
     ok = True
     for label in ("E6", "E7", "E8"):
-        t = SingularityType.parse(label)
-        ph = build_phase(t)
-        kap = float(caustic_order(t))
-        amp = make_amplitude("fixed_bump", dim=2)
-        vals = []
-        for h in GRID_2D:
-            res = evaluate(IntegralSpec(ph, amp, (0.0,) * ph.k0, h, rel_tol=1e-6,
-                                        includes_prefactor=True, budget=BUDGET_2D))
-            vals.append(res.abs_value * h**kap)
+        ph, sup_rows = _origin_scan(label, GRID_2D)
+        kap = float(caustic_order(ph.singularity))
+        vals = [r.sup_abs * r.h**kap for r in sup_rows]
         spread = max(vals) / min(vals)
         det[label] = {"normalized_values": vals, "spread": spread}
         ok = ok and spread <= 3.0
@@ -205,15 +204,13 @@ def crit08_e_series_boundedness(quick: bool = False) -> CriterionResult:
 
 
 def crit09_fold_regime() -> CriterionResult:
-    deltas = [0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0]
-    curve = fold_curve(deltas)
+    curve = fold_curve()
     det = {
         "slopes": {f"{r.experiment.delta:.4f}": r.fit.slope for r in curve.runs},
         "max_slope_error": curve.max_slope_error,
         "breakpoint": curve.breakpoint,
     }
-    ok = curve.max_slope_error <= 0.04 and 0.28 <= curve.breakpoint <= 0.38
-    return CriterionResult("C09", "fold regime change", ok, details=det)
+    return CriterionResult("C09", "fold regime change", curve.passed, details=det)
 
 
 def crit10_torus_exact(seed: int = 99) -> CriterionResult:
@@ -272,38 +269,29 @@ def crit10_torus_exact(seed: int = 99) -> CriterionResult:
 
 def crit11_torus_scaling() -> CriterionResult:
     det = {}
-    # (a) n=2 ball-mode ratio exponent = n*delta'/2 = 0.5 +- 0.05
+    # (a) n=2 ball-mode ratio exponent = n*delta'/2 = 0.5
     om2 = OMEGA_PRESETS["diophantine"][2]
     js = [2**k for k in range(10, 23, 2)]
-    hs = [j**-0.5 for j in js]
-    ratios = [math.sqrt(ball_count(CapQuery(n=2, omega=om2, mu=0.5, j=j))) for j in js]
-    slope_ball = float(np.polyfit(np.log([1 / h for h in hs]), np.log(ratios), 1)[0])
+    slope_ball = ratio_exponent(
+        js, [ball_count(CapQuery(n=2, omega=om2, mu=0.5, j=j)) for j in js])
     det["ball_mode_slope"] = slope_ball
-    ok = abs(slope_ball - 0.5) <= 0.05
-    # (b) sphere-mode eigenfunction ratio exponent <= (n-1)delta/2 + 0.1
+    ok = abs(slope_ball - 0.5) <= BALL_EXPONENT_TOLERANCE
+    # (b) sphere-mode eigenfunction ratio exponent below sphere_window's upper end
     for n in (2, 3):
         for delta in (0.5, 0.75):
-            blocks = dyadic_lower_bound_search(
-                n, delta, (2**8, 2**15 if n == 3 else 2**16))
-            sel = [(b.best_j, b.best_count) for b in blocks if b.best_count > 0]
-            if len(sel) < 4:
+            slope = dyadic_exponent(dyadic_lower_bound_search(
+                n, delta, (2**8, 2**15 if n == 3 else 2**16)))
+            if slope is None:
                 det[f"sphere_n{n}_d{delta}"] = "insufficient blocks"
                 ok = False
                 continue
-            slope = float(np.polyfit(
-                np.log([j**0.5 for j, _ in sel]),
-                np.log([math.sqrt(m) for _, m in sel]), 1)[0])
-            bound = (n - 1) * delta / 2 + 0.1
-            det[f"sphere_n{n}_d{delta}"] = {"slope": slope, "bound": bound}
-            ok = ok and slope <= bound
-    # (c) dyadic search achieves >= (n-1)delta/2 - 1/2 - 0.15 for n=3, delta=0.5
-    entry = det["sphere_n3_d0.5"]
-    lower = (3 - 1) * 0.5 / 2 - 0.5 - 0.15
-    if isinstance(entry, dict):
-        det["dyadic_lower_bound"] = {"slope": entry["slope"], "must_exceed": lower}
-        ok = ok and entry["slope"] >= lower
-    else:
-        ok = False
+            lower, upper = sphere_window(n, delta)
+            det[f"sphere_n{n}_d{delta}"] = {"slope": slope, "bound": upper}
+            ok = ok and slope <= upper
+            # (c) for n=3, delta=0.5 the dyadic search also reaches the lower end
+            if (n, delta) == (3, 0.5):
+                det["dyadic_lower_bound"] = {"slope": slope, "must_exceed": lower}
+                ok = ok and slope >= lower
     return CriterionResult("C11", "torus scaling laws", ok, details=det)
 
 
@@ -313,26 +301,28 @@ def crit12_symbol_calibration() -> CriterionResult:
     fixed = make_amplitude("fixed_bump")
     rows = check_symbol_order(fixed, hs, alpha_max=3)
     det["fixed_bump"] = {f"alpha_{r.alpha}": r.fitted_order for r in rows}
-    ok = all(abs(r.fitted_order - 0.0) <= 0.05 for r in rows)
+    ok = all(abs(r.fitted_order - 0.0) <= SYMBOL_ORDER_TOLERANCE for r in rows)
     gauss = make_amplitude("gaussian", 0.4)
     g0 = check_symbol_order(gauss, hs, alpha_max=0)[0]
     det["gaussian_alpha0"] = {"fitted": g0.fitted_order, "expected": 0.2}
-    ok = ok and abs(g0.fitted_order - 0.2) <= 0.05
+    ok = ok and abs(g0.fitted_order - 0.2) <= SYMBOL_ORDER_TOLERANCE
     return CriterionResult("C12", "symbol checker calibration", ok, details=det)
 
 
-def crit13_determinism(workdir=None, seed: int = 0) -> CriterionResult:
+def crit13_determinism(workdir=None) -> CriterionResult:
     import tempfile
     from pathlib import Path
 
     from .cli import RunConfig, run
 
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="causticlab_det_"))
-    out = base / "repeat"
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="causticlab_det_") as tmp:
+            return crit13_determinism(tmp)
+    out = Path(workdir) / "repeat"
     cfg = RunConfig(experiment="supnorm", singularity="A2", amplitude="fixed_bump",
                     h_start=2.0**-6, h_stop=2.0**-10, h_points=5,
                     x_strategy="omega_shells", points_per_shell=2,
-                    out_dir=str(out), seed=seed)
+                    out_dir=str(out))
     digests = []
     statuses = []
     for tag in ("first", "second"):

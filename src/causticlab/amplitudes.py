@@ -251,6 +251,9 @@ def estimate_sup_derivative(profile: AmplitudeProfile, alpha: int, h: float,
     return float(np.max(np.abs(acc)) / step**alpha)
 
 
+SYMBOL_ORDER_TOLERANCE = 0.05  # |fitted - expected| order for a pass
+
+
 @dataclass(frozen=True)
 class SymbolOrderRow:
     alpha: int

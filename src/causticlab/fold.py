@@ -41,6 +41,12 @@ from .polys import ThetaPoly
 from .scaling import ExponentFit, SCAN_BUDGET, fit_exponent, SupRow, geometric_grid
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
+DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
+FOLD_TOLERANCE = 0.04
+BREAKPOINT_WINDOW = (0.28, 0.38)  # around the regime change at delta = 1/3
+# sup|u_h| is scanned at x = 0 and X_POINTS offsets a side out to X_WINDOW h^{2/3}
+X_WINDOW, X_POINTS = 2.0, 4
+LEMMA62_REL_TOL = 1e-6  # closed forms against adaptive quadrature
 
 
 def sharp_exponent(delta):
@@ -72,10 +78,8 @@ class FoldExperiment:
     delta: float
     side: str  # below | above | at_threshold
     h_grid: tuple[float, ...] = DEFAULT_FOLD_H_GRID
-    x_window: float = 2.0
-    x_points: int = 4
     rel_tol: float = 1e-7
-    tolerance: float = 0.04
+    tolerance: float = FOLD_TOLERANCE
     eval_budget: int | None = None
     settings: QuadSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
@@ -124,9 +128,9 @@ def l2_from_coefficients(exp: FoldExperiment, h: float) -> float:
     return math.sqrt(2.0 * math.pi * h) * exp.amplitude.l2_theta(h)
 
 
-def _x_offsets(exp: FoldExperiment, h: float) -> list[float]:
-    scale = exp.x_window * h ** (2.0 / 3.0)
-    fracs = [(i + 1) / exp.x_points for i in range(exp.x_points)]
+def _x_offsets(h: float) -> list[float]:
+    scale = X_WINDOW * h ** (2.0 / 3.0)
+    fracs = [(i + 1) / X_POINTS for i in range(X_POINTS)]
     return [0.0] + [s * f * scale for f in fracs for s in (+1.0, -1.0)]
 
 
@@ -137,7 +141,7 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
     rows = []
     for h in exp.h_grid:
         best, conv = 0.0, True
-        for x in _x_offsets(exp, h):
+        for x in _x_offsets(h):
             res = evaluate(IntegralSpec(
                 phase, amp, (x,), h, rel_tol=exp.rel_tol,
                 includes_prefactor=False, budget=budget, settings=exp.settings))
@@ -180,9 +184,15 @@ class FoldCurve:
     def max_slope_error(self) -> float:
         return max(abs(r.fit.slope - float(r.fit.reference)) for r in self.runs)
 
+    @property
+    def passed(self) -> bool:
+        """Slopes within the fits' shared tolerance, breakpoint in BREAKPOINT_WINDOW."""
+        lo, hi = BREAKPOINT_WINDOW
+        return self.max_slope_error <= self.runs[0].fit.tolerance and lo <= self.breakpoint <= hi
 
-def fold_curve(deltas, h_grid=DEFAULT_FOLD_H_GRID, *, x_window: float = 2.0,
-               rel_tol: float = 1e-7, tolerance: float = 0.04,
+
+def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
+               rel_tol: float = 1e-7, tolerance: float = FOLD_TOLERANCE,
                eval_budget: int | None = None,
                settings: QuadSettings = DEFAULT_SETTINGS) -> FoldCurve:
     """Fit the exponent at each delta (below-family through 1/3, above after)."""
@@ -190,8 +200,7 @@ def fold_curve(deltas, h_grid=DEFAULT_FOLD_H_GRID, *, x_window: float = 2.0,
     for d in deltas:
         d = float(d)
         side = "below" if d <= 1.0 / 3.0 + 1e-12 else "above"
-        exp = FoldExperiment(d, side, tuple(h_grid), x_window=x_window,
-                             rel_tol=rel_tol, tolerance=tolerance,
+        exp = FoldExperiment(d, side, tuple(h_grid), rel_tol=rel_tol, tolerance=tolerance,
                              eval_budget=eval_budget, settings=settings)
         runs.append(run_fold(exp))
     bp, sse = two_segment_breakpoint(

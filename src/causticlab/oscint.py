@@ -287,13 +287,3 @@ def weighted_cauchy(x: float, eps: float) -> float:
         raise ValueError("eps must be positive")
     return (math.pi / 2.0 + math.atan(float(x) / float(eps))) / float(eps)
 
-
-def closed_form_oracles(name: str, *params: float) -> float:
-    """Named exact integrals used to cross-check the quadrature machinery."""
-    if name == "M_alpha":
-        (alpha,) = params
-        return m_alpha(alpha)
-    if name == "weighted_cauchy":
-        x, eps = params
-        return weighted_cauchy(x, eps)
-    raise ValueError(f"unknown oracle {name!r}")

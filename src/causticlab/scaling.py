@@ -31,6 +31,11 @@ from .catalog import PhaseFunction, SingularityType, build_phase, caustic_order,
 from .oscint import DEFAULT_SETTINGS, IntegralSpec, QuadSettings, evaluate
 
 SCAN_BUDGET = {1: 2**24, 2: 2**30}
+DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
+# Default |slope - kappa| of an order fit, by experiment and the number of phase
+# variables k; a family key overrides k.  (C06 pins A3 at 0.04, not 0.03.)
+ORDER_TOLERANCE = {"supnorm": {1: 0.03, 2: 0.06, "E": 0.10},
+                   "threshold_sweep": {1: 0.05, 2: 0.06}}
 
 
 def geometric_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
@@ -213,6 +218,12 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
     return ScanResult(tuple(rows), tuple(sup_rows))
 
 
+def order_tolerance(experiment: str, phase: PhaseFunction) -> float:
+    """ORDER_TOLERANCE entry of this experiment for the phase's type."""
+    table = ORDER_TOLERANCE[experiment]
+    return table.get(phase.singularity.family, table[phase.k])
+
+
 def fit_exponent(sup_rows, reference: Fraction, tolerance: float) -> ExponentFit:
     """Least-squares slope of log(sup) vs log(1/h), with a verdict.
 
@@ -255,7 +266,7 @@ class SweepEntry:
 
 
 def threshold_sweep(t: SingularityType, deltas, h_grid, *,
-                    tolerance: float = 0.05, rel_tol: float = 1e-6,
+                    tolerance: float | None = None, rel_tol: float = 1e-6,
                     x_strategy: str = "origin_only", points_per_shell: int = 1,
                     eval_budget: int | None = None, workers: int = 1,
                     settings: QuadSettings = DEFAULT_SETTINGS) -> list[SweepEntry]:
@@ -263,9 +274,11 @@ def threshold_sweep(t: SingularityType, deltas, h_grid, *,
 
     Below (and at) the type's threshold the fit is compared against the
     caustic order; beyond it the entry is flagged exploratory and its verdict
-    carries no expectation.
+    carries no expectation.  The tolerance defaults to ORDER_TOLERANCE's.
     """
     phase = build_phase(t)
+    if tolerance is None:
+        tolerance = order_tolerance("threshold_sweep", phase)
     ref = caustic_order(t)
     thr = float(threshold(t))
     out = []

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ENUM_LIMITS = {"radius": 1.0e4, "j": {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**5}}
+BALL_EXPONENT_TOLERANCE = 0.05
 
 OMEGA_PRESETS = {
     # ball mode: Diophantine-flavored directions, no unit-length requirement
@@ -272,6 +273,26 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
         ))
         J *= 2
     return blocks
+
+
+def ratio_exponent(js, counts) -> float:
+    """Growth exponent of the extremizer ratio sqrt(count) in 1/h = sqrt(j); drops zeros."""
+    good = [(j, c) for j, c in zip(js, counts) if c > 0]
+    return float(np.polyfit(np.log([j**0.5 for j, _ in good]),
+                            np.log([math.sqrt(c) for _, c in good]), 1)[0])
+
+
+def dyadic_exponent(blocks) -> float | None:
+    """ratio_exponent along the blocks' best j; None below 4 nonempty blocks."""
+    sel = [b for b in blocks if b.best_count > 0]
+    if len(sel) < 4:
+        return None
+    return ratio_exponent([b.best_j for b in sel], [b.best_count for b in sel])
+
+
+def sphere_window(n: int, delta: float) -> tuple[float, float]:
+    """Dyadic ratio exponent bounds: (n-1)delta/2 - 1/2 - 0.15 to (n-1)delta/2 + 0.1."""
+    return (n - 1) * delta / 2 - 0.5 - 0.15, (n - 1) * delta / 2 + 0.1
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ includes everything.
 """
 
 import os
+import tempfile
 
 import pytest
 
@@ -95,3 +96,10 @@ def test_c13_determinism(tmp_path):
     res = acceptance.crit13_determinism(workdir=tmp_path)
     print(f"{res.cid} {res.name}: {res.status}")
     assert res.passed, res.details
+
+
+def test_c13_leaves_no_temp_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    res = acceptance.crit13_determinism()
+    assert res.passed, res.details
+    assert list(tmp_path.iterdir()) == []

@@ -1,14 +1,20 @@
 """CLI: config validation, report files, golden catalog, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from causticlab.cli import ConfigError, RunConfig, config_from_args, run, validate
+from causticlab import acceptance
+from causticlab.cli import (SUBCOMMANDS, ConfigError, RunConfig, _build_parser,
+                            config_from_args, main, run, validate)
 from causticlab.reports import parse_fraction
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GOLDEN_TABLE = {
     "A1": ("0", "1"), "A2": ("1/6", "1/3"), "A3": ("1/4", "1/4"),
@@ -71,7 +77,7 @@ def test_validate_reports_field():
 
 def test_config_round_trip():
     cfg = RunConfig(experiment="threshold_sweep", singularity="A3",
-                    deltas=(0.1, 0.2), h_points=6, seed=11)
+                    deltas=(0.1, 0.2), h_points=6)
     assert RunConfig.from_dict(cfg.as_dict()) == cfg
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"experiment": "supnorm", "bogus_field": 1})
@@ -80,7 +86,7 @@ def test_config_round_trip():
 def test_summary_config_echo_round_trips(tmp_path):
     cfg = RunConfig(experiment="supnorm", singularity="A2",
                     h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
-                    out_dir=str(tmp_path), seed=3)
+                    out_dir=str(tmp_path))
     run(cfg)
     echo = json.loads((tmp_path / "summary.json").read_text())["config"]
     assert RunConfig.from_dict(echo) == cfg
@@ -89,7 +95,7 @@ def test_summary_config_echo_round_trips(tmp_path):
 def test_flag_parsing_overrides():
     cfg = config_from_args(["supnorm", "--type", "A3", "--delta", "0.2",
                             "--h-points", "7", "--out", "/tmp/x",
-                            "--workers", "2", "--seed", "5"])
+                            "--workers", "2"])
     assert cfg.experiment == "supnorm"
     assert cfg.singularity == "A3"
     assert cfg.delta == 0.2
@@ -99,12 +105,13 @@ def test_flag_parsing_overrides():
 
 def test_config_file_then_flags_win(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"singularity": "A4", "h_points": 6, "seed": 9}))
+    cfg_file.write_text(json.dumps({"singularity": "A4", "h_points": 6,
+                                    "points_per_shell": 3}))
     cfg = config_from_args(["supnorm", "--config", str(cfg_file),
                             "--type", "A2", "--out", str(tmp_path)])
     assert cfg.singularity == "A2"  # flag wins
     assert cfg.h_points == 6        # file value survives
-    assert cfg.seed == 9
+    assert cfg.points_per_shell == 3
 
 
 def test_supnorm_run_writes_reports_and_passes(tmp_path):
@@ -128,7 +135,7 @@ def test_repeat_run_byte_identical(tmp_path):
     cfg = RunConfig(experiment="supnorm", singularity="A2",
                     h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
                     x_strategy="omega_shells", points_per_shell=2,
-                    out_dir=str(tmp_path / "rep"), seed=7)
+                    out_dir=str(tmp_path / "rep"))
     run(cfg)
     first = {p.name: p.read_bytes()
              for p in sorted((tmp_path / "rep").iterdir()) if p.suffix != ".log"}
@@ -146,7 +153,7 @@ def test_workers_do_not_change_bytes(tmp_path):
             cfg = RunConfig(experiment="supnorm", singularity="A2",
                             h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
                             x_strategy=strategy, points_per_shell=2,
-                            workers=workers, out_dir=str(out), seed=1)
+                            workers=workers, out_dir=str(out))
             assert run(cfg) in (0, 1)
             summary = json.loads((out / "summary.json").read_text())
             del summary["config"]  # echoes the worker count
@@ -193,3 +200,65 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert bad.returncode == 2
     assert "delta" in bad.stderr
+
+
+@pytest.mark.parametrize("content, fieldname", [
+    ({"h_points": "6"}, "h_points"),
+    ({"deltas": 0.5}, "deltas"),
+    ([{"h_points": 6}], "config"),
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, content, fieldname):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(content))
+    status = main(["supnorm", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert status == 2
+    assert f"config field '{fieldname}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_value_types():
+    assert RunConfig.from_dict({"delta": 0, "h_start": None}).delta == 0  # JSON int as float
+    for bad in ({"h_points": True}, {"quick": 1}, {"delta": None}, {"deltas": [0.1, "x"]}):
+        with pytest.raises(ConfigError) as e:
+            RunConfig.from_dict(bad)
+        assert e.value.fieldname == next(iter(bad))
+
+
+# Every subcommand's flags at the commit before --seed was deleted, minus --seed.
+GOLDEN_FLAGS = [
+    "--config", "--out", "--workers", "--quick", "--type", "--amplitude", "--delta",
+    "--width-exponent", "--center", "--deltas", "--h-start", "--h-stop", "--h-points",
+    "--x-strategy", "--points-per-shell", "--rel-tol", "--tolerance", "--budget", "--n",
+    "--mode", "--torus-delta", "--delta-prime", "--omega", "--j-min", "--j-max",
+]
+
+
+def test_subcommand_flags_golden():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, parser in sub.choices.items():
+        flags = [s for a in parser._actions for s in a.option_strings
+                 if s not in ("-h", "--help")]
+        assert flags == GOLDEN_FLAGS, name
+
+
+def _readme_commands():
+    lines = [ln.split("#")[0].strip() for ln in README.read_text().splitlines()]
+    return [ln for ln in lines if ln.startswith("causticlab ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_parse_and_validate(line):
+    cfg = config_from_args(shlex.split(line)[1:])
+    validate(cfg)
+    assert cfg.experiment == SUBCOMMANDS[shlex.split(line)[1]][0]
+
+
+def test_verify_matrix_carries_details(tmp_path, monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        {"C01": acceptance.crit01_catalog_exactness})
+    assert run(RunConfig(experiment="verify", out_dir=str(tmp_path))) == 0
+    matrix = json.loads((tmp_path / "verify_matrix.json").read_text())
+    assert matrix == {"experiment": "verify", "quick": False, "criteria": [
+        {"id": "C01", "name": "catalog exactness", "status": "PASS",
+         "details": {"mismatches": [], "types": 19}}]}

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
-from causticlab.oscint import (IntegralSpec, QuadSettings, closed_form_oracles,
-                               evaluate, evaluate_rescaled, m_alpha, weighted_cauchy)
+from causticlab.oscint import (IntegralSpec, QuadSettings, evaluate, evaluate_rescaled,
+                               m_alpha, weighted_cauchy)
 
 A1 = build_phase(SingularityType.parse("A1"))
 A2 = build_phase(SingularityType.parse("A2"))
@@ -83,13 +83,6 @@ def test_weighted_cauchy_values_and_bound():
     for x in rng.uniform(-5, 5, 20):
         for eps in (1.0, 0.1, 0.01):
             assert weighted_cauchy(x, eps) <= math.pi / eps + 1e-12
-
-
-def test_closed_form_oracle_dispatch():
-    assert closed_form_oracles("M_alpha", 0.0) == m_alpha(0.0)
-    assert closed_form_oracles("weighted_cauchy", 0.0, 0.1) == weighted_cauchy(0.0, 0.1)
-    with pytest.raises(ValueError):
-        closed_form_oracles("nope", 1.0)
 
 
 def test_lemma_62_oracle_agreement_random():
