@@ -66,8 +66,8 @@ class SingularityType:
             if self.family in ("Dminus", "Dplus") and not odd:
                 raise ValueError(
                     f"D{'+' if self.family == 'Dplus' else '-'} needs odd m, got m={self.index}")
-            expected = {"Dminus": -1, "Dplus": +1}.get(self.family)
-            if expected is not None and self.sign != expected:
+            expected = {"D": +1, "Dminus": -1, "Dplus": +1}[self.family]
+            if self.sign != expected:
                 raise ValueError("D-series sign is fixed by the family")
         else:
             if self.index not in E_INDICES:
@@ -77,17 +77,9 @@ class SingularityType:
 
     @property
     def label(self) -> str:
-        if self.family == "A":
-            base = f"A{self.index + 1}"
-            return base if self.sign == +1 else base + "-"
-        if self.family == "Dminus":
-            return f"D{self.index + 1}-"
-        if self.family == "Dplus":
-            return f"D{self.index + 1}+"
-        if self.family == "D":
-            base = f"D{self.index + 1}"
-            return base if self.sign == +1 else base + "-flip"
-        base = f"E{self.index}"
+        if self.family in ("D", "Dminus", "Dplus"):
+            return f"D{self.index + 1}" + {"D": "", "Dminus": "-", "Dplus": "+"}[self.family]
+        base = f"A{self.index + 1}" if self.family == "A" else f"E{self.index}"
         return base if self.sign == +1 else base + "-"
 
     @classmethod
@@ -110,7 +102,7 @@ class SingularityType:
 
     def canonical(self) -> "SingularityType":
         """Sign-normalized representative (used as DAG node identity)."""
-        if self.family in ("A", "D", "E") and self.sign == -1:
+        if self.family in ("A", "E") and self.sign == -1:
             return SingularityType(self.family, self.index, +1)
         return self
 

@@ -66,7 +66,7 @@ class RunConfig:
     tolerance: float | None = None
     eval_budget: int | None = None
     torus_n: int = 2
-    torus_mode: str = "dyadic"  # ball | sphere | dyadic
+    torus_mode: str = "dyadic"  # ball | dyadic
     torus_delta: float = 0.5
     torus_delta_prime: float | None = None
     omega: str = "auto"
@@ -141,8 +141,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("rel_tol", "must lie in [1e-10, 1e-3]")
     if not 1 <= cfg.torus_n <= 4:
         raise ConfigError("torus_n", "must be between 1 and 4")
-    if cfg.torus_mode not in ("ball", "sphere", "dyadic"):
-        raise ConfigError("torus_mode", "must be ball, sphere or dyadic")
+    if cfg.torus_mode not in ("ball", "dyadic"):
+        raise ConfigError("torus_mode", "must be ball or dyadic")
     if not 0.0 < cfg.torus_delta <= 1.0:
         raise ConfigError("torus_delta", "must lie in (0, 1]")
     if cfg.j_min < 1 or cfg.j_max < cfg.j_min:
@@ -157,9 +157,9 @@ def _h_grid(cfg: RunConfig, k: int) -> tuple[float, ...]:
                           cfg.h_stop if cfg.h_stop is not None else stop, cfg.h_points)
 
 
-def _omega(cfg: RunConfig, mode: str) -> tuple[float, ...]:
+def _omega(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.omega == "auto":
-        preset = "diophantine" if mode == "ball" else "rational"
+        preset = "diophantine" if cfg.torus_mode == "ball" else "rational"
         return OMEGA_PRESETS[preset][cfg.torus_n]
     if cfg.omega in OMEGA_PRESETS:
         return OMEGA_PRESETS[cfg.omega][cfg.torus_n]
@@ -280,7 +280,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
     summary: dict = {"experiment": "torus", "config": cfg.as_dict(), "n": n,
                      "mode": cfg.torus_mode}
     if cfg.torus_mode == "ball":
-        om = _omega(cfg, "ball")
+        om = _omega(cfg)
         dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None \
             else cfg.torus_delta + 0.05
         js = [j for j in (2**k for k in range(1, 40))
@@ -297,7 +297,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
         summary["reference"] = n * dprime / 2
         ok = abs(slope - n * dprime / 2) <= BALL_EXPONENT_TOLERANCE
     else:
-        om = _omega(cfg, "sphere")
+        om = _omega(cfg)
         blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max),
                                            omega=om, cap_constant=cfg.cap_constant)
         for b in blocks:

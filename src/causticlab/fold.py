@@ -27,7 +27,7 @@ eps-blowup exponents (3/2 and 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +35,7 @@ from scipy.integrate import quad
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
-from .oscint import (DEFAULT_SETTINGS, IntegralSpec, QuadSettings, evaluate,
-                     m_alpha, weighted_cauchy)
+from .oscint import IntegralSpec, evaluate, m_alpha, weighted_cauchy
 from .polys import ThetaPoly
 from .scaling import ExponentFit, SCAN_BUDGET, fit_exponent, SupRow, geometric_grid
 
@@ -81,7 +80,6 @@ class FoldExperiment:
     rel_tol: float = 1e-7
     tolerance: float = FOLD_TOLERANCE
     eval_budget: int | None = None
-    settings: QuadSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
     def __post_init__(self):
         if self.side not in ("below", "above", "at_threshold"):
@@ -144,7 +142,7 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
         for x in _x_offsets(h):
             res = evaluate(IntegralSpec(
                 phase, amp, (x,), h, rel_tol=exp.rel_tol,
-                includes_prefactor=False, budget=budget, settings=exp.settings))
+                includes_prefactor=False, budget=budget))
             best = max(best, res.abs_value)
             conv = conv and res.converged
         l2 = l2_from_coefficients(exp, h)
@@ -182,7 +180,8 @@ class FoldCurve:
 
     @property
     def max_slope_error(self) -> float:
-        return max(abs(r.fit.slope - float(r.fit.reference)) for r in self.runs)
+        """Largest |slope - reference|; NaN if any run has no slope (< 4 converged rows)."""
+        return float(np.max([abs(r.fit.slope - float(r.fit.reference)) for r in self.runs]))
 
     @property
     def passed(self) -> bool:
@@ -193,15 +192,14 @@ class FoldCurve:
 
 def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
                rel_tol: float = 1e-7, tolerance: float = FOLD_TOLERANCE,
-               eval_budget: int | None = None,
-               settings: QuadSettings = DEFAULT_SETTINGS) -> FoldCurve:
+               eval_budget: int | None = None) -> FoldCurve:
     """Fit the exponent at each delta (below-family through 1/3, above after)."""
     runs = []
     for d in deltas:
         d = float(d)
         side = "below" if d <= 1.0 / 3.0 + 1e-12 else "above"
         exp = FoldExperiment(d, side, tuple(h_grid), rel_tol=rel_tol, tolerance=tolerance,
-                             eval_budget=eval_budget, settings=settings)
+                             eval_budget=eval_budget)
         runs.append(run_fold(exp))
     bp, sse = two_segment_breakpoint(
         [r.experiment.delta for r in runs], [r.fit.slope for r in runs])

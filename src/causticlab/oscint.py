@@ -14,9 +14,12 @@ and needs no precision relative to its own size.  Amplitude modulations of the
 form e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
 sampled amplitude factor is always slowly varying.
 
-For k = 2 the panels tensorize and the integrand is evaluated in column
-blocks; when the effective phase has no cross terms the double integral
-factors into two 1D integrals (tensor amplitudes make this exact).
+For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
+axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
+the amplitude factor times the Gauss weight, and only the terms that mix the
+two variables are evaluated on the tensor grid, in column blocks.  With no
+mixed term the double integral is the product of the two axis sums; k = 1 is
+that case with a single axis.
 
 Also hosts the closed-form companions of the two fold-regime integrals:
 
@@ -130,23 +133,29 @@ def _axis_profile(phi: ThetaPoly, axis: int, box, samples: int) -> tuple[np.ndar
     return g, tgrid
 
 
-def _pass_value_1d(phi: ThetaPoly, h_eff: float, amp_fn, nodes, weights) -> complex:
-    vals = np.asarray(amp_fn(nodes)).astype(complex)
-    vals *= np.exp(1j * phi(nodes) / h_eff)
-    return complex(np.sum(weights * vals))
+def _pass_value(parts: tuple[ThetaPoly, ...], mixed: ThetaPoly, h_eff: float, amp_fns,
+                axes, block_elems: int = 2_000_000) -> complex:
+    """One pass on the tensor grid of ``axes``, the (nodes, weights, panels) of each axis.
 
-
-def _pass_value_2d(phi: ThetaPoly, h_eff: float, amp_fns, axes,
-                   block_elems: int = 2_000_000) -> complex:
-    (n1, w1), (n2, w2) = axes
-    a1 = np.asarray(amp_fns[0](n1)).astype(complex) * w1
-    a2 = np.asarray(amp_fns[1](n2)).astype(complex) * w2
+    ``parts`` are the axes' own phase terms and ``mixed`` the rest (see
+    ``ThetaPoly.split_axes``).  The own terms go into the weights,
+    u = w * (a * e^{iP/h}); with no mixed term the pass is the product of the
+    axis sums, otherwise u1 * e^{iC/h} * u2 over column blocks of the grid.
+    """
+    us = []
+    for part, amp_fn, (nodes, weights, _) in zip(parts, amp_fns, axes):
+        vals = np.asarray(amp_fn(nodes)).astype(complex)
+        vals *= np.exp(1j * part(nodes) / h_eff)
+        us.append(weights * vals)
+    if not mixed.terms:
+        return math.prod(complex(np.sum(u)) for u in us)
+    n1, n2 = axes[0][0], axes[1][0]
+    u1, u2 = us
     cols = max(1, block_elems // max(1, n1.size))
     total = 0.0 + 0.0j
     for start in range(0, n2.size, cols):
         sl = slice(start, min(start + cols, n2.size))
-        pblock = phi.eval_outer(n1, n2[sl])
-        total += complex(a1 @ np.exp(1j * pblock / h_eff) @ a2[sl])
+        total += complex(u1 @ np.exp(1j * mixed.eval_outer(n1, n2[sl]) / h_eff) @ u2[sl])
     return total
 
 
@@ -157,8 +166,9 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
 
     ``floor`` is in the units of the scaled result.
     """
-    k = phi.nvars
-    separable = k == 2 and phi.is_separable()
+    parts, mixed = phi.split_axes()
+    # nodes and panels of a pass: the tensor grid when a term couples the axes
+    combine = math.prod if mixed.terms else sum
     mag = abs(scale)
     raw_floor = max(floor / mag, 1e-300)
     prev: complex | None = None
@@ -169,9 +179,8 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
     panels_total = 0
     stop = "max_passes"
 
-    profiles = [_axis_profile(phi, ax, box, settings.profile_samples) for ax in range(k)]
-    if separable:
-        phi_axes = [phi.axis_part(0), phi.axis_part(1)]
+    profiles = [_axis_profile(phi, ax, box, settings.profile_samples)
+                for ax in range(phi.nvars)]
 
     for s in range(settings.max_passes):
         q = settings.nodes_per_period * settings.refine_factor**s
@@ -180,10 +189,7 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
             _axis_nodes(g, tg, h_eff, q, min_nodes, settings.panel_order)
             for g, tg in profiles
         ]
-        if k == 1 or separable:
-            cost = sum(a[0].size for a in axes)
-        else:
-            cost = axes[0][0].size * axes[1][0].size
+        cost = combine(a[0].size for a in axes)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
         if s > 0 and spent + cost > budget:
@@ -191,16 +197,8 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
             break
         spent += cost
         passes += 1
-        if k == 1:
-            raw = _pass_value_1d(phi, h_eff, amp_fns[0], axes[0][0], axes[0][1])
-            panels_total += axes[0][2]
-        elif separable:
-            raw = _pass_value_1d(phi_axes[0], h_eff, amp_fns[0], axes[0][0], axes[0][1]) \
-                * _pass_value_1d(phi_axes[1], h_eff, amp_fns[1], axes[1][0], axes[1][1])
-            panels_total += axes[0][2] + axes[1][2]
-        else:
-            raw = _pass_value_2d(phi, h_eff, amp_fns, [(a[0], a[1]) for a in axes])
-            panels_total += axes[0][2] * axes[1][2]
+        raw = _pass_value(parts, mixed, h_eff, amp_fns, axes)
+        panels_total += combine(a[2] for a in axes)
         value = raw
         if prev is not None:
             est_error = abs(raw - prev)
@@ -221,32 +219,16 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
     )
 
 
-def _support_box(amp: AmplitudeProfile, h: float) -> list[tuple[float, float]]:
-    r = amp.support_radius(h)
-    return [(c - r, c + r) for c in amp.center]
-
-
 def evaluate(spec: IntegralSpec) -> IntegralResult:
     """Evaluate I(x; h), optionally including the h^{-k/2} normalization."""
-    k = spec.phase.k
-    phi = spec.phase.theta_poly(spec.x)
-    mod = spec.amplitude.modulation_poly()
-    if mod is not None:
-        phi = phi + mod
-    amp_fns = [
-        (lambda u, ax=ax: spec.amplitude.axis_slow(u, spec.h, ax)) for ax in range(k)
-    ]
-    scale = spec.h ** (-k / 2.0) if spec.includes_prefactor else 1.0
-    budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[k]
-    return _integrate(phi, spec.h, amp_fns, _support_box(spec.amplitude, spec.h),
-                      spec.rel_tol, budget, spec.settings, scale, spec.floor)
+    return evaluate_rescaled(spec, 1.0)
 
 
 def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
     """Evaluate after theta = lam^r eta, x = lam^{1-s} y; small parameter h/lam.
 
-    Mathematically equal to ``evaluate(spec)`` (the substitution is exact); at
-    lam = 1 the two code paths produce bitwise-identical panel schedules.
+    Mathematically equal to ``evaluate(spec)`` (the substitution is exact), which
+    is this function at lam = 1.
     """
     if not spec.h <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [h, 1] = [{spec.h}, 1], got {lam}")
@@ -254,20 +236,19 @@ def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
     hom = spec.phase.homogeneity
     r = [float(rj) for rj in hom.r]
     s = [float(sj) for sj in hom.s]
+    theta_factors = [lam**rj for rj in r]
     y = tuple(xj / lam ** (1.0 - sj) for xj, sj in zip(spec.x, s))
     phi = spec.phase.theta_poly(y)
     mod = spec.amplitude.modulation_poly()
     if mod is not None:
-        phi = phi + mod.substitute_scaled([lam**rj for rj in r]).scale(1.0 / lam)
+        phi = phi + mod.substitute_scaled(theta_factors).scale(1.0 / lam)
     amp_fns = [
-        (lambda u, ax=ax: spec.amplitude.axis_slow(lam ** r[ax] * u, spec.h, ax))
-        for ax in range(k)
+        (lambda u, f=f, ax=ax: spec.amplitude.axis_slow(f * u, spec.h, ax))
+        for ax, f in enumerate(theta_factors)
     ]
-    box = [
-        ((c - rad) / lam ** r[ax], (c + rad) / lam ** r[ax])
-        for ax, (c, rad) in enumerate(
-            (c, spec.amplitude.support_radius(spec.h)) for c in spec.amplitude.center)
-    ]
+    rad = spec.amplitude.support_radius(spec.h)
+    box = [((c - rad) / f, (c + rad) / f)
+           for c, f in zip(spec.amplitude.center, theta_factors)]
     scale = lam ** sum(r)
     if spec.includes_prefactor:
         scale *= spec.h ** (-k / 2.0)

@@ -77,21 +77,21 @@ class ThetaPoly:
             out.append((c * a, tuple(de)))
         return ThetaPoly(self.nvars, _merge(out))
 
-    def is_separable(self) -> bool:
-        """True when no term mixes two variables."""
-        for _, e in self.terms:
-            if sum(1 for a in e if a > 0) > 1:
-                return False
-        return True
+    def split_axes(self) -> tuple[tuple["ThetaPoly", ...], "ThetaPoly"]:
+        """Univariate part of each axis and the remainder whose terms mix variables.
 
-    def axis_part(self, axis: int) -> "ThetaPoly":
-        """Univariate restriction of a separable polynomial (constant term kept on axis 0)."""
-        out = []
+        p(t) = sum_i parts[i](t_i) + mixed(t); the constant term stays on axis 0.
+        """
+        parts: list[list[Term]] = [[] for _ in range(self.nvars)]
+        mixed = []
         for c, e in self.terms:
-            if all(a == 0 for j, a in enumerate(e) if j != axis):
-                if e[axis] > 0 or axis == 0:
-                    out.append((c, (e[axis],)))
-        return ThetaPoly(1, _merge(out))
+            active = [j for j, a in enumerate(e) if a > 0]
+            if len(active) > 1:
+                mixed.append((c, e))
+            else:
+                axis = active[0] if active else 0
+                parts[axis].append((c, (e[axis],)))
+        return tuple(ThetaPoly(1, _merge(p)) for p in parts), ThetaPoly(self.nvars, _merge(mixed))
 
     def __call__(self, *coords):
         coords = [np.asarray(c, dtype=float) for c in coords]

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import PhaseFunction, SingularityType, build_phase, caustic_order, threshold
-from .oscint import DEFAULT_SETTINGS, IntegralSpec, QuadSettings, evaluate
+from .oscint import IntegralSpec, evaluate
 
 SCAN_BUDGET = {1: 2**24, 2: 2**30}
 DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
@@ -56,7 +56,6 @@ class ScanPlan:
     rel_tol: float = 1e-6
     eval_budget: int | None = None
     workers: int = 1
-    settings: QuadSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
     def __post_init__(self):
         hs = self.h_grid
@@ -190,8 +189,7 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
 
     def spec(h, x, floor):
         return IntegralSpec(plan.phase, plan.amplitude, x, h, rel_tol=plan.rel_tol,
-                            includes_prefactor=True, budget=budget, floor=floor,
-                            settings=plan.settings)
+                            includes_prefactor=True, budget=budget, floor=floor)
 
     def row(h, point, res):
         lam, x, y_idx = point
@@ -268,8 +266,7 @@ class SweepEntry:
 def threshold_sweep(t: SingularityType, deltas, h_grid, *,
                     tolerance: float | None = None, rel_tol: float = 1e-6,
                     x_strategy: str = "origin_only", points_per_shell: int = 1,
-                    eval_budget: int | None = None, workers: int = 1,
-                    settings: QuadSettings = DEFAULT_SETTINGS) -> list[SweepEntry]:
+                    eval_budget: int | None = None, workers: int = 1) -> list[SweepEntry]:
     """Scan one type across delta values with matching narrow-bump amplitudes.
 
     Below (and at) the type's threshold the fit is compared against the
@@ -286,7 +283,7 @@ def threshold_sweep(t: SingularityType, deltas, h_grid, *,
         amp = make_amplitude("narrow_bump", float(d), dim=phase.k)
         plan = ScanPlan(phase, amp, tuple(h_grid), x_strategy=x_strategy,
                         points_per_shell=points_per_shell, rel_tol=rel_tol,
-                        eval_budget=eval_budget, workers=workers, settings=settings)
+                        eval_budget=eval_budget, workers=workers)
         fit = fit_exponent(supnorm_scan(plan).sup_rows, ref, tolerance)
         out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12))
     return out

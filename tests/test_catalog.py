@@ -197,11 +197,8 @@ def test_minus_variants_share_tables():
             threshold(SingularityType.parse(minus))
 
 
-def test_d_even_sign_flag_accepted():
-    # even-m D types have one variant, but the flipped sign still builds and
-    # shares all table data (theta_2 -> -theta_2 maps one onto the other)
-    flip = SingularityType("D", 4, -1)
-    ph = build_phase(flip)
-    assert ph.phi((0.0, 0.0, 0.0, 0.0), 1.0, 1.0) == pytest.approx(1.0 - 1.0)
-    assert caustic_order(flip) == caustic_order(SingularityType.parse("D5"))
-    assert threshold(flip) == threshold(SingularityType.parse("D5"))
+def test_d_even_sign_flip_rejected():
+    # even-m D types have one variant (theta_2 -> -theta_2 maps the flipped
+    # sign onto it), so the flipped sign is rejected like E7-
+    with pytest.raises(ValueError):
+        SingularityType("D", 4, -1)

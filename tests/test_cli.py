@@ -216,6 +216,13 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, content, fieldname):
     assert not (tmp_path / "o").exists()
 
 
+def test_torus_sphere_mode_exits_2(tmp_path, capsys):
+    # ball and dyadic are the only modes; "sphere" used to run the dyadic search
+    assert main(["torus", "--mode", "sphere", "--out", str(tmp_path / "o")]) == 2
+    assert "config field 'torus_mode'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_value_types():
     assert RunConfig.from_dict({"delta": 0, "h_start": None}).delta == 0  # JSON int as float
     for bad in ({"h_points": True}, {"quick": 1}, {"delta": None}, {"deltas": [0.1, "x"]}):

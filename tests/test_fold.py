@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from causticlab.fold import (FoldExperiment, fold_curve, l2_from_coefficients,
-                             lemma_62_suite, run_fold, sharp_exponent,
-                             two_segment_breakpoint)
+from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, fold_curve,
+                             l2_from_coefficients, lemma_62_suite, run_fold,
+                             sharp_exponent, two_segment_breakpoint)
 from causticlab.oscint import IntegralSpec, evaluate, m_alpha
-from causticlab.scaling import geometric_grid
+from causticlab.scaling import ExponentFit, geometric_grid
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
 
@@ -135,3 +135,19 @@ def test_lemma62_rows_and_exponents():
     from causticlab.fold import _quad_first
     assert _quad_first(-eps * alpha, eps) == pytest.approx(
         eps**-1.5 * m_alpha(alpha), rel=1e-8)
+
+
+def test_inconclusive_run_fails_the_curve_in_any_order():
+    # a run with fewer than 4 converged rows has a NaN slope; it must fail the
+    # verdict wherever it sits among the runs
+    def run(delta, slope, verdict):
+        ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
+        fit = ExponentFit(slope, 0.0, 1.0, ref, 0.04, verdict, 7)
+        return FoldRun(FoldExperiment(delta, "below"), (), fit)
+
+    good, bad = run(0.0, 1.0 / 6.0, "pass"), run(0.2, math.nan, "inconclusive")
+    for runs in ((good, bad), (bad, good)):
+        curve = FoldCurve(runs, 1.0 / 3.0, 0.0)
+        assert math.isnan(curve.max_slope_error)
+        assert not curve.passed
+    assert FoldCurve((good, good), 1.0 / 3.0, 0.0).passed

@@ -225,6 +225,44 @@ def test_2d_separable_equals_full_path():
     assert sep.value == pytest.approx(full.value, rel=1e-10)
 
 
+def _tensor_gauss_legendre(phase, h, panels=120, order=24):
+    """h^{-1} sum of chi(t1) chi(t2) e^{i phase(t1, t2)/h} on a uniform panel grid of [-2, 2]^2."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-2.0, 2.0, panels + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    t = (mid[:, None] + half[:, None] * gx).ravel()
+    a = (half[:, None] * gw).ravel() * bump(t)
+    total = 0.0 + 0.0j
+    for start in range(0, t.size, 256):
+        rows = slice(start, start + 256)
+        total += a[rows] @ np.exp(1j * phase(t[rows, None], t[None, :]) / h) @ a
+    return total / h
+
+
+@pytest.mark.parametrize("label, x, phase", [
+    ("D4-", (0.1, -0.2, 0.05),
+     lambda x, p, q: p * p * q - q**3 + x[0] * p + x[1] * q + x[2] * q * q),
+    ("D4+", (0.1, -0.2, 0.05),
+     lambda x, p, q: p * p * q + q**3 + x[0] * p + x[1] * q + x[2] * q * q),
+    ("E7", (0.1, 0.0, -0.1, 0.0, 0.05, 0.2),
+     lambda x, p, q: p**3 + p * q**3 + x[0] * p + x[1] * q + x[2] * q * q
+     + x[3] * q**3 + x[4] * q**4 + x[5] * p * q),
+    ("E6", (0.1, 0.0, 0.0, 0.2, 0.0),
+     lambda x, p, q: p**3 + q**4 + x[0] * p + x[1] * q + x[2] * q * q
+     + x[3] * p * q + x[4] * p * q * q),
+])
+def test_coupled_2d_against_brute_tensor_sum(label, x, phase):
+    # the full normal form, written out here, summed on a fixed tensor grid
+    # fine enough to resolve it: independent of the engine's panels and its
+    # split of the phase into per-axis and mixed terms
+    h = 2.0**-5
+    ph = build_phase(SingularityType.parse(label))
+    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), x, h, rel_tol=1e-9))
+    brute = _tensor_gauss_legendre(lambda p, q: phase(x, p, q), h)
+    assert res.converged
+    assert abs(res.value - brute) <= 1e-9 * abs(brute)
+
+
 def test_fold_saturator_modulation_cancels_at_origin():
     # above-threshold family against the x t - t^3/3 phase: at x=0 the
     # amplitude modulation cancels the phase exactly and u(0) is a pure
