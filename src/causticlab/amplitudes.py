@@ -1,15 +1,18 @@
 """delta-dependent amplitude families and symbol-class checkers.
 
 Families a(theta; h) in the class S^k_delta satisfy
-|d^alpha a| <= C_alpha h^{-k - delta*|alpha|}.  The built-in kinds:
+|d^alpha a| <= C_alpha h^{-k - delta*|alpha|}.  The four built-in kinds:
 
     fixed_bump            chi(theta - c)                         order 0
     narrow_bump           chi((theta - c)/h^delta)                order 0
     gaussian              h^{-delta/2} exp(-theta^2/h^{2 delta})  order delta/2
-    modulated_bump        h^{-p} chi(theta/h^w) e^{i c theta^3/h}
-    fold_saturator_below  narrow_bump (paired with the fold phase x*t + t^3)
     fold_saturator_above  h^{(delta-3)/4} chi(theta/h^{(1-delta)/2}) e^{i theta^3/3h}
-    custom                caller-supplied evaluator
+                                                                  order (3-delta)/4
+
+The narrow bump is also the fold's saturator below delta = 1/3 (paired with
+the fold phase x*t + t^3).  A fifth kind, ``custom``, wraps a caller-supplied
+evaluator; it is the tests' hook for a zero or step amplitude and cannot be
+chosen from the command line.
 
 chi is a fixed smooth bump equal to 1 on (-1, 1) and supported in (-2, 2),
 built from the standard exp(-1/t) smoothstep.  The gaussian kind carries a
@@ -34,15 +37,16 @@ import numpy as np
 
 from .polys import ThetaPoly
 
-KINDS = (
-    "fixed_bump",
-    "narrow_bump",
-    "gaussian",
-    "modulated_bump",
-    "fold_saturator_below",
-    "fold_saturator_above",
-    "custom",
-)
+# kind -> delta -> (width exponent, prefactor exponent, cubic modulation,
+#                   declared order, support constant)
+KINDS = {
+    "fixed_bump": lambda d: (0.0, 0.0, 0.0, 0.0, 2.0),
+    "narrow_bump": lambda d: (d, 0.0, 0.0, 0.0, 2.0),
+    "gaussian": lambda d: (d, d / 2.0, 0.0, d / 2.0, 4.0),
+    "fold_saturator_above": lambda d: ((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0,
+                                       (3.0 - d) / 4.0, 2.0),
+    "custom": lambda d: (0.0, 0.0, 0.0, 0.0, 2.0),
+}
 
 
 def _transition(t: np.ndarray) -> np.ndarray:
@@ -166,51 +170,20 @@ class AmplitudeProfile:
 
 def make_amplitude(kind: str, delta: float = 0.0, *, center=0.0, dim: int = 1,
                    width_exponent: float | None = None,
-                   prefactor_exponent: float | None = None,
-                   cubic_modulation: float | None = None,
-                   declared_order: float | None = None,
-                   support_const: float | None = None,
                    evaluator: Callable | None = None) -> AmplitudeProfile:
-    """Build one of the named amplitude families.
+    """Build one of the named amplitude families from its KINDS row at delta.
 
-    Unspecified parameters take the family's defining values; the fold
-    saturators in particular are fully determined by delta.
+    ``width_exponent`` replaces the row's width exponent (the CLI's
+    --width-exponent); everything else is determined by kind and delta.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown amplitude kind {kind!r}")
     if not 0.0 <= float(delta) <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     ctr = tuple(center) if isinstance(center, (tuple, list)) else (float(center),) * dim
-
-    if kind == "fixed_bump":
-        w, p, c3, order, sc = 0.0, 0.0, 0.0, 0.0, 2.0
-    elif kind in ("narrow_bump", "fold_saturator_below"):
-        w, p, c3, order, sc = float(delta), 0.0, 0.0, 0.0, 2.0
-    elif kind == "gaussian":
-        w, p, c3, order, sc = float(delta), float(delta) / 2.0, 0.0, float(delta) / 2.0, 4.0
-    elif kind == "fold_saturator_above":
-        w = (1.0 - float(delta)) / 2.0
-        p = (3.0 - float(delta)) / 4.0
-        c3, order, sc = 1.0 / 3.0, (3.0 - float(delta)) / 4.0, 2.0
-    elif kind == "modulated_bump":
-        w = float(width_exponent if width_exponent is not None else delta)
-        p = float(prefactor_exponent or 0.0)
-        c3 = float(cubic_modulation or 0.0)
-        order, sc = p, 2.0
-    else:
-        w = float(width_exponent or 0.0)
-        p = float(prefactor_exponent or 0.0)
-        c3 = float(cubic_modulation or 0.0)
-        order = float(declared_order or 0.0)
-        sc = float(support_const if support_const is not None else 2.0)
-
-    if width_exponent is not None and kind not in ("modulated_bump", "custom"):
+    w, p, c3, order, sc = KINDS[kind](float(delta))
+    if width_exponent is not None:
         w = float(width_exponent)
-    if declared_order is not None:
-        order = float(declared_order)
-    if support_const is not None:
-        sc = float(support_const)
-
     return AmplitudeProfile(
         kind=kind, delta=float(delta), declared_order=order, center=ctr,
         width_exponent=w, dim=dim, prefactor_exponent=p, cubic_modulation=c3,

@@ -27,16 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .amplitudes import SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
+from .amplitudes import KINDS, SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
 from .catalog import SingularityType, build_phase, catalog_rows, caustic_order, threshold
 from .fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, FOLD_TOLERANCE,
                    LEMMA62_REL_TOL, fold_curve, lemma_62_suite)
 from .reports import fmt_fraction, write_csv, write_json
 from .scaling import (DEFAULT_H_RANGE, ScanPlan, fit_exponent, geometric_grid,
                       order_tolerance, supnorm_scan, threshold_sweep)
-from .torus import (BALL_EXPONENT_TOLERANCE, CapQuery, OMEGA_PRESETS, ball_count,
-                    dyadic_exponent, dyadic_lower_bound_search, ratio_exponent,
-                    sphere_window)
+from .torus import (BALL_EXPONENT_TOLERANCE, CapQuery, ENUM_LIMITS, OMEGA_PRESETS,
+                    ball_count, dyadic_exponent, dyadic_lower_bound_search,
+                    ratio_exponent, sphere_window)
 
 
 class ConfigError(ValueError):
@@ -120,8 +120,13 @@ def validate(cfg: RunConfig) -> None:
         SingularityType.parse(cfg.singularity)
     except ValueError as e:
         raise ConfigError("singularity", str(e)) from None
+    amplitudes = tuple(kind for kind in KINDS if kind != "custom")  # needs an evaluator
+    if cfg.amplitude not in amplitudes:
+        raise ConfigError("amplitude", f"must be one of {amplitudes}")
     if not 0.0 <= cfg.delta <= 1.0:
         raise ConfigError("delta", f"must lie in [0, 1], got {cfg.delta}")
+    if cfg.width_exponent is not None and not 0.0 <= cfg.width_exponent <= 1.0:
+        raise ConfigError("width_exponent", "must lie in [0, 1]")
     for d in cfg.deltas:
         if not 0.0 <= d <= 1.0:
             raise ConfigError("deltas", f"entry {d} outside [0, 1]")
@@ -147,6 +152,9 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("torus_delta", "must lie in (0, 1]")
     if cfg.j_min < 1 or cfg.j_max < cfg.j_min:
         raise ConfigError("j_max", "need 1 <= j_min <= j_max")
+    if cfg.torus_mode == "dyadic" and cfg.j_max > ENUM_LIMITS["j"][cfg.torus_n]:
+        raise ConfigError("j_max", f"exceeds the n = {cfg.torus_n} sphere enumeration "
+                          f"bound {ENUM_LIMITS['j'][cfg.torus_n]}")
     if cfg.workers < 1:
         raise ConfigError("workers", "must be >= 1")
 
@@ -162,14 +170,17 @@ def _omega(cfg: RunConfig) -> tuple[float, ...]:
         preset = "diophantine" if cfg.torus_mode == "ball" else "rational"
         return OMEGA_PRESETS[preset][cfg.torus_n]
     if cfg.omega in OMEGA_PRESETS:
-        return OMEGA_PRESETS[cfg.omega][cfg.torus_n]
-    try:
-        parts = [Fraction(tok) for tok in cfg.omega.split(",")]
-    except ValueError:
-        raise ConfigError("omega", f"cannot parse {cfg.omega!r}") from None
-    if len(parts) != cfg.torus_n:
-        raise ConfigError("omega", f"needs {cfg.torus_n} components")
-    return tuple(float(p) for p in parts)
+        om = OMEGA_PRESETS[cfg.omega][cfg.torus_n]
+    else:
+        try:
+            om = tuple(float(Fraction(tok)) for tok in cfg.omega.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError("omega", f"cannot parse {cfg.omega!r}") from None
+        if len(om) != cfg.torus_n:
+            raise ConfigError("omega", f"needs {cfg.torus_n} components")
+    if cfg.torus_mode == "dyadic" and abs(math.sqrt(sum(w * w for w in om)) - 1.0) > 1e-12:
+        raise ConfigError("omega", "the dyadic sphere-cap search needs |omega| = 1")
+    return om
 
 
 def _run_catalog(cfg: RunConfig, out: Path) -> int:
@@ -283,12 +294,18 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
         om = _omega(cfg)
         dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None \
             else cfg.torus_delta + 0.05
+        if not 0.0 < dprime <= 1.0:
+            raise ConfigError("torus_delta_prime", f"must lie in (0, 1], got {dprime}")
         js = [j for j in (2**k for k in range(1, 40))
               if cfg.j_min <= j <= cfg.j_max]
         if len(js) < 3:
             raise ConfigError("j_max", "range too narrow for a fit")
-        counts = [ball_count(CapQuery(n=n, omega=om, mu=dprime, j=j,
-                                      cap_constant=cfg.cap_constant)) for j in js]
+        queries = [CapQuery(n=n, omega=om, mu=dprime, j=j, cap_constant=cfg.cap_constant)
+                   for j in js]
+        if queries[-1].cap_radius > ENUM_LIMITS["radius"]:
+            raise ConfigError("j_max", f"ball radius {queries[-1].cap_radius:g} exceeds "
+                              f"the enumeration bound {ENUM_LIMITS['radius']:g}")
+        counts = [ball_count(q) for q in queries]
         for j, c in zip(js, counts):
             rows.append([j, j**-0.5, c, math.sqrt(c) if c else 0.0, -1])
         slope = ratio_exponent(js, counts)

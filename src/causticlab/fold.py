@@ -37,7 +37,7 @@ from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
 from .oscint import IntegralSpec, evaluate, m_alpha, weighted_cauchy
 from .polys import ThetaPoly
-from .scaling import ExponentFit, SCAN_BUDGET, fit_exponent, SupRow, geometric_grid
+from .scaling import ExponentFit, fit_exponent, SupRow, geometric_grid
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
 DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
@@ -75,33 +75,24 @@ def _above_phase() -> PhaseFunction:
 @dataclass(frozen=True)
 class FoldExperiment:
     delta: float
-    side: str  # below | above | at_threshold
     h_grid: tuple[float, ...] = DEFAULT_FOLD_H_GRID
     rel_tol: float = 1e-7
     tolerance: float = FOLD_TOLERANCE
     eval_budget: int | None = None
 
-    def __post_init__(self):
-        if self.side not in ("below", "above", "at_threshold"):
-            raise ValueError(f"unknown side {self.side!r}")
-        third = 1.0 / 3.0
-        if self.side == "below" and self.delta > third + 1e-9:
-            raise ValueError("below-side experiments need delta <= 1/3")
-        if self.side == "above" and self.delta < third - 1e-9:
-            raise ValueError("above-side experiments need delta >= 1/3")
-        if self.side == "at_threshold" and abs(self.delta - third) > 1e-9:
-            raise ValueError("at_threshold means delta = 1/3")
+    @property
+    def side(self) -> str:
+        """The saturating family run at this delta: below through 1/3, above after."""
+        return "below" if self.delta <= 1.0 / 3.0 + 1e-12 else "above"
 
     @property
     def amplitude(self) -> AmplitudeProfile:
-        kind = "fold_saturator_below" if self.side in ("below", "at_threshold") \
-            else "fold_saturator_above"
+        kind = "narrow_bump" if self.side == "below" else "fold_saturator_above"
         return make_amplitude(kind, self.delta)
 
     @property
     def phase(self) -> PhaseFunction:
-        return _below_phase() if self.side in ("below", "at_threshold") \
-            else _above_phase()
+        return _below_phase() if self.side == "below" else _above_phase()
 
 
 @dataclass(frozen=True)
@@ -134,7 +125,6 @@ def _x_offsets(h: float) -> list[float]:
 
 def run_fold(exp: FoldExperiment) -> FoldRun:
     """sup/L2 ratio per h and its exponent fit against sharp_exponent(delta)."""
-    budget = exp.eval_budget if exp.eval_budget is not None else SCAN_BUDGET[1]
     phase, amp = exp.phase, exp.amplitude
     rows = []
     for h in exp.h_grid:
@@ -142,7 +132,7 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
         for x in _x_offsets(h):
             res = evaluate(IntegralSpec(
                 phase, amp, (x,), h, rel_tol=exp.rel_tol,
-                includes_prefactor=False, budget=budget))
+                includes_prefactor=False, budget=exp.eval_budget))
             best = max(best, res.abs_value)
             conv = conv and res.converged
         l2 = l2_from_coefficients(exp, h)
@@ -196,9 +186,7 @@ def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
     """Fit the exponent at each delta (below-family through 1/3, above after)."""
     runs = []
     for d in deltas:
-        d = float(d)
-        side = "below" if d <= 1.0 / 3.0 + 1e-12 else "above"
-        exp = FoldExperiment(d, side, tuple(h_grid), rel_tol=rel_tol, tolerance=tolerance,
+        exp = FoldExperiment(float(d), tuple(h_grid), rel_tol=rel_tol, tolerance=tolerance,
                              eval_budget=eval_budget)
         runs.append(run_fold(exp))
     bp, sse = two_segment_breakpoint(

@@ -32,7 +32,7 @@ Also hosts the closed-form companions of the two fold-regime integrals:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,15 @@ from .amplitudes import AmplitudeProfile
 from .catalog import PhaseFunction
 from .polys import ThetaPoly
 
-DEFAULT_BUDGET = {1: 2**22, 2: 2**26}
+# Integrand evaluations an evaluation may spend when its spec sets no budget, by k.
+DEFAULT_BUDGET = {1: 2**24, 2: 2**30}
+# Panel placement and refinement, calibrated against exact Fresnel/Airy values.
+PANEL_ORDER = 48  # Gauss-Legendre nodes per panel
+NODES_PER_PERIOD = 2.8  # first-pass nodes per local oscillation period
+MIN_AXIS_NODES = 96  # first-pass resolution floor for the amplitude, per axis
+REFINE_FACTOR = math.sqrt(2.0)  # node-density growth from one pass to the next
+MAX_PASSES = 14
+PROFILE_SAMPLES = 513  # samples of the frequency-bound profile per axis
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -48,21 +56,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
-
-
-@dataclass(frozen=True)
-class QuadSettings:
-    """Engine knobs; the defaults are calibrated against exact Fresnel/Airy values."""
-
-    panel_order: int = 48
-    nodes_per_period: float = 2.8
-    min_axis_nodes: int = 96
-    refine_factor: float = math.sqrt(2.0)
-    max_passes: int = 14
-    profile_samples: int = 513
-
-
-DEFAULT_SETTINGS = QuadSettings()
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,6 @@ class IntegralSpec:
     includes_prefactor: bool = True
     budget: int | None = None
     floor: float = 0.0
-    settings: QuadSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.h < 1.0:
@@ -106,7 +98,7 @@ class IntegralResult:
 
 
 def _axis_nodes(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float,
-                q: float, min_nodes: float, panel_order: int):
+                q: float, min_nodes: float):
     """Panel nodes/weights for one axis from a sampled frequency-bound profile."""
     lo, hi = tgrid[0], tgrid[-1]
     density = gprofile * (q / (2.0 * math.pi * h_eff)) + min_nodes / (hi - lo)
@@ -114,11 +106,11 @@ def _axis_nodes(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float,
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
     total = cum[-1]
-    n_panels = max(2, int(math.ceil(total / panel_order)))
+    n_panels = max(2, int(math.ceil(total / PANEL_ORDER)))
     targets = np.linspace(0.0, total, n_panels + 1)
     edges = np.interp(targets, cum, tgrid)
     edges[0], edges[-1] = lo, hi
-    gx, gw = _gauss_legendre(panel_order)
+    gx, gw = _gauss_legendre(PANEL_ORDER)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -126,9 +118,9 @@ def _axis_nodes(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float,
     return nodes, weights, n_panels
 
 
-def _axis_profile(phi: ThetaPoly, axis: int, box, samples: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_profile(phi: ThetaPoly, axis: int, box) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = box[axis]
-    tgrid = np.linspace(lo, hi, samples)
+    tgrid = np.linspace(lo, hi, PROFILE_SAMPLES)
     g = phi.partial(axis).abs_bound_profile(axis, box, tgrid)
     return g, tgrid
 
@@ -160,8 +152,7 @@ def _pass_value(parts: tuple[ThetaPoly, ...], mixed: ThetaPoly, h_eff: float, am
 
 
 def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
-               budget: int, settings: QuadSettings, scale: complex,
-               floor: float) -> IntegralResult:
+               budget: int, scale: complex, floor: float) -> IntegralResult:
     """Shared refinement loop; ``scale`` multiplies the raw integral at the end.
 
     ``floor`` is in the units of the scaled result.
@@ -179,16 +170,12 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
     panels_total = 0
     stop = "max_passes"
 
-    profiles = [_axis_profile(phi, ax, box, settings.profile_samples)
-                for ax in range(phi.nvars)]
+    profiles = [_axis_profile(phi, ax, box) for ax in range(phi.nvars)]
 
-    for s in range(settings.max_passes):
-        q = settings.nodes_per_period * settings.refine_factor**s
-        min_nodes = settings.min_axis_nodes * settings.refine_factor**s
-        axes = [
-            _axis_nodes(g, tg, h_eff, q, min_nodes, settings.panel_order)
-            for g, tg in profiles
-        ]
+    for s in range(MAX_PASSES):
+        q = NODES_PER_PERIOD * REFINE_FACTOR**s
+        min_nodes = MIN_AXIS_NODES * REFINE_FACTOR**s
+        axes = [_axis_nodes(g, tg, h_eff, q, min_nodes) for g, tg in profiles]
         cost = combine(a[0].size for a in axes)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
@@ -254,7 +241,7 @@ def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
         scale *= spec.h ** (-k / 2.0)
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[k]
     return _integrate(phi, spec.h / lam, amp_fns, box,
-                      spec.rel_tol, budget, spec.settings, scale, spec.floor)
+                      spec.rel_tol, budget, scale, spec.floor)
 
 
 def m_alpha(alpha: float) -> float:

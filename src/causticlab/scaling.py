@@ -30,7 +30,6 @@ from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import PhaseFunction, SingularityType, build_phase, caustic_order, threshold
 from .oscint import IntegralSpec, evaluate
 
-SCAN_BUDGET = {1: 2**24, 2: 2**30}
 DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
 # Default |slope - kappa| of an order fit, by experiment and the number of phase
 # variables k; a family key overrides k.  (C06 pins A3 at 0.04, not 0.03.)
@@ -184,12 +183,9 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
     Two rounds: the origins of all h, then every other candidate with its
     converged origin's |I(0; h)| as convergence floor (0 if it did not converge).
     """
-    budget = plan.eval_budget if plan.eval_budget is not None \
-        else SCAN_BUDGET[plan.phase.k]
-
     def spec(h, x, floor):
         return IntegralSpec(plan.phase, plan.amplitude, x, h, rel_tol=plan.rel_tol,
-                            includes_prefactor=True, budget=budget, floor=floor)
+                            includes_prefactor=True, budget=plan.eval_budget, floor=floor)
 
     def row(h, point, res):
         lam, x, y_idx = point

@@ -51,13 +51,12 @@ OMEGA_PRESETS = {
 
 @dataclass(frozen=True)
 class CapQuery:
-    """Ball or sphere-cap counting query; h may be given as j = h^{-2}."""
+    """Ball or sphere-cap counting query at h = j^{-1/2}."""
 
     n: int
     omega: tuple[float, ...]
     mu: float
-    h: float | None = None
-    j: int | None = None
+    j: int
     cap_constant: float = 1.0
 
     def __post_init__(self):
@@ -65,9 +64,7 @@ class CapQuery:
             raise ValueError("dimension n must be between 1 and 4")
         if len(self.omega) != self.n:
             raise ValueError("omega must have n entries")
-        if (self.h is None) == (self.j is None):
-            raise ValueError("give exactly one of h or j")
-        if self.j is not None and self.j < 1:
+        if self.j < 1:
             raise ValueError("j must be a positive integer")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError("mu must lie in (0, 1]")
@@ -76,7 +73,7 @@ class CapQuery:
 
     @property
     def h_value(self) -> float:
-        return self.h if self.h is not None else self.j**-0.5
+        return self.j**-0.5
 
     @property
     def center(self) -> np.ndarray:
@@ -92,20 +89,19 @@ class CapQuery:
             raise ValueError(f"sphere-cap queries need |omega| = 1, got {norm}")
 
 
-def _interval_count(lo: float, hi: float, strict: bool) -> int:
-    """Integers in (lo, hi) or [lo, hi]."""
+def _interval_count(lo: float, hi: float) -> int:
+    """Integers in (lo, hi)."""
     a = math.ceil(lo)
     b = math.floor(hi)
-    if strict:
-        if a == lo:
-            a += 1
-        if b == hi:
-            b -= 1
+    if a == lo:
+        a += 1
+    if b == hi:
+        b -= 1
     return max(0, b - a + 1)
 
 
-def count_in_ball(center, radius: float, strict: bool = True) -> int:
-    """Exact number of integer points with |alpha - center| < radius (or <=)."""
+def count_in_ball(center, radius: float) -> int:
+    """Exact number of integer points with |alpha - center| < radius."""
     center = [float(c) for c in center]
     n = len(center)
     if radius > ENUM_LIMITS["radius"]:
@@ -118,7 +114,7 @@ def count_in_ball(center, radius: float, strict: bool = True) -> int:
     r2 = radius * radius
 
     if n == 1:
-        return _interval_count(center[0] - radius, center[0] + radius, strict)
+        return _interval_count(center[0] - radius, center[0] + radius)
 
     # vectorize the last two axes; loop any leading coords in python
     def rec_fast(prefix_center: list[float], budget2: float) -> int:
@@ -129,22 +125,21 @@ def count_in_ball(center, radius: float, strict: bool = True) -> int:
             if a1.size == 0:
                 return 0
             rem = budget2 - (a1 - c1) ** 2
-            ok = rem > 0 if strict else rem >= 0
+            ok = rem > 0
             if not np.any(ok):
                 return 0
-            ws = np.sqrt(np.maximum(rem[ok], 0.0))
+            ws = np.sqrt(rem[ok])
             lo = np.ceil(c2 - ws)
             hi = np.floor(c2 + ws)
-            if strict:
-                lo = np.where(lo == c2 - ws, lo + 1, lo)
-                hi = np.where(hi == c2 + ws, hi - 1, hi)
+            lo = np.where(lo == c2 - ws, lo + 1, lo)
+            hi = np.where(hi == c2 + ws, hi - 1, hi)
             return int(np.sum(np.maximum(0, hi - lo + 1).astype(np.int64)))
         c = prefix_center[0]
         w = math.sqrt(max(budget2, 0.0))
         total = 0
         for a in range(math.ceil(c - w), math.floor(c + w) + 1):
             rem = budget2 - (a - c) ** 2
-            if (rem <= 0) if strict else (rem < 0):
+            if rem <= 0:
                 continue
             total += rec_fast(prefix_center[1:], rem)
         return total
@@ -154,16 +149,13 @@ def count_in_ball(center, radius: float, strict: bool = True) -> int:
 
 def ball_count(q: CapQuery) -> int:
     """N_mu-style count: integer points within C h^{-mu} of omega/h (strict <)."""
-    return count_in_ball(q.center, q.cap_radius, strict=True)
+    return count_in_ball(q.center, q.cap_radius)
 
 
 def sphere_solutions(q: CapQuery) -> np.ndarray:
     """All alpha in Z^n with |alpha|^2 = j inside the cap, as an (m, n) array."""
     q.require_unit_omega()
-    j = q.j if q.j is not None else round(q.h_value**-2)
-    if q.h is not None and abs(q.h**-2 - round(q.h**-2)) > 1e-9:
-        raise ValueError(f"h^-2 = {q.h**-2} is not an integer")
-    j = int(j)
+    j = int(q.j)
     limit = ENUM_LIMITS["j"][q.n]
     if j > limit:
         raise ValueError(f"j = {j} exceeds the n = {q.n} enumeration bound {limit}")
@@ -200,12 +192,9 @@ def sphere_solutions(q: CapQuery) -> np.ndarray:
         d = full.astype(float) - center[None, :]
         inside = np.sqrt(np.sum(d * d, axis=1)) <= w
         sols.append(full[inside])
-    if not sols:
-        return np.empty((0, q.n), dtype=np.int64)
     allsols = np.concatenate(sols, axis=0)
-    if allsols.size == 0:
-        return allsols.reshape(0, q.n)
-    return np.unique(allsols, axis=0)
+    # np.unique costs ~50 us even when empty, and most caps of a dyadic block are
+    return np.unique(allsols, axis=0) if allsols.size else allsols
 
 
 def sphere_cap_count(q: CapQuery) -> int:
@@ -297,29 +286,25 @@ def sphere_window(n: int, delta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExtremizerSum:
-    """Finitely supported exponential sum sum a_alpha e^{-i alpha.x}."""
+    """Finitely supported, l2-normalized exponential sum sum a_alpha e^{-i alpha.x}."""
 
     points: tuple[tuple[int, ...], ...]
     coefficients: tuple[complex, ...]
-    normalization: str  # l2_normalized | raw
 
     def __post_init__(self):
         if len(self.points) != len(self.coefficients):
             raise ValueError("points/coefficients length mismatch")
-        if self.normalization == "l2_normalized":
-            total = sum(abs(c) ** 2 for c in self.coefficients)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"sum |a|^2 = {total} is not 1")
-        elif self.normalization != "raw":
-            raise ValueError("normalization must be l2_normalized or raw")
+        total = sum(abs(c) ** 2 for c in self.coefficients)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"sum |a|^2 = {total} is not 1")
 
     @property
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coefficients))
 
 
-def extremizer(q: CapQuery, mode: str, normalization: str = "l2_normalized") -> ExtremizerSum:
-    """Uniform coefficients on the counted set (ball or sphere cap)."""
+def extremizer(q: CapQuery, mode: str) -> ExtremizerSum:
+    """Uniform l2-normalized coefficients on the counted set (ball or sphere cap)."""
     if mode == "ball":
         center = q.center
         w = q.cap_radius
@@ -336,11 +321,9 @@ def extremizer(q: CapQuery, mode: str, normalization: str = "l2_normalized") -> 
     count = pts.shape[0]
     if count == 0:
         raise ValueError("empty cap: no lattice points to sum over")
-    coef = 1.0 / math.sqrt(count) if normalization == "l2_normalized" else 1.0
     return ExtremizerSum(
         points=tuple(tuple(int(v) for v in row) for row in np.asarray(pts)),
-        coefficients=(complex(coef),) * count,
-        normalization=normalization,
+        coefficients=(complex(1.0 / math.sqrt(count)),) * count,
     )
 
 
@@ -353,17 +336,12 @@ def eval_sum(s: ExtremizerSum, x) -> complex:
 
 
 def eval_sum_grid(s: ExtremizerSum, grid_per_axis: int = 64) -> np.ndarray:
-    """|f| on the uniform (2pi/g)Z^n grid, for norm checks (g^n points)."""
-    pts = np.asarray(s.points, dtype=float)
-    coefs = np.asarray(s.coefficients, dtype=complex)
-    n = pts.shape[1]
-    axis = np.arange(grid_per_axis) * (2.0 * math.pi / grid_per_axis)
-    vals = np.zeros((grid_per_axis,) * n, dtype=complex)
-    for p, c in zip(pts, coefs):
-        phase = np.zeros((grid_per_axis,) * n)
-        for d in range(n):
-            shape = [1] * n
-            shape[d] = grid_per_axis
-            phase = phase + (p[d] * axis).reshape(shape)
-        vals += c * np.exp(-1j * phase)
-    return np.abs(vals)
+    """|f| on the uniform (2pi/g)Z^n grid, for norm checks (g^n points).
+
+    On that grid e^{-i alpha.x} depends on alpha only modulo g, so the
+    coefficients are folded onto Z_g^n and f is one n-dimensional DFT.
+    """
+    pts = np.asarray(s.points, dtype=np.int64)
+    folded = np.zeros((grid_per_axis,) * pts.shape[1], dtype=complex)
+    np.add.at(folded, tuple((pts % grid_per_axis).T), np.asarray(s.coefficients))
+    return np.abs(np.fft.fftn(folded))

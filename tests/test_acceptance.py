@@ -98,8 +98,10 @@ def test_c13_determinism(tmp_path):
     assert res.passed, res.details
 
 
-def test_c13_leaves_no_temp_dir(tmp_path, monkeypatch):
+def test_c13_leaves_no_temp_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     res = acceptance.crit13_determinism()
     assert res.passed, res.details
     assert list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert str(tmp_path) not in out + err  # no line names the deleted directory

@@ -1,5 +1,7 @@
 """CLI: config validation, report files, golden catalog, determinism."""
 
+import dataclasses
+import inspect
 import json
 import shlex
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from causticlab import acceptance
+from causticlab import acceptance, amplitudes, fold, oscint, scaling, torus
 from causticlab.cli import (SUBCOMMANDS, ConfigError, RunConfig, _build_parser,
                             config_from_args, main, run, validate)
 from causticlab.reports import parse_fraction
@@ -223,6 +225,26 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, fieldname", [
+    (["supnorm", "--amplitude", "bogus"], "amplitude"),
+    (["supnorm", "--amplitude", "custom"], "amplitude"),
+    (["supnorm", "--width-exponent", "-1"], "width_exponent"),
+    (["torus", "--mode", "ball", "--delta-prime", "0"], "torus_delta_prime"),
+    (["torus", "--mode", "ball", "--delta-prime", "1.5"], "torus_delta_prime"),
+    (["torus", "--omega", "1/0,1"], "omega"),
+    (["torus", "--mode", "dyadic", "--omega", "diophantine"], "omega"),
+    (["torus", "--mode", "dyadic", "--n", "4", "--j-min", "200000", "--j-max", "1000000"],
+     "j_max"),
+    (["torus", "--mode", "ball", "--n", "1", "--delta-prime", "1", "--j-min", "2",
+      "--j-max", "1073741824"], "j_max"),
+])
+def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{fieldname}'" in err
+    assert "Traceback" not in err
+
+
 def test_config_value_types():
     assert RunConfig.from_dict({"delta": 0, "h_start": None}).delta == 0  # JSON int as float
     for bad in ({"h_points": True}, {"quick": 1}, {"delta": None}, {"deltas": [0.1, "x"]}):
@@ -269,3 +291,30 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
     assert matrix == {"experiment": "verify", "quick": False, "criteria": [
         {"id": "C01", "name": "catalog exactness", "status": "PASS",
          "details": {"mismatches": [], "types": 19}}]}
+
+
+# The settable fields and parameters of the library's experiment types, and the
+# amplitude kinds.  Adding an option means editing this table.
+GOLDEN_OPTIONS = {
+    "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "includes_prefactor",
+                     "budget", "floor"],
+    "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "shell_lambda_count",
+                 "points_per_shell", "rel_tol", "eval_budget", "workers"],
+    "FoldExperiment": ["delta", "h_grid", "rel_tol", "tolerance", "eval_budget"],
+    "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
+    "AmplitudeProfile": ["kind", "delta", "declared_order", "center", "width_exponent",
+                         "dim", "prefactor_exponent", "cubic_modulation", "support_const",
+                         "evaluator"],
+    "make_amplitude": ["kind", "delta", "center", "dim", "width_exponent", "evaluator"],
+    "KINDS": ["fixed_bump", "narrow_bump", "gaussian", "fold_saturator_above", "custom"],
+}
+
+
+def test_option_surface_golden():
+    classes = {"IntegralSpec": oscint.IntegralSpec, "ScanPlan": scaling.ScanPlan,
+               "FoldExperiment": fold.FoldExperiment, "CapQuery": torus.CapQuery,
+               "AmplitudeProfile": amplitudes.AmplitudeProfile}
+    seen = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in classes.items()}
+    seen["make_amplitude"] = list(inspect.signature(amplitudes.make_amplitude).parameters)
+    seen["KINDS"] = list(amplitudes.KINDS)
+    assert seen == GOLDEN_OPTIONS

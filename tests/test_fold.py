@@ -28,19 +28,16 @@ def test_sharp_exponent_values():
         sharp_exponent(1.2)
 
 
-def test_experiment_side_validation():
-    with pytest.raises(ValueError):
-        FoldExperiment(0.5, "below")
-    with pytest.raises(ValueError):
-        FoldExperiment(0.1, "above")
-    with pytest.raises(ValueError):
-        FoldExperiment(0.2, "at_threshold")
-    FoldExperiment(1.0 / 3.0, "at_threshold")  # ok
+def test_experiment_side_follows_delta():
+    assert [FoldExperiment(d).side for d in (0.0, 0.1, 1.0 / 3.0, 0.34, 0.5, 1.0)] == \
+        ["below"] * 3 + ["above"] * 3
+    assert FoldExperiment(0.2).amplitude.kind == "narrow_bump"
+    assert FoldExperiment(0.5).amplitude.kind == "fold_saturator_above"
 
 
 def test_l2_scaling_below():
     # ||u||_2 = (2 pi h)^{1/2} h^{d/2} ||chi||_2
-    exp = FoldExperiment(0.25, "below")
+    exp = FoldExperiment(0.25)
     vals = [l2_from_coefficients(exp, h) / (math.sqrt(2 * math.pi * h) * h**0.125)
             for h in (1e-2, 1e-3, 1e-4)]
     assert np.ptp(vals) / vals[0] < 1e-6
@@ -48,7 +45,7 @@ def test_l2_scaling_below():
 
 
 def test_l2_scaling_above_is_constant():
-    exp = FoldExperiment(0.5, "above")
+    exp = FoldExperiment(0.5)
     vals = [l2_from_coefficients(exp, h) for h in (1e-2, 1e-3, 1e-4)]
     assert np.ptp(vals) / vals[0] < 1e-6
     assert vals[0] == pytest.approx(math.sqrt(2 * math.pi) * 1.6767261271736364,
@@ -56,7 +53,7 @@ def test_l2_scaling_above_is_constant():
 
 
 def test_l2_zero_amplitude():
-    exp = FoldExperiment(0.25, "below")
+    exp = FoldExperiment(0.25)
     zeroed = exp.amplitude
     assert zeroed.l2_theta(1e-3) > 0  # sanity: the family itself is nonzero
     from causticlab.amplitudes import make_amplitude
@@ -67,9 +64,8 @@ def test_l2_zero_amplitude():
 def test_plancherel_cross_check_x_side():
     # direct x-side quadrature of |u|^2 over a wide window vs the coefficient
     # side, within 1 percent
-    cases = [(0.5, "above", 2.0**-6), (0.3, "below", 2.0**-6)]
-    for d, side, h in cases:
-        exp = FoldExperiment(d, side)
+    for d, h in ((0.5, 2.0**-6), (0.3, 2.0**-6)):
+        exp = FoldExperiment(d)
         xs = np.linspace(-8.0, 8.0, 3201)
         vals = np.empty(xs.size)
         for i, x in enumerate(xs):
@@ -78,20 +74,20 @@ def test_plancherel_cross_check_x_side():
             vals[i] = res.abs_value**2
         direct = math.sqrt(np.trapezoid(vals, xs))
         coeff = l2_from_coefficients(exp, h)
-        assert direct == pytest.approx(coeff, rel=0.01), (d, side)
+        assert direct == pytest.approx(coeff, rel=0.01), d
 
 
 def test_run_fold_below_slope():
-    run = run_fold(FoldExperiment(0.2, "below", QUICK_GRID))
+    run = run_fold(FoldExperiment(0.2, QUICK_GRID))
     assert run.fit.verdict == "pass"
     assert run.fit.slope == pytest.approx((1 + 3 * 0.2) / 6, abs=0.04)
 
 
 def test_run_fold_above_slope_and_origin_saturation():
-    run = run_fold(FoldExperiment(0.5, "above", QUICK_GRID))
+    run = run_fold(FoldExperiment(0.5, QUICK_GRID))
     assert run.fit.slope == pytest.approx(0.375, abs=0.04)
     # u(0) alone achieves the h^{-(1+d)/4} growth: sup equals the origin value
-    exp = FoldExperiment(0.5, "above", QUICK_GRID)
+    exp = FoldExperiment(0.5, QUICK_GRID)
     for h in QUICK_GRID[:2]:
         origin = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h,
                                        rel_tol=1e-7, includes_prefactor=False))
@@ -100,8 +96,10 @@ def test_run_fold_above_slope_and_origin_saturation():
 
 
 def test_threshold_families_agree():
-    below = run_fold(FoldExperiment(1.0 / 3.0, "below", QUICK_GRID))
-    above = run_fold(FoldExperiment(1.0 / 3.0, "above", QUICK_GRID))
+    # the above family runs from just past the side rule's 1/3 + 1e-12
+    below = run_fold(FoldExperiment(1.0 / 3.0, QUICK_GRID))
+    above = run_fold(FoldExperiment(1.0 / 3.0 + 1e-11, QUICK_GRID))
+    assert (below.experiment.side, above.experiment.side) == ("below", "above")
     assert abs(below.fit.slope - above.fit.slope) < 0.05
 
 
@@ -143,7 +141,7 @@ def test_inconclusive_run_fails_the_curve_in_any_order():
     def run(delta, slope, verdict):
         ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
         fit = ExponentFit(slope, 0.0, 1.0, ref, 0.04, verdict, 7)
-        return FoldRun(FoldExperiment(delta, "below"), (), fit)
+        return FoldRun(FoldExperiment(delta), (), fit)
 
     good, bad = run(0.0, 1.0 / 6.0, "pass"), run(0.2, math.nan, "inconclusive")
     for runs in ((good, bad), (bad, good)):

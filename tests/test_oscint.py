@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
-from causticlab.oscint import (IntegralSpec, QuadSettings, evaluate, evaluate_rescaled,
-                               m_alpha, weighted_cauchy)
+from causticlab.oscint import (MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate,
+                               evaluate_rescaled, m_alpha, weighted_cauchy)
 
 A1 = build_phase(SingularityType.parse("A1"))
 A2 = build_phase(SingularityType.parse("A2"))
@@ -189,12 +189,16 @@ def test_counters_and_stop_reasons():
     spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=1e-8)
     done = evaluate(spec)
     assert done.converged and done.stop == "converged"
-    # 1D: every panel of every pass holds panel_order nodes
+    # 1D: every panel of every pass holds PANEL_ORDER nodes
     assert done.passes >= 2
-    assert done.nodes == spec.settings.panel_order * done.panels_used
-    capped = evaluate(replace(spec, settings=QuadSettings(max_passes=1)))
-    assert (capped.converged, capped.stop, capped.passes) == (False, "max_passes", 1)
-    assert capped.est_error == math.inf
+    assert done.nodes == PANEL_ORDER * done.panels_used
+    # a step amplitude converges too slowly for rel_tol 1e-10: every pass runs
+    step = make_amplitude("custom", 0.0, evaluator=lambda u, h: (u > 0.3).astype(float))
+    capped = evaluate(IntegralSpec(A2, step, (0.0,), 2.0**-8, rel_tol=1e-10,
+                                   budget=2**30))
+    assert (capped.converged, capped.stop, capped.passes) == (False, "max_passes",
+                                                              MAX_PASSES)
+    assert 0.0 < capped.est_error < math.inf
 
 
 def test_floor_stops_shadow_point_early():
@@ -270,7 +274,7 @@ def test_fold_saturator_modulation_cancels_at_origin():
     from causticlab.fold import FoldExperiment
 
     d = 0.5
-    exp = FoldExperiment(d, "above")
+    exp = FoldExperiment(d)
     h = 2.0**-8
     res = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h,
                                 rel_tol=1e-8, includes_prefactor=False))

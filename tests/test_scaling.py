@@ -10,7 +10,7 @@ from scipy.special import airy
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
 from causticlab.oscint import IntegralSpec, evaluate, evaluate_rescaled
-from causticlab.scaling import (SCAN_BUDGET, ScanPlan, SupRow, fit_exponent,
+from causticlab.scaling import (ScanPlan, SupRow, fit_exponent,
                                 geometric_grid, shell_unit_samples, supnorm_scan,
                                 threshold_sweep)
 
@@ -155,7 +155,7 @@ def test_a2_shell_scan_origin_rows_match_standalone_evaluate(a2_shell_scan):
         if r.y_index != -1:
             continue
         res = evaluate(IntegralSpec(plan.phase, plan.amplitude, r.x, r.h,
-                                    rel_tol=plan.rel_tol, budget=SCAN_BUDGET[1]))
+                                    rel_tol=plan.rel_tol))
         assert (r.abs_value, r.est_error, r.converged, r.nodes) == \
             (res.abs_value, res.est_error, res.converged, res.nodes)
 

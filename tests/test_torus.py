@@ -77,8 +77,6 @@ def test_sphere_counts_match_naive_oracle():
 def test_sphere_query_validation():
     with pytest.raises(ValueError, match="omega"):
         sphere_cap_count(CapQuery(n=2, omega=(1.0, 1.0), mu=0.5, j=25))
-    with pytest.raises(ValueError, match="integer"):
-        sphere_cap_count(CapQuery(n=2, omega=(0.6, 0.8), mu=0.5, h=0.3))
     with pytest.raises(ValueError):
         sphere_cap_count(CapQuery(n=2, omega=(0.6, 0.8), mu=0.5, j=10**7))
 
@@ -115,10 +113,12 @@ def test_extremizer_empty_cap_raises():
         extremizer(q, "sphere")  # 31 is not a sum of two squares
 
 
-def test_eval_sum_raw_at_origin_counts():
+def test_eval_sum_at_origin_counts():
+    # 12 lattice points on |alpha|^2 = 25, each with coefficient 12^{-1/2}
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
-    ext = extremizer(q, "sphere", normalization="raw")
-    assert eval_sum(ext, (0.0, 0.0)) == pytest.approx(12.0)
+    ext = extremizer(q, "sphere")
+    assert len(ext.points) == 12
+    assert eval_sum(ext, (0.0, 0.0)) == pytest.approx(math.sqrt(12.0))
 
 
 def test_grid_max_attained_at_origin():
@@ -127,6 +127,19 @@ def test_grid_max_attained_at_origin():
     count = len(ext.points)
     grid_abs = eval_sum_grid(ext, 64)
     assert float(np.max(grid_abs)) == pytest.approx(math.sqrt(count), abs=1e-9)
+
+
+def test_eval_sum_grid_matches_direct_sum_3d():
+    om = OMEGA_PRESETS["rational"][3]
+    q = CapQuery(n=3, omega=om, mu=1.0, j=594, cap_constant=8.0 * 594**-0.5)
+    ext = extremizer(q, "sphere")
+    g = 16
+    grid_abs = eval_sum_grid(ext, g)
+    assert grid_abs.shape == (g, g, g)
+    scale = sum(abs(c) for c in ext.coefficients)
+    for k in ((0, 0, 0), (1, 0, 0), (0, 5, 3), (7, 15, 2), (15, 15, 15)):
+        x = tuple(2.0 * math.pi * kd / g for kd in k)
+        assert abs(grid_abs[k] - abs(eval_sum(ext, x))) <= 1e-12 * scale, k
 
 
 def test_parseval_on_sampling_grid():
@@ -176,6 +189,4 @@ def test_cap_query_validation():
     with pytest.raises(ValueError):
         CapQuery(n=2, omega=(1.0,), mu=0.5, j=10)
     with pytest.raises(ValueError):
-        CapQuery(n=2, omega=(0.6, 0.8), mu=0.5)  # neither h nor j
-    with pytest.raises(ValueError):
-        CapQuery(n=2, omega=(0.6, 0.8), mu=0.5, j=10, h=0.1)  # both
+        CapQuery(n=2, omega=(0.6, 0.8), mu=0.5, j=0)
