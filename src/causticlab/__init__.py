@@ -12,8 +12,7 @@ from .catalog import (
     dag_min_homogeneity,
     default_dag,
 )
-from .amplitudes import (AmplitudeProfile, make_amplitude, bump,
-                         check_symbol_order, check_delta_regularity_torus)
+from .amplitudes import AmplitudeProfile, make_amplitude, bump, check_symbol_order
 from .oscint import IntegralSpec, IntegralResult, evaluate, evaluate_rescaled
 from .scaling import ScanPlan, ExponentFit, supnorm_scan, fit_exponent, threshold_sweep, geometric_grid
 from .torus import (CapQuery, ExtremizerSum, ball_count, sphere_cap_count,
@@ -27,7 +26,7 @@ __all__ = [
     "build_phase", "caustic_order", "threshold", "subordinates",
     "dag_min_homogeneity", "default_dag",
     "AmplitudeProfile", "make_amplitude", "bump",
-    "check_symbol_order", "check_delta_regularity_torus",
+    "check_symbol_order",
     "IntegralSpec", "IntegralResult", "evaluate", "evaluate_rescaled",
     "ScanPlan", "ExponentFit", "supnorm_scan", "fit_exponent", "threshold_sweep",
     "geometric_grid",

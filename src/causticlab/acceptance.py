@@ -250,7 +250,7 @@ def crit10_torus_exact(seed: int = 99) -> CriterionResult:
     q = CapQuery(n=2, omega=OMEGA_PRESETS["rational"][2], mu=1.0, j=325,
                  cap_constant=10.0 * 325**-0.5)
     count = sphere_cap_count(q)
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     ratio = abs(eval_sum(ext, (0.0, 0.0))) / ext.l2_norm
     ratio_err = abs(ratio - math.sqrt(count))
     ok = ok and ratio_err <= 1e-9

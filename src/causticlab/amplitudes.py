@@ -22,9 +22,7 @@ affect fitted orders.
 
 ``check_symbol_order`` estimates sup|d^alpha a| by 4th-order central
 differences on a grid tied to the amplitude's own scale h^delta and fits the
-growth exponent against log(1/h).  ``check_delta_regularity_torus`` evaluates
-the lattice-coefficient moments sum([h^delta |alpha - omega/h|]^N |a_alpha|^2)
-that quantify concentration of a torus Fourier series at rate delta.
+growth exponent against log(1/h).
 """
 
 from __future__ import annotations
@@ -265,22 +263,3 @@ def check_symbol_order(profile: AmplitudeProfile, h_grid, alpha_max: int = 3,
                                    int(np.count_nonzero(usable))))
     return rows
 
-
-def check_delta_regularity_torus(coeffs: dict, h: float, delta: float, omega,
-                                 moment_orders=(1, 2, 4, 8)) -> dict[int, float]:
-    """Moments sum([h^delta |alpha - omega/h|]^N |a_alpha|^2) of a torus series.
-
-    ``coeffs`` maps integer lattice tuples to complex amplitudes and must be
-    l2-normalized (sum |a|^2 = 1 within 1e-10).  Bounded-in-h moments certify
-    concentration at rate delta on the frequency shell omega/h.
-    """
-    pts = np.array(list(coeffs.keys()), dtype=float)
-    amps = np.array(list(coeffs.values()), dtype=complex)
-    total = float(np.sum(np.abs(amps) ** 2))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"coefficients are not l2-normalized: sum|a|^2 = {total}")
-    omega = np.asarray(omega, dtype=float)
-    dist = np.sqrt(np.sum((pts - omega / float(h)) ** 2, axis=1))
-    weight = float(h) ** float(delta) * dist
-    return {int(n): float(np.sum(weight**n * np.abs(amps) ** 2))
-            for n in moment_orders}

@@ -7,9 +7,10 @@ inconclusive fits, 2 invalid configuration.
 
 Reports are byte-stable: an identical config gives identical CSV/JSON bytes
 regardless of worker count.  Wall time is printed to stdout and written to a
-sidecar .log file, never into the summary.  Each verdict and its tolerance is
-defined once, in the library module that owns the experiment; the runners
-here wire a config to it and write the reports.
+sidecar (run.log; verify's per-criterion timings.json), never into the summary
+or the verify matrix.  Each verdict and its tolerance is defined once, in the
+library module that owns the experiment; the runners here wire a config to it
+and write the reports.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class RunConfig:
     h_stop: float | None = None
     h_points: int = 10
     x_strategy: str = "origin_only"
-    shell_lambda_count: int = 8
     points_per_shell: int = 1
     rel_tol: float = 1e-6
     tolerance: float | None = None
@@ -72,7 +72,6 @@ class RunConfig:
     omega: str = "auto"
     j_min: int = 256
     j_max: int = 65536
-    cap_constant: float = 1.0
     out_dir: str = "out"
     workers: int = 1
     quick: bool = False
@@ -138,7 +137,7 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("h_stop", "must be smaller than h_start")
     if cfg.h_points < 5:
         raise ConfigError("h_points", "need at least 5 grid points")
-    if cfg.x_strategy not in ("origin_only", "omega_shells", "full_grid"):
+    if cfg.x_strategy not in ("origin_only", "omega_shells"):
         raise ConfigError("x_strategy", f"unknown strategy {cfg.x_strategy!r}")
     if cfg.points_per_shell < 1:
         raise ConfigError("points_per_shell", "must be >= 1")
@@ -246,7 +245,6 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> int:
     ph = build_phase(t)
     amp = _amplitude(cfg, dim=ph.k)
     plan = ScanPlan(ph, amp, _h_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
-                    shell_lambda_count=cfg.shell_lambda_count,
                     points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
                     eval_budget=cfg.eval_budget, workers=cfg.workers)
     result = supnorm_scan(plan)
@@ -300,8 +298,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
               if cfg.j_min <= j <= cfg.j_max]
         if len(js) < 3:
             raise ConfigError("j_max", "range too narrow for a fit")
-        queries = [CapQuery(n=n, omega=om, mu=dprime, j=j, cap_constant=cfg.cap_constant)
-                   for j in js]
+        queries = [CapQuery(n=n, omega=om, mu=dprime, j=j) for j in js]
         if queries[-1].cap_radius > ENUM_LIMITS["radius"]:
             raise ConfigError("j_max", f"ball radius {queries[-1].cap_radius:g} exceeds "
                               f"the enumeration bound {ENUM_LIMITS['radius']:g}")
@@ -316,7 +313,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
     else:
         om = _omega(cfg)
         blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max),
-                                           omega=om, cap_constant=cfg.cap_constant)
+                                           omega=om)
         for b in blocks:
             rows.append([b.best_j, b.best_j**-0.5, b.best_count,
                          math.sqrt(b.best_count) if b.best_count else 0.0, b.J])
@@ -377,18 +374,25 @@ def _run_lemma62(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_verify(cfg: RunConfig, out: Path) -> int:
-    """Run the acceptance matrix; print one line per criterion."""
+    """Run the acceptance matrix; print one line per criterion.
+
+    The matrix is byte-stable; each criterion's wall seconds go to the
+    timings.json sidecar beside it.
+    """
     results = []
+    seconds = {}
     for cid in sorted(acceptance.ALL_CRITERIA):
         t0 = time.time()
         res = acceptance.run_criterion(cid, quick=cfg.quick)
         results.append(res)
-        print(f"{res.cid} {res.name}: {res.status}  ({time.time() - t0:.1f}s)")
+        seconds[res.cid] = round(time.time() - t0, 3)
+        print(f"{res.cid} {res.name}: {res.status}  ({seconds[res.cid]:.1f}s)")
     write_json(out / "verify_matrix.json", {
         "experiment": "verify", "quick": cfg.quick,
         "criteria": [{"id": r.cid, "name": r.name, "status": r.status,
                       "details": r.details} for r in results],
     })
+    write_json(out / "timings.json", seconds)
     return 0 if all(r.passed or r.skipped for r in results) else 1
 
 

@@ -1,8 +1,8 @@
 """Sup-norm scans over (x, h) grids and scaling-exponent fits.
 
 A scan evaluates |I(x; h)| at x = 0 and (optionally) on quasi-homogeneous
-shells: for each lambda in a geometric ladder within [h, 1], points
-x_j = lambda^{1-s_j} y_j with y on the unit shell
+shells: for each of the SHELL_LAMBDA_COUNT lambdas of a geometric ladder from
+h to 1, points x_j = lambda^{1-s_j} y_j with y on the unit shell
 
     boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
 
@@ -35,6 +35,7 @@ DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
 # variables k; a family key overrides k.  (C06 pins A3 at 0.04, not 0.03.)
 ORDER_TOLERANCE = {"supnorm": {1: 0.03, 2: 0.06, "E": 0.10},
                    "threshold_sweep": {1: 0.05, 2: 0.06}}
+SHELL_LAMBDA_COUNT = 8  # lambdas of an omega_shells ladder, h to 1
 
 
 def geometric_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
@@ -49,8 +50,7 @@ class ScanPlan:
     phase: PhaseFunction
     amplitude: AmplitudeProfile
     h_grid: tuple[float, ...]
-    x_strategy: str = "origin_only"  # origin_only | omega_shells | full_grid
-    shell_lambda_count: int = 8
+    x_strategy: str = "origin_only"  # origin_only | omega_shells
     points_per_shell: int = 1
     rel_tol: float = 1e-6
     eval_budget: int | None = None
@@ -62,7 +62,7 @@ class ScanPlan:
             raise ValueError("h_grid must be strictly decreasing with >= 5 points")
         if self.points_per_shell < 1:
             raise ValueError("points_per_shell must be >= 1")
-        if self.x_strategy not in ("origin_only", "omega_shells", "full_grid"):
+        if self.x_strategy not in ("origin_only", "omega_shells"):
             raise ValueError(f"unknown x_strategy {self.x_strategy!r}")
 
 
@@ -150,15 +150,8 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     if plan.x_strategy == "origin_only" or k0 == 0:
         return points
     s = [float(v) for v in plan.phase.homogeneity.s]
-    if plan.x_strategy == "full_grid":
-        axes = np.linspace(-1.0, 1.0, 2 * plan.points_per_shell + 1)
-        grids = np.meshgrid(*([axes] * k0), indexing="ij")
-        for idx, x in enumerate(zip(*(g.ravel() for g in grids))):
-            if any(v != 0.0 for v in x):
-                points.append((1.0, tuple(float(v) for v in x), idx))
-        return points
     ys = shell_unit_samples(plan.phase.homogeneity.s, plan.points_per_shell)
-    lams = np.geomspace(h, 1.0, plan.shell_lambda_count)
+    lams = np.geomspace(h, 1.0, SHELL_LAMBDA_COUNT)
     for lam in lams:
         for idx, y in enumerate(ys):
             x = tuple(float(lam) ** (1.0 - sj) * yj for sj, yj in zip(s, y))

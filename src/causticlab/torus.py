@@ -6,13 +6,16 @@ Counts are exact integer enumerations:
     sphere_cap_count  #{alpha in Z^n : |alpha|^2 = j, |alpha - sqrt(j) omega| <= C j^{mu/2}}
 
 The ball count walks the integer box one leading axis at a time and resolves
-the final axis by interval arithmetic; the sphere count enumerates the first
-n-1 coordinates inside the cap's bounding box and solves the last one by an
-exact perfect-square test.  The dyadic search of the lower-bound argument
-scans blocks (J, 2J], compares the block sum of M(j) = sphere_cap_count
-against the volume of the corresponding annular cap solid, and selects the
-maximizing j per block, realizing M(j) >= c j^{(n-1)delta/2 - 1/2} along the
-selected sequence.
+the final axis by interval arithmetic.  Sphere caps come from one enumerator
+of the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha inside the cap
+of j = |alpha|^2}: it walks that set's bounding box, looping the leading axes
+and vectorizing the last two, reads j off each point as |alpha|^2 and applies
+the cap test of that j.  A single sphere is the case j_lo = j_hi = j; the
+dyadic search of the lower-bound argument runs it once per block (J, 2J] and
+bins the points by j, which gives every M(j) = sphere_cap_count of the block
+in one pass.  Each block's sum of M(j) is compared against the volume of the
+corresponding annular cap solid, and the maximizing j per block is selected,
+realizing M(j) >= c j^{(n-1)delta/2 - 1/2} along the selected sequence.
 
 Convention: the torus carries normalized measure, so the exponentials
 e_alpha(x) = e^{-i alpha.x} are orthonormal and ||f||_2 = sqrt(sum |a|^2);
@@ -22,6 +25,7 @@ exactly, attained at x = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +33,7 @@ import numpy as np
 
 ENUM_LIMITS = {"radius": 1.0e4, "j": {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**5}}
 BALL_EXPONENT_TOLERANCE = 0.05
+SLAB_POINTS = 2**14  # box points per vectorized sphere-cap slab; bounds its memory
 
 OMEGA_PRESETS = {
     # ball mode: Diophantine-flavored directions, no unit-length requirement
@@ -152,49 +157,57 @@ def ball_count(q: CapQuery) -> int:
     return count_in_ball(q.center, q.cap_radius)
 
 
-def sphere_solutions(q: CapQuery) -> np.ndarray:
-    """All alpha in Z^n with |alpha|^2 = j inside the cap, as an (m, n) array."""
+def _cap_points(q: CapQuery, j_hi: int):
+    """Yield the points of the annular cap j_lo = q.j <= |alpha|^2 <= j_hi, slab by slab.
+
+    A point alpha belongs to the sphere j = |alpha|^2 and is kept when
+    |alpha - sqrt(j) omega| <= q.cap_constant * (j^{-1/2})^{-q.mu}, the cap
+    of CapQuery(j=j).  A slab fixes the leading n-2 coordinates and holds
+    at most SLAB_POINTS box points of the last two; it is yielded as
+    (points, j of each point), and the points come in lexicographic order.
+    """
     q.require_unit_omega()
-    j = int(q.j)
     limit = ENUM_LIMITS["j"][q.n]
-    if j > limit:
-        raise ValueError(f"j = {j} exceeds the n = {q.n} enumeration bound {limit}")
-    center = np.sqrt(float(j)) * np.asarray(q.omega, dtype=float)
-    w = q.cap_radius
-    rad = math.isqrt(j)
+    if j_hi > limit:
+        raise ValueError(f"j = {j_hi} exceeds the n = {q.n} enumeration bound {limit}")
+    j_lo = q.j
+    omega = np.asarray(q.omega, dtype=float)
+    # the same float expression as CapQuery.cap_radius, one entry per j
+    width = np.fromiter((q.cap_constant * (j**-0.5) ** -q.mu for j in range(j_lo, j_hi + 1)),
+                        dtype=float, count=j_hi - j_lo + 1)
+    reach = float(np.max(width))
+    rad = math.isqrt(j_hi)
+    ends = np.sqrt([float(j_lo), float(j_hi)])[:, None] * omega[None, :]
+    # floor/ceil leave a margin of one point; the cap test below decides
+    box = [range(max(-rad, math.floor(lo - reach)), min(rad, math.ceil(hi + reach)) + 1)
+           for lo, hi in zip(ends.min(axis=0), ends.max(axis=0))]
+    tail_dims = min(q.n, 2)
+    tail_shape = tuple(len(r) for r in box[-tail_dims:])
+    tail_size = math.prod(tail_shape)
+    for lead in itertools.product(*box[:-tail_dims]):
+        lead_sq = sum(a * a for a in lead)
+        if lead_sq > j_hi:
+            continue
+        for start in range(0, tail_size, SLAB_POINTS):
+            flat = np.arange(start, min(start + SLAB_POINTS, tail_size), dtype=np.int64)
+            pts = np.stack([r.start + i for r, i in
+                            zip(box[-tail_dims:], np.unravel_index(flat, tail_shape))], axis=1)
+            js = lead_sq + np.sum(pts * pts, axis=1)
+            ok = (js >= j_lo) & (js <= j_hi)
+            pts, js = pts[ok], js[ok]
+            if lead:
+                pts = np.concatenate([np.tile(np.array(lead, dtype=np.int64),
+                                              (pts.shape[0], 1)), pts], axis=1)
+            d = pts.astype(float) - np.sqrt(js.astype(float))[:, None] * omega[None, :]
+            inside = np.sqrt(np.sum(d * d, axis=1)) <= width[js - j_lo]
+            if np.any(inside):
+                yield pts[inside], js[inside]
 
-    if q.n == 1:
-        if rad * rad != j:
-            return np.empty((0, 1), dtype=np.int64)
-        cands = np.array([[rad], [-rad]], dtype=np.int64)
-        keep = np.abs(cands[:, 0] - center[0]) <= w
-        return np.unique(cands[keep], axis=0).reshape(-1, 1)
 
-    axes = []
-    for i in range(q.n - 1):
-        lo = max(-rad, math.ceil(center[i] - w))
-        hi = min(rad, math.floor(center[i] + w))
-        if lo > hi:
-            return np.empty((0, q.n), dtype=np.int64)
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64))
-    grids = np.meshgrid(*axes, indexing="ij")
-    lead = np.stack([g.ravel() for g in grids], axis=1)
-    rem = j - np.sum(lead * lead, axis=1)
-    ok = rem >= 0
-    lead, rem = lead[ok], rem[ok]
-    root = np.sqrt(rem.astype(float))
-    t = np.rint(root).astype(np.int64)
-    exact = t * t == rem
-    lead, t = lead[exact], t[exact]
-    sols = []
-    for last in (t, -t):
-        full = np.concatenate([lead, last[:, None]], axis=1)
-        d = full.astype(float) - center[None, :]
-        inside = np.sqrt(np.sum(d * d, axis=1)) <= w
-        sols.append(full[inside])
-    allsols = np.concatenate(sols, axis=0)
-    # np.unique costs ~50 us even when empty, and most caps of a dyadic block are
-    return np.unique(allsols, axis=0) if allsols.size else allsols
+def sphere_solutions(q: CapQuery) -> np.ndarray:
+    """All alpha in Z^n with |alpha|^2 = j inside the cap, as a sorted (m, n) array."""
+    slabs = [pts for pts, _ in _cap_points(q, q.j)]
+    return np.concatenate(slabs) if slabs else np.empty((0, q.n), dtype=np.int64)
 
 
 def sphere_cap_count(q: CapQuery) -> int:
@@ -232,10 +245,13 @@ class DyadicBlock:
 
 def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
                               omega=None, cap_constant: float = 1.0) -> list[DyadicBlock]:
-    """Per dyadic block (J, 2J]: all M(j) = sphere_cap_count, keep the argmax.
+    """Per dyadic block (J, 2J] inside J_range: every M(j), and the argmax.
 
-    M(j) uses cap width cap_constant * j^{delta/2}.  Blocks with no
-    representable j are reported with best_count 0, not treated as fatal.
+    M(j) = sphere_cap_count(CapQuery(n, omega, mu=delta, j, cap_constant)),
+    the lattice points on |alpha|^2 = j within cap_constant * j^{delta/2} of
+    sqrt(j) omega.  One enumeration of the block's annular cap counts them all,
+    binned by j = |alpha|^2.  Blocks with no representable j are reported with
+    best_count 0, not treated as fatal.
     """
     if omega is None:
         omega = OMEGA_PRESETS["rational"][n]
@@ -245,12 +261,11 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
     blocks = []
     J = int(lo)
     while 2 * J <= hi:
-        counts = []
-        for j in range(J, 2 * J + 1):
-            q = CapQuery(n=n, omega=tuple(omega), mu=float(delta), j=j,
-                         cap_constant=cap_constant)
-            counts.append(sphere_cap_count(q))
-        counts = np.asarray(counts, dtype=np.int64)
+        q = CapQuery(n=n, omega=tuple(omega), mu=float(delta), j=J,
+                     cap_constant=cap_constant)
+        counts = np.zeros(J + 1, dtype=np.int64)
+        for _, js in _cap_points(q, 2 * J):
+            counts += np.bincount(js - J, minlength=J + 1)
         best_idx = int(np.argmax(counts))
         blocks.append(DyadicBlock(
             J=J,
@@ -303,26 +318,14 @@ class ExtremizerSum:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coefficients))
 
 
-def extremizer(q: CapQuery, mode: str) -> ExtremizerSum:
-    """Uniform l2-normalized coefficients on the counted set (ball or sphere cap)."""
-    if mode == "ball":
-        center = q.center
-        w = q.cap_radius
-        lo_hi = [(math.ceil(c - w), math.floor(c + w)) for c in center]
-        grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in lo_hi], indexing="ij")
-        cand = np.stack([g.ravel() for g in grids], axis=1)
-        d = cand.astype(float) - center[None, :]
-        keep = np.sum(d * d, axis=1) < w * w
-        pts = cand[keep]
-    elif mode == "sphere":
-        pts = sphere_solutions(q)
-    else:
-        raise ValueError("mode must be ball or sphere")
+def extremizer(q: CapQuery) -> ExtremizerSum:
+    """Uniform l2-normalized coefficients on the sphere cap's lattice points."""
+    pts = sphere_solutions(q)
     count = pts.shape[0]
     if count == 0:
         raise ValueError("empty cap: no lattice points to sum over")
     return ExtremizerSum(
-        points=tuple(tuple(int(v) for v in row) for row in np.asarray(pts)),
+        points=tuple(tuple(int(v) for v in row) for row in pts),
         coefficients=(complex(1.0 / math.sqrt(count)),) * count,
     )
 

@@ -1,13 +1,10 @@
-"""Amplitude families: bump properties, symbol orders, torus moments."""
-
-import math
+"""Amplitude families: bump properties and symbol orders."""
 
 import numpy as np
 import pytest
 
-from causticlab.amplitudes import (bump, bump_prime, check_delta_regularity_torus,
-                                   check_symbol_order, estimate_sup_derivative,
-                                   make_amplitude)
+from causticlab.amplitudes import (bump, bump_prime, check_symbol_order,
+                                   estimate_sup_derivative, make_amplitude)
 from causticlab.scaling import geometric_grid
 
 H_GRID = geometric_grid(2.0**-4, 2.0**-11, 8)
@@ -127,53 +124,3 @@ def test_symbol_order_degenerate_fit():
     zero = make_amplitude("custom", 0.0, evaluator=lambda u, h: np.zeros_like(u))
     with pytest.raises(ValueError, match="degenerate"):
         check_symbol_order(zero, H_GRID, alpha_max=0)
-
-
-def test_torus_moments_uniform_cap_bounded():
-    h, delta = 1e-2, 0.5
-    omega = (0.3, 0.4)
-    center = np.array(omega) / h
-    width = h**-delta
-    pts = []
-    for i in range(int(center[0] - width) - 1, int(center[0] + width) + 2):
-        for j in range(int(center[1] - width) - 1, int(center[1] + width) + 2):
-            if (i - center[0]) ** 2 + (j - center[1]) ** 2 <= width**2:
-                pts.append((i, j))
-    c = 1.0 / math.sqrt(len(pts))
-    coeffs = {p: c for p in pts}
-    moments = check_delta_regularity_torus(coeffs, h, delta, omega)
-    for n, v in moments.items():
-        assert v <= 1.0 + 1e-9, (n, v)
-
-
-def test_torus_moments_single_far_point_blows_up():
-    omega = (0.0,)
-    delta = 0.3
-    vals = []
-    for h in (1e-2, 1e-3, 1e-4):
-        alpha = int(round(h**(-2 * delta)))
-        coeffs = {(alpha,): 1.0}
-        m = check_delta_regularity_torus(coeffs, h, delta, omega, moment_orders=(2,))
-        vals.append(m[2])
-    # N=2 moment ~ (h^delta * h^{-2 delta})^2 = h^{-2 delta}, unbounded as h drops
-    assert vals[2] > vals[1] > vals[0] > 1.0
-
-
-def test_torus_moments_require_normalization():
-    with pytest.raises(ValueError, match="normalized"):
-        check_delta_regularity_torus({(0, 0): 0.5}, 1e-2, 0.5, (0.0, 0.0))
-
-
-def test_torus_moments_extremizer_at_its_own_rate():
-    # uniform coefficients on a cap of radius h^{-d'} are d'-concentrated
-    from causticlab.torus import CapQuery, extremizer
-
-    dprime = 0.5
-    for j in (4096, 65536):
-        h = j**-0.5
-        q = CapQuery(n=2, omega=(0.41, 0.73), mu=dprime, j=j)
-        ext = extremizer(q, "ball")
-        coeffs = dict(zip(ext.points, ext.coefficients))
-        m = check_delta_regularity_torus(coeffs, h, dprime, (0.41, 0.73))
-        for n, v in m.items():
-            assert v <= 1.0 + 1e-9

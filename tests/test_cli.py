@@ -208,6 +208,8 @@ def test_cli_entry_point_subprocess(tmp_path):
     ({"h_points": "6"}, "h_points"),
     ({"deltas": 0.5}, "deltas"),
     ([{"h_points": 6}], "config"),
+    ({"cap_constant": 0}, "cap_constant"),  # deleted fields are unknown
+    ({"shell_lambda_count": 0}, "shell_lambda_count"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, capsys, content, fieldname):
     cfg_file = tmp_path / "cfg.json"
@@ -237,6 +239,7 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
      "j_max"),
     (["torus", "--mode", "ball", "--n", "1", "--delta-prime", "1", "--j-min", "2",
       "--j-max", "1073741824"], "j_max"),
+    (["supnorm", "--x-strategy", "full_grid"], "x_strategy"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -283,6 +286,15 @@ def test_readme_commands_parse_and_validate(line):
     assert cfg.experiment == SUBCOMMANDS[shlex.split(line)[1]][0]
 
 
+def test_readme_dyadic_example_runs(tmp_path):
+    line = next(ln for ln in _readme_commands() if "--mode dyadic" in ln)
+    argv = shlex.split(line)[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path)
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["ok"] and len(summary["blocks"]) == 8
+
+
 def test_verify_matrix_carries_details(tmp_path, monkeypatch):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA",
                         {"C01": acceptance.crit01_catalog_exactness})
@@ -291,6 +303,8 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
     assert matrix == {"experiment": "verify", "quick": False, "criteria": [
         {"id": "C01", "name": "catalog exactness", "status": "PASS",
          "details": {"mismatches": [], "types": 19}}]}
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert list(timings) == ["C01"] and timings["C01"] >= 0.0
 
 
 # The settable fields and parameters of the library's experiment types, and the
@@ -298,8 +312,8 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
 GOLDEN_OPTIONS = {
     "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "includes_prefactor",
                      "budget", "floor"],
-    "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "shell_lambda_count",
-                 "points_per_shell", "rel_tol", "eval_budget", "workers"],
+    "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "points_per_shell",
+                 "rel_tol", "eval_budget", "workers"],
     "FoldExperiment": ["delta", "h_grid", "rel_tol", "tolerance", "eval_budget"],
     "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "declared_order", "center", "width_exponent",

@@ -10,7 +10,7 @@ from scipy.special import airy
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
 from causticlab.oscint import IntegralSpec, evaluate, evaluate_rescaled
-from causticlab.scaling import (ScanPlan, SupRow, fit_exponent,
+from causticlab.scaling import (SHELL_LAMBDA_COUNT, ScanPlan, SupRow, fit_exponent,
                                 geometric_grid, shell_unit_samples, supnorm_scan,
                                 threshold_sweep)
 
@@ -94,10 +94,12 @@ def test_scan_includes_origin_and_dominates_it():
     ph = build_phase(SingularityType.parse("A2"))
     amp = make_amplitude("fixed_bump")
     grid = geometric_grid(2.0**-5, 2.0**-9, 5)
-    plan = ScanPlan(ph, amp, grid, x_strategy="omega_shells",
-                    shell_lambda_count=4, points_per_shell=1, rel_tol=1e-6)
+    plan = ScanPlan(ph, amp, grid, x_strategy="omega_shells", points_per_shell=1,
+                    rel_tol=1e-6)
     result = supnorm_scan(plan)
     for h in grid:
+        # the origin plus SHELL_LAMBDA_COUNT lambdas times the two unit-shell points
+        assert len([r for r in result.rows if r.h == h]) == 1 + 2 * SHELL_LAMBDA_COUNT
         origin_rows = [r for r in result.rows if r.h == h and r.y_index == -1]
         assert len(origin_rows) == 1
         sup = next(s for s in result.sup_rows if s.h == h)
@@ -158,18 +160,6 @@ def test_a2_shell_scan_origin_rows_match_standalone_evaluate(a2_shell_scan):
                                     rel_tol=plan.rel_tol))
         assert (r.abs_value, r.est_error, r.converged, r.nodes) == \
             (res.abs_value, res.est_error, res.converged, res.nodes)
-
-
-def test_full_grid_strategy_candidates():
-    ph = build_phase(SingularityType.parse("A2"))
-    amp = make_amplitude("fixed_bump")
-    grid = geometric_grid(2.0**-4, 2.0**-8, 5)
-    plan = ScanPlan(ph, amp, grid, x_strategy="full_grid", points_per_shell=2)
-    result = supnorm_scan(plan)
-    # uniform (2P+1)-point lattice on [-1, 1] per axis, origin deduplicated
-    per_h = [r for r in result.rows if r.h == grid[0]]
-    assert len(per_h) == 5
-    assert sorted(r.x[0] for r in per_h) == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 def test_a1_projectable_scan_is_bounded():

@@ -95,7 +95,7 @@ def test_extremizer_ratio_is_sqrt_count():
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=325, cap_constant=8.0 * 325**-0.5)
     count = sphere_cap_count(q)
     assert count >= 2
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     ratio = abs(eval_sum(ext, (0.0, 0.0))) / ext.l2_norm
     assert abs(ratio - math.sqrt(count)) < 1e-12
 
@@ -103,27 +103,27 @@ def test_extremizer_ratio_is_sqrt_count():
 def test_extremizer_single_point_ratio_one():
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=0.5 * 25**-0.5)
     assert sphere_cap_count(q) == 1
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     assert abs(abs(eval_sum(ext, (0.7, -1.3))) - 1.0) < 1e-12
 
 
 def test_extremizer_empty_cap_raises():
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=31, cap_constant=10.0)
     with pytest.raises(ValueError, match="empty"):
-        extremizer(q, "sphere")  # 31 is not a sum of two squares
+        extremizer(q)  # 31 is not a sum of two squares
 
 
 def test_eval_sum_at_origin_counts():
     # 12 lattice points on |alpha|^2 = 25, each with coefficient 12^{-1/2}
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     assert len(ext.points) == 12
     assert eval_sum(ext, (0.0, 0.0)) == pytest.approx(math.sqrt(12.0))
 
 
 def test_grid_max_attained_at_origin():
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=325, cap_constant=8.0 * 325**-0.5)
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     count = len(ext.points)
     grid_abs = eval_sum_grid(ext, 64)
     assert float(np.max(grid_abs)) == pytest.approx(math.sqrt(count), abs=1e-9)
@@ -132,7 +132,7 @@ def test_grid_max_attained_at_origin():
 def test_eval_sum_grid_matches_direct_sum_3d():
     om = OMEGA_PRESETS["rational"][3]
     q = CapQuery(n=3, omega=om, mu=1.0, j=594, cap_constant=8.0 * 594**-0.5)
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     g = 16
     grid_abs = eval_sum_grid(ext, g)
     assert grid_abs.shape == (g, g, g)
@@ -144,7 +144,7 @@ def test_eval_sum_grid_matches_direct_sum_3d():
 
 def test_parseval_on_sampling_grid():
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
-    ext = extremizer(q, "sphere")
+    ext = extremizer(q)
     grid_abs = eval_sum_grid(ext, 64)
     mean_sq = float(np.mean(grid_abs**2))
     assert mean_sq == pytest.approx(1.0, abs=1e-6)  # sum |a|^2 = 1
@@ -164,6 +164,28 @@ def test_dyadic_n1_degenerate():
     for b in blocks:
         assert 0 <= b.best_count <= 2
         assert b.best_count == 2  # a perfect square exists in every dyadic block here
+
+
+@pytest.mark.parametrize("n, J_range", [(1, (1, 512)), (2, (16, 512)), (3, (16, 256)),
+                                        (4, (8, 64))])
+def test_dyadic_blocks_match_naive_oracle(n, J_range):
+    # every block field that counts points, rebuilt one j at a time from the oracle
+    om = OMEGA_PRESETS["rational"][n]
+    nonempty = 0
+    for delta in (0.5, 0.75, 1.0):
+        for C in (1.0, 2.0):
+            blocks = dyadic_lower_bound_search(n, delta, J_range, cap_constant=C)
+            assert [b.J for b in blocks] == [J for J in (J_range[0] * 2**k for k in range(10))
+                                             if 2 * J <= J_range[1]]
+            for b in blocks:
+                counts = [naive_sphere_cap_count(
+                    n, j, om, CapQuery(n=n, omega=om, mu=delta, j=j, cap_constant=C).cap_radius)
+                    for j in range(b.J, 2 * b.J + 1)]
+                best = int(np.argmax(counts))
+                assert (b.best_j, b.best_count, b.block_sum, b.represented) == \
+                    (b.J + best, counts[best], sum(counts), np.count_nonzero(counts))
+                nonempty += b.best_count > 0
+    assert nonempty > 0
 
 
 def test_dyadic_selected_sequence_slope():
