@@ -1,9 +1,17 @@
-"""The acceptance gate: thirteen checks with pinned tolerances.
+"""The acceptance gate: thirteen criteria with pinned tolerances.
 
-Each criterion function is self-contained, returns a ``CriterionResult`` with
-the measured quantities in ``details``, and never raises on a numerical miss
-(only on programming errors).  ``run_criterion`` dispatches by identifier;
-the CLI's verify command and the pytest acceptance module both call these.
+A criterion with a CLI subcommand is a ``CommandRow``: the documented
+``causticlab`` commands themselves, so each experiment and its verdict are
+defined once, by the CLI runner and the library module it calls.  A row
+passes when every command exits 0; its ``details`` are each command's
+``summary.json`` without the ``config`` echo, keyed by the command string.
+C13 runs its one command twice into the same directory and compares the bytes.
+
+The criteria with no subcommand (C01-C03, C08, C10) are functions that return
+a ``CriterionResult`` with the measured quantities in ``details`` and never
+raise on a numerical miss (only on programming errors).  ``run_criterion``
+dispatches by identifier; the CLI's verify command and the pytest acceptance
+module both call it.
 
 Expected catalog constants are written out literally here (independent of the
 formulas in ``catalog``), so criterion 1 is a genuine table-vs-formula check.
@@ -11,25 +19,26 @@ formulas in ``catalog``), so criterion 1 is a genuine table-vs-formula check.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from .amplitudes import SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
+from .amplitudes import make_amplitude
 from .catalog import (CANONICAL_LABELS, SingularityType, build_phase, caustic_order,
                       quasi_homogeneity_defect, threshold)
-from .fold import LEMMA62_REL_TOL, fold_curve, lemma_62_suite
+from .fold import LEMMA62_REL_TOL, lemma_62_suite
 from .oscint import IntegralSpec, evaluate
-from .scaling import (DEFAULT_H_RANGE, ScanPlan, fit_exponent, geometric_grid,
-                      order_tolerance, supnorm_scan, threshold_sweep)
-from .torus import (BALL_EXPONENT_TOLERANCE, CapQuery, OMEGA_PRESETS, ball_count,
-                    count_in_ball, dyadic_exponent, dyadic_lower_bound_search,
-                    eval_sum, extremizer, ratio_exponent, sphere_cap_count,
-                    sphere_window)
+from .scaling import DEFAULT_H_RANGE, ScanPlan, geometric_grid, supnorm_scan
+from .torus import (CapQuery, OMEGA_PRESETS, count_in_ball, eval_sum, extremizer,
+                    sphere_cap_count)
 
-GRID_1D = geometric_grid(*DEFAULT_H_RANGE[1], 10)
 GRID_2D = geometric_grid(*DEFAULT_H_RANGE[2], 10)
 
 
@@ -142,75 +151,21 @@ def crit03_quadrature_oracles(seed: int = 2024) -> CriterionResult:
                                     "fresnel_rel": fresnel_err})
 
 
-def _origin_scan(label: str, grid):
-    ph = build_phase(SingularityType.parse(label))
-    amp = make_amplitude("fixed_bump", dim=ph.k)
-    return ph, supnorm_scan(ScanPlan(ph, amp, tuple(grid), rel_tol=1e-6)).sup_rows
-
-
-def _order_fit(label: str, grid, tolerance: float | None = None) -> dict:
-    ph, sup_rows = _origin_scan(label, grid)
-    if tolerance is None:
-        tolerance = order_tolerance("supnorm", ph)
-    fit = fit_exponent(sup_rows, caustic_order(ph.singularity), tolerance)
-    return {"label": label, "slope": fit.slope, "reference": float(fit.reference),
-            "r_squared": fit.r_squared, "verdict": fit.verdict}
-
-
-def crit04_a2_order() -> CriterionResult:
-    d = _order_fit("A2", GRID_1D)
-    return CriterionResult("C04", "A2 order 1/6", d["verdict"] == "pass", details=d)
-
-
-def crit05_a2_below_threshold() -> CriterionResult:
-    entries = threshold_sweep(SingularityType.parse("A2"),
-                              [0.1, 0.2, 0.3, 1.0 / 3.0], GRID_1D)
-    details = {f"delta_{e.delta:.4f}": {"slope": e.fit.slope, "verdict": e.fit.verdict}
-               for e in entries}
-    ok = all(e.fit.verdict == "pass" for e in entries)
-    return CriterionResult("C05", "A2 below-threshold stability", ok, details=details)
-
-
-def crit06_a3_order() -> CriterionResult:
-    d = _order_fit("A3", GRID_1D, 0.04)  # pinned, looser than ORDER_TOLERANCE's 0.03
-    return CriterionResult("C06", "A3 order 1/4", d["verdict"] == "pass", details=d)
-
-
-def crit07_d4_orders(quick: bool = False) -> CriterionResult:
-    if quick:
-        return CriterionResult("C07", "D4+- order 1/3 (2D)", False, skipped=True)
-    det = {}
-    ok = True
-    for label in ("D4-", "D4+"):
-        d = _order_fit(label, GRID_2D)
-        det[label] = d
-        ok = ok and d["verdict"] == "pass"
-    return CriterionResult("C07", "D4+- order 1/3 (2D)", ok, details=det)
-
-
 def crit08_e_series_boundedness(quick: bool = False) -> CriterionResult:
     if quick:
         return CriterionResult("C08", "E-series boundedness", False, skipped=True)
     det = {}
     ok = True
     for label in ("E6", "E7", "E8"):
-        ph, sup_rows = _origin_scan(label, GRID_2D)
+        ph = build_phase(SingularityType.parse(label))
+        amp = make_amplitude("fixed_bump", dim=ph.k)
+        sup_rows = supnorm_scan(ScanPlan(ph, amp, GRID_2D, rel_tol=1e-6)).sup_rows
         kap = float(caustic_order(ph.singularity))
         vals = [r.sup_abs * r.h**kap for r in sup_rows]
         spread = max(vals) / min(vals)
         det[label] = {"normalized_values": vals, "spread": spread}
         ok = ok and spread <= 3.0
     return CriterionResult("C08", "E-series boundedness", ok, details=det)
-
-
-def crit09_fold_regime() -> CriterionResult:
-    curve = fold_curve()
-    det = {
-        "slopes": {f"{r.experiment.delta:.4f}": r.fit.slope for r in curve.runs},
-        "max_slope_error": curve.max_slope_error,
-        "breakpoint": curve.breakpoint,
-    }
-    return CriterionResult("C09", "fold regime change", curve.passed, details=det)
 
 
 def crit10_torus_exact(seed: int = 99) -> CriterionResult:
@@ -259,103 +214,91 @@ def crit10_torus_exact(seed: int = 99) -> CriterionResult:
                                     "ratio_error": ratio_err})
 
 
-def crit11_torus_scaling() -> CriterionResult:
-    det = {}
-    # (a) n=2 ball-mode ratio exponent = n*delta'/2 = 0.5
-    om2 = OMEGA_PRESETS["diophantine"][2]
-    js = [2**k for k in range(10, 23, 2)]
-    slope_ball = ratio_exponent(
-        js, [ball_count(CapQuery(n=2, omega=om2, mu=0.5, j=j)) for j in js])
-    det["ball_mode_slope"] = slope_ball
-    ok = abs(slope_ball - 0.5) <= BALL_EXPONENT_TOLERANCE
-    # (b) sphere-mode eigenfunction ratio exponent below sphere_window's upper end
-    for n in (2, 3):
-        for delta in (0.5, 0.75):
-            slope = dyadic_exponent(dyadic_lower_bound_search(
-                n, delta, (2**8, 2**15 if n == 3 else 2**16)))
-            if slope is None:
-                det[f"sphere_n{n}_d{delta}"] = "insufficient blocks"
-                ok = False
-                continue
-            lower, upper = sphere_window(n, delta)
-            det[f"sphere_n{n}_d{delta}"] = {"slope": slope, "bound": upper}
-            ok = ok and slope <= upper
-            # (c) for n=3, delta=0.5 the dyadic search also reaches the lower end
-            if (n, delta) == (3, 0.5):
-                det["dyadic_lower_bound"] = {"slope": slope, "must_exceed": lower}
-                ok = ok and slope >= lower
-    return CriterionResult("C11", "torus scaling laws", ok, details=det)
+def _run_command(command: str, out: Path) -> tuple[int, dict]:
+    """Run one CLI command into ``out``: its exit status and summary sans config."""
+    from .cli import main  # cli imports this module
+
+    # the run's console line names ``out``, which may be a temporary directory
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main([*command.split(), "--out", str(out)])
+    path = out / "summary.json"
+    summary = json.loads(path.read_text()) if path.exists() else {}
+    summary.pop("config", None)  # echoes the out directory
+    return status, summary
 
 
-def crit12_symbol_calibration() -> CriterionResult:
-    hs = geometric_grid(2.0**-4, 2.0**-11, 8)
-    det = {}
-    fixed = make_amplitude("fixed_bump")
-    rows = check_symbol_order(fixed, hs, alpha_max=3)
-    det["fixed_bump"] = {f"alpha_{r.alpha}": r.fitted_order for r in rows}
-    ok = all(abs(r.fitted_order - 0.0) <= SYMBOL_ORDER_TOLERANCE for r in rows)
-    gauss = make_amplitude("gaussian", 0.4)
-    g0 = check_symbol_order(gauss, hs, alpha_max=0)[0]
-    det["gaussian_alpha0"] = {"fitted": g0.fitted_order, "expected": 0.2}
-    ok = ok and abs(g0.fitted_order - 0.2) <= SYMBOL_ORDER_TOLERANCE
-    return CriterionResult("C12", "symbol checker calibration", ok, details=det)
+@dataclass(frozen=True)
+class CommandRow:
+    """A criterion made of CLI commands; it passes when every command exits 0."""
+
+    name: str
+    commands: tuple[str, ...]  # each a ``causticlab`` argv, space-separated
+    slow: bool = False  # 2D scans, skipped under --quick
+
+    def run(self, cid: str) -> CriterionResult:
+        details = {}
+        passed = True
+        with tempfile.TemporaryDirectory(prefix="causticlab_gate_") as tmp:
+            for i, command in enumerate(self.commands):
+                status, summary = _run_command(command, Path(tmp) / str(i))
+                # a failing command's exit status is kept beside its summary
+                details[command] = summary if status == 0 else {"status": status, **summary}
+                passed = passed and status == 0
+        return CriterionResult(cid, self.name, passed, details=details)
+
+
+# C13's command: the README-style A2 shell scan, h = 2^-6..2^-10.
+DETERMINISM_COMMAND = ("supnorm --type A2 --h-start 0.015625 --h-stop 0.0009765625 "
+                       "--h-points 5 --x-strategy omega_shells --points-per-shell 2")
 
 
 def crit13_determinism(workdir=None) -> CriterionResult:
-    import contextlib
-    import io
-    import tempfile
-    from pathlib import Path
-
-    from .cli import RunConfig, run
-
+    """Run C13's command twice into one directory; the reports must not change."""
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="causticlab_det_") as tmp:
             return crit13_determinism(tmp)
     out = Path(workdir) / "repeat"
-    cfg = RunConfig(experiment="supnorm", singularity="A2", amplitude="fixed_bump",
-                    h_start=2.0**-6, h_stop=2.0**-10, h_points=5,
-                    x_strategy="omega_shells", points_per_shell=2,
-                    out_dir=str(out))
     digests = []
     statuses = []
-    for tag in ("first", "second"):
-        # the runs' console lines would name a directory that may be deleted
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = run(cfg)
-        statuses.append(status)
-        if status == 2:
-            return CriterionResult("C13", "determinism", False,
-                                   details={"run_status": status, "tag": tag})
+    for _ in range(2):
+        statuses.append(_run_command(DETERMINISM_COMMAND, out)[0])
         files = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".log")
         digests.append({p.name: p.read_bytes() for p in files})
-    same = (statuses == [0, 0]
-            and digests[0].keys() == digests[1].keys()
-            and all(digests[0][k] == digests[1][k] for k in digests[0]))
+    same = statuses == [0, 0] and digests[0] == digests[1]
     return CriterionResult("C13", "determinism", same,
-                           details={"files": sorted(digests[0].keys()),
-                                    "statuses": statuses})
+                           details={"files": sorted(digests[0]), "statuses": statuses})
 
 
 ALL_CRITERIA = {
     "C01": crit01_catalog_exactness,
     "C02": crit02_quasi_homogeneity,
     "C03": crit03_quadrature_oracles,
-    "C04": crit04_a2_order,
-    "C05": crit05_a2_below_threshold,
-    "C06": crit06_a3_order,
-    "C07": crit07_d4_orders,
+    "C04": CommandRow("A2 order 1/6", ("supnorm --type A2",)),
+    "C05": CommandRow("A2 below-threshold stability",
+                      ("sweep --type A2 --deltas 0.1,0.2,0.3,0.3333333333333333",)),
+    # pinned, looser than the 0.03 of ORDER_TOLERANCE
+    "C06": CommandRow("A3 order 1/4", ("supnorm --type A3 --tolerance 0.04",)),
+    "C07": CommandRow("D4+- order 1/3 (2D)", ("supnorm --type D4-", "supnorm --type D4+"),
+                      slow=True),
     "C08": crit08_e_series_boundedness,
-    "C09": crit09_fold_regime,
+    "C09": CommandRow("fold regime change", ("fold --rel-tol 1e-07",)),
     "C10": crit10_torus_exact,
-    "C11": crit11_torus_scaling,
-    "C12": crit12_symbol_calibration,
+    "C11": CommandRow("torus scaling laws", (
+        "torus --mode ball --n 2 --delta-prime 0.5 --j-min 1024 --j-max 4194304",
+        "torus --mode dyadic --n 2 --torus-delta 0.5 --j-min 256 --j-max 65536",
+        "torus --mode dyadic --n 2 --torus-delta 0.75 --j-min 256 --j-max 65536",
+        "torus --mode dyadic --n 3 --torus-delta 0.5 --j-min 256 --j-max 32768",
+        "torus --mode dyadic --n 3 --torus-delta 0.75 --j-min 256 --j-max 32768")),
+    "C12": CommandRow("symbol checker calibration",
+                      ("symbols", "symbols --amplitude gaussian --delta 0.4")),
     "C13": crit13_determinism,
 }
 
 
 def run_criterion(cid: str, quick: bool = False) -> CriterionResult:
-    fn = ALL_CRITERIA[cid]
-    if cid in ("C07", "C08"):
-        return fn(quick=quick)
-    return fn()
+    check = ALL_CRITERIA[cid]
+    if not isinstance(check, CommandRow):
+        return check(quick=quick) if cid == "C08" else check()
+    if quick and check.slow:
+        return CriterionResult(cid, check.name, False, skipped=True)
+    return check.run(cid)

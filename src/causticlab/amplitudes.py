@@ -130,20 +130,14 @@ class AmplitudeProfile:
         return vals
 
     def value(self, theta, h: float):
-        """Full amplitude (modulation included) at 1D points or 2D tuples."""
+        """Full amplitude (modulation included) at 1D points."""
+        if self.dim != 1:
+            raise ValueError("value is defined for 1D profiles")
         h = float(h)
-        if self.dim == 1:
-            u = np.asarray(theta, dtype=float)
-            out = self.axis_slow(u, h).astype(complex)
-            if self.cubic_modulation:
-                out = out * np.exp(1j * self.cubic_modulation * u**3 / h)
-            return out
-        t1, t2 = theta
-        out = self.axis_slow(np.asarray(t1), h, 0).astype(complex) * \
-            self.axis_slow(np.asarray(t2), h, 1).astype(complex)
+        u = np.asarray(theta, dtype=float)
+        out = self.axis_slow(u, h).astype(complex)
         if self.cubic_modulation:
-            mod = self.cubic_modulation * (np.asarray(t1) ** 3 + np.asarray(t2) ** 3)
-            out = out * np.exp(1j * mod / h)
+            out = out * np.exp(1j * self.cubic_modulation * u**3 / h)
         return out
 
     def modulation_poly(self) -> ThetaPoly | None:

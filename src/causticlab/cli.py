@@ -59,7 +59,7 @@ class RunConfig:
     center: float = 0.0
     h_start: float | None = None
     h_stop: float | None = None
-    h_points: int = 10
+    h_points: int | None = None
     x_strategy: str = "origin_only"
     points_per_shell: int = 1
     rel_tol: float = 1e-6
@@ -135,7 +135,7 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("h_stop", "must lie in (0, 1)")
     if cfg.h_start is not None and cfg.h_stop is not None and cfg.h_stop >= cfg.h_start:
         raise ConfigError("h_stop", "must be smaller than h_start")
-    if cfg.h_points < 5:
+    if cfg.h_points is not None and cfg.h_points < 5:
         raise ConfigError("h_points", "need at least 5 grid points")
     if cfg.x_strategy not in ("origin_only", "omega_shells"):
         raise ConfigError("x_strategy", f"unknown strategy {cfg.x_strategy!r}")
@@ -158,10 +158,18 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("workers", "must be >= 1")
 
 
-def _h_grid(cfg: RunConfig, k: int) -> tuple[float, ...]:
-    start, stop = DEFAULT_H_RANGE[k]
-    return geometric_grid(cfg.h_start if cfg.h_start is not None else start,
-                          cfg.h_stop if cfg.h_stop is not None else stop, cfg.h_points)
+def _h_grid(cfg: RunConfig, default: tuple[float, ...]) -> tuple[float, ...]:
+    """The experiment's default h-grid with the ends and count the config sets."""
+    start = cfg.h_start if cfg.h_start is not None else default[0]
+    stop = cfg.h_stop if cfg.h_stop is not None else default[-1]
+    if stop >= start:
+        raise ConfigError("h_stop", f"must be smaller than h_start ({start!r})")
+    return geometric_grid(start, stop,
+                          cfg.h_points if cfg.h_points is not None else len(default))
+
+
+def _scan_grid(cfg: RunConfig, k: int) -> tuple[float, ...]:
+    return _h_grid(cfg, geometric_grid(*DEFAULT_H_RANGE[k], 10))
 
 
 def _omega(cfg: RunConfig) -> tuple[float, ...]:
@@ -208,8 +216,13 @@ def _amplitude(cfg: RunConfig, dim: int = 1):
     return make_amplitude(cfg.amplitude, cfg.delta, **kwargs)
 
 
+SYMBOL_H_GRID = geometric_grid(2.0**-4, 2.0**-11, 8)  # the symbols default
+
+
 def _run_symbols(cfg: RunConfig, out: Path) -> int:
-    hs = geometric_grid(2.0**-4, 2.0**-11, max(6, cfg.h_points - 2))
+    hs = _h_grid(cfg, SYMBOL_H_GRID)
+    if len(hs) < 6:
+        raise ConfigError("h_points", "the symbol fit needs at least 6 grid points")
     profile = _amplitude(cfg)
     rows = check_symbol_order(profile, hs, alpha_max=3)
     write_csv(out / "symbols.csv",
@@ -221,6 +234,8 @@ def _run_symbols(cfg: RunConfig, out: Path) -> int:
     write_json(out / "summary.json", {
         "experiment": "symbol_check", "config": cfg.as_dict(),
         "kind": cfg.amplitude, "delta": cfg.delta,
+        "orders": [{"alpha": r.alpha, "fitted": r.fitted_order,
+                    "expected": r.expected_order} for r in rows],
         "worst_order_error": worst, "ok": ok,
     })
     return 0 if ok else 1
@@ -244,7 +259,7 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> int:
     t = SingularityType.parse(cfg.singularity)
     ph = build_phase(t)
     amp = _amplitude(cfg, dim=ph.k)
-    plan = ScanPlan(ph, amp, _h_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
+    plan = ScanPlan(ph, amp, _scan_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
                     points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
                     eval_budget=cfg.eval_budget, workers=cfg.workers)
     result = supnorm_scan(plan)
@@ -266,9 +281,10 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> int:
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     t = SingularityType.parse(cfg.singularity)
     deltas = cfg.deltas or (0.0, 0.1, 0.2, float(threshold(t)))
-    entries = threshold_sweep(t, deltas, _h_grid(cfg, build_phase(t).k),
-                              tolerance=cfg.tolerance,
-                              rel_tol=cfg.rel_tol, x_strategy=cfg.x_strategy,
+    entries = threshold_sweep(t, deltas, _scan_grid(cfg, build_phase(t).k),
+                              tolerance=cfg.tolerance, rel_tol=cfg.rel_tol,
+                              x_strategy=cfg.x_strategy,
+                              points_per_shell=cfg.points_per_shell,
                               eval_budget=cfg.eval_budget, workers=cfg.workers)
     write_csv(out / "sweep.csv",
               ["delta", "slope", "r_squared", "reference", "verdict", "exploratory"],
@@ -277,7 +293,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
     write_json(out / "summary.json", {
         "experiment": "threshold_sweep", "config": cfg.as_dict(), "type": t.label,
         "entries": [{"delta": e.delta, "exploratory": e.exploratory,
-                     "fit": _fit_payload(e.fit)} for e in entries],
+                     "fit": _fit_payload(e.fit), "cost": e.cost} for e in entries],
     })
     expected = [e for e in entries if not e.exploratory]
     return 0 if all(e.fit.verdict == "pass" for e in expected) else 1
@@ -337,10 +353,8 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
 
 def _run_fold(cfg: RunConfig, out: Path) -> int:
     deltas = cfg.deltas or DEFAULT_FOLD_DELTAS
-    h_grid = DEFAULT_FOLD_H_GRID if cfg.h_start is None \
-        else geometric_grid(cfg.h_start, cfg.h_stop or 2.0**-18, cfg.h_points)
     tol = cfg.tolerance if cfg.tolerance is not None else FOLD_TOLERANCE
-    curve = fold_curve(deltas, h_grid, rel_tol=max(cfg.rel_tol, 1e-9),
+    curve = fold_curve(deltas, _h_grid(cfg, DEFAULT_FOLD_H_GRID), rel_tol=cfg.rel_tol,
                        tolerance=tol, eval_budget=cfg.eval_budget)
     rows = [[r.delta, r.h, r.sup_abs, r.l2, r.ratio]
             for run in curve.runs for r in run.rows]
@@ -348,6 +362,7 @@ def _run_fold(cfg: RunConfig, out: Path) -> int:
     write_json(out / "summary.json", {
         "experiment": "fold", "config": cfg.as_dict(),
         "slopes": {f"{r.experiment.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
+        "cost": {f"{r.experiment.delta:.6g}": r.cost for r in curve.runs},
         "breakpoint": curve.breakpoint,
         "max_slope_error": curve.max_slope_error,
     })

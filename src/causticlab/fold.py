@@ -102,7 +102,13 @@ class FoldRow:
     sup_abs: float
     l2: float
     ratio: float
-    converged: bool
+    evaluations: int  # the x offsets evaluated at this h
+    nodes: int
+    unconverged: int
+
+    @property
+    def converged(self) -> bool:
+        return self.unconverged == 0
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,13 @@ class FoldRun:
     experiment: FoldExperiment
     rows: tuple[FoldRow, ...]
     fit: ExponentFit
+
+    @property
+    def cost(self) -> dict:
+        """Hardware-independent work counters, as in ScanResult.cost."""
+        return {"evaluations": sum(r.evaluations for r in self.rows),
+                "nodes": sum(r.nodes for r in self.rows),
+                "unconverged": sum(r.unconverged for r in self.rows)}
 
 
 def l2_from_coefficients(exp: FoldExperiment, h: float) -> float:
@@ -128,15 +141,14 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
     phase, amp = exp.phase, exp.amplitude
     rows = []
     for h in exp.h_grid:
-        best, conv = 0.0, True
-        for x in _x_offsets(h):
-            res = evaluate(IntegralSpec(
-                phase, amp, (x,), h, rel_tol=exp.rel_tol,
-                includes_prefactor=False, budget=exp.eval_budget))
-            best = max(best, res.abs_value)
-            conv = conv and res.converged
+        results = [evaluate(IntegralSpec(phase, amp, (x,), h, rel_tol=exp.rel_tol,
+                                         includes_prefactor=False, budget=exp.eval_budget))
+                   for x in _x_offsets(h)]
+        best = max(res.abs_value for res in results)
         l2 = l2_from_coefficients(exp, h)
-        rows.append(FoldRow(exp.delta, h, best, l2, best / l2, conv))
+        rows.append(FoldRow(exp.delta, h, best, l2, best / l2, len(results),
+                            sum(res.nodes for res in results),
+                            sum(not res.converged for res in results)))
     ref = sharp_exponent(Fraction(exp.delta).limit_denominator(10**6))
     sup_rows = [SupRow(r.h, r.ratio, (0.0,), r.converged) for r in rows]
     fit = fit_exponent(sup_rows, ref, exp.tolerance)

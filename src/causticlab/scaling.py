@@ -250,6 +250,7 @@ class SweepEntry:
     delta: float
     fit: ExponentFit
     exploratory: bool
+    cost: dict  # the scan's ScanResult.cost
 
 
 def threshold_sweep(t: SingularityType, deltas, h_grid, *,
@@ -273,6 +274,7 @@ def threshold_sweep(t: SingularityType, deltas, h_grid, *,
         plan = ScanPlan(phase, amp, tuple(h_grid), x_strategy=x_strategy,
                         points_per_shell=points_per_shell, rel_tol=rel_tol,
                         eval_budget=eval_budget, workers=workers)
-        fit = fit_exponent(supnorm_scan(plan).sup_rows, ref, tolerance)
-        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12))
+        result = supnorm_scan(plan)
+        fit = fit_exponent(result.sup_rows, ref, tolerance)
+        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result.cost))
     return out

@@ -124,3 +124,8 @@ def test_symbol_order_degenerate_fit():
     zero = make_amplitude("custom", 0.0, evaluator=lambda u, h: np.zeros_like(u))
     with pytest.raises(ValueError, match="degenerate"):
         check_symbol_order(zero, H_GRID, alpha_max=0)
+
+
+def test_value_is_1d_only():
+    with pytest.raises(ValueError):
+        make_amplitude("fixed_bump", dim=2).value((0.0, 0.0), 1e-2)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from causticlab import acceptance, amplitudes, fold, oscint, scaling, torus
+from causticlab import acceptance, amplitudes, cli, fold, oscint, scaling, torus
 from causticlab.cli import (SUBCOMMANDS, ConfigError, RunConfig, _build_parser,
                             config_from_args, main, run, validate)
 from causticlab.reports import parse_fraction
@@ -182,6 +182,55 @@ def test_sweep_run_marks_exploratory(tmp_path):
     assert rows[1]["exploratory"] == "true"
 
 
+def test_sweep_honours_points_per_shell(tmp_path):
+    # each sweep entry must scan what supnorm scans for its narrow bump
+    common = ["--type", "A3", "--x-strategy", "omega_shells", "--points-per-shell", "3",
+              "--h-start", "0.0625", "--h-stop", "0.0078125", "--h-points", "5"]
+    assert main(["sweep", "--deltas", "0.1", *common, "--out", str(tmp_path / "s")]) in (0, 1)
+    assert main(["supnorm", "--amplitude", "narrow_bump", "--delta", "0.1", *common,
+                 "--out", str(tmp_path / "n")]) in (0, 1)
+    (entry,) = json.loads((tmp_path / "s" / "summary.json").read_text())["entries"]
+    scan = json.loads((tmp_path / "n" / "summary.json").read_text())
+    assert entry["cost"] == scan["cost"]
+    assert entry["fit"]["slope"] == scan["slope"]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, grid, rel_tol", [
+    ([], fold.DEFAULT_FOLD_H_GRID, 1e-6),
+    (["--h-stop", "0.0009765625", "--h-points", "5", "--rel-tol", "1e-10"],
+     scaling.geometric_grid(2.0**-8, 2.0**-10, 5), 1e-10),
+    (["--h-start", "0.0025", "--h-stop", "6.103515625e-05", "--h-points", "7",
+      "--rel-tol", "1e-07"], scaling.geometric_grid(0.0025, 2.0**-14, 7), 1e-7),
+])
+def test_fold_runs_the_config_it_echoes(tmp_path, monkeypatch, argv, grid, rel_tol):
+    seen = {}
+
+    def spy(deltas, h_grid, **kwargs):
+        seen.update(h_grid=h_grid, **kwargs)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "fold_curve", spy)
+    with pytest.raises(_Stop):
+        main(["fold", *argv, "--out", str(tmp_path)])
+    assert seen["h_grid"] == grid
+    assert seen["rel_tol"] == rel_tol
+
+
+def test_fold_summary_reports_cost(tmp_path):
+    argv = ["fold", "--deltas", "0,0.5", "--h-start", "0.015625", "--h-stop",
+            "0.0009765625", "--h-points", "5", "--out", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary["cost"]) == list(summary["slopes"]) == ["0", "0.5"]
+    for cost in summary["cost"].values():
+        assert cost["evaluations"] == 5 * (1 + 2 * fold.X_POINTS)
+        assert cost["nodes"] > 0 and cost["unconverged"] == 0
+
+
 def test_torus_ball_run(tmp_path):
     cfg = RunConfig(experiment="torus", torus_mode="ball", torus_n=2,
                     torus_delta=0.45, torus_delta_prime=0.5,
@@ -240,6 +289,9 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     (["torus", "--mode", "ball", "--n", "1", "--delta-prime", "1", "--j-min", "2",
       "--j-max", "1073741824"], "j_max"),
     (["supnorm", "--x-strategy", "full_grid"], "x_strategy"),
+    (["supnorm", "--h-start", "0.00001"], "h_stop"),  # below the default stop
+    (["fold", "--h-stop", "0.01"], "h_stop"),  # above the default start
+    (["symbols", "--h-points", "5"], "h_points"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
