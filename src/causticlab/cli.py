@@ -1,16 +1,21 @@
 """Experiment runner: validated configs in, CSV data + JSON summaries out.
 
 Subcommands: catalog, symbols, supnorm, sweep, torus, fold, lemma62, verify.
-A config file (--config, JSON) provides defaults; command-line flags win.
+Each takes --out, --config and a flag for each RunConfig field its runner
+reads (SUBCOMMANDS).  A config file (--config, JSON) provides defaults;
+command-line flags win.  A flag, config-file key or RunConfig field that the
+subcommand does not read is an invalid configuration.
 Exit status: 0 all expected-pass fits pass, 1 computational failure or
 inconclusive fits, 2 invalid configuration.
 
 Reports are byte-stable: an identical config gives identical CSV/JSON bytes
-regardless of worker count.  Wall time is printed to stdout and written to a
-sidecar (run.log; verify's per-criterion timings.json), never into the summary
-or the verify matrix.  Each verdict and its tolerance is defined once, in the
-library module that owns the experiment; the runners here wire a config to it
-and write the reports.
+regardless of worker count.  Every summary.json echoes the experiment and,
+under ``config``, the out directory and the fields its subcommand reads.  Wall
+time is printed to stdout and written to a sidecar (run.log; verify's
+per-criterion timings.json), never into the summary or the verify matrix.
+Each verdict and its tolerance is defined once, in the library module that
+owns the experiment; the runners here wire a config to it and return the
+summary.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,9 +82,6 @@ class RunConfig:
     workers: int = 1
     quick: bool = False
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Build from parsed JSON; every value must have its field's type."""
@@ -112,9 +115,13 @@ def _has_type(value, annotation: str) -> bool:
 
 def validate(cfg: RunConfig) -> None:
     """Raise ConfigError pointing at the first offending field."""
-    experiments = tuple(name for name, _ in SUBCOMMANDS.values())
-    if cfg.experiment not in experiments:
-        raise ConfigError("experiment", f"must be one of {experiments}")
+    if cfg.experiment not in _SUBCOMMAND_OF:
+        raise ConfigError("experiment", f"must be one of {tuple(_SUBCOMMAND_OF)}")
+    name = _SUBCOMMAND_OF[cfg.experiment]
+    for f in dataclasses.fields(cfg):
+        if f.name not in ("experiment", "out_dir", *SUBCOMMANDS[name].fields) \
+                and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f.name, f"causticlab {name} does not read it")
     try:
         SingularityType.parse(cfg.singularity)
     except ValueError as e:
@@ -126,6 +133,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("delta", f"must lie in [0, 1], got {cfg.delta}")
     if cfg.width_exponent is not None and not 0.0 <= cfg.width_exponent <= 1.0:
         raise ConfigError("width_exponent", "must lie in [0, 1]")
+    if not math.isfinite(cfg.center):
+        raise ConfigError("center", f"must be finite, got {cfg.center}")
     for d in cfg.deltas:
         if not 0.0 <= d <= 1.0:
             raise ConfigError("deltas", f"entry {d} outside [0, 1]")
@@ -143,10 +152,16 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("points_per_shell", "must be >= 1")
     if not 1e-10 <= cfg.rel_tol <= 1e-3:
         raise ConfigError("rel_tol", "must lie in [1e-10, 1e-3]")
+    if cfg.tolerance is not None and not 0.0 < cfg.tolerance < math.inf:
+        raise ConfigError("tolerance", f"must be positive and finite, got {cfg.tolerance}")
+    if cfg.eval_budget is not None and cfg.eval_budget < 1:
+        raise ConfigError("eval_budget", "must be >= 1")
     if not 1 <= cfg.torus_n <= 4:
         raise ConfigError("torus_n", "must be between 1 and 4")
     if cfg.torus_mode not in ("ball", "dyadic"):
         raise ConfigError("torus_mode", "must be ball or dyadic")
+    if cfg.torus_mode == "dyadic" and cfg.torus_delta_prime is not None:
+        raise ConfigError("torus_delta_prime", "only --mode ball reads it")
     if not 0.0 < cfg.torus_delta <= 1.0:
         raise ConfigError("torus_delta", "must lie in (0, 1]")
     if cfg.j_min < 1 or cfg.j_max < cfg.j_min:
@@ -190,23 +205,18 @@ def _omega(cfg: RunConfig) -> tuple[float, ...]:
     return om
 
 
-def _run_catalog(cfg: RunConfig, out: Path) -> int:
-    rows = []
-    for row in catalog_rows():
-        rows.append([
-            row["family"], row["index"], row["sign"], row["k"], row["k0"],
-            ";".join(fmt_fraction(v) for v in row["r"]),
-            ";".join(fmt_fraction(v) for v in row["s"]),
-            fmt_fraction(row["kappa"]), fmt_fraction(row["delta0"]),
-        ])
+# Each runner writes its CSV data and returns its exit status and its summary;
+# run() adds the experiment and the config echo and writes summary.json.
+def _run_catalog(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+    rows = [[row["family"], row["index"], row["sign"], row["k"], row["k0"],
+             ";".join(fmt_fraction(v) for v in row["r"]),
+             ";".join(fmt_fraction(v) for v in row["s"]),
+             fmt_fraction(row["kappa"]), fmt_fraction(row["delta0"])]
+            for row in catalog_rows()]
     write_csv(out / "catalog.csv",
               ["family", "index", "sign", "k", "k0", "r", "s", "kappa", "delta0"],
               rows)
-    write_json(out / "summary.json", {
-        "experiment": "catalog_dump", "config": cfg.as_dict(),
-        "types": [row["label"] for row in catalog_rows()],
-    })
-    return 0
+    return 0, {"types": [row["label"] for row in catalog_rows()]}
 
 
 def _amplitude(cfg: RunConfig, dim: int = 1):
@@ -216,11 +226,8 @@ def _amplitude(cfg: RunConfig, dim: int = 1):
     return make_amplitude(cfg.amplitude, cfg.delta, **kwargs)
 
 
-SYMBOL_H_GRID = geometric_grid(2.0**-4, 2.0**-11, 8)  # the symbols default
-
-
-def _run_symbols(cfg: RunConfig, out: Path) -> int:
-    hs = _h_grid(cfg, SYMBOL_H_GRID)
+def _run_symbols(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+    hs = _h_grid(cfg, geometric_grid(2.0**-4, 2.0**-11, 8))  # 2^-4..2^-11 by default
     if len(hs) < 6:
         raise ConfigError("h_points", "the symbol fit needs at least 6 grid points")
     profile = _amplitude(cfg)
@@ -231,19 +238,12 @@ def _run_symbols(cfg: RunConfig, out: Path) -> int:
                for r in rows])
     worst = max(abs(r.fitted_order - r.expected_order) for r in rows)
     ok = worst <= SYMBOL_ORDER_TOLERANCE
-    write_json(out / "summary.json", {
-        "experiment": "symbol_check", "config": cfg.as_dict(),
+    return 0 if ok else 1, {
         "kind": cfg.amplitude, "delta": cfg.delta,
         "orders": [{"alpha": r.alpha, "fitted": r.fitted_order,
                     "expected": r.expected_order} for r in rows],
         "worst_order_error": worst, "ok": ok,
-    })
-    return 0 if ok else 1
-
-
-def _scan_csv_rows(result):
-    return [[r.h, r.lam, r.y_index, r.abs_value, r.est_error, r.converged]
-            for r in result.rows]
+    }
 
 
 def _fit_payload(fit) -> dict:
@@ -255,7 +255,7 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _run_supnorm(cfg: RunConfig, out: Path) -> int:
+def _run_supnorm(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     t = SingularityType.parse(cfg.singularity)
     ph = build_phase(t)
     amp = _amplitude(cfg, dim=ph.k)
@@ -267,18 +267,17 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> int:
     fit = fit_exponent(result.sup_rows, caustic_order(t), tol)
     write_csv(out / "scan.csv",
               ["h", "lambda", "y_index", "abs_I", "est_error", "converged"],
-              _scan_csv_rows(result))
-    write_json(out / "summary.json", {
-        "experiment": "supnorm", "config": cfg.as_dict(),
+              [[r.h, r.lam, r.y_index, r.abs_value, r.est_error, r.converged]
+               for r in result.rows])
+    return 0 if fit.verdict == "pass" else 1, {
         "type": t.label, "delta": cfg.delta, "fit": _fit_payload(fit),
         "slope": fit.slope, "r_squared": fit.r_squared,
         "reference": fmt_fraction(fit.reference), "verdict": fit.verdict,
         "cost": result.cost,
-    })
-    return 0 if fit.verdict == "pass" else 1
+    }
 
 
-def _run_sweep(cfg: RunConfig, out: Path) -> int:
+def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     t = SingularityType.parse(cfg.singularity)
     deltas = cfg.deltas or (0.0, 0.1, 0.2, float(threshold(t)))
     entries = threshold_sweep(t, deltas, _scan_grid(cfg, build_phase(t).k),
@@ -290,22 +289,19 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
               ["delta", "slope", "r_squared", "reference", "verdict", "exploratory"],
               [[e.delta, e.fit.slope, e.fit.r_squared, fmt_fraction(e.fit.reference),
                 e.fit.verdict, e.exploratory] for e in entries])
-    write_json(out / "summary.json", {
-        "experiment": "threshold_sweep", "config": cfg.as_dict(), "type": t.label,
+    expected = [e for e in entries if not e.exploratory]
+    return 0 if all(e.fit.verdict == "pass" for e in expected) else 1, {
+        "type": t.label,
         "entries": [{"delta": e.delta, "exploratory": e.exploratory,
                      "fit": _fit_payload(e.fit), "cost": e.cost} for e in entries],
-    })
-    expected = [e for e in entries if not e.exploratory]
-    return 0 if all(e.fit.verdict == "pass" for e in expected) else 1
+    }
 
 
-def _run_torus(cfg: RunConfig, out: Path) -> int:
+def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     n = cfg.torus_n
-    rows = []
-    summary: dict = {"experiment": "torus", "config": cfg.as_dict(), "n": n,
-                     "mode": cfg.torus_mode}
+    om = _omega(cfg)
+    summary: dict = {"n": n, "mode": cfg.torus_mode}
     if cfg.torus_mode == "ball":
-        om = _omega(cfg)
         dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None \
             else cfg.torus_delta + 0.05
         if not 0.0 < dprime <= 1.0:
@@ -319,20 +315,15 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
             raise ConfigError("j_max", f"ball radius {queries[-1].cap_radius:g} exceeds "
                               f"the enumeration bound {ENUM_LIMITS['radius']:g}")
         counts = [ball_count(q) for q in queries]
-        for j, c in zip(js, counts):
-            rows.append([j, j**-0.5, c, math.sqrt(c) if c else 0.0, -1])
+        rows = [[j, j**-0.5, c, math.sqrt(c) if c else 0.0, -1] for j, c in zip(js, counts)]
         slope = ratio_exponent(js, counts)
-        summary["delta_prime"] = dprime
-        summary["ratio_exponent"] = slope
-        summary["reference"] = n * dprime / 2
+        summary.update(delta_prime=dprime, ratio_exponent=slope, reference=n * dprime / 2)
         ok = abs(slope - n * dprime / 2) <= BALL_EXPONENT_TOLERANCE
     else:
-        om = _omega(cfg)
         blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max),
                                            omega=om)
-        for b in blocks:
-            rows.append([b.best_j, b.best_j**-0.5, b.best_count,
-                         math.sqrt(b.best_count) if b.best_count else 0.0, b.J])
+        rows = [[b.best_j, b.best_j**-0.5, b.best_count,
+                 math.sqrt(b.best_count) if b.best_count else 0.0, b.J] for b in blocks]
         summary["blocks"] = [{
             "J": b.J, "best_j": b.best_j, "best_count": b.best_count,
             "block_sum": b.block_sum, "volume": b.volume,
@@ -340,18 +331,15 @@ def _run_torus(cfg: RunConfig, out: Path) -> int:
         slope = dyadic_exponent(blocks)
         ok = slope is not None
         if ok:
-            summary["ratio_exponent"] = slope
             lower, upper = sphere_window(n, cfg.torus_delta)
-            summary["upper_bound"] = upper
-            summary["lower_bound"] = lower
+            summary.update(ratio_exponent=slope, upper_bound=upper, lower_bound=lower)
             ok = lower <= slope <= upper
     write_csv(out / "torus.csv", ["j", "h", "count", "ratio", "block_id"], rows)
     summary["ok"] = ok
-    write_json(out / "summary.json", summary)
-    return 0 if ok else 1
+    return 0 if ok else 1, summary
 
 
-def _run_fold(cfg: RunConfig, out: Path) -> int:
+def _run_fold(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     deltas = cfg.deltas or DEFAULT_FOLD_DELTAS
     tol = cfg.tolerance if cfg.tolerance is not None else FOLD_TOLERANCE
     curve = fold_curve(deltas, _h_grid(cfg, DEFAULT_FOLD_H_GRID), rel_tol=cfg.rel_tol,
@@ -359,17 +347,15 @@ def _run_fold(cfg: RunConfig, out: Path) -> int:
     rows = [[r.delta, r.h, r.sup_abs, r.l2, r.ratio]
             for run in curve.runs for r in run.rows]
     write_csv(out / "fold.csv", ["delta", "h", "sup_abs", "l2", "ratio"], rows)
-    write_json(out / "summary.json", {
-        "experiment": "fold", "config": cfg.as_dict(),
+    return 0 if curve.passed else 1, {
         "slopes": {f"{r.experiment.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
         "cost": {f"{r.experiment.delta:.6g}": r.cost for r in curve.runs},
         "breakpoint": curve.breakpoint,
         "max_slope_error": curve.max_slope_error,
-    })
-    return 0 if curve.passed else 1
+    }
 
 
-def _run_lemma62(cfg: RunConfig, out: Path) -> int:
+def _run_lemma62(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     eps_grid = tuple(float(v) for v in np.geomspace(0.1, 1e-3, 7))
     x_grid = (0.0, 0.5, -0.7, 1.3, 2.0, -1.9)
     rep = lemma_62_suite(eps_grid, x_grid)
@@ -379,20 +365,18 @@ def _run_lemma62(cfg: RunConfig, out: Path) -> int:
                for r in rep.rows])
     ok = (rep.max_rel_error <= LEMMA62_REL_TOL and abs(rep.exponent_first - 1.5) <= 0.02
           and abs(rep.exponent_second - 1.0) <= 0.02)
-    write_json(out / "summary.json", {
-        "experiment": "lemma62", "config": cfg.as_dict(),
+    return 0 if ok else 1, {
         "max_rel_error": rep.max_rel_error,
         "eps_exponents": [rep.exponent_first, rep.exponent_second],
         "ok": ok,
-    })
-    return 0 if ok else 1
+    }
 
 
-def _run_verify(cfg: RunConfig, out: Path) -> int:
+def _run_verify(cfg: RunConfig, out: Path) -> tuple[int, None]:
     """Run the acceptance matrix; print one line per criterion.
 
-    The matrix is byte-stable; each criterion's wall seconds go to the
-    timings.json sidecar beside it.
+    The matrix is byte-stable and takes the place of a summary; each
+    criterion's wall seconds go to the timings.json sidecar beside it.
     """
     results = []
     seconds = {}
@@ -408,20 +392,33 @@ def _run_verify(cfg: RunConfig, out: Path) -> int:
                       "details": r.details} for r in results],
     })
     write_json(out / "timings.json", seconds)
-    return 0 if all(r.passed or r.skipped for r in results) else 1
+    return 0 if all(r.passed or r.skipped for r in results) else 1, None
 
 
-# Subcommand -> (experiment name, runner).
+class Subcommand(NamedTuple):
+    experiment: str
+    runner: Callable[[RunConfig, Path], tuple[int, dict | None]]
+    fields: tuple[str, ...]  # the RunConfig fields the runner reads
+
+
+AMPLITUDE = ("amplitude", "delta", "width_exponent", "center")
+H_GRID = ("h_start", "h_stop", "h_points")
+SCAN = ("singularity", *H_GRID, "x_strategy", "points_per_shell", "rel_tol", "tolerance",
+        "eval_budget", "workers")
 SUBCOMMANDS = {
-    "catalog": ("catalog_dump", _run_catalog),
-    "symbols": ("symbol_check", _run_symbols),
-    "supnorm": ("supnorm", _run_supnorm),
-    "sweep": ("threshold_sweep", _run_sweep),
-    "torus": ("torus", _run_torus),
-    "fold": ("fold", _run_fold),
-    "lemma62": ("lemma62", _run_lemma62),
-    "verify": ("verify", _run_verify),
+    "catalog": Subcommand("catalog_dump", _run_catalog, ()),
+    "symbols": Subcommand("symbol_check", _run_symbols, (*AMPLITUDE, *H_GRID)),
+    "supnorm": Subcommand("supnorm", _run_supnorm, (*SCAN, *AMPLITUDE)),
+    "sweep": Subcommand("threshold_sweep", _run_sweep, (*SCAN, "deltas")),
+    "torus": Subcommand("torus", _run_torus, ("torus_n", "torus_mode", "torus_delta",
+                                              "torus_delta_prime", "omega", "j_min", "j_max")),
+    "fold": Subcommand("fold", _run_fold,
+                       ("deltas", *H_GRID, "rel_tol", "tolerance", "eval_budget")),
+    "lemma62": Subcommand("lemma62", _run_lemma62, ()),
+    "verify": Subcommand("verify", _run_verify, ("quick",)),
 }
+_SUBCOMMAND_OF = {s.experiment: name for name, s in SUBCOMMANDS.items()}
+
 
 # Command-line flag -> RunConfig field; the field's annotation gives the value
 # type.  --deltas takes a comma-separated list, --quick no value.
@@ -445,10 +442,15 @@ def run(cfg: RunConfig) -> int:
         validate(cfg)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        status = dict(SUBCOMMANDS.values())[cfg.experiment](cfg, out)
+        name = _SUBCOMMAND_OF[cfg.experiment]
+        status, summary = SUBCOMMANDS[name].runner(cfg, out)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
+    if summary is not None:
+        echo = {f: getattr(cfg, f) for f in ("out_dir", *SUBCOMMANDS[name].fields)}
+        write_json(out / "summary.json",
+                   {"experiment": cfg.experiment, "config": echo, **summary})
     wall = time.time() - t0
     (out / "run.log").write_text(f"experiment={cfg.experiment} wall_seconds={wall:.3f}\n")
     print(f"{cfg.experiment}: status {status}, wall {wall:.1f}s, reports in {out}")
@@ -466,10 +468,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     types = {f.name: f.type.partition(" | ")[0] for f in dataclasses.fields(RunConfig)}
     parse = {"str": str, "int": int, "float": float, "tuple[float, ...]": _float_list}
-    for name in SUBCOMMANDS:
+    for name, subcommand in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         for flag, dest in FLAGS.items():
+            if dest not in ("out_dir", *subcommand.fields):
+                continue
             if types[dest] == "bool":
                 p.add_argument(flag, dest=dest, action="store_true", default=None)
             else:
@@ -479,14 +483,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
+    settable = ("out_dir", *SUBCOMMANDS[ns.command].fields)
     data: dict = {}
     if ns.config:
         with open(ns.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config", "the file must hold a JSON object")
-    data["experiment"] = SUBCOMMANDS[ns.command][0]
-    data.update({dest: getattr(ns, dest) for dest in FLAGS.values()
+        stray = sorted(set(data) - set(settable))
+        if stray:
+            raise ConfigError(stray[0], f"causticlab {ns.command} does not read it")
+    data["experiment"] = SUBCOMMANDS[ns.command].experiment
+    data.update({dest: getattr(ns, dest) for dest in settable
                  if getattr(ns, dest) is not None})
     return RunConfig.from_dict(data)
 

@@ -31,13 +31,6 @@ def fmt_fraction(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        p, q = text.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
-
-
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

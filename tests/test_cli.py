@@ -1,8 +1,10 @@
 """CLI: config validation, report files, golden catalog, determinism."""
 
 import dataclasses
+import importlib.util
 import inspect
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +16,6 @@ import pytest
 from causticlab import acceptance, amplitudes, cli, fold, oscint, scaling, torus
 from causticlab.cli import (SUBCOMMANDS, ConfigError, RunConfig, _build_parser,
                             config_from_args, main, run, validate)
-from causticlab.reports import parse_fraction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,8 +56,8 @@ def test_catalog_dump_golden(tmp_path):
         label = _row_label(row["family"], row["index"], row["sign"])
         seen[label] = (row["kappa"], row["delta0"])
         # kappa must equal k/2 - sum(r) recomputed from the row itself
-        r = [parse_fraction(tok) for tok in row["r"].split(";")]
-        assert parse_fraction(row["kappa"]) == Fraction(int(row["k"]), 2) - sum(r)
+        r = [Fraction(tok) for tok in row["r"].split(";")]
+        assert Fraction(row["kappa"]) == Fraction(int(row["k"]), 2) - sum(r)
     assert seen == GOLDEN_TABLE
 
 
@@ -80,7 +81,7 @@ def test_validate_reports_field():
 def test_config_round_trip():
     cfg = RunConfig(experiment="threshold_sweep", singularity="A3",
                     deltas=(0.1, 0.2), h_points=6)
-    assert RunConfig.from_dict(cfg.as_dict()) == cfg
+    assert RunConfig.from_dict(dataclasses.asdict(cfg)) == cfg
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"experiment": "supnorm", "bogus_field": 1})
 
@@ -90,8 +91,23 @@ def test_summary_config_echo_round_trips(tmp_path):
                     h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
                     out_dir=str(tmp_path))
     run(cfg)
-    echo = json.loads((tmp_path / "summary.json").read_text())["config"]
-    assert RunConfig.from_dict(echo) == cfg
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert RunConfig.from_dict({"experiment": summary["experiment"], **summary["config"]}) == cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"], ["lemma62"], ["symbols", "--amplitude", "gaussian", "--delta", "0.4"],
+    ["torus", "--mode", "ball", "--n", "2", "--delta-prime", "0.5", "--j-min", "4",
+     "--j-max", "64"],
+    ["fold", "--deltas", "0,0.5", "--h-start", "0.015625", "--h-stop", "0.0009765625",
+     "--h-points", "5", "--tolerance", "0.5"],
+])
+def test_config_echo_holds_only_the_subcommand_fields(tmp_path, argv):
+    cfg = config_from_args([*argv, "--out", str(tmp_path)])
+    run(cfg)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert sorted(summary["config"]) == sorted(["out_dir", *SUBCOMMANDS[argv[0]].fields])
+    assert RunConfig.from_dict({"experiment": summary["experiment"], **summary["config"]}) == cfg
 
 
 def test_flag_parsing_overrides():
@@ -292,6 +308,13 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     (["supnorm", "--h-start", "0.00001"], "h_stop"),  # below the default stop
     (["fold", "--h-stop", "0.01"], "h_stop"),  # above the default start
     (["symbols", "--h-points", "5"], "h_points"),
+    (["supnorm", "--budget", "0"], "eval_budget"),
+    (["supnorm", "--budget", "-5"], "eval_budget"),
+    (["supnorm", "--tolerance", "-1"], "tolerance"),
+    (["supnorm", "--tolerance", "nan"], "tolerance"),
+    (["supnorm", "--center", "nan"], "center"),
+    (["supnorm", "--center", "inf"], "center"),
+    (["torus", "--mode", "dyadic", "--delta-prime", "0.9"], "torus_delta_prime"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -308,22 +331,82 @@ def test_config_value_types():
         assert e.value.fieldname == next(iter(bad))
 
 
-# Every subcommand's flags at the commit before --seed was deleted, minus --seed.
-GOLDEN_FLAGS = [
-    "--config", "--out", "--workers", "--quick", "--type", "--amplitude", "--delta",
-    "--width-exponent", "--center", "--deltas", "--h-start", "--h-stop", "--h-points",
-    "--x-strategy", "--points-per-shell", "--rel-tol", "--tolerance", "--budget", "--n",
-    "--mode", "--torus-delta", "--delta-prime", "--omega", "--j-min", "--j-max",
-]
+# Each subcommand's flags besides --config and --out: one per RunConfig field its
+# runner reads.  Adding a flag means editing this table.
+_H = ["--h-start", "--h-stop", "--h-points"]
+_AMPLITUDE = ["--amplitude", "--delta", "--width-exponent", "--center"]
+GOLDEN_FLAGS = {
+    "catalog": [],
+    "symbols": [*_AMPLITUDE, *_H],
+    "supnorm": ["--workers", "--type", *_AMPLITUDE, *_H, "--x-strategy",
+                "--points-per-shell", "--rel-tol", "--tolerance", "--budget"],
+    "sweep": ["--workers", "--type", "--deltas", *_H, "--x-strategy", "--points-per-shell",
+              "--rel-tol", "--tolerance", "--budget"],
+    "torus": ["--n", "--mode", "--torus-delta", "--delta-prime", "--omega", "--j-min",
+              "--j-max"],
+    "fold": ["--deltas", *_H, "--rel-tol", "--tolerance", "--budget"],
+    "lemma62": [],
+    "verify": ["--quick"],
+}
+
+
+def _parser_flags() -> dict[str, list[str]]:
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {name: [s for a in parser._actions for s in a.option_strings
+                   if s not in ("-h", "--help")]
+            for name, parser in sub.choices.items()}
 
 
 def test_subcommand_flags_golden():
-    sub = next(a for a in _build_parser()._actions if a.dest == "command")
-    assert list(sub.choices) == list(SUBCOMMANDS)
-    for name, parser in sub.choices.items():
-        flags = [s for a in parser._actions for s in a.option_strings
-                 if s not in ("-h", "--help")]
-        assert flags == GOLDEN_FLAGS, name
+    flags = _parser_flags()
+    assert list(flags) == list(SUBCOMMANDS)
+    assert flags == {name: ["--config", "--out", *golden]
+                     for name, golden in GOLDEN_FLAGS.items()}
+    assert sum(len(f) - 1 for f in flags.values()) == 55  # not counting --config
+
+
+def test_readme_flag_table_matches_parser():
+    lines = README.read_text().split("| subcommand | flags |")[1].splitlines()[2:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        name, cell = line.strip("|").split("|")
+        rows[name.strip().strip("`")] = re.findall(r"`(--[a-z-]+)", cell)
+    assert rows == {name: flags[2:] for name, flags in _parser_flags().items()}
+
+
+def _exit_status(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects a flag the subcommand does not take
+        return e.code
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["lemma62", "--rel-tol", "1e-3"], "--rel-tol"),
+    (["torus", "--mode", "dyadic", "--type", "E8"], "--type"),
+    (["sweep", "--amplitude", "gaussian"], "--amplitude"),
+    (["fold", "--workers", "2"], "--workers"),
+    (["verify", "--workers", "2"], "--workers"),
+    (["catalog", "--quick"], "--quick"),
+    (["lemma62", {"rel_tol": 1e-3}], "config field 'rel_tol'"),
+    (["lemma62", {"experiment": "fold"}], "config field 'experiment'"),
+])
+def test_unread_settings_exit_2(tmp_path, capsys, argv, name):
+    if isinstance(argv[-1], dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+        argv = [argv[0], "--config", str(tmp_path / "cfg.json")]
+    assert _exit_status(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_an_unread_field(tmp_path, capsys):
+    assert run(RunConfig(experiment="lemma62", rel_tol=1e-3, out_dir=str(tmp_path / "o"))) == 2
+    assert "config field 'rel_tol'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _readme_commands():
@@ -336,6 +419,18 @@ def test_readme_commands_parse_and_validate(line):
     cfg = config_from_args(shlex.split(line)[1:])
     validate(cfg)
     assert cfg.experiment == SUBCOMMANDS[shlex.split(line)[1]][0]
+
+
+def test_benchmark_commands_parse_and_validate():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", README.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [list(workloads.WARMUP_ARGV)]
+    for w in workloads.WORKLOADS:
+        argvs += workloads.commands(w, 1) + workloads.commands(w, 1, tiny=True)
+    for argv in argvs:
+        validate(config_from_args(argv))
 
 
 def test_readme_dyadic_example_runs(tmp_path):
