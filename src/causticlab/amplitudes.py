@@ -15,10 +15,10 @@ evaluator; it is the tests' hook for a zero or step amplitude and cannot be
 chosen from the command line.
 
 chi is a fixed smooth bump equal to 1 on (-1, 1) and supported in (-2, 2),
-built from the standard exp(-1/t) smoothstep.  The gaussian kind carries a
-chi(theta/2) truncation so every built-in is supported in |theta| <= 4; the
-truncation sits where the gaussian is below exp(-4/h^{2 delta}) and cannot
-affect fitted orders.
+built from the standard exp(-1/t) smoothstep; only the band 1 < |u| < 2
+costs an exp.  The gaussian kind carries a chi(theta/2) truncation so every
+built-in is supported in |theta| <= 4; the truncation sits where the
+gaussian is below exp(-4/h^{2 delta}) and cannot affect fitted orders.
 
 ``check_symbol_order`` estimates sup|d^alpha a| by 4th-order central
 differences on a grid tied to the amplitude's own scale h^delta and fits the
@@ -47,33 +47,25 @@ KINDS = {
 }
 
 
-def _transition(t: np.ndarray) -> np.ndarray:
-    """Smoothstep: 0 for t <= 0, 1 for t >= 1, C-infinity in between."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g0 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        g1 = np.where(1.0 - t > 0.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return g0 / (g0 + g1)
-
-
 def bump(u) -> np.ndarray:
-    """chi: 1 on |u| <= 1, 0 on |u| >= 2, smooth in between."""
-    u = np.asarray(u, dtype=float)
-    return _transition(2.0 - np.abs(u))
+    """chi: 1 on |u| <= 1, 0 on |u| >= 2, 1/(1 + e^{1/t - 1/(1-t)}) with t = 2 - |u| between."""
+    t = 2.0 - np.abs(np.asarray(u, dtype=float))
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    band = (t > 0.0) & (t < 1.0)
+    t = t[band]  # drops the full-size t before the band's temporaries
+    with np.errstate(over="ignore"):
+        out[band] = 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
+    return out
 
 
 def bump_prime(u) -> np.ndarray:
-    """Analytic chi' (oracle for the finite-difference pipeline)."""
+    """Analytic chi' = -sign(u) chi (1 - chi) (1/t^2 + 1/(1-t)^2) on the band 0 < t < 1."""
     u = np.asarray(u, dtype=float)
     t = 2.0 - np.abs(u)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g0 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        g1 = np.where(1.0 - t > 0.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-        d0 = np.where(t > 0.0, g0 / np.maximum(t, 1e-300) ** 2, 0.0)
-        d1 = np.where(1.0 - t > 0.0, -g1 / np.maximum(1.0 - t, 1e-300) ** 2, 0.0)
-    denom = (g0 + g1) ** 2
-    ds = np.where(denom > 0.0, (d0 * g1 - g0 * d1) / np.maximum(denom, 1e-300), 0.0)
-    return -np.sign(u) * ds
+    s = bump(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ds = s * (1.0 - s) * (1.0 / t**2 + 1.0 / (1.0 - t) ** 2)
+    return np.where((t > 0.0) & (t < 1.0), -np.sign(u) * ds, 0.0)
 
 
 @dataclass(frozen=True)

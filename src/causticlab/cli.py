@@ -150,6 +150,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("x_strategy", f"unknown strategy {cfg.x_strategy!r}")
     if cfg.points_per_shell < 1:
         raise ConfigError("points_per_shell", "must be >= 1")
+    if cfg.x_strategy == "origin_only" and cfg.points_per_shell != 1:
+        raise ConfigError("points_per_shell", "only --x-strategy omega_shells reads it")
     if not 1e-10 <= cfg.rel_tol <= 1e-3:
         raise ConfigError("rel_tol", "must lie in [1e-10, 1e-3]")
     if cfg.tolerance is not None and not 0.0 < cfg.tolerance < math.inf:
@@ -164,6 +166,9 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("torus_delta_prime", "only --mode ball reads it")
     if not 0.0 < cfg.torus_delta <= 1.0:
         raise ConfigError("torus_delta", "must lie in (0, 1]")
+    if cfg.torus_mode == "ball" and cfg.torus_delta_prime is not None \
+            and cfg.torus_delta != RunConfig.torus_delta:
+        raise ConfigError("torus_delta", "--mode ball reads it only without --delta-prime")
     if cfg.j_min < 1 or cfg.j_max < cfg.j_min:
         raise ConfigError("j_max", "need 1 <= j_min <= j_max")
     if cfg.torus_mode == "dyadic" and cfg.j_max > ENUM_LIMITS["j"][cfg.torus_n]:

@@ -12,7 +12,8 @@ from (no rigorous bound is claimed).  A spec's ``floor`` (in the units of
 passes |I(0; h)| there, since a point many orders below the sup cannot move it
 and needs no precision relative to its own size.  Amplitude modulations of the
 form e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
-sampled amplitude factor is always slowly varying.
+sampled amplitude factor is always slowly varying.  e^{i phi/h} is formed as
+cos and sin of the real phase, written into the two parts of one complex array.
 
 For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
 axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
@@ -49,13 +50,7 @@ MIN_AXIS_NODES = 96  # first-pass resolution floor for the amplitude, per axis
 REFINE_FACTOR = math.sqrt(2.0)  # node-density growth from one pass to the next
 MAX_PASSES = 14
 PROFILE_SAMPLES = 513  # samples of the frequency-bound profile per axis
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)  # on [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -110,11 +105,10 @@ def _axis_nodes(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float,
     targets = np.linspace(0.0, total, n_panels + 1)
     edges = np.interp(targets, cum, tgrid)
     edges[0], edges[-1] = lo, hi
-    gx, gw = _gauss_legendre(PANEL_ORDER)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights, n_panels
 
 
@@ -132,22 +126,35 @@ def _pass_value(parts: tuple[ThetaPoly, ...], mixed: ThetaPoly, h_eff: float, am
     ``parts`` are the axes' own phase terms and ``mixed`` the rest (see
     ``ThetaPoly.split_axes``).  The own terms go into the weights,
     u = w * (a * e^{iP/h}); with no mixed term the pass is the product of the
-    axis sums, otherwise u1 * e^{iC/h} * u2 over column blocks of the grid.
+    axis sums, otherwise u1 * e^{iC/h} * u2 over column blocks of the grid,
+    which share one complex buffer.
     """
     us = []
     for part, amp_fn, (nodes, weights, _) in zip(parts, amp_fns, axes):
-        vals = np.asarray(amp_fn(nodes)).astype(complex)
-        vals *= np.exp(1j * part(nodes) / h_eff)
-        us.append(weights * vals)
+        amp = amp_fn(nodes)  # first, while its temporaries are the only large arrays
+        phase = part(nodes)
+        phase /= h_eff
+        u = np.empty(phase.shape, dtype=complex)  # e^{iP/h}, as cos and sin parts
+        np.cos(phase, out=u.real)
+        np.sin(phase, out=u.imag)
+        u *= amp
+        u *= weights
+        us.append(u)
     if not mixed.terms:
         return math.prod(complex(np.sum(u)) for u in us)
     n1, n2 = axes[0][0], axes[1][0]
     u1, u2 = us
-    cols = max(1, block_elems // max(1, n1.size))
+    cols = min(n2.size, max(1, block_elems // max(1, n1.size)))
+    buf = np.empty(n1.size * cols, dtype=complex)
     total = 0.0 + 0.0j
     for start in range(0, n2.size, cols):
         sl = slice(start, min(start + cols, n2.size))
-        total += complex(u1 @ np.exp(1j * mixed.eval_outer(n1, n2[sl]) / h_eff) @ u2[sl])
+        phase = mixed.eval_outer(n1, n2[sl])
+        phase /= h_eff
+        block = buf[:phase.size].reshape(phase.shape)
+        np.cos(phase, out=block.real)
+        np.sin(phase, out=block.imag)
+        total += complex(u1 @ block @ u2[sl])
     return total
 
 
@@ -162,12 +169,7 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
     combine = math.prod if mixed.terms else sum
     mag = abs(scale)
     raw_floor = max(floor / mag, 1e-300)
-    prev: complex | None = None
-    value = 0.0 + 0.0j
-    est_error = math.inf
-    spent = 0
-    passes = 0
-    panels_total = 0
+    spent = passes = panels_total = 0
     stop = "max_passes"
 
     profiles = [_axis_profile(phi, ax, box) for ax in range(phi.nvars)]
@@ -186,13 +188,12 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
         passes += 1
         raw = _pass_value(parts, mixed, h_eff, amp_fns, axes)
         panels_total += combine(a[2] for a in axes)
+        # the pass pair the returned value comes from; the coarsest pass has none
+        est_error = abs(raw - value) if s else math.inf
         value = raw
-        if prev is not None:
-            est_error = abs(raw - prev)
-            if est_error <= rel_tol * max(abs(raw), raw_floor):
-                stop = "converged"
-                break
-        prev = raw
+        if est_error <= rel_tol * max(abs(raw), raw_floor):
+            stop = "converged"
+            break
 
     return IntegralResult(
         value=scale * value,

@@ -9,6 +9,7 @@ gives for free: bound each term by |c| * |t|^a_axis * max|other|^a_other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +98,16 @@ class ThetaPoly:
         coords = [np.asarray(c, dtype=float) for c in coords]
         if len(coords) != self.nvars:
             raise ValueError("wrong number of coordinate arrays")
-        shape = np.broadcast_shapes(*(x.shape for x in coords))
-        total = np.zeros(shape)
+        total = np.zeros(np.broadcast_shapes(*(x.shape for x in coords)))
+        if self.nvars == 1:  # Horner, skipping the zero coefficients
+            coef = {a: c for c, (a,) in self.terms}
+            for a in range(max(coef, default=0), -1, -1):
+                total *= coords[0]
+                if a in coef:
+                    total += coef[a]
+            return total
         for c, e in self.terms:
-            term = np.full(shape, c)
-            for x, a in zip(coords, e):
-                if a:
-                    term = term * x**a
-            total += term
+            total += c * math.prod(x**a for x, a in zip(coords, e))
         return total
 
     def eval_outer(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -113,9 +116,7 @@ class ThetaPoly:
             raise ValueError("eval_outer needs a 2-variable polynomial")
         out = np.zeros((t1.size, t2.size))
         for c, (a1, a2) in self.terms:
-            col = t1**a1 if a1 else np.ones(t1.size)
-            row = t2**a2 if a2 else np.ones(t2.size)
-            out += c * np.outer(col, row)
+            out += np.outer(c * t1**a1, t2**a2)
         return out
 
     def abs_bound_profile(self, axis: int, box, t: np.ndarray) -> np.ndarray:

@@ -26,6 +26,29 @@ def test_bump_prime_matches_finite_difference():
     assert np.max(np.abs(fd - bump_prime(u))) < 1e-6
 
 
+def _bump_two_exp(u):
+    """The textbook smoothstep e^{-1/t} / (e^{-1/t} + e^{-1/(1-t)}), t = 2 - |u|."""
+    t = 2.0 - np.abs(np.asarray(u, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g0 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        g1 = np.where(1.0 - t > 0.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    return g0 / (g0 + g1)
+
+
+def test_bump_matches_two_exp_smoothstep():
+    u = np.concatenate([np.linspace(-2.5, 2.5, 20001), [1.0 + 1e-12, 2.0 - 1e-12]])
+    assert np.max(np.abs(bump(u) - _bump_two_exp(u))) <= 1e-15
+    inner = np.linspace(-1.0, 1.0, 2001)
+    assert np.all(bump(inner) == 1.0)
+    outer = np.concatenate([np.linspace(2.0, 5.0, 301), -np.linspace(2.0, 5.0, 301)])
+    assert np.all(bump(outer) == 0.0)
+    for u0, want in ((0.5, 1.0), (-1.0, 1.0), (2.0, 0.0), (-3.0, 0.0)):
+        assert np.shape(bump(u0)) == () and float(bump(u0)) == want
+    assert float(bump(1.5)) == pytest.approx(float(_bump_two_exp(1.5)), abs=1e-15)
+    # t = 1/2: chi = 1/2 and chi' = -chi (1 - chi) (1/t^2 + 1/(1-t)^2) = -2
+    assert float(bump_prime(1.5)) == pytest.approx(-2.0, rel=1e-14)
+
+
 def test_fixed_bump_examples():
     a = make_amplitude("fixed_bump", 0.0)
     for h in (1.0e-1, 1.0e-3):

@@ -170,7 +170,8 @@ def test_workers_do_not_change_bytes(tmp_path):
             out = tmp_path / f"{strategy}-w{workers}"
             cfg = RunConfig(experiment="supnorm", singularity="A2",
                             h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
-                            x_strategy=strategy, points_per_shell=2,
+                            x_strategy=strategy,
+                            points_per_shell=2 if strategy == "omega_shells" else 1,
                             workers=workers, out_dir=str(out))
             assert run(cfg) in (0, 1)
             summary = json.loads((out / "summary.json").read_text())
@@ -248,8 +249,7 @@ def test_fold_summary_reports_cost(tmp_path):
 
 
 def test_torus_ball_run(tmp_path):
-    cfg = RunConfig(experiment="torus", torus_mode="ball", torus_n=2,
-                    torus_delta=0.45, torus_delta_prime=0.5,
+    cfg = RunConfig(experiment="torus", torus_mode="ball", torus_n=2, torus_delta_prime=0.5,
                     j_min=2**10, j_max=2**22, out_dir=str(tmp_path))
     assert run(cfg) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -392,6 +392,10 @@ def _exit_status(argv) -> int:
     (["catalog", "--quick"], "--quick"),
     (["lemma62", {"rel_tol": 1e-3}], "config field 'rel_tol'"),
     (["lemma62", {"experiment": "fold"}], "config field 'experiment'"),
+    (["supnorm", "--points-per-shell", "3"], "points_per_shell"),
+    (["sweep", "--x-strategy", "origin_only", "--points-per-shell", "2"], "points_per_shell"),
+    (["torus", "--mode", "ball", "--delta-prime", "0.5", "--torus-delta", "0.9"],
+     "torus_delta"),
 ])
 def test_unread_settings_exit_2(tmp_path, capsys, argv, name):
     if isinstance(argv[-1], dict):

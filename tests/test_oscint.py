@@ -1,5 +1,6 @@
 """Quadrature engine: exact oracles, rescaling, symmetry, refinement behavior."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -48,6 +49,22 @@ def test_airy_frozen_oracle():
     res_pref = evaluate(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=1e-8))
     assert res_pref.abs_value == pytest.approx(h**-0.5 * AIRY_RAW_H01, rel=1e-9)
     assert res_pref.abs_value * h ** (1.0 / 6.0) == pytest.approx(AIRY_CONST, rel=0.05)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A3-", "A4", "A5"])
+def test_a_type_origin_against_closed_form(label):
+    # h^{-1/p} integral chi(s) e^{i c s^p/h} ds = integral e^{i c u^p} du + O(h^inf),
+    # which is 2 Gamma(1/p)/p |c|^{-1/p} times cos(pi/2p) (odd p) or e^{+-i pi/2p} (even p)
+    phase = build_phase(SingularityType.parse(label))
+    x = (0.0,) * phase.k0
+    ((c, (p,)),) = phase.theta_poly(x).terms
+    h = 2.0**-10
+    res = evaluate(IntegralSpec(phase, FIXED, x, h, rel_tol=1e-10, includes_prefactor=False))
+    mag = 2.0 * math.gamma(1.0 / p) / p * abs(c) ** (-1.0 / p)
+    exact = mag * (math.cos(math.pi / (2 * p)) if p % 2
+                   else cmath.exp(math.copysign(1.0, c) * 1j * math.pi / (2 * p)))
+    assert res.converged
+    assert abs(h ** (-1.0 / p) * res.value - exact) <= 1e-11 * abs(exact)
 
 
 def test_zero_amplitude_is_exactly_zero():
