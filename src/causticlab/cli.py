@@ -8,11 +8,11 @@ subcommand does not read is an invalid configuration.
 Exit status: 0 all expected-pass fits pass, 1 computational failure or
 inconclusive fits, 2 invalid configuration.
 
-Reports are byte-stable: an identical config gives identical CSV/JSON bytes
-regardless of worker count.  Every summary.json echoes the experiment and,
-under ``config``, the out directory and the fields its subcommand reads.  Wall
-time is printed to stdout and written to a sidecar (run.log; verify's
-per-criterion timings.json), never into the summary or the verify matrix.
+Reports are byte-stable: an identical config gives identical CSV/JSON bytes.
+Every summary.json echoes the experiment and, under ``config``, the out
+directory and the fields its subcommand reads.  Wall time is printed to
+stdout and written to a sidecar (run.log; verify's per-criterion
+timings.json), never into the summary or the verify matrix.
 Each verdict and its tolerance is defined once, in the library module that
 owns the experiment; the runners here wire a config to it and return the
 summary.
@@ -79,7 +79,6 @@ class RunConfig:
     j_min: int = 256
     j_max: int = 65536
     out_dir: str = "out"
-    workers: int = 1
     quick: bool = False
 
     @classmethod
@@ -174,8 +173,6 @@ def validate(cfg: RunConfig) -> None:
     if cfg.torus_mode == "dyadic" and cfg.j_max > ENUM_LIMITS["j"][cfg.torus_n]:
         raise ConfigError("j_max", f"exceeds the n = {cfg.torus_n} sphere enumeration "
                           f"bound {ENUM_LIMITS['j'][cfg.torus_n]}")
-    if cfg.workers < 1:
-        raise ConfigError("workers", "must be >= 1")
 
 
 def _h_grid(cfg: RunConfig, default: tuple[float, ...]) -> tuple[float, ...]:
@@ -266,7 +263,7 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     amp = _amplitude(cfg, dim=ph.k)
     plan = ScanPlan(ph, amp, _scan_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
                     points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
-                    eval_budget=cfg.eval_budget, workers=cfg.workers)
+                    eval_budget=cfg.eval_budget)
     result = supnorm_scan(plan)
     tol = cfg.tolerance if cfg.tolerance is not None else order_tolerance("supnorm", ph)
     fit = fit_exponent(result.sup_rows, caustic_order(t), tol)
@@ -289,7 +286,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                               tolerance=cfg.tolerance, rel_tol=cfg.rel_tol,
                               x_strategy=cfg.x_strategy,
                               points_per_shell=cfg.points_per_shell,
-                              eval_budget=cfg.eval_budget, workers=cfg.workers)
+                              eval_budget=cfg.eval_budget)
     write_csv(out / "sweep.csv",
               ["delta", "slope", "r_squared", "reference", "verdict", "exploratory"],
               [[e.delta, e.fit.slope, e.fit.r_squared, fmt_fraction(e.fit.reference),
@@ -409,7 +406,7 @@ class Subcommand(NamedTuple):
 AMPLITUDE = ("amplitude", "delta", "width_exponent", "center")
 H_GRID = ("h_start", "h_stop", "h_points")
 SCAN = ("singularity", *H_GRID, "x_strategy", "points_per_shell", "rel_tol", "tolerance",
-        "eval_budget", "workers")
+        "eval_budget")
 SUBCOMMANDS = {
     "catalog": Subcommand("catalog_dump", _run_catalog, ()),
     "symbols": Subcommand("symbol_check", _run_symbols, (*AMPLITUDE, *H_GRID)),
@@ -428,7 +425,7 @@ _SUBCOMMAND_OF = {s.experiment: name for name, s in SUBCOMMANDS.items()}
 # Command-line flag -> RunConfig field; the field's annotation gives the value
 # type.  --deltas takes a comma-separated list, --quick no value.
 FLAGS = {
-    "--out": "out_dir", "--workers": "workers", "--quick": "quick",
+    "--out": "out_dir", "--quick": "quick",
     "--type": "singularity", "--amplitude": "amplitude", "--delta": "delta",
     "--width-exponent": "width_exponent", "--center": "center", "--deltas": "deltas",
     "--h-start": "h_start", "--h-stop": "h_stop", "--h-points": "h_points",
@@ -491,8 +488,13 @@ def config_from_args(argv) -> RunConfig:
     settable = ("out_dir", *SUBCOMMANDS[ns.command].fields)
     data: dict = {}
     if ns.config:
-        with open(ns.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(ns.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError("config", f"cannot parse JSON ({e})") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError("config", f"cannot read {ns.config!r} ({e})") from None
         if not isinstance(data, dict):
             raise ConfigError("config", "the file must hold a JSON object")
         stray = sorted(set(data) - set(settable))
@@ -509,9 +511,6 @@ def main(argv=None) -> int:
         cfg = config_from_args(argv if argv is not None else sys.argv[1:])
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"invalid config: cannot parse JSON ({e})", file=sys.stderr)
         return 2
     return run(cfg)
 

@@ -13,10 +13,12 @@ The sharp sup-norm exponent for a delta-concentrated fold family is
 
 and each family is run with its own displayed phase.  ||u_h||_2 comes from
 the coefficient side: the map a -> u is (2 pi h)^{1/2} times an isometry, so
-||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}; sup|u_h| is scanned over
-x = 0 plus shells at the caustic scale h^{2/3}.  Fitting log(sup/||u||_2)
-against log(1/h) per delta and locating the best two-segment breakpoint of
-the slope-vs-delta curve turns the regime change into one scalar test.
+||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}; sup|u_h| is taken over
+x = 0 plus offsets at the caustic scale h^{2/3} by ``scaling.sup_step``, the
+step every sup-norm scan uses, so the offsets converge against |u_h(0)| as a
+scan's shells do against |I(0; h)|.  Fitting log(sup/||u||_2) against
+log(1/h) per delta and locating the best two-segment breakpoint of the
+slope-vs-delta curve turns the regime change into one scalar test.
 
 ``lemma_62_suite`` cross-checks the two exact integrals behind the
 above-threshold estimate (see ``oscint.m_alpha`` and
@@ -27,7 +29,7 @@ eps-blowup exponents (3/2 and 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +37,9 @@ from scipy.integrate import quad
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
-from .oscint import IntegralSpec, evaluate, m_alpha, weighted_cauchy
+from .oscint import IntegralResult, IntegralSpec, m_alpha, weighted_cauchy
 from .polys import ThetaPoly
-from .scaling import ExponentFit, fit_exponent, SupRow, geometric_grid
+from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_step, work_cost
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
 DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
@@ -102,13 +104,6 @@ class FoldRow:
     sup_abs: float
     l2: float
     ratio: float
-    evaluations: int  # the x offsets evaluated at this h
-    nodes: int
-    unconverged: int
-
-    @property
-    def converged(self) -> bool:
-        return self.unconverged == 0
 
 
 @dataclass(frozen=True)
@@ -116,13 +111,11 @@ class FoldRun:
     experiment: FoldExperiment
     rows: tuple[FoldRow, ...]
     fit: ExponentFit
+    evaluations: tuple[IntegralResult, ...] = ()  # what cost counts
 
     @property
     def cost(self) -> dict:
-        """Hardware-independent work counters, as in ScanResult.cost."""
-        return {"evaluations": sum(r.evaluations for r in self.rows),
-                "nodes": sum(r.nodes for r in self.rows),
-                "unconverged": sum(r.unconverged for r in self.rows)}
+        return work_cost(self.evaluations)
 
 
 def l2_from_coefficients(exp: FoldExperiment, h: float) -> float:
@@ -139,20 +132,19 @@ def _x_offsets(h: float) -> list[float]:
 def run_fold(exp: FoldExperiment) -> FoldRun:
     """sup/L2 ratio per h and its exponent fit against sharp_exponent(delta)."""
     phase, amp = exp.phase, exp.amplitude
-    rows = []
+    rows, sup_rows, evaluations = [], [], []
     for h in exp.h_grid:
-        results = [evaluate(IntegralSpec(phase, amp, (x,), h, rel_tol=exp.rel_tol,
-                                         includes_prefactor=False, budget=exp.eval_budget))
-                   for x in _x_offsets(h)]
-        best = max(res.abs_value for res in results)
+        origin, *others = [(x,) for x in _x_offsets(h)]
+        results, sup = sup_step(
+            IntegralSpec(phase, amp, origin, h, rel_tol=exp.rel_tol,
+                         includes_prefactor=False, budget=exp.eval_budget), others)
         l2 = l2_from_coefficients(exp, h)
-        rows.append(FoldRow(exp.delta, h, best, l2, best / l2, len(results),
-                            sum(res.nodes for res in results),
-                            sum(not res.converged for res in results)))
+        rows.append(FoldRow(exp.delta, h, sup.sup_abs, l2, sup.sup_abs / l2))
+        sup_rows.append(replace(sup, sup_abs=sup.sup_abs / l2))
+        evaluations += results
     ref = sharp_exponent(Fraction(exp.delta).limit_denominator(10**6))
-    sup_rows = [SupRow(r.h, r.ratio, (0.0,), r.converged) for r in rows]
     fit = fit_exponent(sup_rows, ref, exp.tolerance)
-    return FoldRun(exp, tuple(rows), fit)
+    return FoldRun(exp, tuple(rows), fit, tuple(evaluations))
 
 
 def two_segment_breakpoint(deltas, slopes, grid_step: float = 0.01,

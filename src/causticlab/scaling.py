@@ -7,28 +7,30 @@ h to 1, points x_j = lambda^{1-s_j} y_j with y on the unit shell
     boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
 
 sampled by sign patterns times a fixed simplex grid in the |y_j|^{1/(1-s_j)}
-coordinates.  The origin of every h is evaluated first; every other candidate
-is then judged converged once its successive-pass change is within
-rel_tol * max(|I(x; h)|, |I(0; h)|).  The origin is always a candidate, so
-sup_h >= |I(0; h)| and that floor is never looser than rel_tol times the sup,
-while shadow-side points whose |I| is O(h^inf) stop spending their budget on
-digits that cannot move it.  The fitted exponent of log(sup |I|) against
-log(1/h) is then compared with a reference rational (the caustic order, or a
-regime formula) to produce a pass/fail/inconclusive verdict.
+coordinates.  The scan is a serial loop over h, and ``sup_step`` takes each
+sup, here and in the fold experiment: it evaluates the origin first, then
+judges every other point converged once its successive-pass change is within
+rel_tol * max(|I(x; h)|, |I(0; h)|) (the floor is 0 if the origin did not
+converge).  The origin is always a candidate, so sup_h >= |I(0; h)| and that
+floor is never looser than rel_tol times the sup, while points whose |I| is
+far below it (shadow-side points where |I| is O(h^inf), fold offsets away from
+the caustic) stop spending their budget on digits that cannot move it.  The
+fitted exponent of log(sup |I|) against log(1/h) is then compared with a
+reference rational (the caustic order, or a regime formula) to produce a
+pass/fail/inconclusive verdict.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import PhaseFunction, SingularityType, build_phase, caustic_order, threshold
-from .oscint import IntegralSpec, evaluate
+from .oscint import IntegralResult, IntegralSpec, evaluate
 
 DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
 # Default |slope - kappa| of an order fit, by experiment and the number of phase
@@ -54,7 +56,6 @@ class ScanPlan:
     points_per_shell: int = 1
     rel_tol: float = 1e-6
     eval_budget: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         hs = self.h_grid
@@ -93,10 +94,15 @@ class ScanResult:
 
     @property
     def cost(self) -> dict:
-        """Hardware-independent work counters; deterministic for a fixed plan."""
-        return {"evaluations": len(self.rows),
-                "nodes": sum(r.nodes for r in self.rows),
-                "unconverged": sum(not r.converged for r in self.rows)}
+        return work_cost(self.rows)
+
+
+def work_cost(evaluations) -> dict:
+    """Hardware-independent work counters of some evaluations (anything with
+    ``nodes`` and ``converged``); deterministic for a fixed plan."""
+    return {"evaluations": len(evaluations),
+            "nodes": sum(e.nodes for e in evaluations),
+            "unconverged": sum(not e.converged for e in evaluations)}
 
 
 @dataclass(frozen=True)
@@ -159,49 +165,35 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     return points
 
 
-def _eval_spec(spec: IntegralSpec):
-    return evaluate(spec)
+def sup_step(origin: IntegralSpec, others) -> tuple[list[IntegralResult], SupRow]:
+    """Evaluate I at the origin spec, then at each x of ``others``; the sup of |I|.
 
-
-def _pmap(func, items, workers: int):
-    if workers <= 1 or not items:
-        return [func(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * workers))))
+    The other points share the origin's spec but for x, and use its |I(0; h)|
+    as convergence floor (0 if the origin did not converge).  The results come
+    in the order evaluated, origin first; the SupRow names the first x of the
+    largest |I|.
+    """
+    first = evaluate(origin)
+    floor = first.abs_value if first.converged else 0.0
+    results = [first] + [evaluate(replace(origin, x=x, floor=floor)) for x in others]
+    best_x, best = max(zip([origin.x, *others], results), key=lambda p: p[1].abs_value)
+    return results, SupRow(origin.h, best.abs_value, best_x,
+                           all(r.converged for r in results))
 
 
 def supnorm_scan(plan: ScanPlan) -> ScanResult:
-    """Evaluate |I| on the plan's candidate set and record the sup per h.
-
-    Two rounds: the origins of all h, then every other candidate with its
-    converged origin's |I(0; h)| as convergence floor (0 if it did not converge).
-    """
-    def spec(h, x, floor):
-        return IntegralSpec(plan.phase, plan.amplitude, x, h, rel_tol=plan.rel_tol,
-                            includes_prefactor=True, budget=plan.eval_budget, floor=floor)
-
-    def row(h, point, res):
-        lam, x, y_idx = point
-        return ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error,
-                       res.converged, res.nodes)
-
-    points = {h: _candidate_points(plan, h) for h in plan.h_grid}
-    origins = _pmap(_eval_spec, [spec(h, pts[0][1], 0.0) for h, pts in points.items()],
-                    plan.workers)
-    shells = [(h, point, origin.abs_value if origin.converged else 0.0)
-              for (h, pts), origin in zip(points.items(), origins) for point in pts[1:]]
-    shell_results = _pmap(_eval_spec, [spec(h, point[1], floor)
-                                       for h, point, floor in shells], plan.workers)
-    # a stable sort on the decreasing h puts each origin back ahead of its shells
-    rows = sorted([row(h, pts[0], res) for (h, pts), res in zip(points.items(), origins)]
-                  + [row(h, point, res) for (h, point, _), res in zip(shells, shell_results)],
-                  key=lambda r: -r.h)
-    sup_rows = []
+    """Evaluate |I| on the plan's candidate set and record the sup per h."""
+    rows, sup_rows = [], []
     for h in plan.h_grid:
-        here = [r for r in rows if r.h == h]
-        best = max(here, key=lambda r: r.abs_value)
-        sup_rows.append(SupRow(h, best.abs_value, best.x,
-                               all(r.converged for r in here)))
+        points = _candidate_points(plan, h)
+        origin = IntegralSpec(plan.phase, plan.amplitude, points[0][1], h,
+                              rel_tol=plan.rel_tol, includes_prefactor=True,
+                              budget=plan.eval_budget)
+        results, sup = sup_step(origin, [x for _, x, _ in points[1:]])
+        rows += [ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error,
+                         res.converged, res.nodes)
+                 for (lam, x, y_idx), res in zip(points, results)]
+        sup_rows.append(sup)
     return ScanResult(tuple(rows), tuple(sup_rows))
 
 
@@ -256,7 +248,7 @@ class SweepEntry:
 def threshold_sweep(t: SingularityType, deltas, h_grid, *,
                     tolerance: float | None = None, rel_tol: float = 1e-6,
                     x_strategy: str = "origin_only", points_per_shell: int = 1,
-                    eval_budget: int | None = None, workers: int = 1) -> list[SweepEntry]:
+                    eval_budget: int | None = None) -> list[SweepEntry]:
     """Scan one type across delta values with matching narrow-bump amplitudes.
 
     Below (and at) the type's threshold the fit is compared against the
@@ -273,7 +265,7 @@ def threshold_sweep(t: SingularityType, deltas, h_grid, *,
         amp = make_amplitude("narrow_bump", float(d), dim=phase.k)
         plan = ScanPlan(phase, amp, tuple(h_grid), x_strategy=x_strategy,
                         points_per_shell=points_per_shell, rel_tol=rel_tol,
-                        eval_budget=eval_budget, workers=workers)
+                        eval_budget=eval_budget)
         result = supnorm_scan(plan)
         fit = fit_exponent(result.sup_rows, ref, tolerance)
         out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result.cost))

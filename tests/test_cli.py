@@ -112,13 +112,11 @@ def test_config_echo_holds_only_the_subcommand_fields(tmp_path, argv):
 
 def test_flag_parsing_overrides():
     cfg = config_from_args(["supnorm", "--type", "A3", "--delta", "0.2",
-                            "--h-points", "7", "--out", "/tmp/x",
-                            "--workers", "2"])
+                            "--h-points", "7", "--out", "/tmp/x"])
     assert cfg.experiment == "supnorm"
     assert cfg.singularity == "A3"
     assert cfg.delta == 0.2
     assert cfg.h_points == 7
-    assert cfg.workers == 2
 
 
 def test_config_file_then_flags_win(tmp_path):
@@ -161,23 +159,6 @@ def test_repeat_run_byte_identical(tmp_path):
     second = {p.name: p.read_bytes()
               for p in sorted((tmp_path / "rep").iterdir()) if p.suffix != ".log"}
     assert first == second
-
-
-def test_workers_do_not_change_bytes(tmp_path):
-    for strategy in ("origin_only", "omega_shells"):
-        outs = {}
-        for workers in (1, 2):
-            out = tmp_path / f"{strategy}-w{workers}"
-            cfg = RunConfig(experiment="supnorm", singularity="A2",
-                            h_start=2.0**-4, h_stop=2.0**-8, h_points=5,
-                            x_strategy=strategy,
-                            points_per_shell=2 if strategy == "omega_shells" else 1,
-                            workers=workers, out_dir=str(out))
-            assert run(cfg) in (0, 1)
-            summary = json.loads((out / "summary.json").read_text())
-            del summary["config"]  # echoes the worker count
-            outs[workers] = ((out / "scan.csv").read_bytes(), summary)
-        assert outs[1] == outs[2], strategy
 
 
 def test_lemma62_run(tmp_path):
@@ -285,6 +266,21 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, content, fieldname):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"h_points": "\xff"}'),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, make):
+    cfg_file = tmp_path / "cfg.json"
+    make(cfg_file)
+    status = main(["supnorm", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "config field 'config'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     # ball and dyadic are the only modes; "sphere" used to run the dyadic search
     assert main(["torus", "--mode", "sphere", "--out", str(tmp_path / "o")]) == 2
@@ -338,9 +334,9 @@ _AMPLITUDE = ["--amplitude", "--delta", "--width-exponent", "--center"]
 GOLDEN_FLAGS = {
     "catalog": [],
     "symbols": [*_AMPLITUDE, *_H],
-    "supnorm": ["--workers", "--type", *_AMPLITUDE, *_H, "--x-strategy",
+    "supnorm": ["--type", *_AMPLITUDE, *_H, "--x-strategy",
                 "--points-per-shell", "--rel-tol", "--tolerance", "--budget"],
-    "sweep": ["--workers", "--type", "--deltas", *_H, "--x-strategy", "--points-per-shell",
+    "sweep": ["--type", "--deltas", *_H, "--x-strategy", "--points-per-shell",
               "--rel-tol", "--tolerance", "--budget"],
     "torus": ["--n", "--mode", "--torus-delta", "--delta-prime", "--omega", "--j-min",
               "--j-max"],
@@ -362,7 +358,7 @@ def test_subcommand_flags_golden():
     assert list(flags) == list(SUBCOMMANDS)
     assert flags == {name: ["--config", "--out", *golden]
                      for name, golden in GOLDEN_FLAGS.items()}
-    assert sum(len(f) - 1 for f in flags.values()) == 55  # not counting --config
+    assert sum(len(f) - 1 for f in flags.values()) == 53  # not counting --config
 
 
 def test_readme_flag_table_matches_parser():
@@ -396,6 +392,8 @@ def _exit_status(argv) -> int:
     (["sweep", "--x-strategy", "origin_only", "--points-per-shell", "2"], "points_per_shell"),
     (["torus", "--mode", "ball", "--delta-prime", "0.5", "--torus-delta", "0.9"],
      "torus_delta"),
+    (["supnorm", "--workers", "2"], "--workers"),
+    (["sweep", "--workers", "2"], "--workers"),
 ])
 def test_unread_settings_exit_2(tmp_path, capsys, argv, name):
     if isinstance(argv[-1], dict):
@@ -464,7 +462,7 @@ GOLDEN_OPTIONS = {
     "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "includes_prefactor",
                      "budget", "floor"],
     "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "points_per_shell",
-                 "rel_tol", "eval_budget", "workers"],
+                 "rel_tol", "eval_budget"],
     "FoldExperiment": ["delta", "h_grid", "rel_tol", "tolerance", "eval_budget"],
     "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "declared_order", "center", "width_exponent",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, fold_curve,
+from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, _x_offsets, fold_curve,
                              l2_from_coefficients, lemma_62_suite, run_fold,
                              sharp_exponent, two_segment_breakpoint)
 from causticlab.oscint import IntegralSpec, evaluate, m_alpha
@@ -93,6 +93,32 @@ def test_run_fold_above_slope_and_origin_saturation():
                                        rel_tol=1e-7, includes_prefactor=False))
         row = next(r for r in run.rows if r.h == h)
         assert origin.abs_value == pytest.approx(row.sup_abs, rel=1e-9)
+
+
+def test_fold_offsets_converge_against_the_origin():
+    # every offset stops once its pass-to-pass change is within rel_tol of
+    # max(|I(x; h)|, |I(0; h)|), as a scan's shells do; the sups stay those of
+    # offsets each converged to rel_tol of their own size
+    exp = FoldExperiment(1.0, QUICK_GRID)
+    run = run_fold(exp)
+    floored, own = [], []
+    for h, row in zip(QUICK_GRID, run.rows):
+        def at(x, floor):
+            return evaluate(IntegralSpec(exp.phase, exp.amplitude, (x,), h,
+                                         rel_tol=exp.rel_tol, includes_prefactor=False,
+                                         floor=floor))
+        origin, *offsets = _x_offsets(h)
+        first = at(origin, 0.0)
+        floor = first.abs_value if first.converged else 0.0
+        here = [first] + [at(x, floor) for x in offsets]
+        alone = [first] + [at(x, 0.0) for x in offsets]
+        assert row.sup_abs == max(r.abs_value for r in alone)
+        floored += here
+        own += alone
+    assert run.cost == {"evaluations": len(floored),
+                        "nodes": sum(r.nodes for r in floored),
+                        "unconverged": sum(not r.converged for r in floored)}
+    assert run.cost["nodes"] < sum(r.nodes for r in own)
 
 
 def test_threshold_families_agree():
