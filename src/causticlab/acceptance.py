@@ -47,12 +47,11 @@ class CriterionResult:
     cid: str
     name: str
     passed: bool
-    skipped: bool = False
     details: dict = field(default_factory=dict)
 
     @property
     def status(self) -> str:
-        return "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
+        return "PASS" if self.passed else "FAIL"
 
 
 # Orders kappa and thresholds delta0, by label: the tabulated constants.
@@ -149,9 +148,7 @@ def crit03_quadrature_oracles(seed: int = 2024) -> CriterionResult:
                                     "fresnel_rel": fresnel_err})
 
 
-def crit08_e_series_boundedness(quick: bool = False) -> CriterionResult:
-    if quick:
-        return CriterionResult("C08", "E-series boundedness", False, skipped=True)
+def crit08_e_series_boundedness() -> CriterionResult:
     det = {}
     ok = True
     for label in ("E6", "E7", "E8"):
@@ -231,7 +228,6 @@ class CommandRow:
 
     name: str
     commands: tuple[str, ...]  # each a ``causticlab`` argv, space-separated
-    slow: bool = False  # 2D scans, skipped under --quick
 
     def run(self, cid: str) -> CriterionResult:
         details = {}
@@ -276,8 +272,7 @@ ALL_CRITERIA = {
                       ("sweep --type A2 --deltas 0.1,0.2,0.3,0.3333333333333333",)),
     # pinned, looser than the 0.03 of ORDER_TOLERANCE
     "C06": CommandRow("A3 order 1/4", ("supnorm --type A3 --tolerance 0.04",)),
-    "C07": CommandRow("D4+- order 1/3 (2D)", ("supnorm --type D4-", "supnorm --type D4+"),
-                      slow=True),
+    "C07": CommandRow("D4+- order 1/3 (2D)", ("supnorm --type D4-", "supnorm --type D4+")),
     "C08": crit08_e_series_boundedness,
     "C09": CommandRow("fold regime change", ("fold --rel-tol 1e-07",)),
     "C10": crit10_torus_exact,
@@ -293,10 +288,6 @@ ALL_CRITERIA = {
 }
 
 
-def run_criterion(cid: str, quick: bool = False) -> CriterionResult:
+def run_criterion(cid: str) -> CriterionResult:
     check = ALL_CRITERIA[cid]
-    if not isinstance(check, CommandRow):
-        return check(quick=quick) if cid == "C08" else check()
-    if quick and check.slow:
-        return CriterionResult(cid, check.name, False, skipped=True)
-    return check.run(cid)
+    return check.run(cid) if isinstance(check, CommandRow) else check()

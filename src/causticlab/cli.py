@@ -79,7 +79,6 @@ class RunConfig:
     j_min: int = 256
     j_max: int = 65536
     out_dir: str = "out"
-    quick: bool = False
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -98,7 +97,7 @@ class RunConfig:
 
 # Python types a config value may have, by its RunConfig annotation
 # (annotations are strings here); JSON integers are accepted as floats.
-_VALUE_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+_VALUE_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 def _has_type(value, annotation: str) -> bool:
@@ -107,8 +106,8 @@ def _has_type(value, annotation: str) -> bool:
         return rest == "None"
     if base == "tuple[float, ...]":
         return isinstance(value, (list, tuple)) and all(_has_type(v, "float") for v in value)
-    if isinstance(value, bool):
-        return base == "bool"
+    if isinstance(value, bool):  # a JSON true/false is no number
+        return False
     return isinstance(value, _VALUE_TYPES[base])
 
 
@@ -384,17 +383,17 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[int, None]:
     seconds = {}
     for cid in sorted(acceptance.ALL_CRITERIA):
         t0 = time.time()
-        res = acceptance.run_criterion(cid, quick=cfg.quick)
+        res = acceptance.run_criterion(cid)
         results.append(res)
         seconds[res.cid] = round(time.time() - t0, 3)
         print(f"{res.cid} {res.name}: {res.status}  ({seconds[res.cid]:.1f}s)")
     write_json(out / "verify_matrix.json", {
-        "experiment": "verify", "quick": cfg.quick,
+        "experiment": "verify",
         "criteria": [{"id": r.cid, "name": r.name, "status": r.status,
                       "details": r.details} for r in results],
     })
     write_json(out / "timings.json", seconds)
-    return 0 if all(r.passed or r.skipped for r in results) else 1, None
+    return 0 if all(r.passed for r in results) else 1, None
 
 
 class Subcommand(NamedTuple):
@@ -417,15 +416,15 @@ SUBCOMMANDS = {
     "fold": Subcommand("fold", _run_fold,
                        ("deltas", *H_GRID, "rel_tol", "tolerance", "eval_budget")),
     "lemma62": Subcommand("lemma62", _run_lemma62, ()),
-    "verify": Subcommand("verify", _run_verify, ("quick",)),
+    "verify": Subcommand("verify", _run_verify, ()),
 }
 _SUBCOMMAND_OF = {s.experiment: name for name, s in SUBCOMMANDS.items()}
 
 
 # Command-line flag -> RunConfig field; the field's annotation gives the value
-# type.  --deltas takes a comma-separated list, --quick no value.
+# type.  --deltas takes a comma-separated list.
 FLAGS = {
-    "--out": "out_dir", "--quick": "quick",
+    "--out": "out_dir",
     "--type": "singularity", "--amplitude": "amplitude", "--delta": "delta",
     "--width-exponent": "width_exponent", "--center": "center", "--deltas": "deltas",
     "--h-start": "h_start", "--h-stop": "h_stop", "--h-points": "h_points",
@@ -476,10 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, dest in FLAGS.items():
             if dest not in ("out_dir", *subcommand.fields):
                 continue
-            if types[dest] == "bool":
-                p.add_argument(flag, dest=dest, action="store_true", default=None)
-            else:
-                p.add_argument(flag, dest=dest, type=parse[types[dest]], default=None)
+            p.add_argument(flag, dest=dest, type=parse[types[dest]], default=None)
     return ap
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
@@ -217,6 +216,8 @@ class Lemma62Report:
 
 
 def _quad_first(x: float, eps: float) -> float:
+    from scipy.integrate import quad  # here, not at load: it is most of the CLI's import time
+
     f = lambda t: 1.0 / ((x - t * t) ** 2 + eps * eps)
     cut = 2.0 * max(1.0, math.sqrt(abs(x)) + 1.0)
     pts = [-math.sqrt(x), math.sqrt(x)] if x > 0 else None
@@ -227,6 +228,8 @@ def _quad_first(x: float, eps: float) -> float:
 
 
 def _quad_second(x: float, eps: float) -> float:
+    from scipy.integrate import quad
+
     # substitute u = t^2: integral du / ((x-u)^2 + eps^2) over [0, inf)
     f = lambda u: 1.0 / ((x - u) ** 2 + eps * eps)
     cut = 2.0 * max(1.0, abs(x) + 1.0)

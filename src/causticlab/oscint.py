@@ -17,10 +17,16 @@ cos and sin of the real phase, written into the two parts of one complex array.
 
 For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
 axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
-the amplitude factor times the Gauss weight, and only the terms that mix the
-two variables are evaluated on the tensor grid, in column blocks.  With no
-mixed term the double integral is the product of the two axis sums; k = 1 is
-that case with a single axis.
+the amplitude factor times the Gauss weight.  With no mixed term the double
+integral is the product of the two axis sums; k = 1 is that case with a single
+axis.  Every catalog phase mixes the variables as theta1^p G(theta2), so a
+coupled pass is the type-3 nonuniform Fourier sum sum_ij u1_i u2_j
+e^{i a_i omega_j}, a = theta1^p, omega = G(theta2) / h.  Gaussian gridding
+(Greengard & Lee, SIAM Rev. 46, 2004; Lee & Greengard, J. Comput. Phys. 206,
+2005) evaluates it with two spreads and one FFT in O((N1 + N2) w + M log M)
+time, not N1 N2 exponentials, to within 1e-14 sum|u1| sum|u2| by closed-form
+constants: below the dense sum's own round-off, so est_error has no term for
+it.  ``nodes`` still counts the N1 N2 points of the rule.
 
 Also hosts the closed-form companions of the two fold-regime integrals:
 
@@ -51,6 +57,16 @@ REFINE_FACTOR = math.sqrt(2.0)  # node-density growth from one pass to the next
 MAX_PASSES = 14
 PROFILE_SAMPLES = 513  # samples of the frequency-bound profile per axis
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)  # on [-1, 1]
+# ``_type3_sum``'s constants, t = tau X^2 and u = tau1 M^2, hold each of its four
+# error terms to e^-NUFFT_LOG_EPS = 2.1e-15 of sum|u1| sum|u2|: eta-grid aliasing
+# e^{-8t}, eta spread truncation e^{t - pi^2 half^2 / (16t)}, a-grid aliasing
+# e^{t - u/2} and a-grid spread truncation e^{t + u/16 - pi^2 half^2 / u}.
+NUFFT_LOG_EPS = 33.8
+NUFFT_TAU_X2 = NUFFT_LOG_EPS / 8.0  # t
+NUFFT_TAU1_M2 = 2.0 * (NUFFT_TAU_X2 + NUFFT_LOG_EPS)  # u
+NUFFT_ETA_HALF = math.ceil(4.0 * math.sqrt(NUFFT_TAU_X2 * (NUFFT_TAU_X2 + NUFFT_LOG_EPS)) / math.pi)
+NUFFT_A_HALF = math.ceil(
+    math.sqrt(NUFFT_TAU1_M2 * (NUFFT_TAU1_M2 / 16.0 + NUFFT_TAU_X2 + NUFFT_LOG_EPS)) / math.pi)
 
 
 @dataclass(frozen=True)
@@ -119,15 +135,62 @@ def _axis_profile(phi: ThetaPoly, axis: int, box) -> tuple[np.ndarray, np.ndarra
     return g, tgrid
 
 
-def _pass_value(parts: tuple[ThetaPoly, ...], mixed: ThetaPoly, h_eff: float, amp_fns,
-                axes, block_elems: int = 2_000_000) -> complex:
+def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
+                  half: int, size: int) -> np.ndarray:
+    """sum_i values_i e^{-(x_i - m step)^2 / (4 tau)} at grid index m (mod ``size``).
+
+    Each point reaches the 2 half + 1 grid points around its nearest one, m0, at
+    offsets from one rounding of x - m0 step: a large x then shifts its window
+    coherently, as a dense sum's phase error would, instead of scattering it.
+    """
+    m0 = np.rint(x / step)
+    k = np.arange(-half, half + 1)
+    w = np.exp(((x - m0 * step)[:, None] - k * step) ** 2 / (-4.0 * tau)) * values[:, None]
+    idx = ((m0.astype(np.int64)[:, None] + k) % size).ravel()
+    return (np.bincount(idx, w.real.ravel(), size)
+            + 1j * np.bincount(idx, w.imag.ravel(), size))
+
+
+def _type3_sum(u1: np.ndarray, a: np.ndarray, u2: np.ndarray,
+               omega: np.ndarray) -> complex:
+    """sum_i sum_j u1_i u2_j e^{i a_i omega_j} by Gaussian gridding (a type-3 NUFFT).
+
+    Centre a = a_c + ta (|ta| <= X) and omega = w_c + tw; the centres go into
+    v1 = u1 e^{i a w_c} and v2 = u2 e^{i a_c tw}.  With tau = NUFFT_TAU_X2 / X^2,
+    e^{i ta tw} = e^{tau ta^2} / sqrt(4 pi tau) sum_m d e^{-(tw - m d)^2 / (4 tau)}
+    e^{i ta m d} on the eta grid of step d = pi / (2X), up to aliasing at
+    e^{-8 tau X^2}.  So the sum is d / sqrt(4 pi tau) sum_m U_m F_m, where U_m is
+    v2 spread onto the eta grid and F_m = sum_i v1_i e^{tau ta_i^2} e^{i ta_i m d}
+    is a type-1 NUFFT: spread onto a periodic grid of M >= 2 (2 k_max + 1) points
+    at tau1 = NUFFT_TAU1_M2 / M^2, one inverse FFT, times sqrt(pi / tau1) e^{tau1 m^2}.
+    """
+    a_c, x_half = 0.5 * (a.max() + a.min()), 0.5 * (a.max() - a.min())
+    w_c = 0.5 * (omega.max() + omega.min())
+    ta, tw = a - a_c, omega - w_c
+    v1 = u1 * np.exp(1j * w_c * a)
+    v2 = u2 * np.exp(1j * a_c * tw)
+    tau = NUFFT_TAU_X2 / x_half**2
+    d = 0.5 * math.pi / x_half
+    k_max = math.ceil(np.abs(tw).max() / d) + NUFFT_ETA_HALF
+    size = 1 << (4 * k_max + 1).bit_length()  # M, a power of two
+    tau1 = NUFFT_TAU1_M2 / size**2
+    eta_side = _gauss_spread(tw, v2, d, tau, NUFFT_ETA_HALF, size)
+    a_side = np.fft.ifft(_gauss_spread(ta * d, v1 * np.exp(tau * ta**2), 2.0 * math.pi / size,
+                                       tau1, NUFFT_A_HALF, size))
+    k = np.fft.fftfreq(size, 1.0 / size)
+    a_side *= np.exp(tau1 * k**2)
+    return complex(eta_side @ a_side) * d / (2.0 * math.sqrt(tau * tau1))
+
+
+def _pass_value(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h_eff: float,
+                amp_fns, axes) -> complex:
     """One pass on the tensor grid of ``axes``, the (nodes, weights, panels) of each axis.
 
-    ``parts`` are the axes' own phase terms and ``mixed`` the rest (see
-    ``ThetaPoly.split_axes``).  The own terms go into the weights,
-    u = w * (a * e^{iP/h}); with no mixed term the pass is the product of the
-    axis sums, otherwise u1 * e^{iC/h} * u2 over column blocks of the grid,
-    which share one complex buffer.
+    ``parts`` are the axes' own phase terms and ``mixed`` = (p, G) the rest,
+    t1^p G(t2) (see ``ThetaPoly.split_axes``).  The own terms go into the
+    weights, u = w * (a * e^{iP/h}); with no mixed term the pass is the product
+    of the axis sums, otherwise the type-3 sum of u1, u2 at a = t1^p,
+    omega = G(t2) / h.
     """
     us = []
     for part, amp_fn, (nodes, weights, _) in zip(parts, amp_fns, axes):
@@ -140,22 +203,10 @@ def _pass_value(parts: tuple[ThetaPoly, ...], mixed: ThetaPoly, h_eff: float, am
         u *= amp
         u *= weights
         us.append(u)
-    if not mixed.terms:
+    p, g = mixed
+    if not g.terms:
         return math.prod(complex(np.sum(u)) for u in us)
-    n1, n2 = axes[0][0], axes[1][0]
-    u1, u2 = us
-    cols = min(n2.size, max(1, block_elems // max(1, n1.size)))
-    buf = np.empty(n1.size * cols, dtype=complex)
-    total = 0.0 + 0.0j
-    for start in range(0, n2.size, cols):
-        sl = slice(start, min(start + cols, n2.size))
-        phase = mixed.eval_outer(n1, n2[sl])
-        phase /= h_eff
-        block = buf[:phase.size].reshape(phase.shape)
-        np.cos(phase, out=block.real)
-        np.sin(phase, out=block.imag)
-        total += complex(u1 @ block @ u2[sl])
-    return total
+    return _type3_sum(us[0], axes[0][0] ** p, us[1], g(axes[1][0]) / h_eff)
 
 
 def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
@@ -166,7 +217,7 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
     """
     parts, mixed = phi.split_axes()
     # nodes and panels of a pass: the tensor grid when a term couples the axes
-    combine = math.prod if mixed.terms else sum
+    combine = math.prod if mixed[1].terms else sum
     mag = abs(scale)
     raw_floor = max(floor / mag, 1e-300)
     spent = passes = panels_total = 0

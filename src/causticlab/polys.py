@@ -78,13 +78,15 @@ class ThetaPoly:
             out.append((c * a, tuple(de)))
         return ThetaPoly(self.nvars, _merge(out))
 
-    def split_axes(self) -> tuple[tuple["ThetaPoly", ...], "ThetaPoly"]:
-        """Univariate part of each axis and the remainder whose terms mix variables.
+    def split_axes(self) -> tuple[tuple["ThetaPoly", ...], tuple[int, "ThetaPoly"]]:
+        """Univariate part of each axis and the terms that mix variables as (p, G).
 
-        p(t) = sum_i parts[i](t_i) + mixed(t); the constant term stays on axis 0.
+        self(t) = sum_i parts[i](t_i) + t_1^p * G(t_2); the constant term stays on
+        axis 0.  With no mixed term G is zero and p is 0.  Raises ValueError
+        when the mixed terms do not share one t_1 exponent p.
         """
         parts: list[list[Term]] = [[] for _ in range(self.nvars)]
-        mixed = []
+        mixed: list[Term] = []
         for c, e in self.terms:
             active = [j for j, a in enumerate(e) if a > 0]
             if len(active) > 1:
@@ -92,7 +94,11 @@ class ThetaPoly:
             else:
                 axis = active[0] if active else 0
                 parts[axis].append((c, (e[axis],)))
-        return tuple(ThetaPoly(1, _merge(p)) for p in parts), ThetaPoly(self.nvars, _merge(mixed))
+        if mixed and (self.nvars != 2 or len({e[0] for _, e in mixed}) > 1):
+            raise ValueError("mixed terms must be t1^p * G(t2) with one exponent p")
+        p = mixed[0][1][0] if mixed else 0
+        g = ThetaPoly(1, _merge([(c, (e[1],)) for c, e in mixed]))
+        return tuple(ThetaPoly(1, _merge(part)) for part in parts), (p, g)
 
     def __call__(self, *coords):
         coords = [np.asarray(c, dtype=float) for c in coords]
@@ -111,7 +117,9 @@ class ThetaPoly:
         return total
 
     def eval_outer(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        """Evaluate on the tensor grid t1 x t2 (2-variable polynomials only)."""
+        """Evaluate on the tensor grid t1 x t2 (2-variable polynomials only).
+
+        The engine no longer calls it; perfbench/tracer.py wraps it by name."""
         if self.nvars != 2:
             raise ValueError("eval_outer needs a 2-variable polynomial")
         out = np.zeros((t1.size, t2.size))

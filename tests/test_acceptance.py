@@ -1,33 +1,25 @@
 """Acceptance gate: every criterion at its pinned tolerance.
 
 One test per criterion; each prints a single status line (visible with -s or
-in the captured output on failure).  Set CAUSTICLAB_QUICK=1 to skip the slow
-2D criteria (C07, C08), mirroring the CLI's --quick flag; the default run
-includes everything.  A criterion that is a row of CLI commands reports each
-command's summary under its command string.
+in the captured output on failure).  A criterion that is a row of CLI
+commands reports each command's summary under its command string.
 """
 
-import os
 import re
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from causticlab import acceptance
 from causticlab.cli import config_from_args, validate
 
-QUICK = os.environ.get("CAUSTICLAB_QUICK", "") not in ("", "0")
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROWS = {cid: check for cid, check in acceptance.ALL_CRITERIA.items()
         if isinstance(check, acceptance.CommandRow)}
 
 
-def _check(cid: str, quick: bool = False):
-    res = acceptance.run_criterion(cid, quick=quick)
+def _check(cid: str):
+    res = acceptance.run_criterion(cid)
     print(f"{res.cid} {res.name}: {res.status}")
-    if res.skipped:
-        pytest.skip(f"{cid} skipped under quick mode")
     assert res.passed, f"{res.cid} {res.name} failed: {res.details}"
     return res
 
@@ -67,13 +59,13 @@ def test_c06_a3_order():
 
 
 def test_c07_d4_orders_2d():
-    res = _check("C07", quick=QUICK)
+    res = _check("C07")
     for label in ("D4-", "D4+"):
         assert abs(res.details[f"supnorm --type {label}"]["slope"] - 1.0 / 3.0) <= 0.06
 
 
 def test_c08_e_series_boundedness():
-    res = _check("C08", quick=QUICK)
+    res = _check("C08")
     for label in ("E6", "E7", "E8"):
         assert res.details[label]["spread"] <= 3.0
 

@@ -250,6 +250,15 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert "delta" in bad.stderr
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is most of the import time and only the Lemma 6.2 oracle needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, causticlab.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("content, fieldname", [
     ({"h_points": "6"}, "h_points"),
     ({"deltas": 0.5}, "deltas"),
@@ -342,7 +351,7 @@ GOLDEN_FLAGS = {
               "--j-max"],
     "fold": ["--deltas", *_H, "--rel-tol", "--tolerance", "--budget"],
     "lemma62": [],
-    "verify": ["--quick"],
+    "verify": [],
 }
 
 
@@ -358,7 +367,7 @@ def test_subcommand_flags_golden():
     assert list(flags) == list(SUBCOMMANDS)
     assert flags == {name: ["--config", "--out", *golden]
                      for name, golden in GOLDEN_FLAGS.items()}
-    assert sum(len(f) - 1 for f in flags.values()) == 53  # not counting --config
+    assert sum(len(f) - 1 for f in flags.values()) == 52  # not counting --config
 
 
 def test_readme_flag_table_matches_parser():
@@ -449,7 +458,7 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
                         {"C01": acceptance.crit01_catalog_exactness})
     assert run(RunConfig(experiment="verify", out_dir=str(tmp_path))) == 0
     matrix = json.loads((tmp_path / "verify_matrix.json").read_text())
-    assert matrix == {"experiment": "verify", "quick": False, "criteria": [
+    assert matrix == {"experiment": "verify", "criteria": [
         {"id": "C01", "name": "catalog exactness", "status": "PASS",
          "details": {"mismatches": [], "types": 19}}]}
     timings = json.loads((tmp_path / "timings.json").read_text())

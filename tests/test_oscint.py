@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from causticlab import oscint
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
 from causticlab.oscint import (MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate,
@@ -72,6 +73,11 @@ def test_zero_amplitude_is_exactly_zero():
     res = evaluate(IntegralSpec(A2, zero, (0.3,), 1e-2))
     assert res.value == 0.0
     assert res.converged
+    # and through a coupled 2D pass
+    zero = make_amplitude("custom", 0.0, dim=2, evaluator=lambda u, h: np.zeros_like(u))
+    d4 = build_phase(SingularityType.parse("D4-"))
+    res = evaluate(IntegralSpec(d4, zero, (0.1, -0.2, 0.05), 2.0**-6))
+    assert res.value == 0.0 and res.converged
 
 
 def test_spec_validation():
@@ -297,3 +303,77 @@ def test_fold_saturator_modulation_cancels_at_origin():
                                 rel_tol=1e-8, includes_prefactor=False))
     assert res.value.imag == pytest.approx(0.0, abs=1e-8)
     assert res.value.real == pytest.approx(3.0 * h ** (-(1 + d) / 4.0), rel=1e-9)
+
+
+LABELS_2D = ["D4+", "D4-", "D5", "D6+", "D6-", "D7", "D8+", "D8-", "E6", "E6-", "E7", "E8"]
+TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559005768")
+
+
+def _dense_type3_sum(u1, a, u2, omega):
+    """The coupled pass as a dense sum of every u1_i u2_j e^{i a_i omega_j}.
+
+    Each a_i omega_j is formed and reduced mod 2 pi in long double: in double
+    precision a phase of 10^5 rad is off by 1e-11 rad, which puts the dense
+    sum's own round-off above the NUFFT's error bound.
+    """
+    a = a.astype(np.longdouble)
+    total = 0.0 + 0.0j
+    for start in range(0, omega.size, 512):
+        cols = slice(start, start + 512)
+        phase = np.fmod(np.outer(a, omega[cols].astype(np.longdouble)), TWO_PI_LONG)
+        total += complex(u1 @ np.exp(1j * phase.astype(float)) @ u2[cols])
+    return total
+
+
+def test_type3_sum_within_its_closed_form_bound():
+    # off-centre a and omega, phases up to 10^5 radians, and a cross term too
+    # small to move the result (the 1e-30 cross coefficient case)
+    rng = np.random.default_rng(8)
+    for n1, n2, x_half, w_half in ((300, 500, 1.0, 40.0), (1500, 2500, 4.0, 2.5e4),
+                                   (400, 300, 3.0, 1e-28)):
+        a = rng.uniform(-x_half, x_half, n1) + rng.uniform(-2.0, 2.0)
+        omega = rng.uniform(-w_half, w_half, n2) + rng.uniform(-50.0, 50.0)
+        u1 = rng.normal(size=n1) + 1j * rng.normal(size=n1)
+        u2 = rng.normal(size=n2) + 1j * rng.normal(size=n2)
+        err = abs(oscint._type3_sum(u1, a, u2, omega) - _dense_type3_sum(u1, a, u2, omega))
+        assert err <= 1e-14 * np.abs(u1).sum() * np.abs(u2).sum()
+
+
+@pytest.mark.parametrize("label", LABELS_2D)
+def test_nufft_pass_against_dense_oracle(label, monkeypatch):
+    # the whole refinement loop twice: the engine, and the engine with the
+    # dense sum in place of the NUFFT; same panels, passes and stop reason
+    ph = build_phase(SingularityType.parse(label))
+    amp = make_amplitude("fixed_bump", dim=2)
+    rng = np.random.default_rng(sum(map(ord, label)))
+    for x in ((0.0,) * ph.k0, tuple(rng.uniform(-0.3, 0.3, ph.k0))):
+        spec = IntegralSpec(ph, amp, x, 2.0**-6, rel_tol=1e-6)
+        fast = evaluate(spec)
+        with monkeypatch.context() as m:
+            m.setattr(oscint, "_type3_sum", _dense_type3_sum)
+            dense = evaluate(spec)
+        assert abs(fast.value - dense.value) <= 1e-10 * abs(dense.value), (label, x)
+        assert (fast.nodes, fast.passes, fast.stop) == (dense.nodes, dense.passes, dense.stop)
+
+
+@pytest.mark.parametrize("label", ["E7", "D4+"])
+def test_first_pass_at_fine_h_against_dense_sum(label, monkeypatch):
+    calls = []
+    monkeypatch.setattr(oscint, "_type3_sum",
+                        lambda *args: calls.append(args) or 0.0j)
+    ph = build_phase(SingularityType.parse(label))
+    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), (0.0,) * ph.k0,
+                                2.0**-8, budget=1))
+    assert res.passes == 1 and len(calls) == 1
+    monkeypatch.undo()
+    fast, dense = oscint._type3_sum(*calls[0]), _dense_type3_sum(*calls[0])
+    assert abs(fast - dense) <= 1e-10 * abs(dense)
+
+
+@pytest.mark.parametrize("label, nodes, passes", [("E7", 4612608, 2), ("D4-", 1783296, 2)])
+def test_quadrature_rule_pinned(label, nodes, passes):
+    # the panel placement and pass count of the dense engine this one replaced
+    ph = build_phase(SingularityType.parse(label))
+    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), (0.0,) * ph.k0,
+                                2.0**-6))
+    assert (res.nodes, res.passes) == (nodes, passes)
