@@ -78,27 +78,49 @@ EXPECTED_TABLE = {
 }
 
 
+def _box_slabs(reach: int, n: int):
+    """Every point of the integer box [-reach, reach]^n, in slabs along the first axis.
+
+    A slab holds whole slices alpha_1 = const, at most 2^16 points or one slice.
+    """
+    m = 2 * reach + 1
+    rest = np.indices((m,) * (n - 1)).reshape(n - 1, m ** (n - 1)).T - reach
+    step = max(1, 2**16 // rest.shape[0])
+    for a in range(-reach, reach + 1, step):
+        lead = np.arange(a, min(a + step, reach + 1))
+        yield np.column_stack([np.repeat(lead, rest.shape[0]), np.tile(rest, (lead.size, 1))])
+
+
 def naive_ball_count(center, radius: float) -> int:
-    """Full-box oracle for ball counts (independent of the production path)."""
+    """Full-box oracle for ball counts (independent of the production path).
+
+    Counts sum (alpha_i - c_i)^2 < radius^2 exactly on the float values: a
+    point whose float squared distance lies within 1e-9 (relative) of
+    radius^2 is re-decided in Fractions.
+    """
     center = np.asarray(center, dtype=float)
-    n = center.size
     reach = int(math.floor(radius + float(np.max(np.abs(center))) + 1))
-    axes = [np.arange(-reach, reach + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    d2 = np.sum((grid - center[None, :]) ** 2, axis=1)
-    return int(np.count_nonzero(d2 < radius**2))
+    r2, band = radius**2, 1e-9 * (reach + 1) ** 2
+    exact_center, exact_r2 = [Fraction(c) for c in center.tolist()], Fraction(radius) ** 2
+    count = 0
+    for grid in _box_slabs(reach, center.size):
+        d2 = np.sum((grid - center[None, :]) ** 2, axis=1)
+        near = np.abs(d2 - r2) <= band
+        count += int(np.count_nonzero((d2 < r2) & ~near))
+        count += sum(sum((a - c) ** 2 for a, c in zip(p, exact_center)) < exact_r2
+                     for p in grid[near].tolist())
+    return count
 
 
 def naive_sphere_cap_count(n: int, j: int, omega, width: float) -> int:
     """Full-box oracle for sphere-cap counts."""
-    rad = math.isqrt(j)
-    axes = [np.arange(-rad, rad + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    on_sphere = np.sum(grid * grid, axis=1) == j
-    pts = grid[on_sphere].astype(float)
     center = math.sqrt(j) * np.asarray(omega, dtype=float)
-    d = np.sqrt(np.sum((pts - center[None, :]) ** 2, axis=1))
-    return int(np.count_nonzero(d <= width))
+    count = 0
+    for grid in _box_slabs(math.isqrt(j), n):
+        pts = grid[np.sum(grid * grid, axis=1) == j].astype(float)
+        d = np.sqrt(np.sum((pts - center[None, :]) ** 2, axis=1))
+        count += int(np.count_nonzero(d <= width))
+    return count
 
 
 def crit01_catalog_exactness() -> CriterionResult:

@@ -5,17 +5,21 @@ Counts are exact integer enumerations:
     ball_count        #{alpha in Z^n : |alpha - omega/h| < C h^{-mu}}
     sphere_cap_count  #{alpha in Z^n : |alpha|^2 = j, |alpha - sqrt(j) omega| <= C j^{mu/2}}
 
-The ball count walks the integer box one leading axis at a time and resolves
-the final axis by interval arithmetic.  Sphere caps come from one enumerator
-of the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha inside the cap
-of j = |alpha|^2}: it walks that set's bounding box, looping the leading axes
-and vectorizing the last two, reads j off each point as |alpha|^2 and applies
-the cap test of that j.  A single sphere is the case j_lo = j_hi = j; the
-dyadic search of the lower-bound argument runs it once per block (J, 2J] and
-bins the points by j, which gives every M(j) = sphere_cap_count of the block
-in one pass.  Each block's sum of M(j) is compared against the volume of the
-corresponding annular cap solid, and the maximizing j per block is selected,
-realizing M(j) >= c j^{(n-1)delta/2 - 1/2} along the selected sequence.
+The ball count walks the leading axes with a frontier of squared budgets
+radius^2 - sum (alpha_i - c_i)^2, one per admissible prefix, and counts the
+last axis as an open interval per prefix.  It is exact on the float center
+and radius: floats decide all points but those within a thin margin of the
+sphere, which are re-decided in Fractions (cap tests are still floats).
+Sphere caps come from one enumerator of the annular cap {alpha : j_lo <=
+|alpha|^2 <= j_hi, alpha inside the cap of j = |alpha|^2}: it walks that
+set's bounding box, looping the leading axes and vectorizing the last two,
+reads j off each point as |alpha|^2 and applies the cap test of that j.  A
+single sphere is the case j_lo = j_hi = j; the dyadic search of the
+lower-bound argument runs it once per block (J, 2J] and bins the points by j,
+which gives every M(j) = sphere_cap_count of the block in one pass.  Each
+block's sum of M(j) is compared against the volume of the corresponding
+annular cap solid, and the maximizing j per block is selected, realizing
+M(j) >= c j^{(n-1)delta/2 - 1/2} along the selected sequence.
 
 Convention: the torus carries normalized measure, so the exponentials
 e_alpha(x) = e^{-i alpha.x} are orthonormal and ||f||_2 = sqrt(sum |a|^2);
@@ -28,12 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 ENUM_LIMITS = {"radius": 1.0e4, "j": {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**5}}
 BALL_EXPONENT_TOLERANCE = 0.05
-SLAB_POINTS = 2**14  # box points per vectorized sphere-cap slab; bounds its memory
+SLAB_POINTS = 2**14  # points per vectorized slab of the cap and ball walks; bounds memory
 
 OMEGA_PRESETS = {
     # ball mode: Diophantine-flavored directions, no unit-length requirement
@@ -94,62 +99,68 @@ class CapQuery:
             raise ValueError(f"sphere-cap queries need |omega| = 1, got {norm}")
 
 
-def _interval_count(lo: float, hi: float) -> int:
-    """Integers in (lo, hi)."""
-    a = math.ceil(lo)
-    b = math.floor(hi)
-    if a == lo:
-        a += 1
-    if b == hi:
-        b -= 1
-    return max(0, b - a + 1)
+def _expand(chunks, c: float, margin: float):
+    """Extend every prefix by each integer a with (a - c)^2 < budget + margin.
+
+    A chunk is (budgets, coordinate columns of the prefixes).  Its ranges of a
+    are laid end to end and cut into slabs of SLAB_POINTS; each slab yields
+    the new budgets budget - (a - c)^2 above -margin and their prefixes.
+    """
+    for rem, coords in chunks:
+        w = np.sqrt(rem + margin)
+        lo = np.ceil(c - w).astype(np.int64)
+        size = np.floor(c + w).astype(np.int64) - lo + 1
+        ends = np.cumsum(size)
+        starts = ends - size
+        total = int(np.sum(size))
+        for start in range(0, total, SLAB_POINTS):
+            stop = min(start + SLAB_POINTS, total)
+            # budgets i0 <= i < i1 have ranges that meet the slab
+            i0, i1 = np.searchsorted(ends, [start, stop - 1], side="right") + [0, 1]
+            share = np.minimum(ends[i0:i1], stop) - np.maximum(starts[i0:i1], start)
+            e = np.repeat(np.arange(i0, i1), share)
+            a = np.arange(start, stop) - np.repeat(starts[i0:i1] - lo[i0:i1], share)
+            new = np.repeat(rem[i0:i1], share) - (a - c) ** 2
+            keep = new > -margin
+            e, a, new = e[keep], a[keep], new[keep]  # frees the unfiltered arrays
+            yield new, [col[e] for col in coords] + [a]
 
 
 def count_in_ball(center, radius: float) -> int:
-    """Exact number of integer points with |alpha - center| < radius."""
+    """Exact number of integer points with sum (alpha_i - c_i)^2 < radius^2.
+
+    Exact on the values of the float center and radius: the leading axes are
+    walked as a frontier of squared budgets (_expand), the last axis is an
+    interval per prefix, and the points whose float squared distance lies
+    within a margin of radius^2 are re-decided in Fractions.
+    """
     center = [float(c) for c in center]
-    n = len(center)
+    if not 1 <= len(center) <= 4 or not all(map(math.isfinite, (*center, radius))):
+        raise ValueError("need 1 to 4 finite center coordinates and a finite radius")
     if radius > ENUM_LIMITS["radius"]:
-        raise ValueError(f"radius {radius} exceeds enumeration bound "
-                         f"{ENUM_LIMITS['radius']}")
-    if n > 4:
-        raise ValueError("dimension limited to 4")
+        raise ValueError(f"radius {radius} exceeds enumeration bound {ENUM_LIMITS['radius']}")
     if radius <= 0:
         return 0
-    r2 = radius * radius
-
-    if n == 1:
-        return _interval_count(center[0] - radius, center[0] + radius)
-
-    # vectorize the last two axes; loop any leading coords in python
-    def rec_fast(prefix_center: list[float], budget2: float) -> int:
-        if len(prefix_center) == 2:
-            c1, c2 = prefix_center
-            w = math.sqrt(max(budget2, 0.0))
-            a1 = np.arange(math.ceil(c1 - w), math.floor(c1 + w) + 1)
-            if a1.size == 0:
-                return 0
-            rem = budget2 - (a1 - c1) ** 2
-            ok = rem > 0
-            if not np.any(ok):
-                return 0
-            ws = np.sqrt(rem[ok])
-            lo = np.ceil(c2 - ws)
-            hi = np.floor(c2 + ws)
-            lo = np.where(lo == c2 - ws, lo + 1, lo)
-            hi = np.where(hi == c2 + ws, hi - 1, hi)
-            return int(np.sum(np.maximum(0, hi - lo + 1).astype(np.int64)))
-        c = prefix_center[0]
-        w = math.sqrt(max(budget2, 0.0))
-        total = 0
-        for a in range(math.ceil(c - w), math.floor(c + w) + 1):
-            rem = budget2 - (a - c) ** 2
-            if rem <= 0:
-                continue
-            total += rec_fast(prefix_center[1:], rem)
-        return total
-
-    return rec_fast(center, r2)
+    # rounding moves a squared distance by a few ulps of this scale; the margin is far wider
+    margin = 2.0**-40 * (radius + 1.0) * (radius + max(map(abs, center)) + 1.0)
+    chunks = iter([(np.array([radius * radius]), [])])
+    for c in center[:-1]:
+        chunks = _expand(chunks, c, margin)
+    c, exact_center, exact_r2 = center[-1], list(map(Fraction, center)), Fraction(radius) ** 2
+    total = 0
+    for rem, coords in chunks:
+        # integers strictly inside c -+ w_in are inside, those outside [c -+ w_out] outside
+        w_in, w_out = np.sqrt(np.maximum(rem - margin, 0.0)), np.sqrt(rem + margin)
+        lo_in, hi_in = np.floor(c - w_in) + 1, np.ceil(c + w_in) - 1
+        lo_out, hi_out = np.ceil(c - w_out), np.floor(c + w_out)
+        sure = np.maximum(hi_in - lo_in + 1, 0)
+        total += int(np.sum(sure, dtype=np.int64))
+        for i in np.flatnonzero(hi_out - lo_out + 1 > sure):
+            prefix = [int(col[i]) for col in coords]
+            total += sum(sum((x - v) ** 2 for x, v in zip((*prefix, a), exact_center)) < exact_r2
+                         for a in range(int(lo_out[i]), int(hi_out[i]) + 1)
+                         if not lo_in[i] <= a <= hi_in[i])
+    return total
 
 
 def ball_count(q: CapQuery) -> int:
@@ -337,14 +348,3 @@ def eval_sum(s: ExtremizerSum, x) -> complex:
     coefs = np.asarray(s.coefficients, dtype=complex)
     return complex(np.sum(coefs * np.exp(-1j * (pts @ x))))
 
-
-def eval_sum_grid(s: ExtremizerSum, grid_per_axis: int = 64) -> np.ndarray:
-    """|f| on the uniform (2pi/g)Z^n grid, for norm checks (g^n points).
-
-    On that grid e^{-i alpha.x} depends on alpha only modulo g, so the
-    coefficients are folded onto Z_g^n and f is one n-dimensional DFT.
-    """
-    pts = np.asarray(s.points, dtype=np.int64)
-    folded = np.zeros((grid_per_axis,) * pts.shape[1], dtype=complex)
-    np.add.at(folded, tuple((pts % grid_per_axis).T), np.asarray(s.coefficients))
-    return np.abs(np.fft.fftn(folded))

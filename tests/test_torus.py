@@ -1,15 +1,30 @@
 """Lattice counting exactness, extremizer identities, dyadic search."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causticlab import torus
 from causticlab.acceptance import naive_ball_count, naive_sphere_cap_count
-from causticlab.torus import (CapQuery, OMEGA_PRESETS, ball_count, cap_solid_volume,
-                              count_in_ball, dyadic_lower_bound_search, eval_sum,
-                              eval_sum_grid, extremizer, sphere_cap_count,
-                              sphere_solutions)
+from causticlab.torus import (CapQuery, ExtremizerSum, OMEGA_PRESETS, ball_count,
+                              cap_solid_volume, count_in_ball, dyadic_lower_bound_search,
+                              eval_sum, extremizer, sphere_cap_count, sphere_solutions)
+
+
+def eval_sum_grid(s: ExtremizerSum, grid_per_axis: int = 64) -> np.ndarray:
+    """|f| on the uniform (2pi/g)Z^n grid, for norm checks (g^n points).
+
+    On that grid e^{-i alpha.x} depends on alpha only modulo g, so the
+    coefficients are folded onto Z_g^n and f is one n-dimensional DFT.
+    """
+    pts = np.asarray(s.points, dtype=np.int64)
+    folded = np.zeros((grid_per_axis,) * pts.shape[1], dtype=complex)
+    np.add.at(folded, tuple((pts % grid_per_axis).T), np.asarray(s.coefficients))
+    return np.abs(np.fft.fftn(folded))
 
 
 def test_ball_example_21():
@@ -39,6 +54,59 @@ def test_ball_count_rejects_out_of_bounds():
         count_in_ball((0.0, 0.0), 2.0e4)
     with pytest.raises(ValueError):
         count_in_ball((0.0,) * 5, 2.0)
+    with pytest.raises(ValueError):
+        count_in_ball((0.0, math.nan), 2.0)
+
+
+def exact_half_integer_ball_count(center, radius: float) -> int:
+    """Integer full-box count for centres on (1/2)Z, where 4 |alpha - c|^2 is an integer."""
+    twice = np.array([int(2 * c) for c in center])
+    num, den = (4 * Fraction(radius) ** 2).as_integer_ratio()
+    below = -(-num // den) - 1  # the largest integer < 4 radius^2
+    axes = [np.arange(math.floor(c - radius) - 1, math.ceil(c + radius) + 2) for c in center]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
+    return int(np.count_nonzero(np.sum((2 * grid - twice) ** 2, axis=1) <= below))
+
+
+@pytest.mark.parametrize("n, want", [(2, 57), (3, 305)])
+def test_ball_sqrt17_sphere_points_lie_inside(n, want):
+    # the float sqrt(17) exceeds sqrt(17), so the points with |alpha|^2 = 17 are inside
+    assert Fraction(math.sqrt(17)) ** 2 > 17
+    center = (0.0,) * n
+    assert exact_half_integer_ball_count(center, math.sqrt(17)) == want
+    assert count_in_ball(center, math.sqrt(17)) == want
+    assert naive_ball_count(center, math.sqrt(17)) == want
+
+
+BOUNDARY_RADIUS = {1: 40, 2: 16, 3: 8, 4: 5}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ball_counts_exact_on_lattice_spheres(data):
+    # centres on (1/2)Z and radii sqrt(k), sqrt(k)/2 or integers put many points
+    # on or next to the sphere, where a float test can decide either way
+    n = data.draw(st.integers(1, 4))
+    center = tuple(h / 2 for h in data.draw(st.lists(st.integers(-6, 6), min_size=n,
+                                                     max_size=n)))
+    k = data.draw(st.integers(1, BOUNDARY_RADIUS[n] ** 2))
+    radius = data.draw(st.sampled_from([math.sqrt(k), math.sqrt(k) / 2, float(math.isqrt(k))]))
+    want = exact_half_integer_ball_count(center, radius)
+    assert count_in_ball(center, radius) == want
+    assert naive_ball_count(center, radius) == want
+
+
+def test_ball_frontier_split_across_slabs(monkeypatch):
+    # at 7 points per slab every frontier expansion is cut, often inside one budget's range
+    monkeypatch.setattr(torus, "SLAB_POINTS", 7)
+    rng = np.random.default_rng(8)
+    for n in (3, 4):
+        for _ in range(4):
+            center = tuple(rng.uniform(-2, 2, n))
+            radius = float(rng.uniform(1.0, 6.0))
+            assert count_in_ball(center, radius) == naive_ball_count(center, radius)
+        center = (0.5,) + (0.0,) * (n - 1)
+        assert count_in_ball(center, math.sqrt(17)) == naive_ball_count(center, math.sqrt(17))
 
 
 def test_ball_scaling_law():
