@@ -4,13 +4,9 @@ from .catalog import (
     SingularityType,
     HomogeneityProfile,
     PhaseFunction,
-    SubordinationDag,
     build_phase,
     caustic_order,
     threshold,
-    subordinates,
-    dag_min_homogeneity,
-    default_dag,
 )
 from .amplitudes import AmplitudeProfile, make_amplitude, bump, check_symbol_order
 from .oscint import IntegralSpec, IntegralResult, evaluate, evaluate_rescaled
@@ -22,9 +18,8 @@ from .fold import FoldExperiment, sharp_exponent, run_fold, fold_curve, l2_from_
 __version__ = "0.1.0"
 
 __all__ = [
-    "SingularityType", "HomogeneityProfile", "PhaseFunction", "SubordinationDag",
-    "build_phase", "caustic_order", "threshold", "subordinates",
-    "dag_min_homogeneity", "default_dag",
+    "SingularityType", "HomogeneityProfile", "PhaseFunction",
+    "build_phase", "caustic_order", "threshold",
     "AmplitudeProfile", "make_amplitude", "bump",
     "check_symbol_order",
     "IntegralSpec", "IntegralResult", "evaluate", "evaluate_rescaled",

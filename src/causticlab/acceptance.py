@@ -134,13 +134,13 @@ def crit01_catalog_exactness() -> CriterionResult:
                            details={"mismatches": mism, "types": len(EXPECTED_TABLE)})
 
 
-def crit02_quasi_homogeneity(samples: int = 100, seed: int = 12345) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+def crit02_quasi_homogeneity() -> CriterionResult:
+    rng = np.random.default_rng(12345)
     worst = 0.0
     ok = True
     for label in CANONICAL_LABELS:
         ph = build_phase(SingularityType.parse(label))
-        for _ in range(samples):
+        for _ in range(100):
             lam = float(rng.uniform(0.1, 10.0))
             x = tuple(rng.uniform(-1.5, 1.5, ph.k0))
             theta = tuple(rng.uniform(-1.5, 1.5, ph.k))
@@ -152,8 +152,8 @@ def crit02_quasi_homogeneity(samples: int = 100, seed: int = 12345) -> Criterion
                            details={"worst_defect_over_bound": worst})
 
 
-def crit03_quadrature_oracles(seed: int = 2024) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+def crit03_quadrature_oracles() -> CriterionResult:
+    rng = np.random.default_rng(2024)
     xs = rng.uniform(-2.5, 2.5, 20)
     eps = np.exp(rng.uniform(math.log(1e-3), 0.0, 20))
     rep = lemma_62_suite(sorted(set(eps), reverse=True), sorted(set(xs)))
@@ -185,8 +185,8 @@ def crit08_e_series_boundedness() -> CriterionResult:
     return CriterionResult("C08", "E-series boundedness", ok, details=det)
 
 
-def crit10_torus_exact(seed: int = 99) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+def crit10_torus_exact() -> CriterionResult:
+    rng = np.random.default_rng(99)
     ok = True
     checked = 0
     mism = []

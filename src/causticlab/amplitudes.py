@@ -58,16 +58,6 @@ def bump(u) -> np.ndarray:
     return out
 
 
-def bump_prime(u) -> np.ndarray:
-    """Analytic chi' = -sign(u) chi (1 - chi) (1/t^2 + 1/(1-t)^2) on the band 0 < t < 1."""
-    u = np.asarray(u, dtype=float)
-    t = 2.0 - np.abs(u)
-    s = bump(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ds = s * (1.0 - s) * (1.0 / t**2 + 1.0 / (1.0 - t) ** 2)
-    return np.where((t > 0.0) & (t < 1.0), -np.sign(u) * ds, 0.0)
-
-
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """One h-indexed amplitude family; evaluators are pure and reusable.
@@ -174,27 +164,27 @@ def make_amplitude(kind: str, delta: float = 0.0, *, center=0.0, dim: int = 1,
         support_const=sc, evaluator=evaluator)
 
 
-# 4th-order-accurate central difference stencils, offsets symmetric about 0.
+# 4th-order-accurate central difference stencils, offsets symmetric about 0;
+# one per order alpha = 0..3 that check_symbol_order fits.
 _STENCILS = {
     0: (np.array([0]), np.array([1.0])),
     1: (np.arange(-2, 3), np.array([1, -8, 0, 8, -1]) / 12.0),
     2: (np.arange(-2, 3), np.array([-1, 16, -30, 16, -1]) / 12.0),
     3: (np.arange(-3, 4), np.array([1, -8, 13, 0, -13, 8, -1]) / 8.0),
-    4: (np.arange(-3, 4), np.array([-1, 12, -39, 56, -39, 12, -1]) / 6.0),
 }
+POINTS_PER_SCALE = 64  # grid points per amplitude scale min(1, h^delta, h^width)
 
 
-def estimate_sup_derivative(profile: AmplitudeProfile, alpha: int, h: float,
-                            points_per_scale: int = 64) -> float:
+def estimate_sup_derivative(profile: AmplitudeProfile, alpha: int, h: float) -> float:
     """sup over theta of |d^alpha a(theta; h)| by central finite differences."""
     if profile.dim != 1:
         raise ValueError("symbol checking is 1D")
     if alpha not in _STENCILS:
-        raise ValueError("alpha must be between 0 and 4")
+        raise ValueError("alpha must be between 0 and 3")
     h = float(h)
     scale = min(1.0, h**profile.delta) if profile.delta > 0 else 1.0
     scale = min(scale, h**profile.width_exponent) if profile.width_exponent else scale
-    step = scale / points_per_scale
+    step = scale / POINTS_PER_SCALE
     r = profile.support_radius(h) + 8 * step
     c = profile.center[0]
     offs, coefs = _STENCILS[alpha]
@@ -220,9 +210,8 @@ class SymbolOrderRow:
     n_points: int
 
 
-def check_symbol_order(profile: AmplitudeProfile, h_grid, alpha_max: int = 3,
-                       points_per_scale: int = 64) -> list[SymbolOrderRow]:
-    """Fit sup|d^alpha a| ~ h^{-order} for each alpha and compare to the class.
+def check_symbol_order(profile: AmplitudeProfile, h_grid) -> list[SymbolOrderRow]:
+    """Fit sup|d^alpha a| ~ h^{-order} for alpha = 0..3 and compare to the class.
 
     The expected order for |alpha| = a is declared_order + delta*a.  Requires a
     geometric h-grid with at least 6 points; raises on degenerate fits.
@@ -230,13 +219,10 @@ def check_symbol_order(profile: AmplitudeProfile, h_grid, alpha_max: int = 3,
     hs = np.asarray(sorted(h_grid, reverse=True), dtype=float)
     if hs.size < 6:
         raise ValueError("need at least 6 h values")
-    if alpha_max > 4:
-        raise ValueError("alpha_max is limited to 4")
     rows = []
     logs_inv_h = np.log(1.0 / hs)
-    for alpha in range(alpha_max + 1):
-        sups = np.array([estimate_sup_derivative(profile, alpha, h, points_per_scale)
-                         for h in hs])
+    for alpha in _STENCILS:
+        sups = np.array([estimate_sup_derivative(profile, alpha, h) for h in hs])
         usable = sups > 0
         if np.count_nonzero(usable) < 3:
             raise ValueError(f"degenerate fit at alpha={alpha}: "

@@ -15,13 +15,6 @@ quasi-homogeneity weights r (phase variables) and s (base variables), so that
 The caustic order is kappa = k/2 - sum(r_j), and each type has a regularity
 threshold delta0.  All of r, s, kappa, delta0 are exact ``fractions.Fraction``
 values; floats appear only in evaluators.
-
-The subordination DAG records which simpler types appear arbitrarily close to
-a given one away from its equisingularity locus.  Note one known wrinkle: for
-D4+ the DAG-derived minimum homogeneity is 1/4 (through the edge D4+ -> A3)
-while the tabulated threshold is 1/3, reflecting that the A-chain is adjacent
-to the minus variant only.  ``threshold`` returns the tabulated value;
-``dag_min_homogeneity`` is the separate DAG diagnostic.
 """
 
 from __future__ import annotations
@@ -100,12 +93,6 @@ class SingularityType:
             return cls("D", idx, +1)
         return cls("E", num, -1 if suffix == "-" else +1)
 
-    def canonical(self) -> "SingularityType":
-        """Sign-normalized representative (used as DAG node identity)."""
-        if self.family in ("A", "E") and self.sign == -1:
-            return SingularityType(self.family, self.index, +1)
-        return self
-
 
 @dataclass(frozen=True)
 class HomogeneityProfile:
@@ -163,10 +150,6 @@ class PhaseFunction:
 
     def phi(self, x, *theta):
         return self.theta_poly(x)(*theta)
-
-    def grad_theta(self, x, *theta):
-        poly = self.theta_poly(x)
-        return tuple(poly.partial(axis)(*theta) for axis in range(self.k))
 
 
 def _monomial(k: int, coeff, *exps) -> ThetaPoly:
@@ -251,93 +234,11 @@ def threshold(t: SingularityType) -> Fraction:
     return Fraction(1, t.index)
 
 
-@dataclass(frozen=True)
-class SubordinationDag:
-    """Directed graph T -> T' meaning T' occurs near T's equisingularity locus."""
-
-    nodes: frozenset[SingularityType]
-    edges: frozenset[tuple[SingularityType, SingularityType]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError("edge endpoint not in node set")
-        if self._has_cycle():
-            raise ValueError("subordination relation must be acyclic")
-
-    def _out(self, t: SingularityType):
-        return [b for a, b in self.edges if a == t]
-
-    def _has_cycle(self) -> bool:
-        color: dict[SingularityType, int] = {}
-
-        def visit(u) -> bool:
-            color[u] = 1
-            for v in self._out(u):
-                if color.get(v, 0) == 1:
-                    return True
-                if color.get(v, 0) == 0 and visit(v):
-                    return True
-            color[u] = 2
-            return False
-
-        return any(color.get(u, 0) == 0 and visit(u) for u in self.nodes)
-
-    def reachable(self, t: SingularityType) -> set[SingularityType]:
-        t = t.canonical()
-        if t not in self.nodes:
-            raise ValueError(f"{t.label} is not a node of this diagram")
-        seen: set[SingularityType] = set()
-        stack = self._out(t)
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._out(u))
-        return seen
-
-
-_EDGE_LABELS = (
-    ("A2", "A1"), ("A3", "A2"), ("A4", "A3"), ("A5", "A4"),
-    ("A6", "A5"), ("A7", "A6"), ("A8", "A7"),
-    ("D4-", "A3"), ("D4+", "A3"),
-    ("D5", "D4-"), ("D5", "D4+"), ("D5", "A4"),
-    ("D6-", "D5"), ("D6+", "D5"), ("D6-", "A5"),
-    ("E6", "A5"), ("E6", "D5"),
-    ("D7", "D6-"), ("D7", "D6+"), ("D7", "A6"),
-    ("E7", "E6"), ("E7", "A6"), ("E7", "D6-"),
-    ("D8-", "D7"), ("D8+", "D7"), ("D8-", "A7"),
-    ("E8", "E7"), ("E8", "A7"), ("E8", "D7"),
-)
-
 CANONICAL_LABELS = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
     "D4-", "D4+", "D5", "D6-", "D6+", "D7", "D8-", "D8+",
     "E6", "E7", "E8",
 )
-
-
-def default_dag() -> SubordinationDag:
-    nodes = frozenset(SingularityType.parse(s) for s in CANONICAL_LABELS)
-    edges = frozenset(
-        (SingularityType.parse(a), SingularityType.parse(b)) for a, b in _EDGE_LABELS)
-    return SubordinationDag(nodes, edges)
-
-
-def subordinates(t: SingularityType, dag: SubordinationDag | None = None) -> set[SingularityType]:
-    """Transitive closure of subordination below ``t``."""
-    return (dag or default_dag()).reachable(t)
-
-
-def dag_min_homogeneity(t: SingularityType, dag: SubordinationDag | None = None) -> Fraction:
-    """Minimum r_j over ``t`` and everything reachable from it in the diagram.
-
-    Diagnostic reconstruction of the threshold; differs from ``threshold`` for
-    D4+ (1/4 here vs 1/3 tabulated), see module docstring.
-    """
-    dag = dag or default_dag()
-    types = {t.canonical()} | dag.reachable(t)
-    return min(min(build_phase(u).homogeneity.r) for u in types)
 
 
 def quasi_homogeneity_defect(phase: PhaseFunction, lam, x, theta) -> tuple[float, float]:

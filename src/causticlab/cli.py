@@ -232,7 +232,7 @@ def _run_symbols(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     if len(hs) < 6:
         raise ConfigError("h_points", "the symbol fit needs at least 6 grid points")
     profile = _amplitude(cfg)
-    rows = check_symbol_order(profile, hs, alpha_max=3)
+    rows = check_symbol_order(profile, hs)
     write_csv(out / "symbols.csv",
               ["alpha", "fitted_order", "expected_order", "residual", "n_points"],
               [[r.alpha, r.fitted_order, r.expected_order, r.residual, r.n_points]

@@ -146,17 +146,17 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
     return FoldRun(exp, tuple(rows), fit, tuple(evaluations))
 
 
-def two_segment_breakpoint(deltas, slopes, grid_step: float = 0.01,
-                           lo: float = 0.05, hi: float = 0.95):
+def two_segment_breakpoint(deltas, slopes):
     """Continuous two-piece linear fit; returns (breakpoint, sse).
 
     The hinge model slope(d) = c0 + c1 d + c2 max(d - t, 0) is linear for each
-    candidate t on the 0.01 grid; the best t minimizes the residual.
+    candidate t on the 0.01 grid over [0.05, 0.95]; the best t minimizes the
+    residual.
     """
     d = np.asarray(deltas, dtype=float)
     y = np.asarray(slopes, dtype=float)
     best_t, best_sse = math.nan, math.inf
-    for t in np.arange(lo, hi + grid_step / 2, grid_step):
+    for t in np.arange(0.05, 0.95 + 0.01 / 2, 0.01):
         design = np.stack([np.ones_like(d), d, np.maximum(d - t, 0.0)], axis=1)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         sse = float(np.sum((design @ coef - y) ** 2))

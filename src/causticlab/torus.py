@@ -15,7 +15,7 @@ Sphere caps come from one enumerator of the annular cap {alpha : j_lo <=
 set's bounding box, looping the leading axes and vectorizing the last two,
 reads j off each point as |alpha|^2 and applies the cap test of that j.  A
 single sphere is the case j_lo = j_hi = j; the dyadic search of the
-lower-bound argument runs it once per block (J, 2J] and bins the points by j,
+lower-bound argument runs it once per block [J, 2J] and bins the points by j,
 which gives every M(j) = sphere_cap_count of the block in one pass.  Each
 block's sum of M(j) is compared against the volume of the corresponding
 annular cap solid, and the maximizing j per block is selected, realizing
@@ -226,9 +226,9 @@ def sphere_cap_count(q: CapQuery) -> int:
     return int(sphere_solutions(q).shape[0])
 
 
-def cap_solid_volume(n: int, J: int, delta: float, samples: int = 2001) -> float:
+def cap_solid_volume(n: int, J: int, delta: float) -> float:
     """Volume of {alpha : |alpha| in [sqrt(J), sqrt(2J)], |alpha - |alpha| omega| <= |alpha|^delta}."""
-    r = np.linspace(math.sqrt(J), math.sqrt(2 * J), samples)
+    r = np.linspace(math.sqrt(J), math.sqrt(2 * J), 2001)
     half = np.minimum(1.0, 0.5 * r ** (delta - 1.0))
     psi = 2.0 * np.arcsin(half)
     if n == 1:
@@ -256,7 +256,7 @@ class DyadicBlock:
 
 def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
                               omega=None, cap_constant: float = 1.0) -> list[DyadicBlock]:
-    """Per dyadic block (J, 2J] inside J_range: every M(j), and the argmax.
+    """Per dyadic block [J, 2J] inside J_range: every M(j), and the argmax.
 
     M(j) = sphere_cap_count(CapQuery(n, omega, mu=delta, j, cap_constant)),
     the lattice points on |alpha|^2 = j within cap_constant * j^{delta/2} of
@@ -320,13 +320,13 @@ class ExtremizerSum:
     def __post_init__(self):
         if len(self.points) != len(self.coefficients):
             raise ValueError("points/coefficients length mismatch")
-        total = sum(abs(c) ** 2 for c in self.coefficients)
+        total = math.fsum(abs(c) ** 2 for c in self.coefficients)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"sum |a|^2 = {total} is not 1")
 
     @property
     def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coefficients))
+        return math.sqrt(math.fsum(abs(c) ** 2 for c in self.coefficients))
 
 
 def extremizer(q: CapQuery) -> ExtremizerSum:

@@ -1,4 +1,4 @@
-"""Catalog: exact table constants, normal forms, homogeneity, subordination."""
+"""Catalog: exact table constants, normal forms, homogeneity."""
 
 import math
 from fractions import Fraction
@@ -6,10 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from causticlab.catalog import (CANONICAL_LABELS, SingularityType, SubordinationDag,
-                                build_phase, caustic_order, dag_min_homogeneity,
-                                default_dag, quasi_homogeneity_defect, subordinates,
-                                threshold)
+from causticlab.catalog import (CANONICAL_LABELS, SingularityType, build_phase,
+                                caustic_order, quasi_homogeneity_defect, threshold)
 
 F = Fraction
 
@@ -119,74 +117,15 @@ def test_phase_gradient_vanishes_only_at_origin():
     grid = np.linspace(-2.0, 2.0, 41)
     for label in CANONICAL_LABELS:
         ph = build_phase(SingularityType.parse(label))
-        origin = (0.0,) * ph.k0
+        poly = ph.theta_poly((0.0,) * ph.k0)
+        grad = [poly.partial(axis) for axis in range(ph.k)]
         if ph.k == 1:
             pts = [(v,) for v in grid if abs(v) > 0.15]
         else:
             pts = [(a, b) for a in grid for b in grid
                    if math.hypot(a, b) > 0.15]
         for p in pts:
-            g = ph.grad_theta(origin, *p)
-            assert math.hypot(*[float(v) for v in g]) > 1e-12, (label, p)
-
-
-def test_dag_structure_matches_fixture():
-    dag = default_dag()
-    assert len(dag.nodes) == 19
-    expected = {
-        ("A2", "A1"), ("A3", "A2"), ("A4", "A3"), ("A5", "A4"), ("A6", "A5"),
-        ("A7", "A6"), ("A8", "A7"), ("D4-", "A3"), ("D4+", "A3"),
-        ("D5", "D4-"), ("D5", "D4+"), ("D5", "A4"),
-        ("D6-", "D5"), ("D6+", "D5"), ("D6-", "A5"), ("E6", "A5"), ("E6", "D5"),
-        ("D7", "D6-"), ("D7", "D6+"), ("D7", "A6"),
-        ("E7", "E6"), ("E7", "A6"), ("E7", "D6-"),
-        ("D8-", "D7"), ("D8+", "D7"), ("D8-", "A7"),
-        ("E8", "E7"), ("E8", "A7"), ("E8", "D7"),
-    }
-    got = {(a.label, b.label) for a, b in dag.edges}
-    assert got == expected
-
-
-def test_dag_acyclic_enforced():
-    a2, a1 = SingularityType.parse("A2"), SingularityType.parse("A1")
-    with pytest.raises(ValueError):
-        SubordinationDag(frozenset({a1, a2}), frozenset({(a2, a1), (a1, a2)}))
-
-
-def test_subordinates_examples():
-    assert {t.label for t in subordinates(SingularityType.parse("A2"))} == {"A1"}
-    assert subordinates(SingularityType.parse("A1")) == set()
-    e7 = {t.label for t in subordinates(SingularityType.parse("E7"))}
-    assert {"E6", "A6", "D6-"} <= e7
-    assert {"D5", "A5", "A1", "D4+"} <= e7  # transitive closure goes all the way down
-    assert "D6+" not in e7
-
-
-def test_order_strictly_decreasing_along_edges():
-    dag = default_dag()
-    for a, b in dag.edges:
-        assert caustic_order(a) > caustic_order(b), (a.label, b.label)
-
-
-def test_dag_min_homogeneity_examples():
-    assert dag_min_homogeneity(SingularityType.parse("A2")) == F(1, 3)
-    assert dag_min_homogeneity(SingularityType.parse("D5")) == F(1, 5)
-    assert dag_min_homogeneity(SingularityType.parse("E6")) == F(1, 6)
-    # the documented mismatch: DAG diagnostic 1/4 vs tabulated threshold 1/3
-    d4p = SingularityType.parse("D4+")
-    assert dag_min_homogeneity(d4p) == F(1, 4)
-    assert threshold(d4p) == F(1, 3)
-    # everywhere else the diagnostic reconstructs the tabulated threshold
-    for label in CANONICAL_LABELS:
-        if label in ("D4+", "A1"):
-            continue
-        t = SingularityType.parse(label)
-        assert dag_min_homogeneity(t) == threshold(t), label
-
-
-def test_dag_rejects_foreign_type():
-    with pytest.raises(ValueError):
-        subordinates(SingularityType("A", 9))  # A10 is not in the fixture
+            assert math.hypot(*[float(d(*p)) for d in grad]) > 1e-12, (label, p)
 
 
 def test_minus_variants_share_tables():

@@ -479,6 +479,13 @@ GOLDEN_OPTIONS = {
                          "evaluator"],
     "make_amplitude": ["kind", "delta", "center", "dim", "width_exponent", "evaluator"],
     "KINDS": ["fixed_bump", "narrow_bump", "gaussian", "fold_saturator_above", "custom"],
+    "check_symbol_order": ["profile", "h_grid"],
+    "estimate_sup_derivative": ["profile", "alpha", "h"],
+    "two_segment_breakpoint": ["deltas", "slopes"],
+    "cap_solid_volume": ["n", "J", "delta"],
+    "crit02_quasi_homogeneity": [],
+    "crit03_quadrature_oracles": [],
+    "crit10_torus_exact": [],
 }
 
 
@@ -487,6 +494,10 @@ def test_option_surface_golden():
                "FoldExperiment": fold.FoldExperiment, "CapQuery": torus.CapQuery,
                "AmplitudeProfile": amplitudes.AmplitudeProfile}
     seen = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in classes.items()}
-    seen["make_amplitude"] = list(inspect.signature(amplitudes.make_amplitude).parameters)
     seen["KINDS"] = list(amplitudes.KINDS)
+    for fn in (amplitudes.make_amplitude, amplitudes.check_symbol_order,
+               amplitudes.estimate_sup_derivative, fold.two_segment_breakpoint,
+               torus.cap_solid_volume, acceptance.crit02_quasi_homogeneity,
+               acceptance.crit03_quadrature_oracles, acceptance.crit10_torus_exact):
+        seen[fn.__name__] = list(inspect.signature(fn).parameters)
     assert seen == GOLDEN_OPTIONS

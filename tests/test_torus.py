@@ -181,6 +181,16 @@ def test_extremizer_empty_cap_raises():
         extremizer(q)  # 31 is not a sum of two squares
 
 
+def test_extremizer_sum_accepts_long_uniform_sum():
+    # a naive float sum of 10^5 terms 1/10^5 drifts to 1 - 1.9e-12, past the 1e-12 check
+    count = 100_000
+    s = ExtremizerSum(points=tuple((i, 0) for i in range(count)),
+                      coefficients=(complex(1.0 / math.sqrt(count)),) * count)
+    assert abs(s.l2_norm - 1.0) <= 1e-15
+    with pytest.raises(ValueError, match="is not 1"):
+        ExtremizerSum(points=((0, 0), (1, 0)), coefficients=(1.0, 1e-3))
+
+
 def test_eval_sum_at_origin_counts():
     # 12 lattice points on |alpha|^2 = 25, each with coefficient 12^{-1/2}
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
