@@ -47,6 +47,7 @@ BREAKPOINT_WINDOW = (0.28, 0.38)  # around the regime change at delta = 1/3
 # sup|u_h| is scanned at x = 0 and X_POINTS offsets a side out to X_WINDOW h^{2/3}
 X_WINDOW, X_POINTS = 2.0, 4
 LEMMA62_REL_TOL = 1e-6  # closed forms against adaptive quadrature
+LEMMA62_EXPONENTS, LEMMA62_EXPONENT_TOL = (1.5, 1.0), 0.02  # eps-blowup of the two sups
 
 
 def sharp_exponent(delta):
@@ -54,9 +55,7 @@ def sharp_exponent(delta):
     d = Fraction(delta) if isinstance(delta, (Fraction, int)) else float(delta)
     if not 0 <= float(d) <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    if isinstance(d, Fraction):
-        return (1 + 3 * d) / 6 if d <= Fraction(1, 3) else (1 + d) / 4
-    return (1.0 + 3.0 * d) / 6.0 if d <= 1.0 / 3.0 else (1.0 + d) / 4.0
+    return (1 + 3 * d) / 6 if d <= Fraction(1, 3) else (1 + d) / 4
 
 
 def _below_phase() -> PhaseFunction:
@@ -213,6 +212,14 @@ class Lemma62Report:
     exponent_first: float
     exponent_second: float
     max_rel_error: float
+
+    @property
+    def passed(self) -> bool:
+        """Closed forms within LEMMA62_REL_TOL, exponents within LEMMA62_EXPONENT_TOL."""
+        first, second = LEMMA62_EXPONENTS
+        return (self.max_rel_error <= LEMMA62_REL_TOL
+                and abs(self.exponent_first - first) <= LEMMA62_EXPONENT_TOL
+                and abs(self.exponent_second - second) <= LEMMA62_EXPONENT_TOL)
 
 
 def _quad_first(x: float, eps: float) -> float:

@@ -5,15 +5,14 @@ Counts are exact integer enumerations:
     ball_count        #{alpha in Z^n : |alpha - omega/h| < C h^{-mu}}
     sphere_cap_count  #{alpha in Z^n : |alpha|^2 = j, |alpha - sqrt(j) omega| <= C j^{mu/2}}
 
-The ball count walks the leading axes with a frontier of squared budgets
-radius^2 - sum (alpha_i - c_i)^2, one per admissible prefix, and counts the
-last axis as an open interval per prefix.  It is exact on the float center
-and radius: floats decide all points but those within a thin margin of the
-sphere, which are re-decided in Fractions (cap tests are still floats).
-Sphere caps come from one enumerator of the annular cap {alpha : j_lo <=
-|alpha|^2 <= j_hi, alpha inside the cap of j = |alpha|^2}: it walks that
-set's bounding box, looping the leading axes and vectorizing the last two,
-reads j off each point as |alpha|^2 and applies the cap test of that j.  A
+One walk enumerates both.  It expands a ball axis by axis as a frontier of
+squared budgets radius^2 - sum (alpha_i - c_i)^2, one per admissible prefix.
+The ball count stops one axis short and counts the last axis as an open
+interval per prefix.  It is exact on the float center and radius: floats decide
+all points but those within a thin margin of the sphere, which are re-decided
+in Fractions (cap tests are still floats).  Caps walk all n axes of a ball
+holding the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha inside the
+cap of j = |alpha|^2}, and each point's j = |alpha|^2 picks its cap test.  A
 single sphere is the case j_lo = j_hi = j; the dyadic search of the
 lower-bound argument runs it once per block [J, 2J] and bins the points by j,
 which gives every M(j) = sphere_cap_count of the block in one pass.  Each
@@ -29,7 +28,6 @@ exactly, attained at x = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +36,7 @@ import numpy as np
 
 ENUM_LIMITS = {"radius": 1.0e4, "j": {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**5}}
 BALL_EXPONENT_TOLERANCE = 0.05
-SLAB_POINTS = 2**14  # points per vectorized slab of the cap and ball walks; bounds memory
+SLAB_POINTS = 2**14  # points per vectorized slab of the one ball walk; bounds memory
 
 OMEGA_PRESETS = {
     # ball mode: Diophantine-flavored directions, no unit-length requirement
@@ -126,6 +124,16 @@ def _expand(chunks, c: float, margin: float):
             yield new, [col[e] for col in coords] + [a]
 
 
+def _walk(center, radius: float, axes: int):
+    """The _expand chain over the first `axes` axes of ball(center, radius), and its margin."""
+    # rounding moves a squared distance by a few ulps of this scale; the margin is far wider
+    margin = 2.0**-40 * (radius + 1.0) * (radius + max(map(abs, center)) + 1.0)
+    chunks = iter([(np.array([radius * radius]), [])])
+    for c in center[:axes]:
+        chunks = _expand(chunks, c, margin)
+    return chunks, margin
+
+
 def count_in_ball(center, radius: float) -> int:
     """Exact number of integer points with sum (alpha_i - c_i)^2 < radius^2.
 
@@ -141,11 +149,7 @@ def count_in_ball(center, radius: float) -> int:
         raise ValueError(f"radius {radius} exceeds enumeration bound {ENUM_LIMITS['radius']}")
     if radius <= 0:
         return 0
-    # rounding moves a squared distance by a few ulps of this scale; the margin is far wider
-    margin = 2.0**-40 * (radius + 1.0) * (radius + max(map(abs, center)) + 1.0)
-    chunks = iter([(np.array([radius * radius]), [])])
-    for c in center[:-1]:
-        chunks = _expand(chunks, c, margin)
+    chunks, margin = _walk(center, radius, len(center) - 1)
     c, exact_center, exact_r2 = center[-1], list(map(Fraction, center)), Fraction(radius) ** 2
     total = 0
     for rem, coords in chunks:
@@ -173,9 +177,9 @@ def _cap_points(q: CapQuery, j_hi: int):
 
     A point alpha belongs to the sphere j = |alpha|^2 and is kept when
     |alpha - sqrt(j) omega| <= q.cap_constant * (j^{-1/2})^{-q.mu}, the cap
-    of CapQuery(j=j).  A slab fixes the leading n-2 coordinates and holds
-    at most SLAB_POINTS box points of the last two; it is yielded as
-    (points, j of each point), and the points come in lexicographic order.
+    of CapQuery(j=j).  The candidates come from the ball walk (_walk) over all
+    n axes; a slab holds at most SLAB_POINTS of them and is yielded as (points,
+    j of each point), and the points come in lexicographic order.
     """
     q.require_unit_omega()
     limit = ENUM_LIMITS["j"][q.n]
@@ -186,33 +190,21 @@ def _cap_points(q: CapQuery, j_hi: int):
     # the same float expression as CapQuery.cap_radius, one entry per j
     width = np.fromiter((q.cap_constant * (j**-0.5) ** -q.mu for j in range(j_lo, j_hi + 1)),
                         dtype=float, count=j_hi - j_lo + 1)
-    reach = float(np.max(width))
-    rad = math.isqrt(j_hi)
-    ends = np.sqrt([float(j_lo), float(j_hi)])[:, None] * omega[None, :]
-    # floor/ceil leave a margin of one point; the cap test below decides
-    box = [range(max(-rad, math.floor(lo - reach)), min(rad, math.ceil(hi + reach)) + 1)
-           for lo, hi in zip(ends.min(axis=0), ends.max(axis=0))]
-    tail_dims = min(q.n, 2)
-    tail_shape = tuple(len(r) for r in box[-tail_dims:])
-    tail_size = math.prod(tail_shape)
-    for lead in itertools.product(*box[:-tail_dims]):
-        lead_sq = sum(a * a for a in lead)
-        if lead_sq > j_hi:
-            continue
-        for start in range(0, tail_size, SLAB_POINTS):
-            flat = np.arange(start, min(start + SLAB_POINTS, tail_size), dtype=np.int64)
-            pts = np.stack([r.start + i for r, i in
-                            zip(box[-tail_dims:], np.unravel_index(flat, tail_shape))], axis=1)
-            js = lead_sq + np.sum(pts * pts, axis=1)
-            ok = (js >= j_lo) & (js <= j_hi)
-            pts, js = pts[ok], js[ok]
-            if lead:
-                pts = np.concatenate([np.tile(np.array(lead, dtype=np.int64),
-                                              (pts.shape[0], 1)), pts], axis=1)
-            d = pts.astype(float) - np.sqrt(js.astype(float))[:, None] * omega[None, :]
-            inside = np.sqrt(np.sum(d * d, axis=1)) <= width[js - j_lo]
-            if np.any(inside):
-                yield pts[inside], js[inside]
+    # every cap point lies within (hi - lo)/2 + max(width) of (lo + hi)/2 omega: walk that
+    # ball one point wider, or ball(0, hi + 1), which holds the whole annulus, if smaller
+    lo, hi = math.sqrt(j_lo), math.sqrt(j_hi)
+    center, radius = 0.5 * (lo + hi) * omega, 0.5 * (hi - lo) + float(np.max(width)) + 1.0
+    if radius > hi + 1.0:
+        center, radius = np.zeros(q.n), hi + 1.0
+    for _, coords in _walk(center.tolist(), radius, q.n)[0]:
+        pts = np.stack(coords, axis=1)
+        js = np.sum(pts * pts, axis=1)
+        ok = (js >= j_lo) & (js <= j_hi)
+        pts, js = pts[ok], js[ok]
+        d = pts.astype(float) - np.sqrt(js.astype(float))[:, None] * omega[None, :]
+        inside = np.sqrt(np.sum(d * d, axis=1)) <= width[js - j_lo]
+        if np.any(inside):
+            yield pts[inside], js[inside]
 
 
 def sphere_solutions(q: CapQuery) -> np.ndarray:

@@ -26,6 +26,11 @@ def test_sharp_exponent_values():
                                                          abs=1e-8)
     with pytest.raises(ValueError):
         sharp_exponent(1.2)
+    # one formula for floats and Fractions: the float 1/3 lies below 1/3, the next one above
+    above = math.nextafter(1 / 3, 1)
+    assert sharp_exponent(1 / 3) == (1 + 3 * (1 / 3)) / 6
+    assert sharp_exponent(above) == (1 + above) / 4
+    assert isinstance(sharp_exponent(0.2), float) and sharp_exponent(1) == Fraction(1, 2)
 
 
 def test_experiment_side_follows_delta():

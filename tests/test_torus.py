@@ -107,6 +107,17 @@ def test_ball_frontier_split_across_slabs(monkeypatch):
             assert count_in_ball(center, radius) == naive_ball_count(center, radius)
         center = (0.5,) + (0.0,) * (n - 1)
         assert count_in_ball(center, math.sqrt(17)) == naive_ball_count(center, math.sqrt(17))
+    # sphere caps take their candidates from the same walk, over all n axes
+    for n, j, J in ((2, 125, 64), (3, 54, 32), (4, 30, 16)):
+        om = OMEGA_PRESETS["rational"][n]
+        q = CapQuery(n=n, omega=om, mu=0.75, j=j, cap_constant=1.5)
+        assert sphere_cap_count(q) == naive_sphere_cap_count(n, q.j, om, q.cap_radius) > 0
+        (b,) = dyadic_lower_bound_search(n, 0.75, (J, 2 * J), cap_constant=1.5)
+        counts = [naive_sphere_cap_count(
+            n, j, om, CapQuery(n=n, omega=om, mu=0.75, j=j, cap_constant=1.5).cap_radius)
+            for j in range(J, 2 * J + 1)]
+        assert (b.best_j - J, b.best_count, b.block_sum, b.represented) == \
+            (int(np.argmax(counts)), max(counts), sum(counts), np.count_nonzero(counts))
 
 
 def test_ball_scaling_law():
@@ -140,6 +151,15 @@ def test_sphere_counts_match_naive_oracle():
         om = OMEGA_PRESETS["rational"][n]
         q = CapQuery(n=n, omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
         assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, om, q.cap_radius)
+    # directions with negative and zero components; cap_constant >= 1 at mu = 1 makes
+    # the cap wider than its sphere, and the walk takes ball(0, sqrt(j) + 1) instead
+    sloped = [((-0.8, 0.6), 325, 7.0), ((2 / 7, 3 / 7, -6 / 7), 594, 10.0),
+              ((0.0, 0.6, 0.8), 101, 6.0), ((0.5, 0.5, 0.5, -0.5), 729, 12.0)]
+    wide = [(om, j, C * j**0.5) for om, j, _ in sloped for C in (2.0, 1.5)]
+    for om, j, width in sloped + wide:
+        n = len(om)
+        q = CapQuery(n=n, omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
+        assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, om, q.cap_radius) > 0
 
 
 def test_sphere_query_validation():
