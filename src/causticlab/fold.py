@@ -14,11 +14,13 @@ The sharp sup-norm exponent for a delta-concentrated fold family is
 and each family is run with its own displayed phase.  ||u_h||_2 comes from
 the coefficient side: the map a -> u is (2 pi h)^{1/2} times an isometry, so
 ||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}; sup|u_h| is taken over
-x = 0 plus offsets at the caustic scale h^{2/3} by ``scaling.sup_step``, the
-step every sup-norm scan uses, so the offsets converge against |u_h(0)| as a
-scan's shells do against |I(0; h)|.  Fitting log(sup/||u||_2) against
-log(1/h) per delta and locating the best two-segment breakpoint of the
-slope-vs-delta curve turns the regime change into one scalar test.
+x = 0 plus offsets k dx at the caustic scale, dx = X_WINDOW h^{2/3} / X_POINTS,
+by ``oscint.evaluate_line``: one node set per pass for all of them, and the
+offsets converge against |u_h(0)| as a scan's shells do against |I(0; h)|.
+``scaling.sup_row`` takes the sup, as for every sup-norm scan.  Fitting
+log(sup/||u||_2) against log(1/h) per delta and locating the best two-segment
+breakpoint of the slope-vs-delta curve turns the regime change into one
+scalar test.
 
 ``lemma_62_suite`` cross-checks the two exact integrals behind the
 above-threshold estimate (see ``oscint.m_alpha`` and
@@ -36,9 +38,10 @@ import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
-from .oscint import IntegralResult, IntegralSpec, m_alpha, weighted_cauchy
+from .oscint import (IntegralResult, IntegralSpec, evaluate_line, line_offsets, m_alpha,
+                     weighted_cauchy)
 from .polys import ThetaPoly
-from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_step, work_cost
+from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_row, work_cost
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
 DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
@@ -121,10 +124,13 @@ def l2_from_coefficients(exp: FoldExperiment, h: float) -> float:
     return math.sqrt(2.0 * math.pi * h) * exp.amplitude.l2_theta(h)
 
 
+def _x_step(h: float) -> float:
+    return X_WINDOW * h ** (2.0 / 3.0) / X_POINTS
+
+
 def _x_offsets(h: float) -> list[float]:
-    scale = X_WINDOW * h ** (2.0 / 3.0)
-    fracs = [(i + 1) / X_POINTS for i in range(X_POINTS)]
-    return [0.0] + [s * f * scale for f in fracs for s in (+1.0, -1.0)]
+    """The x of ``evaluate_line(spec, _x_step(h), X_POINTS)``'s results, in order."""
+    return [k * _x_step(h) for k in line_offsets(X_POINTS)]
 
 
 def run_fold(exp: FoldExperiment) -> FoldRun:
@@ -132,10 +138,10 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
     phase, amp = exp.phase, exp.amplitude
     rows, sup_rows, evaluations = [], [], []
     for h in exp.h_grid:
-        origin, *others = [(x,) for x in _x_offsets(h)]
-        results, sup = sup_step(
-            IntegralSpec(phase, amp, origin, h, rel_tol=exp.rel_tol,
-                         includes_prefactor=False, budget=exp.eval_budget), others)
+        spec = IntegralSpec(phase, amp, (0.0,), h, rel_tol=exp.rel_tol,
+                            includes_prefactor=False, budget=exp.eval_budget)
+        results = evaluate_line(spec, _x_step(h), X_POINTS)
+        sup = sup_row(h, [(x,) for x in _x_offsets(h)], results)
         l2 = l2_from_coefficients(exp, h)
         rows.append(FoldRow(exp.delta, h, sup.sup_abs, l2, sup.sup_abs / l2))
         sup_rows.append(replace(sup, sup_abs=sup.sup_abs / l2))

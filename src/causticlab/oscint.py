@@ -5,15 +5,24 @@ axis we bound the local frequency |d(phi)/d(theta_i)| / h by a monomial-sum
 profile over the integration box, convert it to a node-density function
 (plus a resolution floor for the amplitude), and place fixed-order panels by
 equal increments of the accumulated density.  Passes refine the density by
-sqrt(2) until two successive passes agree to rel_tol; the reported est_error
-is the delta between the last two passes, the pair the returned value comes
-from (no rigorous bound is claimed).  A spec's ``floor`` (in the units of
-``abs_value``) relaxes that test to delta <= rel_tol * max(|I|, floor): a scan
-passes |I(0; h)| there, since a point many orders below the sup cannot move it
-and needs no precision relative to its own size.  Amplitude modulations of the
-form e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
+sqrt(2), and by at least one panel per axis, until two successive passes
+agree to rel_tol; the reported est_error is the delta between the last two
+passes, the pair the returned value comes from (no rigorous bound is
+claimed).  A spec's ``floor`` (in the units of ``abs_value``) relaxes that
+test to delta <= rel_tol * max(|I|, floor): a scan passes |I(0; h)| there,
+since a point many orders below the sup cannot move it and needs no precision
+relative to its own size.  Amplitude modulations of the form
+e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
 sampled amplitude factor is always slowly varying.  e^{i phi/h} is formed as
 cos and sin of the real phase, written into the two parts of one complex array.
+
+A line of 1D points x + k dx, k = 0, +-1, ..., +-count, shares one node set per
+pass (``evaluate_line``): the phase at k is phi(t; x) + k dx f_1(t), so one
+amplitude, one e^{i phi(t; x)/h} and one z = e^{i dx f_1(t)/h} per node serve
+every point, whose sums take the powers z^k by repeated products.  The panels
+follow a profile that bounds every point's |phi'|, so each point is resolved at
+least as finely as alone; each keeps its own stopping rule and reports the pass
+where it met it.  Sum passes run in slabs of SLAB_NODES nodes.
 
 For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
 axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
@@ -56,6 +65,7 @@ MIN_AXIS_NODES = 96  # first-pass resolution floor for the amplitude, per axis
 REFINE_FACTOR = math.sqrt(2.0)  # node-density growth from one pass to the next
 MAX_PASSES = 14
 PROFILE_SAMPLES = 513  # samples of the frequency-bound profile per axis
+SLAB_NODES = 2**16  # nodes per slab of a sum pass; bounds its memory
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)  # on [-1, 1]
 # ``_type3_sum``'s constants, t = tau X^2 and u = tau1 M^2, hold each of its four
 # error terms to e^-NUFFT_LOG_EPS = 2.1e-15 of sum|u1| sum|u2|: eta-grid aliasing
@@ -108,24 +118,31 @@ class IntegralResult:
     stop: str  # converged | budget | max_passes
 
 
-def _axis_nodes(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float,
-                q: float, min_nodes: float):
-    """Panel nodes/weights for one axis from a sampled frequency-bound profile."""
+def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float, q: float,
+                 min_nodes: float, min_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel midpoints and half-widths for one axis from a sampled frequency-bound profile.
+
+    ``min_panels`` exceeds the previous pass's count, so a pass never repeats
+    the node set it is compared with.
+    """
     lo, hi = tgrid[0], tgrid[-1]
     density = gprofile * (q / (2.0 * math.pi * h_eff)) + min_nodes / (hi - lo)
     steps = np.diff(tgrid)
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
     total = cum[-1]
-    n_panels = max(2, int(math.ceil(total / PANEL_ORDER)))
+    n_panels = max(min_panels, int(math.ceil(total / PANEL_ORDER)))
     targets = np.linspace(0.0, total, n_panels + 1)
     edges = np.interp(targets, cum, tgrid)
     edges[0], edges[-1] = lo, hi
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+
+
+def _panel_nodes(mid: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the panels (mid, half), panel by panel."""
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights, n_panels
+    return nodes, weights
 
 
 def _axis_profile(phi: ThetaPoly, axis: int, box) -> tuple[np.ndarray, np.ndarray]:
@@ -182,85 +199,186 @@ def _type3_sum(u1: np.ndarray, a: np.ndarray, u2: np.ndarray,
     return complex(eta_side @ a_side) * d / (2.0 * math.sqrt(tau * tau1))
 
 
-def _pass_value(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h_eff: float,
-                amp_fns, axes) -> complex:
-    """One pass on the tensor grid of ``axes``, the (nodes, weights, panels) of each axis.
+def line_offsets(count: int) -> list[int]:
+    """The multiples k of a line's step in result order: 0, 1, -1, ..., count, -count."""
+    return [0] + [sign * k for k in range(1, count + 1) for sign in (1, -1)]
+
+
+def _expi(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase}, as cos and sin written into the two parts of one complex array."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _weighted_factor(part: ThetaPoly, amp_fn, nodes: np.ndarray, weights: np.ndarray,
+                     h_eff: float) -> np.ndarray:
+    """u = w * (a * e^{iP/h}) at one axis's nodes."""
+    amp = amp_fn(nodes)  # first, while its temporaries are the only large arrays
+    phase = part(nodes)
+    phase /= h_eff
+    u = _expi(phase)
+    u *= amp
+    u *= weights
+    return u
+
+
+def _axis_sums(part: ThetaPoly, amp_fn, panels, h_eff: float, step: ThetaPoly | None,
+               count: int) -> np.ndarray:
+    """sum_i u_i z_i^k over one axis's panels for k in ``line_offsets(count)`` order.
+
+    u is ``_weighted_factor``'s and z = e^{i step(t)/h}: two cos/sin pairs and one
+    amplitude evaluation per node serve all 2 count + 1 sums, whose other factors
+    come from repeated products by z and its conjugate.  The panels are taken
+    SLAB_NODES nodes at a time, so a pass's memory does not grow with its nodes.
+    """
+    mid, half = panels
+    sums = np.zeros(2 * count + 1, dtype=complex)
+    per_slab = max(1, SLAB_NODES // PANEL_ORDER)
+    for lo in range(0, mid.size, per_slab):
+        nodes, weights = _panel_nodes(mid[lo:lo + per_slab], half[lo:lo + per_slab])
+        u = _weighted_factor(part, amp_fn, nodes, weights, h_eff)
+        sums[0] += u.sum()
+        if not count:
+            continue
+        zphase = step(nodes)
+        zphase /= h_eff
+        z = _expi(zphase)
+        up, down, z_conj = u, u.copy(), z.conj()
+        for k in range(1, count + 1):
+            up *= z
+            down *= z_conj
+            sums[2 * k - 1] += up.sum()
+            sums[2 * k] += down.sum()
+    return sums
+
+
+def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h_eff: float,
+               amp_fns, axes, step: ThetaPoly | None, count: int) -> list[complex]:
+    """One pass on the tensor grid of ``axes``, the (mid, half) panels of each axis.
 
     ``parts`` are the axes' own phase terms and ``mixed`` = (p, G) the rest,
     t1^p G(t2) (see ``ThetaPoly.split_axes``).  The own terms go into the
     weights, u = w * (a * e^{iP/h}); with no mixed term the pass is the product
-    of the axis sums, otherwise the type-3 sum of u1, u2 at a = t1^p,
-    omega = G(t2) / h.
+    of the axis sums (on a line, ``_axis_sums`` of the one axis), otherwise the
+    type-3 sum of u1, u2 at a = t1^p, omega = G(t2) / h.
     """
-    us = []
-    for part, amp_fn, (nodes, weights, _) in zip(parts, amp_fns, axes):
-        amp = amp_fn(nodes)  # first, while its temporaries are the only large arrays
-        phase = part(nodes)
-        phase /= h_eff
-        u = np.empty(phase.shape, dtype=complex)  # e^{iP/h}, as cos and sin parts
-        np.cos(phase, out=u.real)
-        np.sin(phase, out=u.imag)
-        u *= amp
-        u *= weights
-        us.append(u)
     p, g = mixed
     if not g.terms:
-        return math.prod(complex(np.sum(u)) for u in us)
-    return _type3_sum(us[0], axes[0][0] ** p, us[1], g(axes[1][0]) / h_eff)
+        sums = [_axis_sums(part, amp_fn, panels, h_eff, step, count if ax == 0 else 0)
+                for ax, (part, amp_fn, panels) in enumerate(zip(parts, amp_fns, axes))]
+        # products of numpy scalars round as Python's complex products do; arrays' may not
+        return [complex(math.prod(vals)) for vals in zip(*sums)]
+    grids = [_panel_nodes(*panels) for panels in axes]
+    us = [_weighted_factor(part, amp_fn, nodes, weights, h_eff)
+          for part, amp_fn, (nodes, weights) in zip(parts, amp_fns, grids)]
+    return [_type3_sum(us[0], grids[0][0] ** p, us[1], g(grids[1][0]) / h_eff)]
 
 
-def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, rel_tol: float,
-               budget: int, scale: complex, floor: float) -> IntegralResult:
-    """Shared refinement loop; ``scale`` multiplies the raw integral at the end.
+def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int | None:
+    """First pass s >= 1 whose change from pass s - 1 is within rel_tol * max(|I|, raw_floor)."""
+    for s in range(1, len(values)):
+        if abs(values[s] - values[s - 1]) <= rel_tol * max(abs(values[s]), raw_floor):
+            return s
+    return None
 
-    ``floor`` is in the units of the scaled result.
+
+def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, budget: int, scale: complex,
+               rel_tol: float, floor: float, step: ThetaPoly | None = None,
+               count: int = 0) -> list[IntegralResult]:
+    """Shared refinement loop; ``scale`` multiplies the raw integrals at the end.
+
+    It integrates at the phases phi + k step for k in ``line_offsets(count)``,
+    all on one node set per pass, placed from a profile that bounds every
+    offset's |phi'|.  The point k = 0 converges against ``floor`` (in the units
+    of the scaled result), every other one against the converged |I| at k = 0
+    (0 if that never converged).  Each result is the one of the first pass that
+    met its point's rule, or of the last pass; the loop stops once every point
+    has met it, or on budget or MAX_PASSES.
     """
     parts, mixed = phi.split_axes()
     # nodes and panels of a pass: the tensor grid when a term couples the axes
     combine = math.prod if mixed[1].terms else sum
     mag = abs(scale)
-    raw_floor = max(floor / mag, 1e-300)
-    spent = passes = panels_total = 0
+    spent = panels_total = 0
+    axis_panels = [1] * phi.nvars  # of the last pass; the first has at least 2
+    history, spent_after, panels_after = [], [], []
     stop = "max_passes"
 
     profiles = [_axis_profile(phi, ax, box) for ax in range(phi.nvars)]
+    if count:
+        g, tgrid = profiles[0]
+        profiles[0] = (g + count * step.partial(0).abs_bound_profile(0, box, tgrid), tgrid)
+
+    def met_passes():
+        origin = _first_met([v[0] for v in history], rel_tol, max(floor / mag, 1e-300))
+        line_floor = mag * abs(history[origin][0]) if origin is not None else 0.0
+        return [origin] + [_first_met([v[i] for v in history], rel_tol,
+                                      max(line_floor / mag, 1e-300))
+                           for i in range(1, 2 * count + 1)]
 
     for s in range(MAX_PASSES):
         q = NODES_PER_PERIOD * REFINE_FACTOR**s
         min_nodes = MIN_AXIS_NODES * REFINE_FACTOR**s
-        axes = [_axis_nodes(g, tg, h_eff, q, min_nodes) for g, tg in profiles]
-        cost = combine(a[0].size for a in axes)
+        axes = [_axis_panels(g, tg, h_eff, q, min_nodes, n + 1)
+                for (g, tg), n in zip(profiles, axis_panels)]
+        cost = combine(PANEL_ORDER * a[0].size for a in axes)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
         if s > 0 and spent + cost > budget:
             stop = "budget"
             break
         spent += cost
-        passes += 1
-        raw = _pass_value(parts, mixed, h_eff, amp_fns, axes)
-        panels_total += combine(a[2] for a in axes)
-        # the pass pair the returned value comes from; the coarsest pass has none
-        est_error = abs(raw - value) if s else math.inf
-        value = raw
-        if est_error <= rel_tol * max(abs(raw), raw_floor):
+        axis_panels = [a[0].size for a in axes]
+        panels_total += combine(axis_panels)
+        history.append(_pass_sums(parts, mixed, h_eff, amp_fns, axes, step, count))
+        spent_after.append(spent)
+        panels_after.append(panels_total)
+        if None not in met_passes():
             stop = "converged"
             break
 
-    return IntegralResult(
-        value=scale * value,
-        abs_value=mag * abs(value),
-        est_error=(mag * est_error) if math.isfinite(est_error) else math.inf,
-        panels_used=panels_total,
-        converged=stop == "converged",
-        passes=passes,
-        nodes=spent,
-        stop=stop,
-    )
+    results = []
+    for i, met in enumerate(met_passes()):
+        # the pass pair the returned value comes from; the coarsest pass has none
+        last = len(history) - 1 if met is None else met
+        value = history[last][i]
+        est_error = abs(value - history[last - 1][i]) if last else math.inf
+        results.append(IntegralResult(
+            value=scale * value,
+            abs_value=mag * abs(value),
+            est_error=(mag * est_error) if math.isfinite(est_error) else math.inf,
+            panels_used=panels_after[last],
+            converged=met is not None,
+            passes=last + 1,
+            nodes=spent_after[last],
+            stop=stop if met is None else "converged",
+        ))
+    return results
 
 
 def evaluate(spec: IntegralSpec) -> IntegralResult:
     """Evaluate I(x; h), optionally including the h^{-k/2} normalization."""
     return evaluate_rescaled(spec, 1.0)
+
+
+def evaluate_line(spec: IntegralSpec, dx: float, count: int) -> list[IntegralResult]:
+    """Evaluate I at x = spec.x + k dx e_1 for k in ``line_offsets(count)`` order.
+
+    One node set per pass serves every point (count > 0 needs a 1D phase): the
+    phase at k is phi(t; spec.x) + k dx f_1(t), f_1 = ``phase.fj_monomials[0]``.
+    spec.x converges against ``spec.floor`` and every other point within
+    rel_tol * max(|I|, |I(spec.x)|) once spec.x has converged (against 0 if
+    it never does), as ``scaling.sup_step`` judges a scan's points.  At
+    count = 0 this is ``[evaluate(spec)]``.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count and spec.phase.k != 1:
+        raise ValueError("a line of points needs k = 1 phase variable")
+    step = spec.phase.fj_monomials[0].scale(dx) if count else None
+    return _integrate(*_problem(spec, 1.0), spec.rel_tol, spec.floor, step, count)
 
 
 def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
@@ -269,6 +387,11 @@ def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
     Mathematically equal to ``evaluate(spec)`` (the substitution is exact), which
     is this function at lam = 1.
     """
+    return _integrate(*_problem(spec, lam), spec.rel_tol, spec.floor)[0]
+
+
+def _problem(spec: IntegralSpec, lam: float):
+    """``_integrate``'s (phi, h_eff, amp_fns, box, budget, scale) for spec at lambda."""
     if not spec.h <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [h, 1] = [{spec.h}, 1], got {lam}")
     k = spec.phase.k
@@ -292,8 +415,7 @@ def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
     if spec.includes_prefactor:
         scale *= spec.h ** (-k / 2.0)
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[k]
-    return _integrate(phi, spec.h / lam, amp_fns, box,
-                      spec.rel_tol, budget, scale, spec.floor)
+    return phi, spec.h / lam, amp_fns, box, budget, scale
 
 
 def m_alpha(alpha: float) -> float:

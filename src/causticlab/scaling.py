@@ -8,16 +8,18 @@ h to 1, points x_j = lambda^{1-s_j} y_j with y on the unit shell
 
 sampled by sign patterns times a fixed simplex grid in the |y_j|^{1/(1-s_j)}
 coordinates.  The scan is a serial loop over h, and ``sup_step`` takes each
-sup, here and in the fold experiment: it evaluates the origin first, then
-judges every other point converged once its successive-pass change is within
-rel_tol * max(|I(x; h)|, |I(0; h)|) (the floor is 0 if the origin did not
-converge).  The origin is always a candidate, so sup_h >= |I(0; h)| and that
-floor is never looser than rel_tol times the sup, while points whose |I| is
-far below it (shadow-side points where |I| is O(h^inf), fold offsets away from
-the caustic) stop spending their budget on digits that cannot move it.  The
-fitted exponent of log(sup |I|) against log(1/h) is then compared with a
-reference rational (the caustic order, or a regime formula) to produce a
-pass/fail/inconclusive verdict.
+sup: it evaluates the origin first, then judges every other point converged
+once its successive-pass change is within rel_tol * max(|I(x; h)|, |I(0; h)|)
+(the floor is 0 if the origin did not converge).  The fold experiment's
+offsets follow the same rule in one ``oscint.evaluate_line``.  The origin is
+always a candidate, so sup_h >= |I(0; h)| and that floor is never looser than
+rel_tol times the sup, while points whose |I| is far below it (shadow-side
+points where |I| is O(h^inf), fold offsets away from the caustic) stop
+spending their budget on digits that cannot move it.  ``sup_row`` takes the
+sup for both, and keeps a row out of the fit only if an unconverged point
+could reach its sup.  The fitted exponent of log(sup |I|) against log(1/h) is
+then compared with a reference rational (the caustic order, or a regime
+formula) to produce a pass/fail/inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -165,20 +167,30 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     return points
 
 
+def sup_row(h: float, xs, results) -> SupRow:
+    """The sup of |I| over the evaluations ``results`` at the points ``xs``.
+
+    argmax_x is the first x of the largest |I|.  The row is all_converged
+    unless some unconverged point could reach the sup, abs_value + est_error
+    >= sup_abs: always so for est_error = inf and for an unconverged sup.
+    """
+    best_x, best = max(zip(xs, results), key=lambda p: p[1].abs_value)
+    return SupRow(h, best.abs_value, best_x,
+                  all(r.converged or r.abs_value + r.est_error < best.abs_value
+                      for r in results))
+
+
 def sup_step(origin: IntegralSpec, others) -> tuple[list[IntegralResult], SupRow]:
     """Evaluate I at the origin spec, then at each x of ``others``; the sup of |I|.
 
     The other points share the origin's spec but for x, and use its |I(0; h)|
     as convergence floor (0 if the origin did not converge).  The results come
-    in the order evaluated, origin first; the SupRow names the first x of the
-    largest |I|.
+    in the order evaluated, origin first, and ``sup_row`` takes their sup.
     """
     first = evaluate(origin)
     floor = first.abs_value if first.converged else 0.0
     results = [first] + [evaluate(replace(origin, x=x, floor=floor)) for x in others]
-    best_x, best = max(zip([origin.x, *others], results), key=lambda p: p[1].abs_value)
-    return results, SupRow(origin.h, best.abs_value, best_x,
-                           all(r.converged for r in results))
+    return results, sup_row(origin.h, [origin.x, *others], results)
 
 
 def supnorm_scan(plan: ScanPlan) -> ScanResult:

@@ -1,5 +1,7 @@
 """Amplitude families: bump properties and symbol orders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,21 @@ def test_bump_matches_two_exp_smoothstep():
     assert float(bump(1.5)) == pytest.approx(float(_bump_two_exp(1.5)), abs=1e-15)
     # t = 1/2: chi = 1/2 and chi' = -chi (1 - chi) (1/t^2 + 1/(1-t)^2) = -2
     assert float(bump_prime(1.5)) == pytest.approx(-2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, delta, center", [
+    ("fixed_bump", 0.0, 0.0), ("fixed_bump", 0.0, 0.7), ("narrow_bump", 0.25, 0.0),
+    ("narrow_bump", 1.0 / 3.0, -0.3), ("fold_saturator_above", 0.5, 0.0),
+    ("fold_saturator_above", 1.0, 0.0)])
+def test_l2_of_bump_kinds_is_the_scaled_bump_norm(kind, delta, center):
+    # h^{-p} h^{w/2} ||chi||_2 against a trapezoid of |a|^2 over the support
+    amp = make_amplitude(kind, delta, center=center)
+    for e in range(2, 19):
+        h = 2.0**-e
+        r = amp.support_radius(h)
+        u = np.linspace(center - r, center + r, 40001)
+        ref = math.sqrt(np.trapezoid(np.abs(amp.axis_slow(u, h)) ** 2, u))
+        assert amp.l2_theta(h) == pytest.approx(ref, rel=1e-13, abs=0.0), e
 
 
 def test_fixed_bump_examples():

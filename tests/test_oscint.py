@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import airy
 
 from causticlab import oscint
 from causticlab.amplitudes import bump, make_amplitude
@@ -377,3 +378,109 @@ def test_quadrature_rule_pinned(label, nodes, passes):
     res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), (0.0,) * ph.k0,
                                 2.0**-6))
     assert (res.nodes, res.passes) == (nodes, passes)
+
+
+FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8
+
+
+@pytest.mark.parametrize("spec", [
+    IntegralSpec(A2, FIXED, (-0.4,), 1e-3, rel_tol=1e-8),
+    IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-10, budget=3_000),
+    IntegralSpec(A2, FIXED, (0.5,), 2.0**-8, floor=3.0),
+    IntegralSpec(build_phase(SingularityType.parse("E6")), make_amplitude("fixed_bump", dim=2),
+                 (0.0,) * 5, 2.0**-6),
+])
+def test_line_of_one_point_is_evaluate(spec):
+    assert oscint.evaluate_line(spec, 0.1, 0) == [evaluate(spec)]
+
+
+@pytest.mark.parametrize("e", [8, 12, 16])
+def test_line_offsets_against_airy_closed_form(e):
+    # integral e^{i(x t + t^3)/h} dt = 2 pi a Ai(x a / h), a = (h/3)^{1/3} (DLMF 9.5.4);
+    # the bump's edge adds O(h^inf)
+    h = 2.0**-e
+    dx = 0.5 * h ** (2.0 / 3.0)
+    rel_tol = 1e-7
+    line = oscint.evaluate_line(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol,
+                                             includes_prefactor=False), dx, 4)
+    a = (h / 3.0) ** (1.0 / 3.0)
+    for k, res in zip(oscint.line_offsets(4), line):
+        exact = 2.0 * math.pi * a * float(airy(k * dx * a / h)[0])
+        assert res.converged
+        assert abs(res.value - exact) <= rel_tol * abs(exact), k
+
+
+@pytest.mark.parametrize("amp, h", [
+    (FIXED, 2.0**-10), (make_amplitude("narrow_bump", 0.2), 2.0**-12),
+    (make_amplitude("fold_saturator_above", 0.7), 2.0**-9)])
+def test_line_offsets_agree_with_their_own_evaluate(amp, h):
+    rel_tol, dx = 1e-7, 0.5 * h ** (2.0 / 3.0)
+    spec = IntegralSpec(A2, amp, (0.0,), h, rel_tol=rel_tol, includes_prefactor=False)
+    line = oscint.evaluate_line(spec, dx, 4)
+    for k, res in zip(oscint.line_offsets(4), line):
+        alone = evaluate(replace(spec, x=(k * dx,)))
+        assert abs(res.value - alone.value) <= rel_tol * max(alone.abs_value, line[0].abs_value)
+
+
+def test_line_panels_resolve_every_offset_as_finely_as_alone():
+    # the shared profile bounds every offset's |phi'|: a pass spends at least the
+    # nodes of the same pass of the costliest offset evaluated alone
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, budget=1)
+    dx, count = 0.1, 4
+    line = oscint.evaluate_line(spec, dx, count)
+    alone = [evaluate(replace(spec, x=(k * dx,))) for k in oscint.line_offsets(count)]
+    assert line[0].passes == 1 and line[0].nodes >= max(r.nodes for r in alone)
+    assert line[0].nodes > alone[0].nodes
+
+
+def _scripted_passes(monkeypatch, values):
+    """Make each pass of a count = 1 line return the next (origin, offset) pair; the
+    offset at -dx repeats the one at +dx.  Returns the list the pass costs go to."""
+    costs, script = [], iter(values)
+
+    def scripted(parts, mixed, h_eff, amp_fns, axes, step, count):
+        costs.append(PANEL_ORDER * axes[0][0].size)
+        origin, offset = next(script)
+        return [origin, offset, offset]
+
+    monkeypatch.setattr(oscint, "_pass_sums", scripted)
+    return costs
+
+
+def test_starved_origin_gives_offsets_floor_zero(monkeypatch):
+    # the offset changes by 1e-8 a pass: within 1e-6 of the origin's |I| ~ 1 but not
+    # of its own 1e-3; the origin converges at pass 4 when the budget lets it
+    origin = [1.0, 1.1, 1.05, 1.025, 1.025 + 1e-7]
+    offset = [1e-3 + 1e-8 * s for s in range(len(origin))]
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=1e-6, includes_prefactor=False)
+    costs = _scripted_passes(monkeypatch, zip(origin, offset))
+    done = oscint.evaluate_line(spec, 0.01, 1)
+    assert [(r.converged, r.passes) for r in done] == [(True, 5), (True, 2), (True, 2)]
+    assert done[1].nodes == sum(costs[:2]) and done[0].nodes == sum(costs)
+
+    _scripted_passes(monkeypatch, zip(origin, offset))
+    starved = oscint.evaluate_line(replace(spec, budget=sum(costs[:3])), 0.01, 1)
+    assert [(r.converged, r.passes, r.stop) for r in starved] == [(False, 3, "budget")] * 3
+    assert starved[1].est_error == pytest.approx(1e-8)
+
+
+def test_line_counters_follow_each_points_passes():
+    line = oscint.evaluate_line(IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7), 0.01, 2)
+    assert len({r.passes for r in line}) > 1  # the points stop at different passes
+    by_passes = {}
+    for r in line:
+        assert r.converged and r.nodes == PANEL_ORDER * r.panels_used
+        assert by_passes.setdefault(r.passes, (r.nodes, r.panels_used)) == (r.nodes, r.panels_used)
+    nodes = [by_passes[p][0] for p in sorted(by_passes)]
+    assert nodes == sorted(set(nodes))  # more passes, more nodes
+
+
+def test_line_sums_do_not_depend_on_the_slab_size(monkeypatch):
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=1e-8)
+    dx, count = FOLD_LINE
+    whole = oscint.evaluate_line(spec, dx, count)
+    monkeypatch.setattr(oscint, "SLAB_NODES", 3 * PANEL_ORDER)
+    slabs = oscint.evaluate_line(spec, dx, count)
+    for a, b in zip(whole, slabs):
+        assert (a.nodes, a.passes, a.panels_used) == (b.nodes, b.passes, b.panels_used)
+        assert abs(a.value - b.value) <= 1e-13 * a.abs_value

@@ -225,3 +225,44 @@ def test_sweep_beyond_threshold_changes_law():
     entries = threshold_sweep(t, [0.1, 0.8], grid, tolerance=0.05)
     assert entries[0].fit.slope == pytest.approx(1.0 / 6.0, abs=0.05)
     assert entries[1].fit.slope == pytest.approx(-0.3, abs=0.05)
+
+
+def _scan_with_one_unconverged_point(monkeypatch, abs_share, err_share):
+    """An A2 shell scan whose evaluations are scripted: |I(0; h)| = h^{-1/6}, every
+    shell point converged at 1e-3 of it but the first, which is unconverged with
+    |I| and est_error the given shares of it."""
+    from causticlab import scaling
+    from causticlab.oscint import IntegralResult
+
+    grid = geometric_grid(2.0**-6, 2.0**-10, 5)
+    plan = ScanPlan(build_phase(SingularityType.parse("A2")), make_amplitude("fixed_bump"),
+                    grid, x_strategy="omega_shells")
+    first_shell_x = {h: scaling._candidate_points(plan, h)[1][1] for h in grid}
+
+    def scripted(spec):
+        top = spec.h ** (-1.0 / 6.0)
+        if spec.x == (0.0,):
+            return IntegralResult(top, top, 1e-9 * top, 2, True, 2, 192, "converged")
+        if spec.x != first_shell_x[spec.h]:
+            return IntegralResult(1e-3 * top, 1e-3 * top, 0.0, 2, True, 2, 192, "converged")
+        value, est = abs_share * top, err_share * top
+        return IntegralResult(value, value, est, 1, False, 1, 96, "budget")
+
+    monkeypatch.setattr(scaling, "evaluate", scripted)
+    result = supnorm_scan(plan)
+    assert result.cost["unconverged"] == len(grid)
+    return result, fit_exponent(result.sup_rows, Fraction(1, 6), 0.03)
+
+
+def test_starved_point_far_below_the_sup_leaves_the_row_usable(monkeypatch):
+    result, fit = _scan_with_one_unconverged_point(monkeypatch, 1e-3, 1e-2)
+    assert all(r.all_converged for r in result.sup_rows)
+    assert fit.verdict == "pass" and fit.n_rows == 5
+
+
+@pytest.mark.parametrize("abs_share, err_share", [(0.5, 0.5), (0.9, 0.2), (1e-3, math.inf)])
+def test_point_that_could_reach_the_sup_keeps_the_row_unusable(monkeypatch, abs_share,
+                                                               err_share):
+    result, fit = _scan_with_one_unconverged_point(monkeypatch, abs_share, err_share)
+    assert not any(r.all_converged for r in result.sup_rows)
+    assert fit.verdict == "inconclusive" and fit.n_rows == 0
