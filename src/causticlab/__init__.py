@@ -9,10 +9,9 @@ from .catalog import (
     threshold,
 )
 from .amplitudes import AmplitudeProfile, make_amplitude, bump, check_symbol_order
-from .oscint import IntegralSpec, IntegralResult, evaluate, evaluate_rescaled
+from .oscint import IntegralSpec, IntegralResult, evaluate
 from .scaling import ScanPlan, ExponentFit, supnorm_scan, fit_exponent, threshold_sweep, geometric_grid
-from .torus import (CapQuery, ExtremizerSum, ball_count, sphere_cap_count,
-                    dyadic_lower_bound_search, extremizer, eval_sum)
+from .torus import CapQuery, ball_count, sphere_cap_count, dyadic_lower_bound_search
 from .fold import FoldExperiment, sharp_exponent, run_fold, fold_curve, l2_from_coefficients, lemma_62_suite
 
 __version__ = "0.1.0"
@@ -22,11 +21,10 @@ __all__ = [
     "build_phase", "caustic_order", "threshold",
     "AmplitudeProfile", "make_amplitude", "bump",
     "check_symbol_order",
-    "IntegralSpec", "IntegralResult", "evaluate", "evaluate_rescaled",
+    "IntegralSpec", "IntegralResult", "evaluate",
     "ScanPlan", "ExponentFit", "supnorm_scan", "fit_exponent", "threshold_sweep",
     "geometric_grid",
-    "CapQuery", "ExtremizerSum", "ball_count", "sphere_cap_count",
-    "dyadic_lower_bound_search", "extremizer", "eval_sum",
+    "CapQuery", "ball_count", "sphere_cap_count", "dyadic_lower_bound_search",
     "FoldExperiment", "sharp_exponent", "run_fold", "fold_curve",
     "l2_from_coefficients", "lemma_62_suite",
     "__version__",

@@ -59,16 +59,11 @@ def bump(u) -> np.ndarray:
     return out
 
 
-def _trapezoid_l2(fn, lo: float, hi: float) -> float:
-    """sqrt of the 40001-point trapezoid rule for the integral of |fn|^2 on [lo, hi]."""
-    u = np.linspace(lo, hi, 40001)
-    return math.sqrt(float(np.trapezoid(np.abs(fn(u)) ** 2, u)))
-
-
 @functools.cache
 def _bump_l2() -> float:
-    """||chi||_2 on its support [-2, 2]."""
-    return _trapezoid_l2(bump, -2.0, 2.0)
+    """||chi||_2 on its support [-2, 2], by the 40001-point trapezoid rule."""
+    u = np.linspace(-2.0, 2.0, 40001)
+    return math.sqrt(float(np.trapezoid(bump(u) ** 2, u)))
 
 
 @dataclass(frozen=True)
@@ -145,18 +140,16 @@ class AmplitudeProfile:
             2, [(self.cubic_modulation, (3, 0)), (self.cubic_modulation, (0, 3))])
 
     def l2_theta(self, h: float) -> float:
-        """||a||_{L^2} in theta (1D), modulation dropped since |e^{i phi}| = 1.
+        """||a||_{L^2} in theta (1D) of a bump kind, modulation dropped since |e^{i phi}| = 1.
 
-        A bump kind's slow factor is h^{-p} chi((u - c)/h^w), so its norm is
-        h^{-p} h^{w/2} ||chi||_2; the gaussian and custom kinds are sampled.
+        Its slow factor is h^{-p} chi((u - c)/h^w), so the norm is
+        h^{-p} h^{w/2} ||chi||_2; the gaussian and custom kinds have no closed form.
         """
         if self.dim != 1:
             raise ValueError("l2_theta is defined for 1D profiles")
-        if self.kind in ("fixed_bump", "narrow_bump", "fold_saturator_above"):
-            return h**-self.prefactor_exponent * h ** (self.width_exponent / 2.0) * _bump_l2()
-        r = self.support_radius(h)
-        c = self.center[0]
-        return _trapezoid_l2(lambda u: self.axis_slow(u, h), c - r, c + r)
+        if self.kind not in ("fixed_bump", "narrow_bump", "fold_saturator_above"):
+            raise ValueError(f"l2_theta has no closed form for the {self.kind} kind")
+        return h**-self.prefactor_exponent * h ** (self.width_exponent / 2.0) * _bump_l2()
 
 
 def make_amplitude(kind: str, delta: float = 0.0, *, center=0.0, dim: int = 1,

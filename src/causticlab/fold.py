@@ -23,9 +23,13 @@ breakpoint of the slope-vs-delta curve turns the regime change into one
 scalar test.
 
 ``lemma_62_suite`` cross-checks the two exact integrals behind the
-above-threshold estimate (see ``oscint.m_alpha`` and
-``oscint.weighted_cauchy``) against adaptive quadrature and fits their
-eps-blowup exponents (3/2 and 1).
+above-threshold estimate against adaptive quadrature and fits their
+eps-blowup exponents (3/2 and 1):
+
+    m_alpha(alpha)          = integral dn / ((n^2+alpha)^2 + 1)
+                            = pi * Re((i - alpha)^(-1/2))
+    weighted_cauchy(x, eps) = integral |t| dt / ((x - t^2)^2 + eps^2)
+                            = (pi/2 + arctan(x/eps)) / eps
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
-from .oscint import (IntegralResult, IntegralSpec, evaluate_line, line_offsets, m_alpha,
-                     weighted_cauchy)
+from .oscint import IntegralResult, IntegralSpec, evaluate_line, line_offsets
 from .polys import ThetaPoly
 from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_row, work_cost
 
@@ -226,6 +229,18 @@ class Lemma62Report:
         return (self.max_rel_error <= LEMMA62_REL_TOL
                 and abs(self.exponent_first - first) <= LEMMA62_EXPONENT_TOL
                 and abs(self.exponent_second - second) <= LEMMA62_EXPONENT_TOL)
+
+
+def m_alpha(alpha: float) -> float:
+    """integral dn / ((n^2 + alpha)^2 + 1), by residues."""
+    return math.pi * (complex(-float(alpha), 1.0) ** -0.5).real
+
+
+def weighted_cauchy(x: float, eps: float) -> float:
+    """integral |t| dt / ((x - t^2)^2 + eps^2); always <= pi/eps."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return (math.pi / 2.0 + math.atan(float(x) / float(eps))) / float(eps)
 
 
 def _quad_first(x: float, eps: float) -> float:

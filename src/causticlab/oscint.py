@@ -36,13 +36,6 @@ e^{i a_i omega_j}, a = theta1^p, omega = G(theta2) / h.  Gaussian gridding
 time, not N1 N2 exponentials, to within 1e-14 sum|u1| sum|u2| by closed-form
 constants: below the dense sum's own round-off, so est_error has no term for
 it.  ``nodes`` still counts the N1 N2 points of the rule.
-
-Also hosts the closed-form companions of the two fold-regime integrals:
-
-    m_alpha(alpha)          = integral dn / ((n^2+alpha)^2 + 1)
-                            = pi * Re((i - alpha)^(-1/2))
-    weighted_cauchy(x, eps) = integral |t| dt / ((x - t^2)^2 + eps^2)
-                            = (pi/2 + arctan(x/eps)) / eps
 """
 
 from __future__ import annotations
@@ -111,14 +104,13 @@ class IntegralResult:
     value: complex
     abs_value: float
     est_error: float
-    panels_used: int
     converged: bool
     passes: int
     nodes: int  # integrand evaluations over all passes
     stop: str  # converged | budget | max_passes
 
 
-def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float, q: float,
+def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h: float, q: float,
                  min_nodes: float, min_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Panel midpoints and half-widths for one axis from a sampled frequency-bound profile.
 
@@ -126,7 +118,7 @@ def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h_eff: float, q: float
     the node set it is compared with.
     """
     lo, hi = tgrid[0], tgrid[-1]
-    density = gprofile * (q / (2.0 * math.pi * h_eff)) + min_nodes / (hi - lo)
+    density = gprofile * (q / (2.0 * math.pi * h)) + min_nodes / (hi - lo)
     steps = np.diff(tgrid)
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
@@ -213,18 +205,18 @@ def _expi(phase: np.ndarray) -> np.ndarray:
 
 
 def _weighted_factor(part: ThetaPoly, amp_fn, nodes: np.ndarray, weights: np.ndarray,
-                     h_eff: float) -> np.ndarray:
+                     h: float) -> np.ndarray:
     """u = w * (a * e^{iP/h}) at one axis's nodes."""
     amp = amp_fn(nodes)  # first, while its temporaries are the only large arrays
     phase = part(nodes)
-    phase /= h_eff
+    phase /= h
     u = _expi(phase)
     u *= amp
     u *= weights
     return u
 
 
-def _axis_sums(part: ThetaPoly, amp_fn, panels, h_eff: float, step: ThetaPoly | None,
+def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, step: ThetaPoly | None,
                count: int) -> np.ndarray:
     """sum_i u_i z_i^k over one axis's panels for k in ``line_offsets(count)`` order.
 
@@ -238,13 +230,14 @@ def _axis_sums(part: ThetaPoly, amp_fn, panels, h_eff: float, step: ThetaPoly | 
     per_slab = max(1, SLAB_NODES // PANEL_ORDER)
     for lo in range(0, mid.size, per_slab):
         nodes, weights = _panel_nodes(mid[lo:lo + per_slab], half[lo:lo + per_slab])
-        u = _weighted_factor(part, amp_fn, nodes, weights, h_eff)
+        u = _weighted_factor(part, amp_fn, nodes, weights, h)
         sums[0] += u.sum()
         if not count:
             continue
         zphase = step(nodes)
-        zphase /= h_eff
+        zphase /= h
         z = _expi(zphase)
+        del zphase  # before the loop's two slab-sized products
         up, down, z_conj = u, u.copy(), z.conj()
         for k in range(1, count + 1):
             up *= z
@@ -254,7 +247,7 @@ def _axis_sums(part: ThetaPoly, amp_fn, panels, h_eff: float, step: ThetaPoly | 
     return sums
 
 
-def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h_eff: float,
+def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: float,
                amp_fns, axes, step: ThetaPoly | None, count: int) -> list[complex]:
     """One pass on the tensor grid of ``axes``, the (mid, half) panels of each axis.
 
@@ -266,14 +259,14 @@ def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h_eff
     """
     p, g = mixed
     if not g.terms:
-        sums = [_axis_sums(part, amp_fn, panels, h_eff, step, count if ax == 0 else 0)
+        sums = [_axis_sums(part, amp_fn, panels, h, step, count if ax == 0 else 0)
                 for ax, (part, amp_fn, panels) in enumerate(zip(parts, amp_fns, axes))]
         # products of numpy scalars round as Python's complex products do; arrays' may not
         return [complex(math.prod(vals)) for vals in zip(*sums)]
     grids = [_panel_nodes(*panels) for panels in axes]
-    us = [_weighted_factor(part, amp_fn, nodes, weights, h_eff)
+    us = [_weighted_factor(part, amp_fn, nodes, weights, h)
           for part, amp_fn, (nodes, weights) in zip(parts, amp_fns, grids)]
-    return [_type3_sum(us[0], grids[0][0] ** p, us[1], g(grids[1][0]) / h_eff)]
+    return [_type3_sum(us[0], grids[0][0] ** p, us[1], g(grids[1][0]) / h)]
 
 
 def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int | None:
@@ -284,26 +277,35 @@ def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int |
     return None
 
 
-def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, budget: int, scale: complex,
-               rel_tol: float, floor: float, step: ThetaPoly | None = None,
+def _integrate(spec: IntegralSpec, step: ThetaPoly | None = None,
                count: int = 0) -> list[IntegralResult]:
-    """Shared refinement loop; ``scale`` multiplies the raw integrals at the end.
+    """Shared refinement loop of ``evaluate`` and ``evaluate_line``.
 
     It integrates at the phases phi + k step for k in ``line_offsets(count)``,
     all on one node set per pass, placed from a profile that bounds every
-    offset's |phi'|.  The point k = 0 converges against ``floor`` (in the units
-    of the scaled result), every other one against the converged |I| at k = 0
-    (0 if that never converged).  Each result is the one of the first pass that
-    met its point's rule, or of the last pass; the loop stops once every point
-    has met it, or on budget or MAX_PASSES.
+    offset's |phi'|.  The point k = 0 converges against ``spec.floor``, every
+    other one against the converged |I| at k = 0 (0 if that never converged).
+    Each result is the one of the first pass that met its point's rule, or of
+    the last pass; the loop stops once every point has met it, or on budget or
+    MAX_PASSES.
     """
+    h, amp, rel_tol = spec.h, spec.amplitude, spec.rel_tol
+    phi = spec.phase.theta_poly(spec.x)
+    mod = amp.modulation_poly()
+    if mod is not None:
+        phi = phi + mod
+    amp_fns = [(lambda u, ax=ax: amp.axis_slow(u, h, ax)) for ax in range(phi.nvars)]
+    rad = amp.support_radius(h)
+    box = [(c - rad, c + rad) for c in amp.center]
+    # the h^{-k/2} prefactor multiplies the raw integrals at the end
+    mag = h ** (-spec.phase.k / 2.0) if spec.includes_prefactor else 1.0
+    budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[spec.phase.k]
     parts, mixed = phi.split_axes()
-    # nodes and panels of a pass: the tensor grid when a term couples the axes
+    # nodes of a pass: the tensor grid when a term couples the axes
     combine = math.prod if mixed[1].terms else sum
-    mag = abs(scale)
-    spent = panels_total = 0
+    spent = 0
     axis_panels = [1] * phi.nvars  # of the last pass; the first has at least 2
-    history, spent_after, panels_after = [], [], []
+    history, spent_after = [], []
     stop = "max_passes"
 
     profiles = [_axis_profile(phi, ax, box) for ax in range(phi.nvars)]
@@ -312,7 +314,7 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, budget: int, scale: c
         profiles[0] = (g + count * step.partial(0).abs_bound_profile(0, box, tgrid), tgrid)
 
     def met_passes():
-        origin = _first_met([v[0] for v in history], rel_tol, max(floor / mag, 1e-300))
+        origin = _first_met([v[0] for v in history], rel_tol, max(spec.floor / mag, 1e-300))
         line_floor = mag * abs(history[origin][0]) if origin is not None else 0.0
         return [origin] + [_first_met([v[i] for v in history], rel_tol,
                                       max(line_floor / mag, 1e-300))
@@ -321,20 +323,18 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, budget: int, scale: c
     for s in range(MAX_PASSES):
         q = NODES_PER_PERIOD * REFINE_FACTOR**s
         min_nodes = MIN_AXIS_NODES * REFINE_FACTOR**s
-        axes = [_axis_panels(g, tg, h_eff, q, min_nodes, n + 1)
+        axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1)
                 for (g, tg), n in zip(profiles, axis_panels)]
-        cost = combine(PANEL_ORDER * a[0].size for a in axes)
+        axis_panels = [a[0].size for a in axes]
+        cost = combine(PANEL_ORDER * n for n in axis_panels)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
         if s > 0 and spent + cost > budget:
             stop = "budget"
             break
         spent += cost
-        axis_panels = [a[0].size for a in axes]
-        panels_total += combine(axis_panels)
-        history.append(_pass_sums(parts, mixed, h_eff, amp_fns, axes, step, count))
+        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, step, count))
         spent_after.append(spent)
-        panels_after.append(panels_total)
         if None not in met_passes():
             stop = "converged"
             break
@@ -346,10 +346,9 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, budget: int, scale: c
         value = history[last][i]
         est_error = abs(value - history[last - 1][i]) if last else math.inf
         results.append(IntegralResult(
-            value=scale * value,
+            value=mag * value,
             abs_value=mag * abs(value),
             est_error=(mag * est_error) if math.isfinite(est_error) else math.inf,
-            panels_used=panels_after[last],
             converged=met is not None,
             passes=last + 1,
             nodes=spent_after[last],
@@ -360,7 +359,7 @@ def _integrate(phi: ThetaPoly, h_eff: float, amp_fns, box, budget: int, scale: c
 
 def evaluate(spec: IntegralSpec) -> IntegralResult:
     """Evaluate I(x; h), optionally including the h^{-k/2} normalization."""
-    return evaluate_rescaled(spec, 1.0)
+    return _integrate(spec)[0]
 
 
 def evaluate_line(spec: IntegralSpec, dx: float, count: int) -> list[IntegralResult]:
@@ -378,54 +377,4 @@ def evaluate_line(spec: IntegralSpec, dx: float, count: int) -> list[IntegralRes
     if count and spec.phase.k != 1:
         raise ValueError("a line of points needs k = 1 phase variable")
     step = spec.phase.fj_monomials[0].scale(dx) if count else None
-    return _integrate(*_problem(spec, 1.0), spec.rel_tol, spec.floor, step, count)
-
-
-def evaluate_rescaled(spec: IntegralSpec, lam: float) -> IntegralResult:
-    """Evaluate after theta = lam^r eta, x = lam^{1-s} y; small parameter h/lam.
-
-    Mathematically equal to ``evaluate(spec)`` (the substitution is exact), which
-    is this function at lam = 1.
-    """
-    return _integrate(*_problem(spec, lam), spec.rel_tol, spec.floor)[0]
-
-
-def _problem(spec: IntegralSpec, lam: float):
-    """``_integrate``'s (phi, h_eff, amp_fns, box, budget, scale) for spec at lambda."""
-    if not spec.h <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [h, 1] = [{spec.h}, 1], got {lam}")
-    k = spec.phase.k
-    hom = spec.phase.homogeneity
-    r = [float(rj) for rj in hom.r]
-    s = [float(sj) for sj in hom.s]
-    theta_factors = [lam**rj for rj in r]
-    y = tuple(xj / lam ** (1.0 - sj) for xj, sj in zip(spec.x, s))
-    phi = spec.phase.theta_poly(y)
-    mod = spec.amplitude.modulation_poly()
-    if mod is not None:
-        phi = phi + mod.substitute_scaled(theta_factors).scale(1.0 / lam)
-    amp_fns = [
-        (lambda u, f=f, ax=ax: spec.amplitude.axis_slow(f * u, spec.h, ax))
-        for ax, f in enumerate(theta_factors)
-    ]
-    rad = spec.amplitude.support_radius(spec.h)
-    box = [((c - rad) / f, (c + rad) / f)
-           for c, f in zip(spec.amplitude.center, theta_factors)]
-    scale = lam ** sum(r)
-    if spec.includes_prefactor:
-        scale *= spec.h ** (-k / 2.0)
-    budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[k]
-    return phi, spec.h / lam, amp_fns, box, budget, scale
-
-
-def m_alpha(alpha: float) -> float:
-    """integral dn / ((n^2 + alpha)^2 + 1), by residues."""
-    return math.pi * (complex(-float(alpha), 1.0) ** -0.5).real
-
-
-def weighted_cauchy(x: float, eps: float) -> float:
-    """integral |t| dt / ((x - t^2)^2 + eps^2); always <= pi/eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return (math.pi / 2.0 + math.atan(float(x) / float(eps))) / float(eps)
-
+    return _integrate(spec, step, count)

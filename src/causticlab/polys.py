@@ -42,10 +42,6 @@ class ThetaPoly:
             clean.append((float(c), e))
         return cls(nvars, _merge(clean))
 
-    @classmethod
-    def zero(cls, nvars: int) -> "ThetaPoly":
-        return cls(nvars, ())
-
     def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
@@ -53,19 +49,6 @@ class ThetaPoly:
 
     def scale(self, factor: float) -> "ThetaPoly":
         return ThetaPoly(self.nvars, _merge([(factor * c, e) for c, e in self.terms]))
-
-    def substitute_scaled(self, axis_factors) -> "ThetaPoly":
-        """Return p(f1*t1, ..., fk*tk) for positive scale factors f."""
-        fs = [float(f) for f in axis_factors]
-        if len(fs) != self.nvars:
-            raise ValueError("need one factor per variable")
-        out = []
-        for c, e in self.terms:
-            scale = 1.0
-            for f, a in zip(fs, e):
-                scale *= f**a
-            out.append((c * scale, e))
-        return ThetaPoly(self.nvars, _merge(out))
 
     def partial(self, axis: int) -> "ThetaPoly":
         out = []

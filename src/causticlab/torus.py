@@ -1,4 +1,4 @@
-"""Lattice counting and extremizer sums on the flat torus R^n / 2pi Z^n.
+"""Lattice counting on the flat torus R^n / 2pi Z^n.
 
 Counts are exact integer enumerations:
 
@@ -21,9 +21,9 @@ annular cap solid, and the maximizing j per block is selected, realizing
 M(j) >= c j^{(n-1)delta/2 - 1/2} along the selected sequence.
 
 Convention: the torus carries normalized measure, so the exponentials
-e_alpha(x) = e^{-i alpha.x} are orthonormal and ||f||_2 = sqrt(sum |a|^2);
-uniform-coefficient cap sums then satisfy ||f||_inf / ||f||_2 = sqrt(count)
-exactly, attained at x = 0.
+e_alpha(x) = e^{-i alpha.x} are orthonormal and the sum of count of them with
+coefficients 1/sqrt(count) has sup/L^2 ratio sqrt(count), attained at x = 0:
+the ratio whose growth in 1/h = sqrt(j) ``ratio_exponent`` fits.
 """
 
 from __future__ import annotations
@@ -207,15 +207,9 @@ def _cap_points(q: CapQuery, j_hi: int):
             yield pts[inside], js[inside]
 
 
-def sphere_solutions(q: CapQuery) -> np.ndarray:
-    """All alpha in Z^n with |alpha|^2 = j inside the cap, as a sorted (m, n) array."""
-    slabs = [pts for pts, _ in _cap_points(q, q.j)]
-    return np.concatenate(slabs) if slabs else np.empty((0, q.n), dtype=np.int64)
-
-
 def sphere_cap_count(q: CapQuery) -> int:
     """Exact count of lattice points on the sphere |alpha|^2 = j inside the cap."""
-    return int(sphere_solutions(q).shape[0])
+    return sum(len(js) for _, js in _cap_points(q, q.j))
 
 
 def cap_solid_volume(n: int, J: int, delta: float) -> float:
@@ -300,43 +294,3 @@ def dyadic_exponent(blocks) -> float | None:
 def sphere_window(n: int, delta: float) -> tuple[float, float]:
     """Dyadic ratio exponent bounds: (n-1)delta/2 - 1/2 - 0.15 to (n-1)delta/2 + 0.1."""
     return (n - 1) * delta / 2 - 0.5 - 0.15, (n - 1) * delta / 2 + 0.1
-
-
-@dataclass(frozen=True)
-class ExtremizerSum:
-    """Finitely supported, l2-normalized exponential sum sum a_alpha e^{-i alpha.x}."""
-
-    points: tuple[tuple[int, ...], ...]
-    coefficients: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.coefficients):
-            raise ValueError("points/coefficients length mismatch")
-        total = math.fsum(abs(c) ** 2 for c in self.coefficients)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"sum |a|^2 = {total} is not 1")
-
-    @property
-    def l2_norm(self) -> float:
-        return math.sqrt(math.fsum(abs(c) ** 2 for c in self.coefficients))
-
-
-def extremizer(q: CapQuery) -> ExtremizerSum:
-    """Uniform l2-normalized coefficients on the sphere cap's lattice points."""
-    pts = sphere_solutions(q)
-    count = pts.shape[0]
-    if count == 0:
-        raise ValueError("empty cap: no lattice points to sum over")
-    return ExtremizerSum(
-        points=tuple(tuple(int(v) for v in row) for row in pts),
-        coefficients=(complex(1.0 / math.sqrt(count)),) * count,
-    )
-
-
-def eval_sum(s: ExtremizerSum, x) -> complex:
-    """Direct summation of sum a_alpha e^{-i alpha.x}; at x=0 this is sum a_alpha."""
-    x = np.asarray(x, dtype=float)
-    pts = np.asarray(s.points, dtype=float)
-    coefs = np.asarray(s.coefficients, dtype=complex)
-    return complex(np.sum(coefs * np.exp(-1j * (pts @ x))))
-

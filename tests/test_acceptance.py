@@ -80,7 +80,6 @@ def test_c09_fold_regime_change():
 def test_c10_torus_exact_identities():
     res = _check("C10")
     assert res.details["mismatches"] == []
-    assert res.details["ratio_error"] <= 1e-9
 
 
 def test_c11_torus_scaling():

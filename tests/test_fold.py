@@ -1,15 +1,18 @@
 """Fold regime: sharp exponents, saturating families, Plancherel, lemma suite."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from causticlab.amplitudes import make_amplitude
 from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, _x_offsets, fold_curve,
-                             l2_from_coefficients, lemma_62_suite, run_fold,
-                             sharp_exponent, two_segment_breakpoint)
-from causticlab.oscint import IntegralSpec, evaluate, m_alpha
+                             l2_from_coefficients, lemma_62_suite, m_alpha, run_fold,
+                             sharp_exponent, two_segment_breakpoint, weighted_cauchy)
+from causticlab.oscint import IntegralSpec, evaluate, evaluate_line, line_offsets
 from causticlab.scaling import ExponentFit, geometric_grid
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
@@ -59,27 +62,33 @@ def test_l2_scaling_above_is_constant():
 
 def test_l2_zero_amplitude():
     exp = FoldExperiment(0.25)
-    zeroed = exp.amplitude
-    assert zeroed.l2_theta(1e-3) > 0  # sanity: the family itself is nonzero
-    from causticlab.amplitudes import make_amplitude
+    assert exp.amplitude.l2_theta(1e-3) > 0  # sanity: the family itself is nonzero
+    # the norm is the bump kinds' closed form; a zero (custom) or gaussian amplitude has none
     zero = make_amplitude("custom", 0.0, evaluator=lambda u, h: np.zeros_like(u))
-    assert zero.l2_theta(1e-3) == 0.0
+    for amp in (zero, make_amplitude("gaussian", 0.4)):
+        with pytest.raises(ValueError, match="closed form"):
+            amp.l2_theta(1e-3)
 
 
 def test_plancherel_cross_check_x_side():
-    # direct x-side quadrature of |u|^2 over a wide window vs the coefficient
-    # side, within 1 percent
+    # x-side trapezoid of |u|^2 on x = 0.005 k, |k| <= 1600, against the coefficient
+    # side; the grid is one line of offsets, and a few points are evaluated alone too
+    dx, count = 0.005, 1600
+    order = np.argsort(line_offsets(count))
+    xs = dx * np.arange(-count, count + 1)
     for d, h in ((0.5, 2.0**-6), (0.3, 2.0**-6)):
         exp = FoldExperiment(d)
-        xs = np.linspace(-8.0, 8.0, 3201)
-        vals = np.empty(xs.size)
-        for i, x in enumerate(xs):
-            res = evaluate(IntegralSpec(exp.phase, exp.amplitude, (float(x),), h,
-                                        rel_tol=1e-7, includes_prefactor=False))
-            vals[i] = res.abs_value**2
-        direct = math.sqrt(np.trapezoid(vals, xs))
-        coeff = l2_from_coefficients(exp, h)
-        assert direct == pytest.approx(coeff, rel=0.01), d
+        spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7,
+                            includes_prefactor=False)
+        results = evaluate_line(spec, dx, count)
+        line = [results[i] for i in order]  # by x
+        assert all(r.converged for r in line)
+        peak = max(r.abs_value for r in line)
+        for k in (-1600, -377, 0, 21, 900):
+            alone = evaluate(replace(spec, x=(k * dx,)))
+            assert abs(line[k + count].value - alone.value) <= 1e-7 * peak, (d, k)
+        direct = math.sqrt(np.trapezoid([r.abs_value**2 for r in line], xs))
+        assert direct == pytest.approx(l2_from_coefficients(exp, h), rel=1e-6), d
 
 
 def test_run_fold_below_slope():
@@ -164,6 +173,37 @@ def test_lemma62_rows_and_exponents():
     from causticlab.fold import _quad_first
     assert _quad_first(-eps * alpha, eps) == pytest.approx(
         eps**-1.5 * m_alpha(alpha), rel=1e-8)
+
+
+def test_m_alpha_against_adaptive_quadrature():
+    rng = np.random.default_rng(11)
+    assert m_alpha(0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
+    for alpha in list(rng.uniform(-40, 40, 12)) + [-1.0, 2.0]:
+        num, _ = quad(lambda t: 1.0 / ((t * t + alpha) ** 2 + 1.0),
+                      -np.inf, np.inf, limit=400)
+        assert num == pytest.approx(m_alpha(alpha), rel=1e-8), alpha
+
+
+def test_weighted_cauchy_values_and_bound():
+    assert weighted_cauchy(0.0, 0.1) == pytest.approx(15.707963267948966, rel=1e-12)
+    rng = np.random.default_rng(12)
+    for x in rng.uniform(-5, 5, 20):
+        for eps in (1.0, 0.1, 0.01):
+            assert weighted_cauchy(x, eps) <= math.pi / eps + 1e-12
+
+
+def test_lemma_62_oracle_agreement_random():
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        x = float(rng.uniform(-2.5, 2.5))
+        eps = float(np.exp(rng.uniform(math.log(1e-3), 0.0)))
+        num, _ = quad(lambda t: 1.0 / ((x - t * t) ** 2 + eps * eps),
+                      -np.inf, np.inf, limit=500)
+        closed = eps**-1.5 * m_alpha(-x / eps)
+        assert num == pytest.approx(closed, rel=1e-6)
+        num2, _ = quad(lambda u: 1.0 / ((x - u) ** 2 + eps * eps),
+                       0, np.inf, limit=500)
+        assert num2 == pytest.approx(weighted_cauchy(x, eps), rel=1e-6)
 
 
 def test_inconclusive_run_fails_the_curve_in_any_order():

@@ -31,7 +31,7 @@ def test_univariate_call_matches_term_sum(terms, xs):
 def test_univariate_constant_empty_and_scalar():
     const = ThetaPoly.from_terms(1, [(2.5, (0,))])
     assert np.array_equal(const(np.array([-1.0, 0.0, 3.0])), [2.5, 2.5, 2.5])
-    empty = ThetaPoly.zero(1)
+    empty = ThetaPoly(1, ())
     assert np.array_equal(empty(np.array([1.0, 2.0])), [0.0, 0.0])
     cubic = ThetaPoly.from_terms(1, [(1.0, (3,)), (0.37, (1,))])
     for x in (1.5, np.float64(1.5), np.array(1.5)):

@@ -1,4 +1,4 @@
-"""Lattice counting exactness, extremizer identities, dyadic search."""
+"""Lattice counting exactness and the dyadic search."""
 
 import math
 from fractions import Fraction
@@ -10,21 +10,8 @@ from hypothesis import strategies as st
 
 from causticlab import torus
 from causticlab.acceptance import naive_ball_count, naive_sphere_cap_count
-from causticlab.torus import (CapQuery, ExtremizerSum, OMEGA_PRESETS, ball_count,
-                              cap_solid_volume, count_in_ball, dyadic_lower_bound_search,
-                              eval_sum, extremizer, sphere_cap_count, sphere_solutions)
-
-
-def eval_sum_grid(s: ExtremizerSum, grid_per_axis: int = 64) -> np.ndarray:
-    """|f| on the uniform (2pi/g)Z^n grid, for norm checks (g^n points).
-
-    On that grid e^{-i alpha.x} depends on alpha only modulo g, so the
-    coefficients are folded onto Z_g^n and f is one n-dimensional DFT.
-    """
-    pts = np.asarray(s.points, dtype=np.int64)
-    folded = np.zeros((grid_per_axis,) * pts.shape[1], dtype=complex)
-    np.add.at(folded, tuple((pts % grid_per_axis).T), np.asarray(s.coefficients))
-    return np.abs(np.fft.fftn(folded))
+from causticlab.torus import (CapQuery, OMEGA_PRESETS, ball_count, cap_solid_volume,
+                              count_in_ball, dyadic_lower_bound_search, sphere_cap_count)
 
 
 def test_ball_example_21():
@@ -135,7 +122,8 @@ def test_sphere_cap_example():
     q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=2.0 / 25**0.5)
     assert q.cap_radius == pytest.approx(2.0)
     assert sphere_cap_count(q) == 2
-    assert sorted(map(tuple, sphere_solutions(q).tolist())) == [(3, 4), (4, 3)]
+    points = np.concatenate([pts for pts, _ in torus._cap_points(q, q.j)])
+    assert sorted(map(tuple, points.tolist())) == [(3, 4), (4, 3)]
 
 
 def test_sphere_cap_covers_whole_circle():
@@ -177,75 +165,6 @@ def test_sphere_n1_degenerate():
     # a wide cap picks up both +-sqrt(j)
     q = CapQuery(n=1, omega=om, mu=1.0, j=16, cap_constant=3.0)
     assert sphere_cap_count(q) == 2
-
-
-def test_extremizer_ratio_is_sqrt_count():
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=325, cap_constant=8.0 * 325**-0.5)
-    count = sphere_cap_count(q)
-    assert count >= 2
-    ext = extremizer(q)
-    ratio = abs(eval_sum(ext, (0.0, 0.0))) / ext.l2_norm
-    assert abs(ratio - math.sqrt(count)) < 1e-12
-
-
-def test_extremizer_single_point_ratio_one():
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=0.5 * 25**-0.5)
-    assert sphere_cap_count(q) == 1
-    ext = extremizer(q)
-    assert abs(abs(eval_sum(ext, (0.7, -1.3))) - 1.0) < 1e-12
-
-
-def test_extremizer_empty_cap_raises():
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=31, cap_constant=10.0)
-    with pytest.raises(ValueError, match="empty"):
-        extremizer(q)  # 31 is not a sum of two squares
-
-
-def test_extremizer_sum_accepts_long_uniform_sum():
-    # a naive float sum of 10^5 terms 1/10^5 drifts to 1 - 1.9e-12, past the 1e-12 check
-    count = 100_000
-    s = ExtremizerSum(points=tuple((i, 0) for i in range(count)),
-                      coefficients=(complex(1.0 / math.sqrt(count)),) * count)
-    assert abs(s.l2_norm - 1.0) <= 1e-15
-    with pytest.raises(ValueError, match="is not 1"):
-        ExtremizerSum(points=((0, 0), (1, 0)), coefficients=(1.0, 1e-3))
-
-
-def test_eval_sum_at_origin_counts():
-    # 12 lattice points on |alpha|^2 = 25, each with coefficient 12^{-1/2}
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
-    ext = extremizer(q)
-    assert len(ext.points) == 12
-    assert eval_sum(ext, (0.0, 0.0)) == pytest.approx(math.sqrt(12.0))
-
-
-def test_grid_max_attained_at_origin():
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=325, cap_constant=8.0 * 325**-0.5)
-    ext = extremizer(q)
-    count = len(ext.points)
-    grid_abs = eval_sum_grid(ext, 64)
-    assert float(np.max(grid_abs)) == pytest.approx(math.sqrt(count), abs=1e-9)
-
-
-def test_eval_sum_grid_matches_direct_sum_3d():
-    om = OMEGA_PRESETS["rational"][3]
-    q = CapQuery(n=3, omega=om, mu=1.0, j=594, cap_constant=8.0 * 594**-0.5)
-    ext = extremizer(q)
-    g = 16
-    grid_abs = eval_sum_grid(ext, g)
-    assert grid_abs.shape == (g, g, g)
-    scale = sum(abs(c) for c in ext.coefficients)
-    for k in ((0, 0, 0), (1, 0, 0), (0, 5, 3), (7, 15, 2), (15, 15, 15)):
-        x = tuple(2.0 * math.pi * kd / g for kd in k)
-        assert abs(grid_abs[k] - abs(eval_sum(ext, x))) <= 1e-12 * scale, k
-
-
-def test_parseval_on_sampling_grid():
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
-    ext = extremizer(q)
-    grid_abs = eval_sum_grid(ext, 64)
-    mean_sq = float(np.mean(grid_abs**2))
-    assert mean_sq == pytest.approx(1.0, abs=1e-6)  # sum |a|^2 = 1
 
 
 def test_dyadic_block_sums_track_volume():
