@@ -190,17 +190,22 @@ def crit10_torus_exact() -> CriterionResult:
     checked = 0
     mism = []
     # ball counts vs the naive oracle: (n, draws, center span, largest radius)
-    for n, draws, span, rmax in ((1, 6, 3, 50.0), (2, 6, 3, 50.0), (3, 6, 3, 25.0),
-                                 (4, 4, 2, 10.0)):
-        for _ in range(draws):
-            center = tuple(rng.uniform(-span, span, n))
-            radius = float(rng.uniform(0.5, rmax))
-            a = count_in_ball(center, radius)
-            b = naive_ball_count(center, radius)
-            checked += 1
-            if a != b:
-                ok = False
-                mism.append(("ball", n, center, radius, a, b))
+    balls = [(tuple(rng.uniform(-span, span, n)), float(rng.uniform(0.5, rmax)))
+             for n, draws, span, rmax in ((1, 6, 3, 50.0), (2, 6, 3, 50.0), (3, 6, 3, 25.0),
+                                          (4, 4, 2, 10.0))
+             for _ in range(draws)]
+    # 4D centres in Z^4 or (Z + 1/2)^4 and odd k <= 99 put lattice points on the
+    # sphere of radius sqrt(k) (four squares; 4k = 8m + 4 as four odd squares), where
+    # the tail table's near entries are re-decided exactly
+    balls += [(tuple((rng.integers(-3, 4, 4) + shift).tolist()),
+               math.sqrt(2 * int(rng.integers(0, 50)) + 1)) for shift in (0.0, 0.5, 0.0, 0.5)]
+    for center, radius in balls:
+        a = count_in_ball(center, radius)
+        b = naive_ball_count(center, radius)
+        checked += 1
+        if a != b:
+            ok = False
+            mism.append(("ball", len(center), center, radius, a, b))
     # sphere caps vs the naive oracle
     sphere_cases = [
         (2, 25, OMEGA_PRESETS["rational"][2], 2.0),

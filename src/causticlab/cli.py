@@ -313,9 +313,9 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         if len(js) < 3:
             raise ConfigError("j_max", "range too narrow for a fit")
         queries = [CapQuery(n=n, omega=om, mu=dprime, j=j) for j in js]
-        if queries[-1].cap_radius > ENUM_LIMITS["radius"]:
+        if queries[-1].cap_radius > ENUM_LIMITS["radius"][n]:
             raise ConfigError("j_max", f"ball radius {queries[-1].cap_radius:g} exceeds "
-                              f"the enumeration bound {ENUM_LIMITS['radius']:g}")
+                              f"the n = {n} enumeration bound {ENUM_LIMITS['radius'][n]:g}")
         counts = [ball_count(q) for q in queries]
         rows = [[j, j**-0.5, c, math.sqrt(c) if c else 0.0, -1] for j, c in zip(js, counts)]
         slope = ratio_exponent(js, counts)

@@ -146,7 +146,7 @@ def _axis_profile(phi: ThetaPoly, axis: int, box) -> tuple[np.ndarray, np.ndarra
 
 def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
                   half: int, size: int) -> np.ndarray:
-    """sum_i values_i e^{-(x_i - m step)^2 / (4 tau)} at grid index m (mod ``size``).
+    """sum_i values_i e^{-(x_i - m step)^2 / (4 tau)} at grid index m (mod ``size``, a power of 2).
 
     Each point reaches the 2 half + 1 grid points around its nearest one, m0, at
     offsets from one rounding of x - m0 step: a large x then shifts its window
@@ -154,10 +154,13 @@ def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
     """
     m0 = np.rint(x / step)
     k = np.arange(-half, half + 1)
-    w = np.exp(((x - m0 * step)[:, None] - k * step) ** 2 / (-4.0 * tau)) * values[:, None]
-    idx = ((m0.astype(np.int64)[:, None] + k) % size).ravel()
-    return (np.bincount(idx, w.real.ravel(), size)
-            + 1j * np.bincount(idx, w.imag.ravel(), size))
+    w = (x - m0 * step)[:, None] - k * step
+    w **= 2
+    w /= -4.0 * tau
+    np.exp(w, out=w)  # the real weights: each part of values is spread with them
+    idx = ((m0.astype(np.int64)[:, None] + k) & (size - 1)).ravel()
+    return (np.bincount(idx, (w * values.real[:, None]).ravel(), size)
+            + 1j * np.bincount(idx, (w * values.imag[:, None]).ravel(), size))
 
 
 def _type3_sum(u1: np.ndarray, a: np.ndarray, u2: np.ndarray,

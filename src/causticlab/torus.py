@@ -7,13 +7,15 @@ Counts are exact integer enumerations:
 
 One walk enumerates both.  It expands a ball axis by axis as a frontier of
 squared budgets radius^2 - sum (alpha_i - c_i)^2, one per admissible prefix.
-The ball count stops one axis short and counts the last axis as an open
-interval per prefix.  It is exact on the float center and radius: floats decide
-all points but those within a thin margin of the sphere, which are re-decided
-in Fractions (cap tests are still floats).  Caps walk all n axes of a ball
-holding the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha inside the
-cap of j = |alpha|^2}, and each point's j = |alpha|^2 picks its cap test.  A
-single sphere is the case j_lo = j_hi = j; the dyadic search of the
+The ball count meets in the middle: it walks the first ceil(n/2) axes, enumerates
+the last floor(n/2) axes once into a sorted table of squared distances, and
+counts each head prefix's tail points by bisection in that table, so a 4D ball
+of radius r costs O(r^2 log r).  It is exact on the float center and radius:
+floats decide all points but those within a thin margin of the sphere, which
+are re-decided in Fractions (cap tests are still floats).  Caps walk all n axes
+of a ball holding the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha
+inside the cap of j = |alpha|^2}, and each point's j = |alpha|^2 picks its cap
+test.  A single sphere is the case j_lo = j_hi = j; the dyadic search of the
 lower-bound argument runs it once per block [J, 2J] and bins the points by j,
 which gives every M(j) = sphere_cap_count of the block in one pass.  Each
 block's sum of M(j) is compared against the volume of the corresponding
@@ -34,7 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-ENUM_LIMITS = {"radius": 1.0e4, "j": {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**5}}
+ENUM_LIMITS = {"radius": {1: 1.0e4, 2: 1.0e4, 3: 1.0e4, 4: 512.0},
+               "j": {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**5}}
 BALL_EXPONENT_TOLERANCE = 0.05
 SLAB_POINTS = 2**14  # points per vectorized slab of the one ball walk; bounds memory
 
@@ -124,46 +127,65 @@ def _expand(chunks, c: float, margin: float):
             yield new, [col[e] for col in coords] + [a]
 
 
-def _walk(center, radius: float, axes: int):
-    """The _expand chain over the first `axes` axes of ball(center, radius), and its margin."""
+def _margin(center, radius: float) -> float:
+    """Half-width of the band around radius^2 in which float squared distances are re-decided."""
     # rounding moves a squared distance by a few ulps of this scale; the margin is far wider
-    margin = 2.0**-40 * (radius + 1.0) * (radius + max(map(abs, center)) + 1.0)
+    return 2.0**-40 * (radius + 1.0) * (radius + max(map(abs, center)) + 1.0)
+
+
+def _walk(center, radius: float, margin: float):
+    """The _expand chain over every axis of `center`: the points of ball(center, radius)."""
     chunks = iter([(np.array([radius * radius]), [])])
-    for c in center[:axes]:
+    for c in center:
         chunks = _expand(chunks, c, margin)
-    return chunks, margin
+    return chunks
 
 
 def count_in_ball(center, radius: float) -> int:
     """Exact number of integer points with sum (alpha_i - c_i)^2 < radius^2.
 
-    Exact on the values of the float center and radius: the leading axes are
-    walked as a frontier of squared budgets (_expand), the last axis is an
-    interval per prefix, and the points whose float squared distance lies
-    within a margin of radius^2 are re-decided in Fractions.
+    Exact on the values of the float center and radius, by meeting in the
+    middle: the first ceil(n/2) axes are walked as a frontier of squared
+    budgets B (_walk), the last floor(n/2) axes are enumerated once into a
+    sorted table T of squared distances, and each head counts the tail
+    entries with T < B by bisection.  The points whose float T lies within a
+    margin of B are re-decided in Fractions.
     """
     center = [float(c) for c in center]
-    if not 1 <= len(center) <= 4 or not all(map(math.isfinite, (*center, radius))):
+    n = len(center)
+    if not 1 <= n <= 4 or not all(map(math.isfinite, (*center, radius))):
         raise ValueError("need 1 to 4 finite center coordinates and a finite radius")
-    if radius > ENUM_LIMITS["radius"]:
-        raise ValueError(f"radius {radius} exceeds enumeration bound {ENUM_LIMITS['radius']}")
+    limit = ENUM_LIMITS["radius"][n]
+    if radius > limit:
+        raise ValueError(f"radius {radius} exceeds the n = {n} enumeration bound {limit}")
     if radius <= 0:
         return 0
-    chunks, margin = _walk(center, radius, len(center) - 1)
-    c, exact_center, exact_r2 = center[-1], list(map(Fraction, center)), Fraction(radius) ** 2
+    # B and T are each radius^2 less a chain of correctly rounded squares (a - c)^2 and
+    # differences, every value below (radius + 1)^2: each is off by a few ulps of that,
+    # B - T by twice that, far inside the margin of the full centre (at least
+    # 2^-40 (radius + 1)^2), which both halves share.  A walk drops only points whose
+    # float budget is below -margin: they lie outside the ball.
+    margin = _margin(center, radius)
+    head = (n + 1) // 2
+    tail = list(_walk(center[head:], radius, margin))  # for n = 1, the empty point alone
+    if not tail:
+        return 0  # no tail point lies within the radius
+    table = radius * radius - np.concatenate([rem for rem, _ in tail])
+    points = np.array([np.concatenate(col) for col in zip(*(cs for _, cs in tail))],
+                      dtype=np.int64).reshape(n - head, len(table)).T
+    order = np.argsort(table)
+    table, points = table[order], points[order]
+    exact_center, exact_r2 = list(map(Fraction, center)), Fraction(radius) ** 2
     total = 0
-    for rem, coords in chunks:
-        # integers strictly inside c -+ w_in are inside, those outside [c -+ w_out] outside
-        w_in, w_out = np.sqrt(np.maximum(rem - margin, 0.0)), np.sqrt(rem + margin)
-        lo_in, hi_in = np.floor(c - w_in) + 1, np.ceil(c + w_in) - 1
-        lo_out, hi_out = np.ceil(c - w_out), np.floor(c + w_out)
-        sure = np.maximum(hi_in - lo_in + 1, 0)
+    for budget, coords in _walk(center[:head], radius, margin):
+        # table entries before `sure` are inside, those from `near` on outside
+        sure = np.searchsorted(table, budget - margin, side="left")
+        near = np.searchsorted(table, budget + margin, side="right")
         total += int(np.sum(sure, dtype=np.int64))
-        for i in np.flatnonzero(hi_out - lo_out + 1 > sure):
+        for i in np.flatnonzero(near > sure):
             prefix = [int(col[i]) for col in coords]
-            total += sum(sum((x - v) ** 2 for x, v in zip((*prefix, a), exact_center)) < exact_r2
-                         for a in range(int(lo_out[i]), int(hi_out[i]) + 1)
-                         if not lo_in[i] <= a <= hi_in[i])
+            total += sum(sum((x - v) ** 2 for x, v in zip(prefix + rest, exact_center))
+                         < exact_r2 for rest in points[sure[i]:near[i]].tolist())
     return total
 
 
@@ -196,7 +218,8 @@ def _cap_points(q: CapQuery, j_hi: int):
     center, radius = 0.5 * (lo + hi) * omega, 0.5 * (hi - lo) + float(np.max(width)) + 1.0
     if radius > hi + 1.0:
         center, radius = np.zeros(q.n), hi + 1.0
-    for _, coords in _walk(center.tolist(), radius, q.n)[0]:
+    center = center.tolist()
+    for _, coords in _walk(center, radius, _margin(center, radius)):
         pts = np.stack(coords, axis=1)
         js = np.sum(pts * pts, axis=1)
         ok = (js >= j_lo) & (js <= j_hi)

@@ -320,6 +320,9 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     (["supnorm", "--center", "nan"], "center"),
     (["supnorm", "--center", "inf"], "center"),
     (["torus", "--mode", "dyadic", "--delta-prime", "0.9"], "torus_delta_prime"),
+    # radius 2^9.5 is within the n <= 3 bound, not the n = 4 one
+    (["torus", "--mode", "ball", "--n", "4", "--delta-prime", "1", "--j-min", "2",
+      "--j-max", "524288"], "j_max"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -279,6 +279,23 @@ def test_type3_sum_within_its_closed_form_bound():
         assert err <= 1e-14 * np.abs(u1).sum() * np.abs(u2).sum()
 
 
+def test_gauss_spread_bits_match_the_complex_product():
+    # the spread weighs each part of the values with one real array; the reference
+    # forms the complex N x (2 half + 1) product, and the sums agree bit for bit,
+    # also where windows wrap past either end of the grid
+    rng = np.random.default_rng(5)
+    for n, step, tau, half, size in ((400, 0.05, 3e-3, 10, 64), (2000, 0.3, 0.2, 12, 256)):
+        x = rng.uniform(-0.6, 0.6, n) * step * size
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        m0 = np.rint(x / step)
+        k = np.arange(-half, half + 1)
+        w = np.exp(((x - m0 * step)[:, None] - k * step) ** 2 / (-4.0 * tau)) * values[:, None]
+        idx = ((m0.astype(np.int64)[:, None] + k) % size).ravel()
+        want = np.bincount(idx, w.real.ravel(), size) + 1j * np.bincount(idx, w.imag.ravel(), size)
+        got = oscint._gauss_spread(x, values, step, tau, half, size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("label", LABELS_2D)
 def test_nufft_pass_against_dense_oracle(label, monkeypatch):
     # the whole refinement loop twice: the engine, and the engine with the

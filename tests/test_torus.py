@@ -1,6 +1,7 @@
 """Lattice counting exactness and the dyadic search."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,17 @@ def test_ball_example_21():
 def test_ball_empty_when_radius_too_small():
     # nearest lattice point to (0.5, 0.5) sits at distance sqrt(0.5)
     assert count_in_ball((0.5, 0.5), 0.5) == 0
+    # n = 1 has no tail axes; its nearest points sit at 0.5 and 0.25, outside the radius
+    assert count_in_ball((0.5,), 0.5) == 0
+    assert count_in_ball((3.25,), 0.2) == 0
+    assert count_in_ball((0.5,), 0.5 + 2.0**-40) == 2
+    assert count_in_ball((0.5, 0.5, 0.5, 0.5), 0.99) == 0
+
+
+def test_ball_n1_has_no_tail_axes():
+    # one head axis against the empty tail point: the open interval (c - r, c + r)
+    for c, r, want in ((0.5, 3.0, 6), (0.0, 3.0, 5), (-2.5, math.sqrt(2), 2), (0.25, 1e4, 20000)):
+        assert count_in_ball((c,), r) == want == naive_ball_count((c,), r)
 
 
 def test_ball_counts_match_naive_oracle():
@@ -45,6 +57,19 @@ def test_ball_count_rejects_out_of_bounds():
         count_in_ball((0.0, math.nan), 2.0)
 
 
+def test_ball_count_refuses_large_4d_radius():
+    # radius 600 would ask for a tail table of about 1.1M entries: refused before any walk
+    assert torus.ENUM_LIMITS["radius"][4] == 512 < 600 <= torus.ENUM_LIMITS["radius"][3]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n = 4 enumeration bound"):
+            count_in_ball((0.5, 0.0, 0.0, 0.0), 600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def exact_half_integer_ball_count(center, radius: float) -> int:
     """Integer full-box count for centres on (1/2)Z, where 4 |alpha - c|^2 is an integer."""
     twice = np.array([int(2 * c) for c in center])
@@ -65,7 +90,20 @@ def test_ball_sqrt17_sphere_points_lie_inside(n, want):
     assert naive_ball_count(center, math.sqrt(17)) == want
 
 
-BOUNDARY_RADIUS = {1: 40, 2: 16, 3: 8, 4: 5}
+@pytest.mark.parametrize("center, k", [((0.0,) * 4, 144), ((1.0, -2.0, 0.0, 3.0), 100),
+                                       ((0.5, -1.5, 2.5, 0.5), 121), ((-0.5,) * 4, 65)])
+def test_ball_4d_half_integer_centres(center, k):
+    # the sphere of radius sqrt(k) holds lattice points (four squares; 4k = 8m + 4 as
+    # four odd squares), which the tail table's near entries re-decide: the float radii
+    # either side of sqrt(k) leave them out and take them in
+    root = math.sqrt(k)
+    radii = [math.nextafter(root, 0.0), root, math.nextafter(root, math.inf)]
+    counts = [count_in_ball(center, r) for r in radii]
+    assert counts == [exact_half_integer_ball_count(center, r) for r in radii]
+    assert counts[0] < counts[2]
+
+
+BOUNDARY_RADIUS = {1: 40, 2: 16, 3: 8, 4: 7}
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,14 +124,30 @@ def test_ball_counts_exact_on_lattice_spheres(data):
 def test_ball_frontier_split_across_slabs(monkeypatch):
     # at 7 points per slab every frontier expansion is cut, often inside one budget's range
     monkeypatch.setattr(torus, "SLAB_POINTS", 7)
+    walk, calls = torus._walk, []
+
+    def counted_walk(center, radius, margin):
+        chunks = list(walk(center, radius, margin))
+        calls.append((len(center), len(chunks)))
+        return iter(chunks)
+
+    monkeypatch.setattr(torus, "_walk", counted_walk)
     rng = np.random.default_rng(8)
     for n in (3, 4):
+        calls.clear()
         for _ in range(4):
             center = tuple(rng.uniform(-2, 2, n))
             radius = float(rng.uniform(1.0, 6.0))
             assert count_in_ball(center, radius) == naive_ball_count(center, radius)
         center = (0.5,) + (0.0,) * (n - 1)
         assert count_in_ball(center, math.sqrt(17)) == naive_ball_count(center, math.sqrt(17))
+        # each call builds its table over the last n // 2 axes, then walks the first ceil(n/2)
+        tails, heads = calls[0::2], calls[1::2]
+        assert {axes for axes, _ in tails} == {n // 2}
+        assert {axes for axes, _ in heads} == {(n + 1) // 2}
+        # the tail tables of the sqrt(17) ball and at least one other span several slabs
+        assert tails[-1][1] > 1 and sum(slabs > 1 for _, slabs in tails) >= 2
+    monkeypatch.setattr(torus, "_walk", walk)
     # sphere caps take their candidates from the same walk, over all n axes
     for n, j, J in ((2, 125, 64), (3, 54, 32), (4, 30, 16)):
         om = OMEGA_PRESETS["rational"][n]
