@@ -287,8 +287,7 @@ ALL_CRITERIA = {
     "C04": CommandRow("A2 order 1/6", ("supnorm --type A2",)),
     "C05": CommandRow("A2 below-threshold stability",
                       ("sweep --type A2 --deltas 0.1,0.2,0.3,0.3333333333333333",)),
-    # pinned, looser than the 0.03 of ORDER_TOLERANCE
-    "C06": CommandRow("A3 order 1/4", ("supnorm --type A3 --tolerance 0.04",)),
+    "C06": CommandRow("A3 order 1/4", ("supnorm --type A3",)),
     "C07": CommandRow("D4+- order 1/3 (2D)", ("supnorm --type D4-", "supnorm --type D4+")),
     "C08": crit08_e_series_boundedness,
     "C09": CommandRow("fold regime change", ("fold --rel-tol 1e-07",)),

@@ -9,6 +9,10 @@ Families a(theta; h) in the class S^k_delta satisfy
     fold_saturator_above  h^{(delta-3)/4} chi(theta/h^{(1-delta)/2}) e^{i theta^3/3h}
                                                                   order (3-delta)/4
 
+Each kind's KINDS row gives, as functions of delta, its width and prefactor
+exponents, cubic modulation, declared order and support, so an
+AmplitudeProfile is (kind, delta, center) and nothing else.
+
 The narrow bump is also the fold's saturator below delta = 1/3 (paired with
 the fold phase x*t + t^3).  A fifth kind, ``custom``, wraps a caller-supplied
 evaluator; it is the tests' hook for a zero or step amplitude and cannot be
@@ -30,21 +34,31 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .polys import ThetaPoly
 
-# kind -> delta -> (width exponent, prefactor exponent, cubic modulation,
-#                   declared order, support constant)
+
+class KindRow(NamedTuple):
+    """What (kind, delta) fix of a family; a bump kind is h^-p chi((u - c)/h^w) e^{i c3 u^3/h}."""
+
+    width_exponent: float  # w
+    prefactor_exponent: float  # p
+    cubic_modulation: float  # c3
+    declared_order: float  # the symbol order k of S^k_delta
+    support_const: float  # the support is |u - c| <= support_const h^w
+
+
+# kind -> delta -> its KindRow
 KINDS = {
-    "fixed_bump": lambda d: (0.0, 0.0, 0.0, 0.0, 2.0),
-    "narrow_bump": lambda d: (d, 0.0, 0.0, 0.0, 2.0),
-    "gaussian": lambda d: (d, d / 2.0, 0.0, d / 2.0, 4.0),
-    "fold_saturator_above": lambda d: ((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0,
-                                       (3.0 - d) / 4.0, 2.0),
-    "custom": lambda d: (0.0, 0.0, 0.0, 0.0, 2.0),
+    "fixed_bump": lambda d: KindRow(0.0, 0.0, 0.0, 0.0, 2.0),
+    "narrow_bump": lambda d: KindRow(d, 0.0, 0.0, 0.0, 2.0),
+    "gaussian": lambda d: KindRow(d, d / 2.0, 0.0, d / 2.0, 4.0),
+    "fold_saturator_above": lambda d: KindRow((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0,
+                                              (3.0 - d) / 4.0, 2.0),
+    "custom": lambda d: KindRow(0.0, 0.0, 0.0, 0.0, 2.0),
 }
 
 
@@ -70,38 +84,42 @@ def _bump_l2() -> float:
 class AmplitudeProfile:
     """One h-indexed amplitude family; evaluators are pure and reusable.
 
-    ``axis_slow`` is the amplitude without its oscillatory modulation factor;
-    the modulation exponent (cubic_modulation * theta^3, to be divided by h)
-    is exposed separately so the quadrature engine can fold it into the phase
-    exactly instead of chasing an oscillating integrand.
+    (kind, delta) fix everything else through the kind's KINDS row, and the
+    dimension is len(center).  ``axis_slow`` is the amplitude without its
+    oscillatory modulation factor; the modulation exponent
+    (cubic_modulation * theta^3, to be divided by h) is exposed separately so
+    the quadrature engine can fold it into the phase exactly instead of
+    chasing an oscillating integrand.
     """
 
     kind: str
     delta: float
-    declared_order: float
     center: tuple[float, ...] = (0.0,)
-    width_exponent: float = 0.0
-    dim: int = 1
-    prefactor_exponent: float = 0.0
-    cubic_modulation: float = 0.0
-    support_const: float = 2.0
     evaluator: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown amplitude kind {self.kind!r}")
         if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if self.dim not in (1, 2):
             raise ValueError("only 1D and 2D (tensor) amplitudes are supported")
-        if len(self.center) != self.dim:
-            raise ValueError("center must have one entry per dimension")
         if self.kind == "custom" and self.evaluator is None:
             raise ValueError("custom amplitudes need an evaluator")
 
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    @property
+    def row(self) -> KindRow:
+        """The kind's KINDS row at this delta."""
+        return KINDS[self.kind](self.delta)
+
     def support_radius(self, h: float) -> float:
         """Half-width of the support along each axis (h-uniformly <= 4)."""
-        return self.support_const * float(h) ** self.width_exponent
+        row = self.row
+        return row.support_const * float(h) ** row.width_exponent
 
     def axis_slow(self, u, h: float, axis: int = 0) -> np.ndarray:
         """Slow (modulation-free) factor along one axis; complex for custom kinds."""
@@ -110,13 +128,14 @@ class AmplitudeProfile:
         c = self.center[axis]
         if self.kind == "custom":
             return np.asarray(self.evaluator(u, h))
-        scale = h**self.width_exponent
+        w, p, *_ = self.row
+        scale = h**w
         if self.kind == "gaussian":
-            core = h**-self.prefactor_exponent * np.exp(-((u - c) / scale) ** 2)
+            core = h**-p * np.exp(-((u - c) / scale) ** 2)
             return core * bump((u - c) / 2.0)
         vals = bump((u - c) / scale)
-        if self.prefactor_exponent:
-            vals = h**-self.prefactor_exponent * vals
+        if p:
+            vals = h**-p * vals
         return vals
 
     def value(self, theta, h: float):
@@ -126,18 +145,19 @@ class AmplitudeProfile:
         h = float(h)
         u = np.asarray(theta, dtype=float)
         out = self.axis_slow(u, h).astype(complex)
-        if self.cubic_modulation:
-            out = out * np.exp(1j * self.cubic_modulation * u**3 / h)
+        c3 = self.row.cubic_modulation
+        if c3:
+            out = out * np.exp(1j * c3 * u**3 / h)
         return out
 
     def modulation_poly(self) -> ThetaPoly | None:
         """Phase-side modulation exponent as a polynomial (to be divided by h)."""
-        if not self.cubic_modulation:
+        c3 = self.row.cubic_modulation
+        if not c3:
             return None
         if self.dim == 1:
-            return ThetaPoly.from_terms(1, [(self.cubic_modulation, (3,))])
-        return ThetaPoly.from_terms(
-            2, [(self.cubic_modulation, (3, 0)), (self.cubic_modulation, (0, 3))])
+            return ThetaPoly.from_terms(1, [(c3, (3,))])
+        return ThetaPoly.from_terms(2, [(c3, (3, 0)), (c3, (0, 3))])
 
     def l2_theta(self, h: float) -> float:
         """||a||_{L^2} in theta (1D) of a bump kind, modulation dropped since |e^{i phi}| = 1.
@@ -149,29 +169,17 @@ class AmplitudeProfile:
             raise ValueError("l2_theta is defined for 1D profiles")
         if self.kind not in ("fixed_bump", "narrow_bump", "fold_saturator_above"):
             raise ValueError(f"l2_theta has no closed form for the {self.kind} kind")
-        return h**-self.prefactor_exponent * h ** (self.width_exponent / 2.0) * _bump_l2()
+        w, p, *_ = self.row
+        return h**-p * h ** (w / 2.0) * _bump_l2()
 
 
-def make_amplitude(kind: str, delta: float = 0.0, *, center=0.0, dim: int = 1,
-                   width_exponent: float | None = None,
+def make_amplitude(kind: str, delta: float = 0.0, *, center: float = 0.0, dim: int = 1,
                    evaluator: Callable | None = None) -> AmplitudeProfile:
-    """Build one of the named amplitude families from its KINDS row at delta.
+    """The ``kind`` family at ``delta``, centred at ``center`` on each of ``dim`` axes.
 
-    ``width_exponent`` replaces the row's width exponent (the CLI's
-    --width-exponent); everything else is determined by kind and delta.
+    ``evaluator`` is the custom kind's a(u, h); AmplitudeProfile checks kind and delta.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown amplitude kind {kind!r}")
-    if not 0.0 <= float(delta) <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    ctr = tuple(center) if isinstance(center, (tuple, list)) else (float(center),) * dim
-    w, p, c3, order, sc = KINDS[kind](float(delta))
-    if width_exponent is not None:
-        w = float(width_exponent)
-    return AmplitudeProfile(
-        kind=kind, delta=float(delta), declared_order=order, center=ctr,
-        width_exponent=w, dim=dim, prefactor_exponent=p, cubic_modulation=c3,
-        support_const=sc, evaluator=evaluator)
+    return AmplitudeProfile(kind, float(delta), (float(center),) * dim, evaluator)
 
 
 # 4th-order-accurate central difference stencils, offsets symmetric about 0;
@@ -193,7 +201,8 @@ def estimate_sup_derivative(profile: AmplitudeProfile, alpha: int, h: float) -> 
         raise ValueError("alpha must be between 0 and 3")
     h = float(h)
     scale = min(1.0, h**profile.delta) if profile.delta > 0 else 1.0
-    scale = min(scale, h**profile.width_exponent) if profile.width_exponent else scale
+    w = profile.row.width_exponent
+    scale = min(scale, h**w) if w else scale
     step = scale / POINTS_PER_SCALE
     r = profile.support_radius(h) + 8 * step
     c = profile.center[0]
@@ -230,6 +239,7 @@ def check_symbol_order(profile: AmplitudeProfile, h_grid) -> list[SymbolOrderRow
     if hs.size < 6:
         raise ValueError("need at least 6 h values")
     rows = []
+    order = profile.row.declared_order
     logs_inv_h = np.log(1.0 / hs)
     for alpha in _STENCILS:
         sups = np.array([estimate_sup_derivative(profile, alpha, h) for h in hs])
@@ -240,7 +250,7 @@ def check_symbol_order(profile: AmplitudeProfile, h_grid) -> list[SymbolOrderRow
         slope, intercept = np.polyfit(logs_inv_h[usable], np.log(sups[usable]), 1)
         resid = float(np.max(np.abs(
             np.log(sups[usable]) - (slope * logs_inv_h[usable] + intercept))))
-        expected = profile.declared_order + profile.delta * alpha
+        expected = order + profile.delta * alpha
         rows.append(SymbolOrderRow(alpha, float(slope), float(expected), resid,
                                    int(np.count_nonzero(usable))))
     return rows

@@ -6,7 +6,8 @@ reads (SUBCOMMANDS).  A config file (--config, JSON) provides defaults;
 command-line flags win.  A flag, config-file key or RunConfig field that the
 subcommand does not read is an invalid configuration.
 Exit status: 0 all expected-pass fits pass, 1 computational failure or
-inconclusive fits, 2 invalid configuration.
+inconclusive fits, 2 invalid configuration (which writes nothing, not even
+the out directory).
 
 Reports are byte-stable: an identical config gives identical CSV/JSON bytes.
 Every summary.json echoes the experiment and, under ``config``, the out
@@ -14,8 +15,9 @@ directory and the fields its subcommand reads.  Wall time is printed to
 stdout and written to a sidecar (run.log; verify's per-criterion
 timings.json), never into the summary or the verify matrix.
 Each verdict and its tolerance is defined once, in the library module that
-owns the experiment; the runners here wire a config to it and return the
-summary.
+owns the experiment, and no flag overrides a tolerance; the runners here wire
+a config to it and return the summary.  An amplitude is named by its kind,
+delta and centre; the kind fixes the rest.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import numpy as np
 from . import acceptance
 from .amplitudes import KINDS, SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
 from .catalog import SingularityType, build_phase, catalog_rows, caustic_order, threshold
-from .fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, FOLD_TOLERANCE, fold_curve,
-                   lemma_62_suite)
+from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, fold_curve, lemma_62_suite
 from .reports import fmt_fraction, write_csv, write_json
 from .scaling import (DEFAULT_H_RANGE, ScanPlan, fit_exponent, geometric_grid,
                       order_tolerance, supnorm_scan, threshold_sweep)
@@ -61,7 +62,6 @@ class RunConfig:
     amplitude: str = "fixed_bump"
     delta: float = 0.0
     deltas: tuple[float, ...] = ()
-    width_exponent: float | None = None
     center: float = 0.0
     h_start: float | None = None
     h_stop: float | None = None
@@ -69,7 +69,6 @@ class RunConfig:
     x_strategy: str = "origin_only"
     points_per_shell: int = 1
     rel_tol: float = 1e-6
-    tolerance: float | None = None
     eval_budget: int | None = None
     torus_n: int = 2
     torus_mode: str = "dyadic"  # ball | dyadic
@@ -129,8 +128,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("amplitude", f"must be one of {amplitudes}")
     if not 0.0 <= cfg.delta <= 1.0:
         raise ConfigError("delta", f"must lie in [0, 1], got {cfg.delta}")
-    if cfg.width_exponent is not None and not 0.0 <= cfg.width_exponent <= 1.0:
-        raise ConfigError("width_exponent", "must lie in [0, 1]")
     if not math.isfinite(cfg.center):
         raise ConfigError("center", f"must be finite, got {cfg.center}")
     for d in cfg.deltas:
@@ -140,8 +137,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("h_start", "must lie in (0, 1)")
     if cfg.h_stop is not None and not 0.0 < cfg.h_stop < 1.0:
         raise ConfigError("h_stop", "must lie in (0, 1)")
-    if cfg.h_start is not None and cfg.h_stop is not None and cfg.h_stop >= cfg.h_start:
-        raise ConfigError("h_stop", "must be smaller than h_start")
     if cfg.h_points is not None and cfg.h_points < 5:
         raise ConfigError("h_points", "need at least 5 grid points")
     if cfg.x_strategy not in ("origin_only", "omega_shells"):
@@ -152,8 +147,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("points_per_shell", "only --x-strategy omega_shells reads it")
     if not 1e-10 <= cfg.rel_tol <= 1e-3:
         raise ConfigError("rel_tol", "must lie in [1e-10, 1e-3]")
-    if cfg.tolerance is not None and not 0.0 < cfg.tolerance < math.inf:
-        raise ConfigError("tolerance", f"must be positive and finite, got {cfg.tolerance}")
     if cfg.eval_budget is not None and cfg.eval_budget < 1:
         raise ConfigError("eval_budget", "must be >= 1")
     if not 1 <= cfg.torus_n <= 4:
@@ -221,19 +214,11 @@ def _run_catalog(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return 0, {"types": [row["label"] for row in table]}
 
 
-def _amplitude(cfg: RunConfig, dim: int = 1):
-    kwargs = {"center": (cfg.center,) * dim, "dim": dim}
-    if cfg.width_exponent is not None:
-        kwargs["width_exponent"] = cfg.width_exponent
-    return make_amplitude(cfg.amplitude, cfg.delta, **kwargs)
-
-
 def _run_symbols(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     hs = _h_grid(cfg, geometric_grid(2.0**-4, 2.0**-11, 8))  # 2^-4..2^-11 by default
     if len(hs) < 6:
         raise ConfigError("h_points", "the symbol fit needs at least 6 grid points")
-    profile = _amplitude(cfg)
-    rows = check_symbol_order(profile, hs)
+    rows = check_symbol_order(make_amplitude(cfg.amplitude, cfg.delta, center=cfg.center), hs)
     write_csv(out / "symbols.csv",
               ["alpha", "fitted_order", "expected_order", "residual", "n_points"],
               [[r.alpha, r.fitted_order, r.expected_order, r.residual, r.n_points]
@@ -260,13 +245,12 @@ def _fit_payload(fit) -> dict:
 def _run_supnorm(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     t = SingularityType.parse(cfg.singularity)
     ph = build_phase(t)
-    amp = _amplitude(cfg, dim=ph.k)
+    amp = make_amplitude(cfg.amplitude, cfg.delta, center=cfg.center, dim=ph.k)
     plan = ScanPlan(ph, amp, _scan_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
                     points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
                     eval_budget=cfg.eval_budget)
     result = supnorm_scan(plan)
-    tol = cfg.tolerance if cfg.tolerance is not None else order_tolerance("supnorm", ph)
-    fit = fit_exponent(result.sup_rows, caustic_order(t), tol)
+    fit = fit_exponent(result.sup_rows, caustic_order(t), order_tolerance("supnorm", ph))
     write_csv(out / "scan.csv",
               ["h", "lambda", "y_index", "abs_I", "est_error", "converged"],
               [[r.h, r.lam, r.y_index, r.abs_value, r.est_error, r.converged]
@@ -283,8 +267,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     t = SingularityType.parse(cfg.singularity)
     deltas = cfg.deltas or (0.0, 0.1, 0.2, float(threshold(t)))
     entries = threshold_sweep(t, deltas, _scan_grid(cfg, build_phase(t).k),
-                              tolerance=cfg.tolerance, rel_tol=cfg.rel_tol,
-                              x_strategy=cfg.x_strategy,
+                              rel_tol=cfg.rel_tol, x_strategy=cfg.x_strategy,
                               points_per_shell=cfg.points_per_shell,
                               eval_budget=cfg.eval_budget)
     write_csv(out / "sweep.csv",
@@ -307,6 +290,9 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None \
             else cfg.torus_delta + 0.05
         if not 0.0 < dprime <= 1.0:
+            if cfg.torus_delta_prime is None:
+                raise ConfigError("torus_delta", f"the default delta' = torus_delta + 0.05 "
+                                  f"= {dprime:g} exceeds 1")
             raise ConfigError("torus_delta_prime", f"must lie in (0, 1], got {dprime}")
         js = [j for j in (2**k for k in range(1, 40))
               if cfg.j_min <= j <= cfg.j_max]
@@ -343,9 +329,8 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _run_fold(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     deltas = cfg.deltas or DEFAULT_FOLD_DELTAS
-    tol = cfg.tolerance if cfg.tolerance is not None else FOLD_TOLERANCE
     curve = fold_curve(deltas, _h_grid(cfg, DEFAULT_FOLD_H_GRID), rel_tol=cfg.rel_tol,
-                       tolerance=tol, eval_budget=cfg.eval_budget)
+                       eval_budget=cfg.eval_budget)
     rows = [[r.delta, r.h, r.sup_abs, r.l2, r.ratio]
             for run in curve.runs for r in run.rows]
     write_csv(out / "fold.csv", ["delta", "h", "sup_abs", "l2", "ratio"], rows)
@@ -402,10 +387,9 @@ class Subcommand(NamedTuple):
     fields: tuple[str, ...]  # the RunConfig fields the runner reads
 
 
-AMPLITUDE = ("amplitude", "delta", "width_exponent", "center")
+AMPLITUDE = ("amplitude", "delta", "center")
 H_GRID = ("h_start", "h_stop", "h_points")
-SCAN = ("singularity", *H_GRID, "x_strategy", "points_per_shell", "rel_tol", "tolerance",
-        "eval_budget")
+SCAN = ("singularity", *H_GRID, "x_strategy", "points_per_shell", "rel_tol", "eval_budget")
 SUBCOMMANDS = {
     "catalog": Subcommand("catalog_dump", _run_catalog, ()),
     "symbols": Subcommand("symbol_check", _run_symbols, (*AMPLITUDE, *H_GRID)),
@@ -414,7 +398,7 @@ SUBCOMMANDS = {
     "torus": Subcommand("torus", _run_torus, ("torus_n", "torus_mode", "torus_delta",
                                               "torus_delta_prime", "omega", "j_min", "j_max")),
     "fold": Subcommand("fold", _run_fold,
-                       ("deltas", *H_GRID, "rel_tol", "tolerance", "eval_budget")),
+                       ("deltas", *H_GRID, "rel_tol", "eval_budget")),
     "lemma62": Subcommand("lemma62", _run_lemma62, ()),
     "verify": Subcommand("verify", _run_verify, ()),
 }
@@ -426,10 +410,10 @@ _SUBCOMMAND_OF = {s.experiment: name for name, s in SUBCOMMANDS.items()}
 FLAGS = {
     "--out": "out_dir",
     "--type": "singularity", "--amplitude": "amplitude", "--delta": "delta",
-    "--width-exponent": "width_exponent", "--center": "center", "--deltas": "deltas",
+    "--center": "center", "--deltas": "deltas",
     "--h-start": "h_start", "--h-stop": "h_stop", "--h-points": "h_points",
     "--x-strategy": "x_strategy", "--points-per-shell": "points_per_shell",
-    "--rel-tol": "rel_tol", "--tolerance": "tolerance", "--budget": "eval_budget",
+    "--rel-tol": "rel_tol", "--budget": "eval_budget",
     "--n": "torus_n", "--mode": "torus_mode", "--torus-delta": "torus_delta",
     "--delta-prime": "torus_delta_prime", "--omega": "omega",
     "--j-min": "j_min", "--j-max": "j_max",
@@ -442,7 +426,6 @@ def run(cfg: RunConfig) -> int:
     try:
         validate(cfg)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         name = _SUBCOMMAND_OF[cfg.experiment]
         status, summary = SUBCOMMANDS[name].runner(cfg, out)
     except ConfigError as e:

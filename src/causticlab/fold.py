@@ -83,7 +83,6 @@ class FoldExperiment:
     delta: float
     h_grid: tuple[float, ...] = DEFAULT_FOLD_H_GRID
     rel_tol: float = 1e-7
-    tolerance: float = FOLD_TOLERANCE
     eval_budget: int | None = None
 
     @property
@@ -150,7 +149,7 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
         sup_rows.append(replace(sup, sup_abs=sup.sup_abs / l2))
         evaluations += results
     ref = sharp_exponent(Fraction(exp.delta).limit_denominator(10**6))
-    fit = fit_exponent(sup_rows, ref, exp.tolerance)
+    fit = fit_exponent(sup_rows, ref, FOLD_TOLERANCE)
     return FoldRun(exp, tuple(rows), fit, tuple(evaluations))
 
 
@@ -186,20 +185,18 @@ class FoldCurve:
 
     @property
     def passed(self) -> bool:
-        """Slopes within the fits' shared tolerance, breakpoint in BREAKPOINT_WINDOW."""
+        """Slopes within FOLD_TOLERANCE, breakpoint in BREAKPOINT_WINDOW."""
         lo, hi = BREAKPOINT_WINDOW
-        return self.max_slope_error <= self.runs[0].fit.tolerance and lo <= self.breakpoint <= hi
+        return self.max_slope_error <= FOLD_TOLERANCE and lo <= self.breakpoint <= hi
 
 
 def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
-               rel_tol: float = 1e-7, tolerance: float = FOLD_TOLERANCE,
-               eval_budget: int | None = None) -> FoldCurve:
+               rel_tol: float = 1e-7, eval_budget: int | None = None) -> FoldCurve:
     """Fit the exponent at each delta (below-family through 1/3, above after)."""
     runs = []
     for d in deltas:
-        exp = FoldExperiment(float(d), tuple(h_grid), rel_tol=rel_tol, tolerance=tolerance,
-                             eval_budget=eval_budget)
-        runs.append(run_fold(exp))
+        runs.append(run_fold(FoldExperiment(float(d), tuple(h_grid), rel_tol=rel_tol,
+                                            eval_budget=eval_budget)))
     bp, sse = two_segment_breakpoint(
         [r.experiment.delta for r in runs], [r.fit.slope for r in runs])
     return FoldCurve(tuple(runs), bp, sse)

@@ -88,6 +88,8 @@ class IntegralSpec:
             raise ValueError(f"h must lie in (0, 1), got {self.h}")
         if not 1e-10 <= self.rel_tol <= 1e-3:
             raise ValueError(f"rel_tol must lie in [1e-10, 1e-3], got {self.rel_tol}")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
         if not 0.0 <= self.floor < math.inf:
             raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
         if len(self.x) != self.phase.k0:

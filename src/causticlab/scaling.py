@@ -35,8 +35,8 @@ from .catalog import PhaseFunction, SingularityType, build_phase, caustic_order,
 from .oscint import IntegralResult, IntegralSpec, evaluate
 
 DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
-# Default |slope - kappa| of an order fit, by experiment and the number of phase
-# variables k; a family key overrides k.  (C06 pins A3 at 0.04, not 0.03.)
+# |slope - kappa| of an order fit, by experiment and the number of phase
+# variables k; a family key overrides k.
 ORDER_TOLERANCE = {"supnorm": {1: 0.03, 2: 0.06, "E": 0.10},
                    "threshold_sweep": {1: 0.05, 2: 0.06}}
 SHELL_LAMBDA_COUNT = 8  # lambdas of an omega_shells ladder, h to 1
@@ -257,19 +257,17 @@ class SweepEntry:
     cost: dict  # the scan's ScanResult.cost
 
 
-def threshold_sweep(t: SingularityType, deltas, h_grid, *,
-                    tolerance: float | None = None, rel_tol: float = 1e-6,
+def threshold_sweep(t: SingularityType, deltas, h_grid, *, rel_tol: float = 1e-6,
                     x_strategy: str = "origin_only", points_per_shell: int = 1,
                     eval_budget: int | None = None) -> list[SweepEntry]:
     """Scan one type across delta values with matching narrow-bump amplitudes.
 
     Below (and at) the type's threshold the fit is compared against the
     caustic order; beyond it the entry is flagged exploratory and its verdict
-    carries no expectation.  The tolerance defaults to ORDER_TOLERANCE's.
+    carries no expectation.  The tolerance is ORDER_TOLERANCE's.
     """
     phase = build_phase(t)
-    if tolerance is None:
-        tolerance = order_tolerance("threshold_sweep", phase)
+    tolerance = order_tolerance("threshold_sweep", phase)
     ref = caustic_order(t)
     thr = float(threshold(t))
     out = []

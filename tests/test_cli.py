@@ -100,7 +100,7 @@ def test_summary_config_echo_round_trips(tmp_path):
     ["torus", "--mode", "ball", "--n", "2", "--delta-prime", "0.5", "--j-min", "4",
      "--j-max", "64"],
     ["fold", "--deltas", "0,0.5", "--h-start", "0.015625", "--h-stop", "0.0009765625",
-     "--h-points", "5", "--tolerance", "0.5"],
+     "--h-points", "5"],
 ])
 def test_config_echo_holds_only_the_subcommand_fields(tmp_path, argv):
     cfg = config_from_args([*argv, "--out", str(tmp_path)])
@@ -300,7 +300,7 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, fieldname", [
     (["supnorm", "--amplitude", "bogus"], "amplitude"),
     (["supnorm", "--amplitude", "custom"], "amplitude"),
-    (["supnorm", "--width-exponent", "-1"], "width_exponent"),
+    (["torus", "--mode", "ball", "--torus-delta", "1"], "torus_delta"),  # derived delta' 1.05
     (["torus", "--mode", "ball", "--delta-prime", "0"], "torus_delta_prime"),
     (["torus", "--mode", "ball", "--delta-prime", "1.5"], "torus_delta_prime"),
     (["torus", "--omega", "1/0,1"], "omega"),
@@ -315,8 +315,8 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     (["symbols", "--h-points", "5"], "h_points"),
     (["supnorm", "--budget", "0"], "eval_budget"),
     (["supnorm", "--budget", "-5"], "eval_budget"),
-    (["supnorm", "--tolerance", "-1"], "tolerance"),
-    (["supnorm", "--tolerance", "nan"], "tolerance"),
+    (["fold", "--h-start", "0.01", "--h-stop", "0.01"], "h_stop"),  # both ends set
+    (["supnorm", "--h-start", "0.001", "--h-stop", "0.01"], "h_stop"),
     (["supnorm", "--center", "nan"], "center"),
     (["supnorm", "--center", "inf"], "center"),
     (["torus", "--mode", "dyadic", "--delta-prime", "0.9"], "torus_delta_prime"),
@@ -329,6 +329,7 @@ def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     err = capsys.readouterr().err
     assert f"config field '{fieldname}'" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_value_types():
@@ -342,17 +343,17 @@ def test_config_value_types():
 # Each subcommand's flags besides --config and --out: one per RunConfig field its
 # runner reads.  Adding a flag means editing this table.
 _H = ["--h-start", "--h-stop", "--h-points"]
-_AMPLITUDE = ["--amplitude", "--delta", "--width-exponent", "--center"]
+_AMPLITUDE = ["--amplitude", "--delta", "--center"]
 GOLDEN_FLAGS = {
     "catalog": [],
     "symbols": [*_AMPLITUDE, *_H],
     "supnorm": ["--type", *_AMPLITUDE, *_H, "--x-strategy",
-                "--points-per-shell", "--rel-tol", "--tolerance", "--budget"],
+                "--points-per-shell", "--rel-tol", "--budget"],
     "sweep": ["--type", "--deltas", *_H, "--x-strategy", "--points-per-shell",
-              "--rel-tol", "--tolerance", "--budget"],
+              "--rel-tol", "--budget"],
     "torus": ["--n", "--mode", "--torus-delta", "--delta-prime", "--omega", "--j-min",
               "--j-max"],
-    "fold": ["--deltas", *_H, "--rel-tol", "--tolerance", "--budget"],
+    "fold": ["--deltas", *_H, "--rel-tol", "--budget"],
     "lemma62": [],
     "verify": [],
 }
@@ -370,7 +371,7 @@ def test_subcommand_flags_golden():
     assert list(flags) == list(SUBCOMMANDS)
     assert flags == {name: ["--config", "--out", *golden]
                      for name, golden in GOLDEN_FLAGS.items()}
-    assert sum(len(f) - 1 for f in flags.values()) == 52  # not counting --config
+    assert sum(len(f) - 1 for f in flags.values()) == 47  # not counting --config
 
 
 def test_readme_flag_table_matches_parser():
@@ -475,12 +476,10 @@ GOLDEN_OPTIONS = {
                      "budget", "floor"],
     "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "points_per_shell",
                  "rel_tol", "eval_budget"],
-    "FoldExperiment": ["delta", "h_grid", "rel_tol", "tolerance", "eval_budget"],
+    "FoldExperiment": ["delta", "h_grid", "rel_tol", "eval_budget"],
     "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
-    "AmplitudeProfile": ["kind", "delta", "declared_order", "center", "width_exponent",
-                         "dim", "prefactor_exponent", "cubic_modulation", "support_const",
-                         "evaluator"],
-    "make_amplitude": ["kind", "delta", "center", "dim", "width_exponent", "evaluator"],
+    "AmplitudeProfile": ["kind", "delta", "center", "evaluator"],
+    "make_amplitude": ["kind", "delta", "center", "dim", "evaluator"],
     "KINDS": ["fixed_bump", "narrow_bump", "gaussian", "fold_saturator_above", "custom"],
     "check_symbol_order": ["profile", "h_grid"],
     "estimate_sup_derivative": ["profile", "alpha", "h"],

@@ -1,10 +1,14 @@
-"""The names the package exports and the README's library layout lists exist."""
+"""The README against the code: the names it lists exist, its tolerances are the constants."""
 
 import importlib
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import causticlab
+from causticlab import amplitudes, fold, scaling, torus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +25,40 @@ def test_exported_and_documented_names_resolve():
         module = importlib.import_module(modname)
         for name in re.findall(r"`(\w+)`", contents):
             assert hasattr(module, name), (modname, name)
+
+
+
+_DECIMAL = re.compile(r"\d*\.\d+|\d+e-\d+")  # 0.05, 1e-6; not the 2 of nδ′/2
+
+
+def test_readme_tolerance_table_matches_the_constants():
+    # no flag overrides a tolerance, so this table is the one statement of every bound
+    lines = README.read_text(encoding="utf-8").split("| fit | tolerance on the slope |")[1]
+    rows = {}
+    for line in lines.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        label, cell = line.strip("|").split("|")
+        rows[label.strip()] = (_DECIMAL.sub("#", cell.strip()),
+                               pytest.approx([float(v) for v in _DECIMAL.findall(cell)]))
+    order = scaling.ORDER_TOLERANCE["supnorm"]
+    sweep = scaling.ORDER_TOLERANCE["threshold_sweep"]
+    # sphere_window is (n-1)delta/2 plus two fixed offsets
+    (low, high), = {tuple(round(b - (n - 1) * d / 2, 12) for b in torus.sphere_window(n, d))
+                    for n in (1, 2, 3, 4) for d in (0.25, 0.5, 0.75, 1.0)}
+    first, second = (Fraction(e) for e in fold.LEMMA62_EXPONENTS)
+    assert rows == {
+        "`supnorm`, 1D types (A)": ("#", [order[1]]),
+        "`supnorm`, D types": ("#", [order[2]]),
+        "`supnorm`, E types": ("#", [order["E"]]),
+        "`sweep`, 1D / 2D types": ("# / #", [sweep[1], sweep[2]]),
+        "`fold`, every δ": ("#, and the breakpoint in [#, #]",
+                            [fold.FOLD_TOLERANCE, *fold.BREAKPOINT_WINDOW]),
+        "`torus --mode ball`": ("# around nδ′/2", [torus.BALL_EXPONENT_TOLERANCE]),
+        "`torus --mode dyadic`": ("between (n−1)δ/2 − 1/2 − # and (n−1)δ/2 + #",
+                                  [-0.5 - low, high]),
+        "`symbols`": ("# on every fitted order", [amplitudes.SYMBOL_ORDER_TOLERANCE]),
+        "`lemma62`": (f"relative error # against the closed forms; ε-exponents within # "
+                      f"of {first} and {second}",
+                      [fold.LEMMA62_REL_TOL, fold.LEMMA62_EXPONENT_TOL]),
+    }

@@ -88,6 +88,9 @@ def test_spec_validation():
         IntegralSpec(A2, FIXED, (0.0, 0.0), 1e-2)  # wrong x arity
     with pytest.raises(ValueError):
         IntegralSpec(A2, make_amplitude("fixed_bump", dim=2), (0.0,), 1e-2)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            IntegralSpec(A2, FIXED, (0.0,), 1e-2, budget=budget)
 
 
 def test_conjugation_symmetry_of_sign_variants():

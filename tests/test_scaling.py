@@ -195,7 +195,7 @@ def test_fit_stability_drop_largest_h():
 def test_threshold_sweep_flags_exploratory():
     t = SingularityType.parse("A2")
     grid = geometric_grid(2.0**-5, 2.0**-10, 5)
-    entries = threshold_sweep(t, [0.2, 1.0 / 3.0, 0.8], grid, tolerance=0.05)
+    entries = threshold_sweep(t, [0.2, 1.0 / 3.0, 0.8], grid)
     assert [e.exploratory for e in entries] == [False, False, True]
     # at-threshold delta counts as in-scope (inclusive interval)
     assert entries[1].fit.verdict == "pass"
@@ -208,7 +208,7 @@ def test_sweep_beyond_threshold_changes_law():
     # law visibly breaks, which is exactly why these entries are exploratory.
     t = SingularityType.parse("A2")
     grid = geometric_grid(2.0**-6, 2.0**-12, 6)
-    entries = threshold_sweep(t, [0.1, 0.8], grid, tolerance=0.05)
+    entries = threshold_sweep(t, [0.1, 0.8], grid)
     assert entries[0].fit.slope == pytest.approx(1.0 / 6.0, abs=0.05)
     assert entries[1].fit.slope == pytest.approx(-0.3, abs=0.05)
 
