@@ -35,10 +35,8 @@ from .catalog import (CANONICAL_LABELS, SingularityType, build_phase, caustic_or
                       quasi_homogeneity_defect, threshold)
 from .fold import LEMMA62_REL_TOL, lemma_62_suite
 from .oscint import IntegralSpec, evaluate
-from .scaling import DEFAULT_H_RANGE, ScanPlan, geometric_grid, supnorm_scan
+from .scaling import DEFAULT_H_GRID, ScanPlan, supnorm_scan
 from .torus import CapQuery, OMEGA_PRESETS, count_in_ball, sphere_cap_count
-
-GRID_2D = geometric_grid(*DEFAULT_H_RANGE[2], 10)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def crit03_quadrature_oracles() -> CriterionResult:
     lemma_ok = rep.max_rel_error <= LEMMA62_REL_TOL
     h = 1e-3
     ph = build_phase(SingularityType.parse("A1"))
-    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump"), (), h,
+    res = evaluate(IntegralSpec(ph, make_amplitude("narrow_bump"), (), h,
                                 rel_tol=1e-8, includes_prefactor=False))
     exact = math.sqrt(math.pi * h) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     fresnel_err = abs(res.value - exact) / abs(exact)
@@ -174,8 +172,8 @@ def crit08_e_series_boundedness() -> CriterionResult:
     ok = True
     for label in ("E6", "E7", "E8"):
         ph = build_phase(SingularityType.parse(label))
-        amp = make_amplitude("fixed_bump", dim=ph.k)
-        sup_rows = supnorm_scan(ScanPlan(ph, amp, GRID_2D, rel_tol=1e-6)).sup_rows
+        amp = make_amplitude("narrow_bump", dim=ph.k)
+        sup_rows = supnorm_scan(ScanPlan(ph, amp, DEFAULT_H_GRID[2], rel_tol=1e-6)).sup_rows
         kap = float(caustic_order(ph.singularity))
         vals = [r.sup_abs * r.h**kap for r in sup_rows]
         spread = max(vals) / min(vals)

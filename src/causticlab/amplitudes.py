@@ -1,9 +1,8 @@
 """delta-dependent amplitude families and symbol-class checkers.
 
 Families a(theta; h) in the class S^k_delta satisfy
-|d^alpha a| <= C_alpha h^{-k - delta*|alpha|}.  The four built-in kinds:
+|d^alpha a| <= C_alpha h^{-k - delta*|alpha|}.  The three built-in kinds:
 
-    fixed_bump            chi(theta - c)                         order 0
     narrow_bump           chi((theta - c)/h^delta)                order 0
     gaussian              h^{-delta/2} exp(-theta^2/h^{2 delta})  order delta/2
     fold_saturator_above  h^{(delta-3)/4} chi(theta/h^{(1-delta)/2}) e^{i theta^3/3h}
@@ -13,8 +12,10 @@ Each kind's KINDS row gives, as functions of delta, its width and prefactor
 exponents, cubic modulation, declared order and support, so an
 AmplitudeProfile is (kind, delta, center) and nothing else.
 
-The narrow bump is also the fold's saturator below delta = 1/3 (paired with
-the fold phase x*t + t^3).  A fifth kind, ``custom``, wraps a caller-supplied
+At delta = 0 the narrow bump is the fixed bump chi(theta - c), the amplitude
+that concentrates at the maximal rate; it is the default everywhere.  The
+narrow bump is also the fold's saturator below delta = 1/3 (paired with
+the fold phase x*t + t^3).  A fourth kind, ``custom``, wraps a caller-supplied
 evaluator; it is the tests' hook for a zero or step amplitude and cannot be
 chosen from the command line.
 
@@ -53,7 +54,6 @@ class KindRow(NamedTuple):
 
 # kind -> delta -> its KindRow
 KINDS = {
-    "fixed_bump": lambda d: KindRow(0.0, 0.0, 0.0, 0.0, 2.0),
     "narrow_bump": lambda d: KindRow(d, 0.0, 0.0, 0.0, 2.0),
     "gaussian": lambda d: KindRow(d, d / 2.0, 0.0, d / 2.0, 4.0),
     "fold_saturator_above": lambda d: KindRow((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0,
@@ -167,7 +167,7 @@ class AmplitudeProfile:
         """
         if self.dim != 1:
             raise ValueError("l2_theta is defined for 1D profiles")
-        if self.kind not in ("fixed_bump", "narrow_bump", "fold_saturator_above"):
+        if self.kind not in ("narrow_bump", "fold_saturator_above"):
             raise ValueError(f"l2_theta has no closed form for the {self.kind} kind")
         w, p, *_ = self.row
         return h**-p * h ** (w / 2.0) * _bump_l2()
@@ -200,10 +200,7 @@ def estimate_sup_derivative(profile: AmplitudeProfile, alpha: int, h: float) -> 
     if alpha not in _STENCILS:
         raise ValueError("alpha must be between 0 and 3")
     h = float(h)
-    scale = min(1.0, h**profile.delta) if profile.delta > 0 else 1.0
-    w = profile.row.width_exponent
-    scale = min(scale, h**w) if w else scale
-    step = scale / POINTS_PER_SCALE
+    step = min(1.0, h**profile.delta, h**profile.row.width_exponent) / POINTS_PER_SCALE
     r = profile.support_radius(h) + 8 * step
     c = profile.center[0]
     offs, coefs = _STENCILS[alpha]

@@ -17,7 +17,11 @@ timings.json), never into the summary or the verify matrix.
 Each verdict and its tolerance is defined once, in the library module that
 owns the experiment, and no flag overrides a tolerance; the runners here wire
 a config to it and return the summary.  An amplitude is named by its kind,
-delta and centre; the kind fixes the rest.
+delta and centre; the kind fixes the rest, and the default kind is the
+narrow bump, so --delta alone sets its concentration rate.  supnorm and sweep
+build one scan plan (``_scan_plan``): a sweep entry is the supnorm scan with
+the narrow bump at that delta.  The torus direction is the rational preset
+for dyadic sphere caps and the diophantine one for balls.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,8 +43,8 @@ from .amplitudes import KINDS, SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_
 from .catalog import SingularityType, build_phase, catalog_rows, caustic_order, threshold
 from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, fold_curve, lemma_62_suite
 from .reports import fmt_fraction, write_csv, write_json
-from .scaling import (DEFAULT_H_RANGE, ScanPlan, fit_exponent, geometric_grid,
-                      order_tolerance, supnorm_scan, threshold_sweep)
+from .scaling import (DEFAULT_H_GRID, ORDER_TOLERANCE, ScanPlan, fit_exponent,
+                      geometric_grid, supnorm_scan, threshold_sweep)
 from .torus import (BALL_EXPONENT_TOLERANCE, CapQuery, ENUM_LIMITS, OMEGA_PRESETS,
                     ball_count, dyadic_exponent, dyadic_lower_bound_search,
                     ratio_exponent, sphere_window)
@@ -59,7 +62,7 @@ class ConfigError(ValueError):
 class RunConfig:
     experiment: str = "supnorm"
     singularity: str = "A2"
-    amplitude: str = "fixed_bump"
+    amplitude: str = "narrow_bump"
     delta: float = 0.0
     deltas: tuple[float, ...] = ()
     center: float = 0.0
@@ -74,7 +77,6 @@ class RunConfig:
     torus_mode: str = "dyadic"  # ball | dyadic
     torus_delta: float = 0.5
     torus_delta_prime: float | None = None
-    omega: str = "auto"
     j_min: int = 256
     j_max: int = 65536
     out_dir: str = "out"
@@ -177,26 +179,14 @@ def _h_grid(cfg: RunConfig, default: tuple[float, ...]) -> tuple[float, ...]:
                           cfg.h_points if cfg.h_points is not None else len(default))
 
 
-def _scan_grid(cfg: RunConfig, k: int) -> tuple[float, ...]:
-    return _h_grid(cfg, geometric_grid(*DEFAULT_H_RANGE[k], 10))
-
-
-def _omega(cfg: RunConfig) -> tuple[float, ...]:
-    if cfg.omega == "auto":
-        preset = "diophantine" if cfg.torus_mode == "ball" else "rational"
-        return OMEGA_PRESETS[preset][cfg.torus_n]
-    if cfg.omega in OMEGA_PRESETS:
-        om = OMEGA_PRESETS[cfg.omega][cfg.torus_n]
-    else:
-        try:
-            om = tuple(float(Fraction(tok)) for tok in cfg.omega.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError("omega", f"cannot parse {cfg.omega!r}") from None
-        if len(om) != cfg.torus_n:
-            raise ConfigError("omega", f"needs {cfg.torus_n} components")
-    if cfg.torus_mode == "dyadic" and abs(math.sqrt(sum(w * w for w in om)) - 1.0) > 1e-12:
-        raise ConfigError("omega", "the dyadic sphere-cap search needs |omega| = 1")
-    return om
+def _scan_plan(cfg: RunConfig) -> ScanPlan:
+    """The scan supnorm runs and sweep runs at each delta: the config's type,
+    amplitude, x-strategy, h-grid (DEFAULT_H_GRID's by default) and budget."""
+    ph = build_phase(SingularityType.parse(cfg.singularity))
+    amp = make_amplitude(cfg.amplitude, cfg.delta, center=cfg.center, dim=ph.k)
+    return ScanPlan(ph, amp, _h_grid(cfg, DEFAULT_H_GRID[ph.k]), x_strategy=cfg.x_strategy,
+                    points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
+                    eval_budget=cfg.eval_budget)
 
 
 # Each runner writes its CSV data and returns its exit status and its summary;
@@ -243,14 +233,10 @@ def _fit_payload(fit) -> dict:
 
 
 def _run_supnorm(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    t = SingularityType.parse(cfg.singularity)
-    ph = build_phase(t)
-    amp = make_amplitude(cfg.amplitude, cfg.delta, center=cfg.center, dim=ph.k)
-    plan = ScanPlan(ph, amp, _scan_grid(cfg, ph.k), x_strategy=cfg.x_strategy,
-                    points_per_shell=cfg.points_per_shell, rel_tol=cfg.rel_tol,
-                    eval_budget=cfg.eval_budget)
+    plan = _scan_plan(cfg)
+    t = plan.phase.singularity
     result = supnorm_scan(plan)
-    fit = fit_exponent(result.sup_rows, caustic_order(t), order_tolerance("supnorm", ph))
+    fit = fit_exponent(result.sup_rows, caustic_order(t), ORDER_TOLERANCE[plan.phase.k])
     write_csv(out / "scan.csv",
               ["h", "lambda", "y_index", "abs_I", "est_error", "converged"],
               [[r.h, r.lam, r.y_index, r.abs_value, r.est_error, r.converged]
@@ -264,12 +250,9 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    t = SingularityType.parse(cfg.singularity)
-    deltas = cfg.deltas or (0.0, 0.1, 0.2, float(threshold(t)))
-    entries = threshold_sweep(t, deltas, _scan_grid(cfg, build_phase(t).k),
-                              rel_tol=cfg.rel_tol, x_strategy=cfg.x_strategy,
-                              points_per_shell=cfg.points_per_shell,
-                              eval_budget=cfg.eval_budget)
+    plan = _scan_plan(cfg)
+    t = plan.phase.singularity
+    entries = threshold_sweep(plan, cfg.deltas or (0.0, 0.1, 0.2, float(threshold(t))))
     write_csv(out / "sweep.csv",
               ["delta", "slope", "r_squared", "reference", "verdict", "exploratory"],
               [[e.delta, e.fit.slope, e.fit.r_squared, fmt_fraction(e.fit.reference),
@@ -284,7 +267,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     n = cfg.torus_n
-    om = _omega(cfg)
+    om = OMEGA_PRESETS["diophantine" if cfg.torus_mode == "ball" else "rational"][n]
     summary: dict = {"n": n, "mode": cfg.torus_mode}
     if cfg.torus_mode == "ball":
         dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None \
@@ -303,7 +286,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             raise ConfigError("j_max", f"ball radius {queries[-1].cap_radius:g} exceeds "
                               f"the n = {n} enumeration bound {ENUM_LIMITS['radius'][n]:g}")
         counts = [ball_count(q) for q in queries]
-        rows = [[j, j**-0.5, c, math.sqrt(c) if c else 0.0, -1] for j, c in zip(js, counts)]
+        rows = [[j, j**-0.5, c, math.sqrt(c), -1] for j, c in zip(js, counts)]
         slope = ratio_exponent(js, counts)
         summary.update(delta_prime=dprime, ratio_exponent=slope, reference=n * dprime / 2)
         ok = abs(slope - n * dprime / 2) <= BALL_EXPONENT_TOLERANCE
@@ -311,7 +294,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max),
                                            omega=om)
         rows = [[b.best_j, b.best_j**-0.5, b.best_count,
-                 math.sqrt(b.best_count) if b.best_count else 0.0, b.J] for b in blocks]
+                 math.sqrt(b.best_count), b.J] for b in blocks]
         summary["blocks"] = [{
             "J": b.J, "best_j": b.best_j, "best_count": b.best_count,
             "block_sum": b.block_sum, "volume": b.volume,
@@ -396,7 +379,7 @@ SUBCOMMANDS = {
     "supnorm": Subcommand("supnorm", _run_supnorm, (*SCAN, *AMPLITUDE)),
     "sweep": Subcommand("threshold_sweep", _run_sweep, (*SCAN, "deltas")),
     "torus": Subcommand("torus", _run_torus, ("torus_n", "torus_mode", "torus_delta",
-                                              "torus_delta_prime", "omega", "j_min", "j_max")),
+                                              "torus_delta_prime", "j_min", "j_max")),
     "fold": Subcommand("fold", _run_fold,
                        ("deltas", *H_GRID, "rel_tol", "eval_budget")),
     "lemma62": Subcommand("lemma62", _run_lemma62, ()),
@@ -415,7 +398,7 @@ FLAGS = {
     "--x-strategy": "x_strategy", "--points-per-shell": "points_per_shell",
     "--rel-tol": "rel_tol", "--budget": "eval_budget",
     "--n": "torus_n", "--mode": "torus_mode", "--torus-delta": "torus_delta",
-    "--delta-prime": "torus_delta_prime", "--omega": "omega",
+    "--delta-prime": "torus_delta_prime",
     "--j-min": "j_min", "--j-max": "j_max",
 }
 

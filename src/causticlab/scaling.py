@@ -31,14 +31,10 @@ from fractions import Fraction
 import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
-from .catalog import PhaseFunction, SingularityType, build_phase, caustic_order, threshold
+from .catalog import PhaseFunction, caustic_order, threshold
 from .oscint import IntegralResult, IntegralSpec, evaluate
 
-DEFAULT_H_RANGE = {1: (2.0**-6, 2.0**-14), 2: (2.0**-4, 2.0**-10)}  # by k
-# |slope - kappa| of an order fit, by experiment and the number of phase
-# variables k; a family key overrides k.
-ORDER_TOLERANCE = {"supnorm": {1: 0.03, 2: 0.06, "E": 0.10},
-                   "threshold_sweep": {1: 0.05, 2: 0.06}}
+ORDER_TOLERANCE = {1: 0.03, 2: 0.06}  # |slope - kappa| of an order fit, by k
 SHELL_LAMBDA_COUNT = 8  # lambdas of an omega_shells ladder, h to 1
 
 
@@ -47,6 +43,11 @@ def geometric_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
     if not 0 < stop < start < 1:
         raise ValueError("need 0 < stop < start < 1")
     return tuple(float(v) for v in np.geomspace(start, stop, points))
+
+
+# a scan's default h-grid, by the number of phase variables k
+DEFAULT_H_GRID = {1: geometric_grid(2.0**-6, 2.0**-14, 10),
+                  2: geometric_grid(2.0**-4, 2.0**-10, 10)}
 
 
 @dataclass(frozen=True)
@@ -209,12 +210,6 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
     return ScanResult(tuple(rows), tuple(sup_rows))
 
 
-def order_tolerance(experiment: str, phase: PhaseFunction) -> float:
-    """ORDER_TOLERANCE entry of this experiment for the phase's type."""
-    table = ORDER_TOLERANCE[experiment]
-    return table.get(phase.singularity.family, table[phase.k])
-
-
 def fit_exponent(sup_rows, reference: Fraction, tolerance: float) -> ExponentFit:
     """Least-squares slope of log(sup) vs log(1/h), with a verdict.
 
@@ -257,26 +252,20 @@ class SweepEntry:
     cost: dict  # the scan's ScanResult.cost
 
 
-def threshold_sweep(t: SingularityType, deltas, h_grid, *, rel_tol: float = 1e-6,
-                    x_strategy: str = "origin_only", points_per_shell: int = 1,
-                    eval_budget: int | None = None) -> list[SweepEntry]:
-    """Scan one type across delta values with matching narrow-bump amplitudes.
+def threshold_sweep(plan: ScanPlan, deltas) -> list[SweepEntry]:
+    """The supnorm scan of ``plan`` with the narrow bump at each delta, fitted alike.
 
-    Below (and at) the type's threshold the fit is compared against the
-    caustic order; beyond it the entry is flagged exploratory and its verdict
-    carries no expectation.  The tolerance is ORDER_TOLERANCE's.
+    Each entry scans the plan with its amplitude replaced by the narrow bump
+    centred at 0 and fits the caustic order at ORDER_TOLERANCE, as supnorm
+    does.  Up to and at the type's threshold the verdict is expected to pass;
+    beyond it the entry is flagged exploratory and its verdict carries no
+    expectation.
     """
-    phase = build_phase(t)
-    tolerance = order_tolerance("threshold_sweep", phase)
-    ref = caustic_order(t)
+    t, k = plan.phase.singularity, plan.phase.k
     thr = float(threshold(t))
     out = []
     for d in deltas:
-        amp = make_amplitude("narrow_bump", float(d), dim=phase.k)
-        plan = ScanPlan(phase, amp, tuple(h_grid), x_strategy=x_strategy,
-                        points_per_shell=points_per_shell, rel_tol=rel_tol,
-                        eval_budget=eval_budget)
-        result = supnorm_scan(plan)
-        fit = fit_exponent(result.sup_rows, ref, tolerance)
+        result = supnorm_scan(replace(plan, amplitude=make_amplitude("narrow_bump", d, dim=k)))
+        fit = fit_exponent(result.sup_rows, caustic_order(t), ORDER_TOLERANCE[k])
         out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result.cost))
     return out

@@ -62,7 +62,7 @@ def test_bump_matches_two_exp_smoothstep():
 
 
 @pytest.mark.parametrize("kind, delta, center", [
-    ("fixed_bump", 0.0, 0.0), ("fixed_bump", 0.0, 0.7), ("narrow_bump", 0.25, 0.0),
+    ("narrow_bump", 0.0, 0.0), ("narrow_bump", 0.0, 0.7), ("narrow_bump", 0.25, 0.0),
     ("narrow_bump", 1.0 / 3.0, -0.3), ("fold_saturator_above", 0.5, 0.0),
     ("fold_saturator_above", 1.0, 0.0)])
 def test_l2_of_bump_kinds_is_the_scaled_bump_norm(kind, delta, center):
@@ -77,7 +77,7 @@ def test_l2_of_bump_kinds_is_the_scaled_bump_norm(kind, delta, center):
 
 
 def test_fixed_bump_examples():
-    a = make_amplitude("fixed_bump", 0.0)
+    a = make_amplitude("narrow_bump", 0.0)
     for h in (1.0e-1, 1.0e-3):
         assert a.value(0.0, h) == pytest.approx(1.0)
         assert a.value(2.0, h) == 0.0
@@ -94,11 +94,11 @@ def test_narrow_bump_support_scaling():
 
 
 def test_narrow_bump_at_delta_zero_equals_fixed():
-    fixed = make_amplitude("fixed_bump")
+    # at delta = 0 the narrow bump is the fixed bump chi(theta) for every h
     narrow = make_amplitude("narrow_bump", 0.0)
     u = np.linspace(-2.5, 2.5, 501)
     for h in (0.5, 1e-2, 1e-4):
-        assert np.array_equal(fixed.value(u, h), narrow.value(u, h))
+        assert np.array_equal(narrow.value(u, h), bump(u).astype(complex))
 
 
 def test_fold_saturator_above_peak_height():
@@ -109,7 +109,7 @@ def test_fold_saturator_above_peak_height():
 
 
 def test_all_builtins_supported_in_fixed_ball():
-    kinds = [("fixed_bump", 0.0), ("narrow_bump", 0.5), ("gaussian", 0.4),
+    kinds = [("narrow_bump", 0.0), ("narrow_bump", 0.5), ("gaussian", 0.4),
              ("fold_saturator_above", 0.6)]
     outside = np.array([4.05, -4.05, 5.0, -7.0])
     for kind, d in kinds:
@@ -155,7 +155,7 @@ def test_symbol_order_narrow_bump_alpha1():
 
 
 def test_symbol_order_fixed_bump_flat():
-    rows = check_symbol_order(make_amplitude("fixed_bump"), H_GRID)
+    rows = check_symbol_order(make_amplitude("narrow_bump"), H_GRID)
     for r in rows:
         assert abs(r.fitted_order) <= 0.05
 
@@ -167,7 +167,7 @@ def test_symbol_order_gaussian_alpha0():
 
 def test_symbol_order_needs_enough_h_points():
     with pytest.raises(ValueError):
-        check_symbol_order(make_amplitude("fixed_bump"), (0.5, 0.25, 0.125))
+        check_symbol_order(make_amplitude("narrow_bump"), (0.5, 0.25, 0.125))
 
 
 def test_symbol_order_degenerate_fit():
@@ -178,4 +178,4 @@ def test_symbol_order_degenerate_fit():
 
 def test_value_is_1d_only():
     with pytest.raises(ValueError):
-        make_amplitude("fixed_bump", dim=2).value((0.0, 0.0), 1e-2)
+        make_amplitude("narrow_bump", dim=2).value((0.0, 0.0), 1e-2)

@@ -193,6 +193,33 @@ def test_sweep_honours_points_per_shell(tmp_path):
     assert entry["fit"]["slope"] == scan["slope"]
 
 
+def test_sweep_entry_is_the_supnorm_scan_at_its_delta(tmp_path):
+    # the default amplitude is the narrow bump, so --delta alone names the same scan
+    assert main(["sweep", "--type", "A2", "--deltas", "0.2", "--out", str(tmp_path / "s")]) == 0
+    assert main(["supnorm", "--type", "A2", "--delta", "0.2", "--out", str(tmp_path / "n")]) == 0
+    (entry,) = json.loads((tmp_path / "s" / "summary.json").read_text())["entries"]
+    scan = json.loads((tmp_path / "n" / "summary.json").read_text())
+    assert entry["fit"] == scan["fit"]
+    assert entry["cost"] == scan["cost"]
+
+
+def test_supnorm_scans_the_delta_it_is_given(tmp_path):
+    scans = {}
+    for delta in ("0", "0.5"):
+        assert main(["supnorm", "--type", "A2", "--delta", delta,
+                     "--out", str(tmp_path / delta)]) in (0, 1)
+        scans[delta] = (tmp_path / delta / "scan.csv").read_bytes()
+    assert scans["0"] != scans["0.5"]
+
+
+def test_symbols_fits_the_delta_it_is_given(tmp_path):
+    assert main(["symbols", "--delta", "0.5", "--out", str(tmp_path)]) == 0
+    orders = json.loads((tmp_path / "summary.json").read_text())["orders"]
+    assert [o["expected"] for o in orders] == [0.0, 0.5, 1.0, 1.5]
+    for o in orders:
+        assert abs(o["fitted"] - o["expected"]) <= amplitudes.SYMBOL_ORDER_TOLERANCE
+
+
 class _Stop(Exception):
     pass
 
@@ -303,8 +330,8 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     (["torus", "--mode", "ball", "--torus-delta", "1"], "torus_delta"),  # derived delta' 1.05
     (["torus", "--mode", "ball", "--delta-prime", "0"], "torus_delta_prime"),
     (["torus", "--mode", "ball", "--delta-prime", "1.5"], "torus_delta_prime"),
-    (["torus", "--omega", "1/0,1"], "omega"),
-    (["torus", "--mode", "dyadic", "--omega", "diophantine"], "omega"),
+    (["sweep", "--deltas", "0.1,1.5"], "deltas"),
+    (["torus", "--n", "5"], "torus_n"),
     (["torus", "--mode", "dyadic", "--n", "4", "--j-min", "200000", "--j-max", "1000000"],
      "j_max"),
     (["torus", "--mode", "ball", "--n", "1", "--delta-prime", "1", "--j-min", "2",
@@ -351,8 +378,7 @@ GOLDEN_FLAGS = {
                 "--points-per-shell", "--rel-tol", "--budget"],
     "sweep": ["--type", "--deltas", *_H, "--x-strategy", "--points-per-shell",
               "--rel-tol", "--budget"],
-    "torus": ["--n", "--mode", "--torus-delta", "--delta-prime", "--omega", "--j-min",
-              "--j-max"],
+    "torus": ["--n", "--mode", "--torus-delta", "--delta-prime", "--j-min", "--j-max"],
     "fold": ["--deltas", *_H, "--rel-tol", "--budget"],
     "lemma62": [],
     "verify": [],
@@ -371,7 +397,7 @@ def test_subcommand_flags_golden():
     assert list(flags) == list(SUBCOMMANDS)
     assert flags == {name: ["--config", "--out", *golden]
                      for name, golden in GOLDEN_FLAGS.items()}
-    assert sum(len(f) - 1 for f in flags.values()) == 47  # not counting --config
+    assert sum(len(f) - 1 for f in flags.values()) == 46  # not counting --config
 
 
 def test_readme_flag_table_matches_parser():
@@ -469,8 +495,9 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
     assert list(timings) == ["C01"] and timings["C01"] >= 0.0
 
 
-# The settable fields and parameters of the library's experiment types, and the
-# amplitude kinds.  Adding an option means editing this table.
+# The settable fields and parameters of the library's experiment types, the
+# amplitude kinds and the keys of the order-tolerance table.  Adding an option
+# means editing this table.
 GOLDEN_OPTIONS = {
     "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "includes_prefactor",
                      "budget", "floor"],
@@ -480,9 +507,11 @@ GOLDEN_OPTIONS = {
     "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "center", "evaluator"],
     "make_amplitude": ["kind", "delta", "center", "dim", "evaluator"],
-    "KINDS": ["fixed_bump", "narrow_bump", "gaussian", "fold_saturator_above", "custom"],
+    "KINDS": ["narrow_bump", "gaussian", "fold_saturator_above", "custom"],
+    "ORDER_TOLERANCE": [1, 2],
     "check_symbol_order": ["profile", "h_grid"],
     "estimate_sup_derivative": ["profile", "alpha", "h"],
+    "threshold_sweep": ["plan", "deltas"],
     "two_segment_breakpoint": ["deltas", "slopes"],
     "cap_solid_volume": ["n", "J", "delta"],
     "crit02_quasi_homogeneity": [],
@@ -497,9 +526,11 @@ def test_option_surface_golden():
                "AmplitudeProfile": amplitudes.AmplitudeProfile}
     seen = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in classes.items()}
     seen["KINDS"] = list(amplitudes.KINDS)
+    seen["ORDER_TOLERANCE"] = list(scaling.ORDER_TOLERANCE)
     for fn in (amplitudes.make_amplitude, amplitudes.check_symbol_order,
-               amplitudes.estimate_sup_derivative, fold.two_segment_breakpoint,
-               torus.cap_solid_volume, acceptance.crit02_quasi_homogeneity,
+               amplitudes.estimate_sup_derivative, scaling.threshold_sweep,
+               fold.two_segment_breakpoint, torus.cap_solid_volume,
+               acceptance.crit02_quasi_homogeneity,
                acceptance.crit03_quadrature_oracles, acceptance.crit10_torus_exact):
         seen[fn.__name__] = list(inspect.signature(fn).parameters)
     assert seen == GOLDEN_OPTIONS

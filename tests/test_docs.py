@@ -41,17 +41,14 @@ def test_readme_tolerance_table_matches_the_constants():
         label, cell = line.strip("|").split("|")
         rows[label.strip()] = (_DECIMAL.sub("#", cell.strip()),
                                pytest.approx([float(v) for v in _DECIMAL.findall(cell)]))
-    order = scaling.ORDER_TOLERANCE["supnorm"]
-    sweep = scaling.ORDER_TOLERANCE["threshold_sweep"]
+    order = scaling.ORDER_TOLERANCE
     # sphere_window is (n-1)delta/2 plus two fixed offsets
     (low, high), = {tuple(round(b - (n - 1) * d / 2, 12) for b in torus.sphere_window(n, d))
                     for n in (1, 2, 3, 4) for d in (0.25, 0.5, 0.75, 1.0)}
     first, second = (Fraction(e) for e in fold.LEMMA62_EXPONENTS)
     assert rows == {
-        "`supnorm`, 1D types (A)": ("#", [order[1]]),
-        "`supnorm`, D types": ("#", [order[2]]),
-        "`supnorm`, E types": ("#", [order["E"]]),
-        "`sweep`, 1D / 2D types": ("# / #", [sweep[1], sweep[2]]),
+        "`supnorm` and `sweep`, 1D types (A)": ("#", [order[1]]),
+        "`supnorm` and `sweep`, 2D types (D, E)": ("#", [order[2]]),
         "`fold`, every δ": ("#, and the breakpoint in [#, #]",
                             [fold.FOLD_TOLERANCE, *fold.BREAKPOINT_WINDOW]),
         "`torus --mode ball`": ("# around nδ′/2", [torus.BALL_EXPONENT_TOLERANCE]),

@@ -16,7 +16,7 @@ from causticlab.oscint import MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate
 A1 = build_phase(SingularityType.parse("A1"))
 A2 = build_phase(SingularityType.parse("A2"))
 A2_MINUS = build_phase(SingularityType.parse("A2-"))
-FIXED = make_amplitude("fixed_bump")
+FIXED = make_amplitude("narrow_bump")  # delta 0: the fixed bump chi(theta)
 
 # frozen from a 10^7-point trapezoid of chi(t) e^{i t^3 / h} at h = 1e-2
 AIRY_RAW_H01 = 0.33322337233970273
@@ -87,7 +87,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         IntegralSpec(A2, FIXED, (0.0, 0.0), 1e-2)  # wrong x arity
     with pytest.raises(ValueError):
-        IntegralSpec(A2, make_amplitude("fixed_bump", dim=2), (0.0,), 1e-2)
+        IntegralSpec(A2, make_amplitude("narrow_bump", dim=2), (0.0,), 1e-2)
     for budget in (0, -5):
         with pytest.raises(ValueError):
             IntegralSpec(A2, FIXED, (0.0,), 1e-2, budget=budget)
@@ -159,7 +159,7 @@ def test_floor_stops_shadow_point_early():
 def test_2d_separable_equals_full_path():
     # a tiny cross coefficient forces the generic 2D path; values must agree
     ph = build_phase(SingularityType.parse("E6"))
-    amp = make_amplitude("fixed_bump", dim=2)
+    amp = make_amplitude("narrow_bump", dim=2)
     h = 2.0**-6
     sep = evaluate(IntegralSpec(ph, amp, (0.0,) * 5, h, rel_tol=1e-8,
                                 includes_prefactor=False))
@@ -227,7 +227,7 @@ def test_coupled_2d_against_brute_tensor_sum(label, x, phase):
     # split of the phase into per-axis and mixed terms
     h = 2.0**-5
     ph = build_phase(SingularityType.parse(label))
-    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), x, h, rel_tol=1e-9))
+    res = evaluate(IntegralSpec(ph, make_amplitude("narrow_bump", dim=2), x, h, rel_tol=1e-9))
     brute = _tensor_gauss_legendre(lambda p, q: phase(x, p, q), h)
     assert res.converged
     assert abs(res.value - brute) <= 1e-9 * abs(brute)
@@ -304,7 +304,7 @@ def test_nufft_pass_against_dense_oracle(label, monkeypatch):
     # the whole refinement loop twice: the engine, and the engine with the
     # dense sum in place of the NUFFT; same panels, passes and stop reason
     ph = build_phase(SingularityType.parse(label))
-    amp = make_amplitude("fixed_bump", dim=2)
+    amp = make_amplitude("narrow_bump", dim=2)
     rng = np.random.default_rng(sum(map(ord, label)))
     for x in ((0.0,) * ph.k0, tuple(rng.uniform(-0.3, 0.3, ph.k0))):
         spec = IntegralSpec(ph, amp, x, 2.0**-6, rel_tol=1e-6)
@@ -322,7 +322,7 @@ def test_first_pass_at_fine_h_against_dense_sum(label, monkeypatch):
     monkeypatch.setattr(oscint, "_type3_sum",
                         lambda *args: calls.append(args) or 0.0j)
     ph = build_phase(SingularityType.parse(label))
-    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), (0.0,) * ph.k0,
+    res = evaluate(IntegralSpec(ph, make_amplitude("narrow_bump", dim=2), (0.0,) * ph.k0,
                                 2.0**-8, budget=1))
     assert res.passes == 1 and len(calls) == 1
     monkeypatch.undo()
@@ -334,7 +334,7 @@ def test_first_pass_at_fine_h_against_dense_sum(label, monkeypatch):
 def test_quadrature_rule_pinned(label, nodes, passes):
     # the panel placement and pass count of the dense engine this one replaced
     ph = build_phase(SingularityType.parse(label))
-    res = evaluate(IntegralSpec(ph, make_amplitude("fixed_bump", dim=2), (0.0,) * ph.k0,
+    res = evaluate(IntegralSpec(ph, make_amplitude("narrow_bump", dim=2), (0.0,) * ph.k0,
                                 2.0**-6))
     assert (res.nodes, res.passes) == (nodes, passes)
 
@@ -346,7 +346,7 @@ FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8
     IntegralSpec(A2, FIXED, (-0.4,), 1e-3, rel_tol=1e-8),
     IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-10, budget=3_000),
     IntegralSpec(A2, FIXED, (0.5,), 2.0**-8, floor=3.0),
-    IntegralSpec(build_phase(SingularityType.parse("E6")), make_amplitude("fixed_bump", dim=2),
+    IntegralSpec(build_phase(SingularityType.parse("E6")), make_amplitude("narrow_bump", dim=2),
                  (0.0,) * 5, 2.0**-6),
 ])
 def test_line_of_one_point_is_evaluate(spec):

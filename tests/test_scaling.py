@@ -81,7 +81,7 @@ def test_shell_sample_count_formula():
 
 def test_scan_plan_validation():
     ph = build_phase(SingularityType.parse("A2"))
-    amp = make_amplitude("fixed_bump")
+    amp = make_amplitude("narrow_bump")
     with pytest.raises(ValueError):
         ScanPlan(ph, amp, (0.5, 0.25, 0.125, 0.0625))  # too few
     with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ def test_scan_plan_validation():
 
 def test_scan_includes_origin_and_dominates_it():
     ph = build_phase(SingularityType.parse("A2"))
-    amp = make_amplitude("fixed_bump")
+    amp = make_amplitude("narrow_bump")
     grid = geometric_grid(2.0**-5, 2.0**-9, 5)
     plan = ScanPlan(ph, amp, grid, x_strategy="omega_shells", points_per_shell=1,
                     rel_tol=1e-6)
@@ -111,7 +111,7 @@ def a2_shell_scan():
     # the documented `supnorm --type A2 --x-strategy omega_shells
     # --points-per-shell 2` run on a short grid (C13's config)
     ph = build_phase(SingularityType.parse("A2"))
-    plan = ScanPlan(ph, make_amplitude("fixed_bump"), geometric_grid(2.0**-6, 2.0**-10, 5),
+    plan = ScanPlan(ph, make_amplitude("narrow_bump"), geometric_grid(2.0**-6, 2.0**-10, 5),
                     x_strategy="omega_shells", points_per_shell=2, rel_tol=1e-6)
     return plan, supnorm_scan(plan)
 
@@ -183,7 +183,7 @@ def test_fit_stability_drop_largest_h():
     # acceptance-style fixture: removing the coarsest row moves the slope
     # by less than tolerance/2
     ph = build_phase(SingularityType.parse("A2"))
-    amp = make_amplitude("fixed_bump")
+    amp = make_amplitude("narrow_bump")
     grid = geometric_grid(2.0**-6, 2.0**-14, 10)
     rows = supnorm_scan(ScanPlan(ph, amp, grid, rel_tol=1e-6)).sup_rows
     tol = 0.03
@@ -195,7 +195,8 @@ def test_fit_stability_drop_largest_h():
 def test_threshold_sweep_flags_exploratory():
     t = SingularityType.parse("A2")
     grid = geometric_grid(2.0**-5, 2.0**-10, 5)
-    entries = threshold_sweep(t, [0.2, 1.0 / 3.0, 0.8], grid)
+    entries = threshold_sweep(ScanPlan(build_phase(t), make_amplitude("narrow_bump"), grid),
+                              [0.2, 1.0 / 3.0, 0.8])
     assert [e.exploratory for e in entries] == [False, False, True]
     # at-threshold delta counts as in-scope (inclusive interval)
     assert entries[1].fit.verdict == "pass"
@@ -208,7 +209,8 @@ def test_sweep_beyond_threshold_changes_law():
     # law visibly breaks, which is exactly why these entries are exploratory.
     t = SingularityType.parse("A2")
     grid = geometric_grid(2.0**-6, 2.0**-12, 6)
-    entries = threshold_sweep(t, [0.1, 0.8], grid)
+    entries = threshold_sweep(ScanPlan(build_phase(t), make_amplitude("narrow_bump"), grid),
+                              [0.1, 0.8])
     assert entries[0].fit.slope == pytest.approx(1.0 / 6.0, abs=0.05)
     assert entries[1].fit.slope == pytest.approx(-0.3, abs=0.05)
 
@@ -221,7 +223,7 @@ def _scan_with_one_unconverged_point(monkeypatch, abs_share, err_share):
     from causticlab.oscint import IntegralResult
 
     grid = geometric_grid(2.0**-6, 2.0**-10, 5)
-    plan = ScanPlan(build_phase(SingularityType.parse("A2")), make_amplitude("fixed_bump"),
+    plan = ScanPlan(build_phase(SingularityType.parse("A2")), make_amplitude("narrow_bump"),
                     grid, x_strategy="omega_shells")
     first_shell_x = {h: scaling._candidate_points(plan, h)[1][1] for h in grid}
 
