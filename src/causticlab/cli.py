@@ -41,7 +41,7 @@ import numpy as np
 from . import acceptance
 from .amplitudes import KINDS, SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
 from .catalog import SingularityType, build_phase, catalog_rows, caustic_order, threshold
-from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, fold_curve, lemma_62_suite
+from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, X_POINTS, fold_curve, lemma_62_suite
 from .reports import fmt_fraction, write_csv, write_json
 from .scaling import (DEFAULT_H_GRID, ORDER_TOLERANCE, ScanPlan, fit_exponent,
                       geometric_grid, supnorm_scan, threshold_sweep)
@@ -245,14 +245,15 @@ def _run_supnorm(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         "type": t.label, "delta": cfg.delta, "fit": _fit_payload(fit),
         "slope": fit.slope, "r_squared": fit.r_squared,
         "reference": fmt_fraction(fit.reference), "verdict": fit.verdict,
-        "cost": result.cost,
+        "cost": result.cost, "sup_at": result.sup_at,
     }
 
 
 def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     plan = _scan_plan(cfg)
     t = plan.phase.singularity
-    entries = threshold_sweep(plan, cfg.deltas or (0.0, 0.1, 0.2, float(threshold(t))))
+    default = tuple(dict.fromkeys((0.0, 0.1, 0.2, float(threshold(t)))))  # 1/5 is 0.2
+    entries = threshold_sweep(plan, cfg.deltas or default)
     write_csv(out / "sweep.csv",
               ["delta", "slope", "r_squared", "reference", "verdict", "exploratory"],
               [[e.delta, e.fit.slope, e.fit.r_squared, fmt_fraction(e.fit.reference),
@@ -261,7 +262,8 @@ def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return 0 if all(e.fit.verdict == "pass" for e in expected) else 1, {
         "type": t.label,
         "entries": [{"delta": e.delta, "exploratory": e.exploratory,
-                     "fit": _fit_payload(e.fit), "cost": e.cost} for e in entries],
+                     "fit": _fit_payload(e.fit), "cost": e.cost, "sup_at": e.sup_at}
+                    for e in entries],
     }
 
 
@@ -320,6 +322,9 @@ def _run_fold(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return 0 if curve.passed else 1, {
         "slopes": {f"{r.experiment.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
         "cost": {f"{r.experiment.delta:.6g}": r.cost for r in curve.runs},
+        "sup_at": {f"{run.experiment.delta:.6g}": [
+            {"h": r.h, "k": r.k, "edge": abs(r.k) == X_POINTS} for r in run.rows]
+            for run in curve.runs},
         "breakpoint": curve.breakpoint,
         "max_slope_error": curve.max_slope_error,
     }

@@ -15,8 +15,9 @@ and each family is run with its own displayed phase.  ||u_h||_2 comes from
 the coefficient side: the map a -> u is (2 pi h)^{1/2} times an isometry, so
 ||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}; sup|u_h| is taken over
 x = 0 plus offsets k dx at the caustic scale, dx = X_WINDOW h^{2/3} / X_POINTS,
-by ``oscint.evaluate_line``: one node set per pass for all of them, and the
-offsets converge against |u_h(0)| as a scan's shells do against |I(0; h)|.
+by ``oscint.evaluate_points``: one node set per pass for all of them, e^{ik dx t/h}
+by repeated products, and the offsets converge against |u_h(0)| as a scan's
+shells do against |I(0; h)|.
 ``scaling.sup_row`` takes the sup, as for every sup-norm scan.  Fitting
 log(sup/||u||_2) against log(1/h) per delta and locating the best two-segment
 breakpoint of the slope-vs-delta curve turns the regime change into one
@@ -42,7 +43,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
-from .oscint import IntegralResult, IntegralSpec, evaluate_line, line_offsets
+from .oscint import IntegralResult, IntegralSpec, evaluate_points, line_offsets
 from .polys import ThetaPoly
 from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_row, work_cost
 
@@ -107,6 +108,7 @@ class FoldRow:
     sup_abs: float
     l2: float
     ratio: float
+    k: int  # the sup's offset: x = k dx
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,9 @@ def l2_from_coefficients(exp: FoldExperiment, h: float) -> float:
     return math.sqrt(2.0 * math.pi * h) * exp.amplitude.l2_theta(h)
 
 
-def _x_step(h: float) -> float:
-    return X_WINDOW * h ** (2.0 / 3.0) / X_POINTS
-
-
 def _x_offsets(h: float) -> list[float]:
-    """The x of ``evaluate_line(spec, _x_step(h), X_POINTS)``'s results, in order."""
-    return [k * _x_step(h) for k in line_offsets(X_POINTS)]
+    """The scanned x = k dx, dx = X_WINDOW h^{2/3} / X_POINTS, in ``line_offsets`` order."""
+    return [k * (X_WINDOW * h ** (2.0 / 3.0) / X_POINTS) for k in line_offsets(X_POINTS)]
 
 
 def run_fold(exp: FoldExperiment) -> FoldRun:
@@ -142,10 +140,12 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
     for h in exp.h_grid:
         spec = IntegralSpec(phase, amp, (0.0,), h, rel_tol=exp.rel_tol,
                             includes_prefactor=False, budget=exp.eval_budget)
-        results = evaluate_line(spec, _x_step(h), X_POINTS)
-        sup = sup_row(h, [(x,) for x in _x_offsets(h)], results)
+        xs = [(x,) for x in _x_offsets(h)]
+        results = evaluate_points(spec, xs[1:])
+        sup = sup_row(h, xs, results)
         l2 = l2_from_coefficients(exp, h)
-        rows.append(FoldRow(exp.delta, h, sup.sup_abs, l2, sup.sup_abs / l2))
+        rows.append(FoldRow(exp.delta, h, sup.sup_abs, l2, sup.sup_abs / l2,
+                            line_offsets(X_POINTS)[xs.index(sup.argmax_x)]))
         sup_rows.append(replace(sup, sup_abs=sup.sup_abs / l2))
         evaluations += results
     ref = sharp_exponent(Fraction(exp.delta).limit_denominator(10**6))

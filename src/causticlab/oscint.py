@@ -16,13 +16,13 @@ e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
 sampled amplitude factor is always slowly varying.  e^{i phi/h} is formed as
 cos and sin of the real phase, written into the two parts of one complex array.
 
-A line of 1D points x + k dx, k = 0, +-1, ..., +-count, shares one node set per
-pass (``evaluate_line``): the phase at k is phi(t; x) + k dx f_1(t), so one
-amplitude, one e^{i phi(t; x)/h} and one z = e^{i dx f_1(t)/h} per node serve
-every point, whose sums take the powers z^k by repeated products.  The panels
-follow a profile that bounds every point's |phi'|, so each point is resolved at
-least as finely as alone; each keeps its own stopping rule and reports the pass
-where it met it.  Sum passes run in slabs of SLAB_NODES nodes.
+For k = 1 the points x_0, x_1, ... of a scan share one node set per pass
+(``evaluate_points``): the phase at x_j is phi(t; x_0) + d_j(t), so one amplitude
+and one e^{i phi(t; x_0)/h} per node serve every point, and each adds its factor
+e^{i d_j/h}: by cos/sin, as the conjugate of its mirror's (d_j = -d_i), or by
+repeated products along equally spaced targets.  The panels follow a profile
+that bounds every point's |phi'|; each point keeps its own stopping rule and
+reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes.
 
 For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
 axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
@@ -41,7 +41,7 @@ it.  ``nodes`` still counts the N1 N2 points of the rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,13 +139,6 @@ def _panel_nodes(mid: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def _axis_profile(phi: ThetaPoly, axis: int, box) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = box[axis]
-    tgrid = np.linspace(lo, hi, PROFILE_SAMPLES)
-    g = phi.partial(axis).abs_bound_profile(axis, box, tgrid)
-    return g, tgrid
-
-
 def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
                   half: int, size: int) -> np.ndarray:
     """sum_i values_i e^{-(x_i - m step)^2 / (4 tau)} at grid index m (mod ``size``, a power of 2).
@@ -221,50 +214,70 @@ def _weighted_factor(part: ThetaPoly, amp_fn, nodes: np.ndarray, weights: np.nda
     return u
 
 
-def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, step: ThetaPoly | None,
-               count: int) -> np.ndarray:
-    """sum_i u_i z_i^k over one axis's panels for k in ``line_offsets(count)`` order.
+def _chains(offsets) -> list[list]:
+    """Targets 1, 2, ... grouped into chains [source, d, targets] of offsets d, 2d, ...: their
+    sums take u z, u z^2, ..., z = e^{i d/h}, the conjugate of chain ``source``'s z if d
+    is the exact negative of that chain's (each z serves one mirror), else cos/sin."""
+    chains, extends, unpaired = [], {}, {}
+    for j, d in enumerate(offsets, 1):
+        chain = extends.pop(d, None)
+        if chain is None:
+            chain = [unpaired.pop(d.scale(-1.0), None), d, []]
+            if chain[0] is None:
+                unpaired[d] = len(chains)
+            chains.append(chain)
+        chain[2].append(j)
+        extends[chain[1].scale(len(chain[2]) + 1)] = chain
+    return chains
 
-    u is ``_weighted_factor``'s and z = e^{i step(t)/h}: two cos/sin pairs and one
-    amplitude evaluation per node serve all 2 count + 1 sums, whose other factors
-    come from repeated products by z and its conjugate.  The panels are taken
-    SLAB_NODES nodes at a time, so a pass's memory does not grow with its nodes.
+
+def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, chains) -> np.ndarray:
+    """sum_i u_i e^{i d_j(t_i)/h} over one axis's panels for d_0 = 0 and each target j.
+
+    u is ``_weighted_factor``'s, and each of the ``_chains`` adds one z per node.
+    The panels are taken SLAB_NODES nodes at a time, so a pass's memory does not
+    grow with its nodes.
     """
     mid, half = panels
-    sums = np.zeros(2 * count + 1, dtype=complex)
+    sums = np.zeros(1 + sum(len(c[2]) for c in chains), dtype=complex)
+    sources = {c[0] for c in chains}
     per_slab = max(1, SLAB_NODES // PANEL_ORDER)
     for lo in range(0, mid.size, per_slab):
         nodes, weights = _panel_nodes(mid[lo:lo + per_slab], half[lo:lo + per_slab])
         u = _weighted_factor(part, amp_fn, nodes, weights, h)
         sums[0] += u.sum()
-        if not count:
-            continue
-        zphase = step(nodes)
-        zphase /= h
-        z = _expi(zphase)
-        del zphase  # before the loop's two slab-sized products
-        up, down, z_conj = u, u.copy(), z.conj()
-        for k in range(1, count + 1):
-            up *= z
-            down *= z_conj
-            sums[2 * k - 1] += up.sum()
-            sums[2 * k] += down.sum()
+        kept = {}
+        for c, (source, step, targets) in enumerate(chains):
+            if source is None:
+                z = step(nodes)
+                z /= h
+                z = _expi(z)
+                if c in sources:
+                    kept[c] = z
+            else:
+                z = kept.pop(source).conj()
+            v = u * z
+            sums[targets[0]] += v.sum()
+            for j in targets[1:]:
+                v *= z
+                sums[j] += v.sum()
     return sums
 
 
 def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: float,
-               amp_fns, axes, step: ThetaPoly | None, count: int) -> list[complex]:
+               amp_fns, axes, chains) -> list[complex]:
     """One pass on the tensor grid of ``axes``, the (mid, half) panels of each axis.
 
     ``parts`` are the axes' own phase terms and ``mixed`` = (p, G) the rest,
     t1^p G(t2) (see ``ThetaPoly.split_axes``).  The own terms go into the
     weights, u = w * (a * e^{iP/h}); with no mixed term the pass is the product
-    of the axis sums (on a line, ``_axis_sums`` of the one axis), otherwise the
-    type-3 sum of u1, u2 at a = t1^p, omega = G(t2) / h.
+    of the axis sums (for k = 1, ``_axis_sums`` of the one axis with the
+    targets' chains), otherwise the type-3 sum of u1, u2 at a = t1^p,
+    omega = G(t2) / h.
     """
     p, g = mixed
     if not g.terms:
-        sums = [_axis_sums(part, amp_fn, panels, h, step, count if ax == 0 else 0)
+        sums = [_axis_sums(part, amp_fn, panels, h, chains if ax == 0 else ())
                 for ax, (part, amp_fn, panels) in enumerate(zip(parts, amp_fns, axes))]
         # products of numpy scalars round as Python's complex products do; arrays' may not
         return [complex(math.prod(vals)) for vals in zip(*sums)]
@@ -282,14 +295,14 @@ def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int |
     return None
 
 
-def _integrate(spec: IntegralSpec, step: ThetaPoly | None = None,
-               count: int = 0) -> list[IntegralResult]:
-    """Shared refinement loop of ``evaluate`` and ``evaluate_line``.
+def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[IntegralResult]:
+    """Shared refinement loop of ``evaluate`` and ``evaluate_points``.
 
-    It integrates at the phases phi + k step for k in ``line_offsets(count)``,
-    all on one node set per pass, placed from a profile that bounds every
-    offset's |phi'|.  The point k = 0 converges against ``spec.floor``, every
-    other one against the converged |I| at k = 0 (0 if that never converged).
+    It integrates at spec.x and at each target j, whose phase is phi + d_j for
+    the phase offsets d_j = ``offsets[j - 1]`` (k = 1 only), all on one node set
+    per pass, placed from the profile bound(phi') + max_j bound(d_j'), which
+    bounds every point's |phi'|.  spec.x converges against ``spec.floor``, every
+    other point against the converged |I(spec.x)| (0 if that never converged).
     Each result is the one of the first pass that met its point's rule, or of
     the last pass; the loop stops once every point has met it, or on budget or
     MAX_PASSES.
@@ -313,23 +326,25 @@ def _integrate(spec: IntegralSpec, step: ThetaPoly | None = None,
     history, spent_after = [], []
     stop = "max_passes"
 
-    profiles = [_axis_profile(phi, ax, box) for ax in range(phi.nvars)]
-    if count:
-        g, tgrid = profiles[0]
-        profiles[0] = (g + count * step.partial(0).abs_bound_profile(0, box, tgrid), tgrid)
+    tgrids = [np.linspace(lo, hi, PROFILE_SAMPLES) for lo, hi in box]
+    gs = [phi.partial(ax).abs_bound_profile(ax, box, tg) for ax, tg in enumerate(tgrids)]
+    chains = _chains(offsets)
+    if chains:  # bound(phi') + max_j bound(d_j'); a chain's largest is at its last target
+        gs[0] = gs[0] + np.max([d.scale(len(ts)).partial(0).abs_bound_profile(
+            0, box, tgrids[0]) for _, d, ts in chains], axis=0)
 
     def met_passes():
         origin = _first_met([v[0] for v in history], rel_tol, max(spec.floor / mag, 1e-300))
-        line_floor = mag * abs(history[origin][0]) if origin is not None else 0.0
-        return [origin] + [_first_met([v[i] for v in history], rel_tol,
-                                      max(line_floor / mag, 1e-300))
-                           for i in range(1, 2 * count + 1)]
+        floor = mag * abs(history[origin][0]) if origin is not None else 0.0
+        return [origin] + [_first_met([v[j] for v in history], rel_tol,
+                                      max(floor / mag, 1e-300))
+                           for j in range(1, len(offsets) + 1)]
 
     for s in range(MAX_PASSES):
         q = NODES_PER_PERIOD * REFINE_FACTOR**s
         min_nodes = MIN_AXIS_NODES * REFINE_FACTOR**s
         axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1)
-                for (g, tg), n in zip(profiles, axis_panels)]
+                for g, tg, n in zip(gs, tgrids, axis_panels)]
         axis_panels = [a[0].size for a in axes]
         cost = combine(PANEL_ORDER * n for n in axis_panels)
         # the coarsest pass always runs so there is a "last estimate" to
@@ -338,7 +353,7 @@ def _integrate(spec: IntegralSpec, step: ThetaPoly | None = None,
             stop = "budget"
             break
         spent += cost
-        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, step, count))
+        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, chains))
         spent_after.append(spent)
         if None not in met_passes():
             stop = "converged"
@@ -367,19 +382,19 @@ def evaluate(spec: IntegralSpec) -> IntegralResult:
     return _integrate(spec)[0]
 
 
-def evaluate_line(spec: IntegralSpec, dx: float, count: int) -> list[IntegralResult]:
-    """Evaluate I at x = spec.x + k dx e_1 for k in ``line_offsets(count)`` order.
+def evaluate_points(spec: IntegralSpec, xs) -> list[IntegralResult]:
+    """Evaluate I at spec.x, then at each x of ``xs`` (same spec but for x), in that order.
 
-    One node set per pass serves every point (count > 0 needs a 1D phase): the
-    phase at k is phi(t; spec.x) + k dx f_1(t), f_1 = ``phase.fj_monomials[0]``.
-    spec.x converges against ``spec.floor`` and every other point within
-    rel_tol * max(|I|, |I(spec.x)|) once spec.x has converged (against 0 if
-    it never does), as ``scaling.sup_step`` judges a scan's points.  At
-    count = 0 this is ``[evaluate(spec)]``.
+    spec.x converges against ``spec.floor``, every other point within
+    rel_tol * max(|I|, |I(spec.x)|) once spec.x has converged (against 0 if it
+    never does).  For k = 1 one node set per pass serves them all, the phase at
+    x being phi(t; spec.x) + sum_i (x - spec.x)_i f_i(t), f_i the
+    ``phase.fj_monomials``; for k = 2 each point is evaluated alone.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count and spec.phase.k != 1:
-        raise ValueError("a line of points needs k = 1 phase variable")
-    step = spec.phase.fj_monomials[0].scale(dx) if count else None
-    return _integrate(spec, step, count)
+    if len(xs) and spec.phase.k == 1:
+        return _integrate(spec, tuple(ThetaPoly.from_terms(1, [
+            ((a - b) * c, e) for f, a, b in zip(spec.phase.fj_monomials, x, spec.x, strict=True)
+            for c, e in f.terms]) for x in xs))
+    first = evaluate(spec)
+    floor = first.abs_value if first.converged else 0.0
+    return [first] + [evaluate(replace(spec, x=tuple(x), floor=floor)) for x in xs]

@@ -7,19 +7,19 @@ h to 1, points x_j = lambda^{1-s_j} y_j with y on the unit shell
     boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
 
 sampled by sign patterns times a fixed simplex grid in the |y_j|^{1/(1-s_j)}
-coordinates.  The scan is a serial loop over h, and ``sup_step`` takes each
-sup: it evaluates the origin first, then judges every other point converged
-once its successive-pass change is within rel_tol * max(|I(x; h)|, |I(0; h)|)
-(the floor is 0 if the origin did not converge).  The fold experiment's
-offsets follow the same rule in one ``oscint.evaluate_line``.  The origin is
-always a candidate, so sup_h >= |I(0; h)| and that floor is never looser than
-rel_tol times the sup, while points whose |I| is far below it (shadow-side
-points where |I| is O(h^inf), fold offsets away from the caustic) stop
-spending their budget on digits that cannot move it.  ``sup_row`` takes the
-sup for both, and keeps a row out of the fit only if an unconverged point
-could reach its sup.  The fitted exponent of log(sup |I|) against log(1/h) is
-then compared with a reference rational (the caustic order, or a regime
-formula) to produce a pass/fail/inconclusive verdict.
+coordinates.  The scan is a serial loop over h.  At each h one
+``oscint.evaluate_points`` call evaluates the origin and every shell point, on
+one node set per pass for k = 1, and judges each other point converged once
+its successive-pass change is within rel_tol * max(|I(x; h)|, |I(0; h)|) (the
+floor is 0 if the origin did not converge), as it does the fold experiment's
+offsets.  The origin is always a candidate, so sup_h >= |I(0; h)| and that
+floor is never looser than rel_tol times the sup, while points whose |I| is
+far below it (shadow-side points where |I| is O(h^inf), fold offsets away from
+the caustic) stop spending their budget on digits that cannot move it.
+``sup_row`` takes the sup for both, and keeps a row out of the fit only if an
+unconverged point could reach its sup.  The fitted exponent of log(sup |I|)
+against log(1/h) is then compared with a reference rational (the caustic
+order, or a regime formula) to produce a pass/fail/inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import PhaseFunction, caustic_order, threshold
-from .oscint import IntegralResult, IntegralSpec, evaluate
+from .oscint import IntegralSpec, evaluate_points
 
 ORDER_TOLERANCE = {1: 0.03, 2: 0.06}  # |slope - kappa| of an order fit, by k
 SHELL_LAMBDA_COUNT = 8  # lambdas of an omega_shells ladder, h to 1
@@ -98,6 +98,19 @@ class ScanResult:
     @property
     def cost(self) -> dict:
         return work_cost(self.rows)
+
+    @property
+    def sup_at(self) -> list[dict]:
+        """Per h, where the sup was attained: its lambda level (0 to SHELL_LAMBDA_COUNT - 1,
+        h to 1; -1 at the origin) and y_index, and edge on the outermost level."""
+        out = []
+        for sup in self.sup_rows:
+            rows = [r for r in self.rows if r.h == sup.h]
+            best = next(r for r in rows if r.x == sup.argmax_x)
+            level = sorted({r.lam for r in rows}).index(best.lam) - 1  # the origin's lambda is 0
+            out.append({"h": sup.h, "level": level, "y_index": best.y_index,
+                        "edge": level == SHELL_LAMBDA_COUNT - 1})
+        return out
 
 
 def work_cost(evaluations) -> dict:
@@ -181,19 +194,6 @@ def sup_row(h: float, xs, results) -> SupRow:
                       for r in results))
 
 
-def sup_step(origin: IntegralSpec, others) -> tuple[list[IntegralResult], SupRow]:
-    """Evaluate I at the origin spec, then at each x of ``others``; the sup of |I|.
-
-    The other points share the origin's spec but for x, and use its |I(0; h)|
-    as convergence floor (0 if the origin did not converge).  The results come
-    in the order evaluated, origin first, and ``sup_row`` takes their sup.
-    """
-    first = evaluate(origin)
-    floor = first.abs_value if first.converged else 0.0
-    results = [first] + [evaluate(replace(origin, x=x, floor=floor)) for x in others]
-    return results, sup_row(origin.h, [origin.x, *others], results)
-
-
 def supnorm_scan(plan: ScanPlan) -> ScanResult:
     """Evaluate |I| on the plan's candidate set and record the sup per h."""
     rows, sup_rows = [], []
@@ -202,11 +202,12 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
         origin = IntegralSpec(plan.phase, plan.amplitude, points[0][1], h,
                               rel_tol=plan.rel_tol, includes_prefactor=True,
                               budget=plan.eval_budget)
-        results, sup = sup_step(origin, [x for _, x, _ in points[1:]])
+        xs = [x for _, x, _ in points]
+        results = evaluate_points(origin, xs[1:])
         rows += [ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error,
                          res.converged, res.nodes)
                  for (lam, x, y_idx), res in zip(points, results)]
-        sup_rows.append(sup)
+        sup_rows.append(sup_row(h, xs, results))
     return ScanResult(tuple(rows), tuple(sup_rows))
 
 
@@ -250,6 +251,7 @@ class SweepEntry:
     fit: ExponentFit
     exploratory: bool
     cost: dict  # the scan's ScanResult.cost
+    sup_at: list  # and its ScanResult.sup_at
 
 
 def threshold_sweep(plan: ScanPlan, deltas) -> list[SweepEntry]:
@@ -267,5 +269,6 @@ def threshold_sweep(plan: ScanPlan, deltas) -> list[SweepEntry]:
     for d in deltas:
         result = supnorm_scan(replace(plan, amplitude=make_amplitude("narrow_bump", d, dim=k)))
         fit = fit_exponent(result.sup_rows, caustic_order(t), ORDER_TOLERANCE[k])
-        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result.cost))
+        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result.cost,
+                              result.sup_at))
     return out

@@ -190,6 +190,7 @@ def test_sweep_honours_points_per_shell(tmp_path):
     (entry,) = json.loads((tmp_path / "s" / "summary.json").read_text())["entries"]
     scan = json.loads((tmp_path / "n" / "summary.json").read_text())
     assert entry["cost"] == scan["cost"]
+    assert entry["sup_at"] == scan["sup_at"]
     assert entry["fit"]["slope"] == scan["slope"]
 
 
@@ -201,6 +202,34 @@ def test_sweep_entry_is_the_supnorm_scan_at_its_delta(tmp_path):
     scan = json.loads((tmp_path / "n" / "summary.json").read_text())
     assert entry["fit"] == scan["fit"]
     assert entry["cost"] == scan["cost"]
+
+
+def test_sweep_default_deltas_scan_each_delta_once(tmp_path):
+    # A4's threshold 1/5 is the default list's 0.2: scanned and reported once, in order
+    assert main(["sweep", "--type", "A4", "--h-start", "0.05", "--h-stop", "0.01",
+                 "--h-points", "5", "--out", str(tmp_path)]) in (0, 1)
+    entries = json.loads((tmp_path / "summary.json").read_text())["entries"]
+    assert [e["delta"] for e in entries] == [0.0, 0.1, 0.2]
+
+
+def test_supnorm_summary_says_where_each_sup_lies(tmp_path):
+    # per h: the lambda level (-1 at the origin) and y_index of the largest |I| in
+    # scan.csv, and edge on the outermost level, lambda = 1
+    assert main(["supnorm", "--type", "A3", "--x-strategy", "omega_shells", "--h-start",
+                 "0.0625", "--h-stop", "0.00390625", "--h-points", "5",
+                 "--out", str(tmp_path)]) in (0, 1)
+    sup_at = json.loads((tmp_path / "summary.json").read_text())["sup_at"]
+    lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [s["h"] for s in sup_at] == list(dict.fromkeys(float(r["h"]) for r in rows))
+    for s in sup_at:
+        at = [r for r in rows if float(r["h"]) == s["h"]]
+        best = max(at, key=lambda r: float(r["abs_I"]))
+        lams = sorted({float(r["lambda"]) for r in at if r["y_index"] != "-1"})
+        level = lams.index(float(best["lambda"])) if best["y_index"] != "-1" else -1
+        assert (s["level"], s["y_index"]) == (level, int(best["y_index"]))
+        assert s["edge"] == (level == scaling.SHELL_LAMBDA_COUNT - 1)
+    assert any(s["level"] >= 0 for s in sup_at)  # A3's sup leaves the origin
 
 
 def test_supnorm_scans_the_delta_it_is_given(tmp_path):
@@ -254,6 +283,17 @@ def test_fold_summary_reports_cost(tmp_path):
     for cost in summary["cost"].values():
         assert cost["evaluations"] == 5 * (1 + 2 * fold.X_POINTS)
         assert cost["nodes"] > 0 and cost["unconverged"] == 0
+
+
+def test_fold_summary_says_where_each_sup_lies(tmp_path):
+    # Ai peaks at x a / h = -1.019, i.e. x = -2.94 dx below the regime change; the
+    # above family peaks at x = 0; neither sits on the window's edge k = +-X_POINTS
+    argv = ["fold", "--deltas", "0,0.5", "--h-start", "0.015625", "--h-stop",
+            "0.0009765625", "--h-points", "5", "--out", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    sup_at = json.loads((tmp_path / "summary.json").read_text())["sup_at"]
+    assert [[(s["k"], s["edge"]) for s in sup_at[d]] for d in ("0", "0.5")] == \
+        [[(-3, False)] * 5, [(0, False)] * 5]
 
 
 def test_torus_ball_run(tmp_path):

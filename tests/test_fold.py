@@ -12,7 +12,7 @@ from causticlab.amplitudes import make_amplitude
 from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, _x_offsets, fold_curve,
                              l2_from_coefficients, lemma_62_suite, m_alpha, run_fold,
                              sharp_exponent, two_segment_breakpoint, weighted_cauchy)
-from causticlab.oscint import IntegralSpec, evaluate, evaluate_line, line_offsets
+from causticlab.oscint import IntegralSpec, evaluate, evaluate_points, line_offsets
 from causticlab.scaling import ExponentFit, geometric_grid
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
@@ -80,7 +80,7 @@ def test_plancherel_cross_check_x_side():
         exp = FoldExperiment(d)
         spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7,
                             includes_prefactor=False)
-        results = evaluate_line(spec, dx, count)
+        results = evaluate_points(spec, [(k * dx,) for k in line_offsets(count)[1:]])
         line = [results[i] for i in order]  # by x
         assert all(r.converged for r in line)
         peak = max(r.abs_value for r in line)

@@ -6,11 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import airy
 
-from causticlab import oscint
+from causticlab import oscint, scaling
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
+from causticlab.fold import FoldExperiment
 from causticlab.oscint import MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate
 
 A1 = build_phase(SingularityType.parse("A1"))
@@ -342,6 +345,12 @@ def test_quadrature_rule_pinned(label, nodes, passes):
 FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8
 
 
+def _line(spec, dx, count):
+    """I at spec.x + k dx for k in ``line_offsets(count)`` order, on one node set per pass."""
+    return oscint.evaluate_points(
+        spec, [(spec.x[0] + k * dx,) for k in oscint.line_offsets(count)[1:]])
+
+
 @pytest.mark.parametrize("spec", [
     IntegralSpec(A2, FIXED, (-0.4,), 1e-3, rel_tol=1e-8),
     IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-10, budget=3_000),
@@ -350,7 +359,7 @@ FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8
                  (0.0,) * 5, 2.0**-6),
 ])
 def test_line_of_one_point_is_evaluate(spec):
-    assert oscint.evaluate_line(spec, 0.1, 0) == [evaluate(spec)]
+    assert oscint.evaluate_points(spec, []) == [evaluate(spec)]
 
 
 @pytest.mark.parametrize("e", [8, 12, 16])
@@ -360,8 +369,8 @@ def test_line_offsets_against_airy_closed_form(e):
     h = 2.0**-e
     dx = 0.5 * h ** (2.0 / 3.0)
     rel_tol = 1e-7
-    line = oscint.evaluate_line(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol,
-                                             includes_prefactor=False), dx, 4)
+    line = _line(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol,
+                              includes_prefactor=False), dx, 4)
     a = (h / 3.0) ** (1.0 / 3.0)
     for k, res in zip(oscint.line_offsets(4), line):
         exact = 2.0 * math.pi * a * float(airy(k * dx * a / h)[0])
@@ -375,7 +384,7 @@ def test_line_offsets_against_airy_closed_form(e):
 def test_line_offsets_agree_with_their_own_evaluate(amp, h):
     rel_tol, dx = 1e-7, 0.5 * h ** (2.0 / 3.0)
     spec = IntegralSpec(A2, amp, (0.0,), h, rel_tol=rel_tol, includes_prefactor=False)
-    line = oscint.evaluate_line(spec, dx, 4)
+    line = _line(spec, dx, 4)
     for k, res in zip(oscint.line_offsets(4), line):
         alone = evaluate(replace(spec, x=(k * dx,)))
         assert abs(res.value - alone.value) <= rel_tol * max(alone.abs_value, line[0].abs_value)
@@ -386,7 +395,7 @@ def test_line_panels_resolve_every_offset_as_finely_as_alone():
     # nodes of the same pass of the costliest offset evaluated alone
     spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, budget=1)
     dx, count = 0.1, 4
-    line = oscint.evaluate_line(spec, dx, count)
+    line = _line(spec, dx, count)
     alone = [evaluate(replace(spec, x=(k * dx,))) for k in oscint.line_offsets(count)]
     assert line[0].passes == 1 and line[0].nodes >= max(r.nodes for r in alone)
     assert line[0].nodes > alone[0].nodes
@@ -397,7 +406,7 @@ def _scripted_passes(monkeypatch, values):
     offset at -dx repeats the one at +dx.  Returns the list the pass costs go to."""
     costs, script = [], iter(values)
 
-    def scripted(parts, mixed, h, amp_fns, axes, step, count):
+    def scripted(parts, mixed, h, amp_fns, axes, chains):
         costs.append(PANEL_ORDER * axes[0][0].size)
         origin, offset = next(script)
         return [origin, offset, offset]
@@ -413,18 +422,18 @@ def test_starved_origin_gives_offsets_floor_zero(monkeypatch):
     offset = [1e-3 + 1e-8 * s for s in range(len(origin))]
     spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=1e-6, includes_prefactor=False)
     costs = _scripted_passes(monkeypatch, zip(origin, offset))
-    done = oscint.evaluate_line(spec, 0.01, 1)
+    done = _line(spec, 0.01, 1)
     assert [(r.converged, r.passes) for r in done] == [(True, 5), (True, 2), (True, 2)]
     assert done[1].nodes == sum(costs[:2]) and done[0].nodes == sum(costs)
 
     _scripted_passes(monkeypatch, zip(origin, offset))
-    starved = oscint.evaluate_line(replace(spec, budget=sum(costs[:3])), 0.01, 1)
+    starved = _line(replace(spec, budget=sum(costs[:3])), 0.01, 1)
     assert [(r.converged, r.passes, r.stop) for r in starved] == [(False, 3, "budget")] * 3
     assert starved[1].est_error == pytest.approx(1e-8)
 
 
 def test_line_counters_follow_each_points_passes():
-    line = oscint.evaluate_line(IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7), 0.01, 2)
+    line = _line(IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7), 0.01, 2)
     assert len({r.passes for r in line}) > 1  # the points stop at different passes
     by_passes = {}
     for r in line:
@@ -437,9 +446,120 @@ def test_line_counters_follow_each_points_passes():
 def test_line_sums_do_not_depend_on_the_slab_size(monkeypatch):
     spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=1e-8)
     dx, count = FOLD_LINE
-    whole = oscint.evaluate_line(spec, dx, count)
+    whole = _line(spec, dx, count)
     monkeypatch.setattr(oscint, "SLAB_NODES", 3 * PANEL_ORDER)
-    slabs = oscint.evaluate_line(spec, dx, count)
+    slabs = _line(spec, dx, count)
     for a, b in zip(whole, slabs):
         assert (a.nodes, a.passes) == (b.nodes, b.passes)
         assert abs(a.value - b.value) <= 1e-13 * a.abs_value
+
+
+def test_points_duplicates_and_mirrors_each_get_their_own_result():
+    # repeated targets, a target at spec.x and +-x pairs (one z by cos/sin, the other
+    # its conjugate) each get their own result, within the scan's tolerance of evaluate
+    rel_tol = 1e-8
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=rel_tol, includes_prefactor=False)
+    xs = [(0.05,), (0.05,), (-0.05,), (-0.05,), (0.05,), (0.1,), (0.0,), (-0.1,)]
+    res = oscint.evaluate_points(spec, xs)
+    assert len(res) == 1 + len(xs)
+    for x, r in zip(xs, res[1:]):
+        assert r.converged
+        alone = evaluate(replace(spec, x=x))
+        assert abs(r.value - alone.value) <= rel_tol * max(alone.abs_value, res[0].abs_value), x
+    for i, j in ((1, 2), (1, 5), (3, 4)):  # the same x, by cos/sin or as a conjugate
+        assert abs(res[i].value - res[j].value) <= 1e-13 * res[0].abs_value
+
+
+@settings(max_examples=12, deadline=None)
+@given(e=st.floats(6.0, 13.0), ys=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5))
+def test_points_against_airy_closed_form(e, ys):
+    # integral chi(t) e^{i(x t + t^3)/h} dt = 2 pi a Ai(x a / h), a = (h/3)^{1/3} (DLMF 9.5),
+    # up to O(h^inf) for x <= 0, where the stationary points sit on the bump's plateau;
+    # each x comes with its mirror -x, as on a shell
+    h, rel_tol = 2.0**-e, 1e-7
+    xs = [(sign * y * h ** (2.0 / 3.0),) for y in ys for sign in (-1.0, 1.0)]
+    res = oscint.evaluate_points(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol,
+                                              includes_prefactor=False), xs)
+    a = (h / 3.0) ** (1.0 / 3.0)
+    for (x,), r in zip([(0.0,)] + xs, res):
+        assert r.converged
+        if x <= 0.0:
+            exact = 2.0 * math.pi * a * float(airy(x * a / h)[0])
+            assert abs(r.value - exact) <= rel_tol * max(abs(exact), res[0].abs_value), x
+
+
+@pytest.mark.parametrize("label", ["A3", "A4"])
+def test_shell_points_within_the_scan_tolerance_of_evaluate(label):
+    phase = build_phase(SingularityType.parse(label))
+    plan = scaling.ScanPlan(phase, FIXED, scaling.geometric_grid(2.0**-5, 2.0**-9, 5),
+                            x_strategy="omega_shells")
+    h = 2.0**-9
+    points = scaling._candidate_points(plan, h)
+    origin = IntegralSpec(phase, FIXED, points[0][1], h, rel_tol=plan.rel_tol)
+    res = oscint.evaluate_points(origin, [x for _, x, _ in points[1:]])
+    assert len(res) == len(points)
+    for (_, x, _), r in zip(points, res):
+        alone = evaluate(replace(origin, x=x, rel_tol=1e-10, floor=res[0].abs_value))
+        assert r.converged and alone.converged
+        assert abs(r.value - alone.value) <= \
+            plan.rel_tol * max(alone.abs_value, res[0].abs_value), x
+
+
+def _line_sums_by_products(part, amp_fn, panels, h, step, count):
+    """The fold line's kernel as it stood with (step, count) arguments: sum_i u_i z_i^k
+    for k in ``line_offsets(count)`` order, z = e^{i step/h} and its powers by products."""
+    mid, half = panels
+    sums = np.zeros(2 * count + 1, dtype=complex)
+    per_slab = max(1, oscint.SLAB_NODES // PANEL_ORDER)
+    for lo in range(0, mid.size, per_slab):
+        nodes, weights = oscint._panel_nodes(mid[lo:lo + per_slab], half[lo:lo + per_slab])
+        u = oscint._weighted_factor(part, amp_fn, nodes, weights, h)
+        sums[0] += u.sum()
+        z = oscint._expi(step(nodes) / h)
+        up, down, z_conj = u, u.copy(), z.conj()
+        for k in range(1, count + 1):
+            up *= z
+            down *= z_conj
+            sums[2 * k - 1] += up.sum()
+            sums[2 * k] += down.sum()
+    return sums
+
+
+@settings(max_examples=15, deadline=None)
+@given(e=st.floats(8.0, 14.0), count=st.integers(1, 4), delta=st.sampled_from([0.0, 0.2, 0.7]),
+       slab=st.sampled_from([3 * PANEL_ORDER, oscint.SLAB_NODES]))
+def test_fold_offsets_keep_the_line_bit_for_bit(e, count, delta, slab):
+    # the fold's offsets k dx through evaluate_points: the panels follow bound(phi') +
+    # count |dx| bound(f_1'), and every pass's sums are the line kernel's, bit for bit
+    h, exp = 2.0**-e, FoldExperiment(delta)
+    dx = 0.5 * h ** (2.0 / 3.0)
+    spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7,
+                        includes_prefactor=False)
+    phi = exp.phase.theta_poly((0.0,))
+    if exp.amplitude.modulation_poly() is not None:
+        phi = phi + exp.amplitude.modulation_poly()
+    step = exp.phase.fj_monomials[0].scale(dx)
+    checked = []
+
+    def panels_from_the_line_profile(gprofile, tgrid, *args):
+        box = [(tgrid[0], tgrid[-1])]
+        line = (phi.partial(0).abs_bound_profile(0, box, tgrid)
+                + count * step.partial(0).abs_bound_profile(0, box, tgrid))
+        assert gprofile.tobytes() == line.tobytes()
+        return axis_panels(gprofile, tgrid, *args)
+
+    def sums_as_the_line_kernel(part, amp_fn, panels, h, chains):
+        sums = axis_sums(part, amp_fn, panels, h, chains)
+        assert sums.tobytes() == _line_sums_by_products(part, amp_fn, panels, h, step,
+                                                        count).tobytes()
+        checked.append(len(sums))
+        return sums
+
+    axis_panels, axis_sums = oscint._axis_panels, oscint._axis_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oscint, "SLAB_NODES", slab)
+        mp.setattr(oscint, "_axis_panels", panels_from_the_line_profile)
+        mp.setattr(oscint, "_axis_sums", sums_as_the_line_kernel)
+        res = oscint.evaluate_points(spec, [(k * dx,) for k in oscint.line_offsets(count)[1:]])
+    assert len(res) == 2 * count + 1
+    assert checked == [2 * count + 1] * max(r.passes for r in res)

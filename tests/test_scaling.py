@@ -1,6 +1,8 @@
 """Scan geometry, exponent fits, sweep semantics."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from scipy.special import airy
 
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
-from causticlab.oscint import IntegralSpec, evaluate
+from causticlab.oscint import IntegralSpec, evaluate, evaluate_points
 from causticlab.scaling import (SHELL_LAMBDA_COUNT, ScanPlan, SupRow, fit_exponent,
                                 geometric_grid, shell_unit_samples, supnorm_scan,
                                 threshold_sweep)
@@ -151,15 +153,53 @@ def test_a2_shell_scan_error_within_origin_floor(a2_shell_scan):
             assert r.est_error <= plan.rel_tol * max(r.abs_value, origin[r.h]), r
 
 
-def test_a2_shell_scan_origin_rows_match_standalone_evaluate(a2_shell_scan):
+def test_a2_shell_scan_rows_match_evaluate_points_and_evaluate(a2_shell_scan):
+    # each h's rows are exactly one evaluate_points call on the origin and the
+    # shell points, and each point lies within the scan's tolerance of its own
+    # standalone evaluate at rel_tol 1e-10 (judged, like the scan, against |I(0; h)|)
     plan, result = a2_shell_scan
-    for r in result.rows:
-        if r.y_index != -1:
-            continue
-        res = evaluate(IntegralSpec(plan.phase, plan.amplitude, r.x, r.h,
-                                    rel_tol=plan.rel_tol))
-        assert (r.abs_value, r.est_error, r.converged, r.nodes) == \
-            (res.abs_value, res.est_error, res.converged, res.nodes)
+    for h in plan.h_grid:
+        rows = [r for r in result.rows if r.h == h]
+        origin = IntegralSpec(plan.phase, plan.amplitude, rows[0].x, h, rel_tol=plan.rel_tol)
+        shared = evaluate_points(origin, [r.x for r in rows[1:]])
+        assert [(r.abs_value, r.est_error, r.converged, r.nodes) for r in rows] == \
+            [(res.abs_value, res.est_error, res.converged, res.nodes) for res in shared]
+        for r in rows:
+            alone = evaluate(replace(origin, x=r.x, rel_tol=1e-10, floor=rows[0].abs_value))
+            assert alone.converged
+            assert abs(r.abs_value - alone.abs_value) <= \
+                plan.rel_tol * max(alone.abs_value, rows[0].abs_value), r
+
+
+def test_a2_shell_scan_evaluates_the_amplitude_once_per_pass(monkeypatch):
+    # one node set per pass serves every point of an h: the amplitude is evaluated
+    # once per pass, not once per point per pass (17 points an h here)
+    from causticlab import oscint, scaling
+    from causticlab.amplitudes import AmplitudeProfile
+
+    calls = Counter()
+    original = AmplitudeProfile.axis_slow
+
+    def counted(self, u, h, axis=0):
+        calls[h] += 1
+        return original(self, u, h, axis)
+
+    passes = {}
+
+    def spy(spec, xs):
+        results = oscint.evaluate_points(spec, xs)
+        passes[spec.h] = max(r.passes for r in results)
+        return results
+
+    monkeypatch.setattr(AmplitudeProfile, "axis_slow", counted)
+    monkeypatch.setattr(scaling, "evaluate_points", spy)
+    ph = build_phase(SingularityType.parse("A2"))
+    plan = ScanPlan(ph, make_amplitude("narrow_bump"), geometric_grid(2.0**-6, 2.0**-10, 5),
+                    x_strategy="omega_shells", points_per_shell=2)
+    result = supnorm_scan(plan)
+    assert max(r.nodes for r in result.rows) <= oscint.SLAB_NODES  # one slab a pass
+    assert len(result.rows) == len(plan.h_grid) * (1 + 2 * SHELL_LAMBDA_COUNT)
+    assert calls == passes and sum(passes.values()) < len(result.rows)
 
 
 def test_a1_projectable_scan_is_bounded():
@@ -227,16 +267,20 @@ def _scan_with_one_unconverged_point(monkeypatch, abs_share, err_share):
                     grid, x_strategy="omega_shells")
     first_shell_x = {h: scaling._candidate_points(plan, h)[1][1] for h in grid}
 
-    def scripted(spec):
+    def scripted(spec, xs):
         top = spec.h ** (-1.0 / 6.0)
-        if spec.x == (0.0,):
-            return IntegralResult(top, top, 1e-9 * top, True, 2, 192, "converged")
-        if spec.x != first_shell_x[spec.h]:
-            return IntegralResult(1e-3 * top, 1e-3 * top, 0.0, True, 2, 192, "converged")
-        value, est = abs_share * top, err_share * top
-        return IntegralResult(value, value, est, False, 1, 96, "budget")
+        assert spec.x == (0.0,)
+        results = [IntegralResult(top, top, 1e-9 * top, True, 2, 192, "converged")]
+        for x in xs:
+            if x != first_shell_x[spec.h]:
+                results.append(IntegralResult(1e-3 * top, 1e-3 * top, 0.0, True, 2, 192,
+                                              "converged"))
+                continue
+            value, est = abs_share * top, err_share * top
+            results.append(IntegralResult(value, value, est, False, 1, 96, "budget"))
+        return results
 
-    monkeypatch.setattr(scaling, "evaluate", scripted)
+    monkeypatch.setattr(scaling, "evaluate_points", scripted)
     result = supnorm_scan(plan)
     assert result.cost["unconverged"] == len(grid)
     return result, fit_exponent(result.sup_rows, Fraction(1, 6), 0.03)
