@@ -17,7 +17,11 @@ the coefficient side: the map a -> u is (2 pi h)^{1/2} times an isometry, so
 x = 0 plus offsets k dx at the caustic scale, dx = X_WINDOW h^{2/3} / X_POINTS,
 by ``oscint.evaluate_points``: one node set per pass for all of them, e^{ik dx t/h}
 by repeated products, and the offsets converge against |u_h(0)| as a scan's
-shells do against |I(0; h)|.
+shells do against |I(0; h)|.  Both families' amplitudes are even about 0, and
+their phase terms with the modulation folded in (none are left above 1/3) and
+the offsets k dx t are all odd, so that node set covers t >= 0 alone and each
+sum S stands for 2 Re S (the half rule of ``oscint``): about half the nodes of
+the full support.
 ``scaling.sup_row`` takes the sup, as for every sup-norm scan.  Fitting
 log(sup/||u||_2) against log(1/h) per delta and locating the best two-segment
 breakpoint of the slope-vs-delta curve turns the regime change into one

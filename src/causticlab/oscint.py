@@ -24,6 +24,18 @@ repeated products along equally spaced targets.  The panels follow a profile
 that bounds every point's |phi'|; each point keeps its own stopping rule and
 reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes.
 
+Half rule (k = 1): every amplitude kind but ``custom`` is real and even about
+its centre.  When that centre is 0 and every exponent of phi(t; x_0), the
+modulation folded in, and of every offset d_j has one parity (no exponent at
+all counts as even), the integrand on [-R, 0] mirrors the one on [0, R].  The
+panels then cover [0, R] alone: the full box's panels that lie there, at the
+same node density, so each pass adds at least one panel on [0, R].  Each sum S
+over them stands for 2 S (even) or 2 Re S (odd, an exactly real integral), and
+``nodes`` counts the evaluations made, about half the full box's.  This takes
+every A-type origin, every A2 line or shell scan and both fold families; a
+centre other than 0, a custom amplitude or mixed parities (the A3 shells) keep
+[-R, R].
+
 For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
 axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
 the amplitude factor times the Gauss weight.  With no mixed term the double
@@ -113,20 +125,28 @@ class IntegralResult:
 
 
 def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h: float, q: float,
-                 min_nodes: float, min_panels: int) -> tuple[np.ndarray, np.ndarray]:
+                 min_nodes: float, min_panels: int,
+                 mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
     """Panel midpoints and half-widths for one axis from a sampled frequency-bound profile.
 
     ``min_panels`` exceeds the previous pass's count, so a pass never repeats
-    the node set it is compared with.
+    the node set it is compared with.  A ``mirrored`` axis [0, R] is half of
+    [-R, R] and takes that box's panels, at its density, that lie on [0, R]:
+    when their count is odd, the middle one keeps its right half.
     """
     lo, hi = tgrid[0], tgrid[-1]
-    density = gprofile * (q / (2.0 * math.pi * h)) + min_nodes / (hi - lo)
+    width = 2.0 * (hi - lo) if mirrored else hi - lo
+    density = gprofile * (q / (2.0 * math.pi * h)) + min_nodes / width
     steps = np.diff(tgrid)
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
     total = cum[-1]
-    n_panels = max(min_panels, int(math.ceil(total / PANEL_ORDER)))
-    targets = np.linspace(0.0, total, n_panels + 1)
+    if mirrored:  # n panels of [-R, R] at 2 total / n each: edges at total - k (2 total / n)
+        n = max(2 * min_panels - 1, int(math.ceil(2.0 * total / PANEL_ORDER)))
+        targets = np.maximum(total - (2.0 * total / n) * np.arange((n + 1) // 2, -1, -1), 0.0)
+    else:
+        n_panels = max(min_panels, int(math.ceil(total / PANEL_ORDER)))
+        targets = np.linspace(0.0, total, n_panels + 1)
     edges = np.interp(targets, cum, tgrid)
     edges[0], edges[-1] = lo, hi
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
@@ -265,7 +285,7 @@ def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, chains) -> np.ndarray:
 
 
 def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: float,
-               amp_fns, axes, chains) -> list[complex]:
+               amp_fns, axes, chains, mirror: int | None) -> list[complex]:
     """One pass on the tensor grid of ``axes``, the (mid, half) panels of each axis.
 
     ``parts`` are the axes' own phase terms and ``mixed`` = (p, G) the rest,
@@ -273,12 +293,15 @@ def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: fl
     weights, u = w * (a * e^{iP/h}); with no mixed term the pass is the product
     of the axis sums (for k = 1, ``_axis_sums`` of the one axis with the
     targets' chains), otherwise the type-3 sum of u1, u2 at a = t1^p,
-    omega = G(t2) / h.
+    omega = G(t2) / h.  A ``mirror`` parity (``_mirror_parity``) means the k = 1
+    panels cover [0, R] only: each sum S then stands for 2 S (even) or 2 Re S (odd).
     """
     p, g = mixed
     if not g.terms:
         sums = [_axis_sums(part, amp_fn, panels, h, chains if ax == 0 else ())
                 for ax, (part, amp_fn, panels) in enumerate(zip(parts, amp_fns, axes))]
+        if mirror is not None:  # [-R, 0] adds S again, or its conjugate
+            sums[0] = 2.0 * (sums[0].real if mirror else sums[0])
         # products of numpy scalars round as Python's complex products do; arrays' may not
         return [complex(math.prod(vals)) for vals in zip(*sums)]
     grids = [_panel_nodes(*panels) for panels in axes]
@@ -295,6 +318,20 @@ def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int |
     return None
 
 
+def _mirror_parity(amp: AmplitudeProfile, polys) -> int | None:
+    """The parity p shared by every exponent of the 1D ``polys``, if the amplitude is even about 0.
+
+    Every kind but ``custom`` is real and even about its centre.  With that centre
+    at 0 and a phase of parity p (no exponent at all counts as even), the integral
+    over [-R, 0] is the one over [0, R] for p = 0 and its conjugate for p = 1.
+    None when the amplitude is ``custom`` or off centre, or the parities are mixed.
+    """
+    if amp.kind == "custom" or amp.center != (0.0,):
+        return None
+    parities = {e % 2 for poly in polys for _, (e,) in poly.terms}
+    return None if len(parities) > 1 else max(parities, default=0)
+
+
 def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[IntegralResult]:
     """Shared refinement loop of ``evaluate`` and ``evaluate_points``.
 
@@ -305,7 +342,8 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[
     other point against the converged |I(spec.x)| (0 if that never converged).
     Each result is the one of the first pass that met its point's rule, or of
     the last pass; the loop stops once every point has met it, or on budget or
-    MAX_PASSES.
+    MAX_PASSES.  A k = 1 integrand with a ``_mirror_parity`` takes its panels on
+    [0, R] alone, at the full box's node density, and spends about half the nodes.
     """
     h, amp, rel_tol = spec.h, spec.amplitude, spec.rel_tol
     phi = spec.phase.theta_poly(spec.x)
@@ -313,8 +351,9 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[
     if mod is not None:
         phi = phi + mod
     amp_fns = [(lambda u, ax=ax: amp.axis_slow(u, h, ax)) for ax in range(phi.nvars)]
+    mirror = _mirror_parity(amp, (phi, *offsets))
     rad = amp.support_radius(h)
-    box = [(c - rad, c + rad) for c in amp.center]
+    box = [(c - rad, c + rad) for c in amp.center] if mirror is None else [(0.0, rad)]
     # the h^{-k/2} prefactor multiplies the raw integrals at the end
     mag = h ** (-spec.phase.k / 2.0) if spec.includes_prefactor else 1.0
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[spec.phase.k]
@@ -343,7 +382,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[
     for s in range(MAX_PASSES):
         q = NODES_PER_PERIOD * REFINE_FACTOR**s
         min_nodes = MIN_AXIS_NODES * REFINE_FACTOR**s
-        axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1)
+        axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1, mirror is not None)
                 for g, tg, n in zip(gs, tgrids, axis_panels)]
         axis_panels = [a[0].size for a in axes]
         cost = combine(PANEL_ORDER * n for n in axis_panels)
@@ -353,7 +392,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[
             stop = "budget"
             break
         spent += cost
-        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, chains))
+        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, chains, mirror))
         spent_after.append(spent)
         if None not in met_passes():
             stop = "converged"

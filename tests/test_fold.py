@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from causticlab import fold
 from causticlab.amplitudes import make_amplitude
 from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, _x_offsets, fold_curve,
                              l2_from_coefficients, lemma_62_suite, m_alpha, run_fold,
@@ -133,6 +134,17 @@ def test_fold_offsets_converge_against_the_origin():
         own += alone
     assert on_floor > 0  # some offsets stopped on the origin's floor, not their own size
     assert run.cost["nodes"] < sum(r.nodes for r in own)
+
+
+def test_origin_line_takes_the_half_axis(monkeypatch):
+    # the delta = 0 bump is even about 0 and the fold's t^3 and offsets x t are odd, so
+    # its line runs on [0, R]; a mixed-parity offset would send it back to [-R, R]
+    exp = FoldExperiment(0.0, QUICK_GRID)
+    half = run_fold(exp).cost["nodes"]
+    full_box = make_amplitude("custom", evaluator=lambda u, h: exp.amplitude.axis_slow(u, h))
+    monkeypatch.setattr(fold, "evaluate_points",
+                        lambda spec, xs: evaluate_points(replace(spec, amplitude=full_box), xs))
+    assert half <= 0.55 * run_fold(exp).cost["nodes"]
 
 
 def test_threshold_families_agree():

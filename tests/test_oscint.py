@@ -362,7 +362,7 @@ def test_line_of_one_point_is_evaluate(spec):
     assert oscint.evaluate_points(spec, []) == [evaluate(spec)]
 
 
-@pytest.mark.parametrize("e", [8, 12, 16])
+@pytest.mark.parametrize("e", [8, 12, 14, 16])
 def test_line_offsets_against_airy_closed_form(e):
     # integral e^{i(x t + t^3)/h} dt = 2 pi a Ai(x a / h), a = (h/3)^{1/3} (DLMF 9.5.4);
     # the bump's edge adds O(h^inf)
@@ -376,6 +376,47 @@ def test_line_offsets_against_airy_closed_form(e):
         exact = 2.0 * math.pi * a * float(airy(k * dx * a / h)[0])
         assert res.converged
         assert abs(res.value - exact) <= rel_tol * abs(exact), k
+
+
+A3 = build_phase(SingularityType.parse("A3"))
+
+
+def _as_custom(amp):
+    """``amp`` wrapped as a custom amplitude: the same values, always on the full box."""
+    return make_amplitude("custom", center=amp.center[0],
+                          evaluator=lambda u, h: amp.axis_slow(u, h))
+
+
+@pytest.mark.parametrize("spec, xs", [
+    (IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=1e-10), []),  # t^3: odd
+    (IntegralSpec(A3, FIXED, (0.0, 0.0), 2.0**-10, rel_tol=1e-10), []),  # t^4: even
+    # the fold's delta = 0 offsets x = k dx: t^3 and the offsets k dx t, all odd
+    (IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7, includes_prefactor=False),
+     [(k * 0.5 * 2.0 ** (-8),) for k in oscint.line_offsets(4)[1:]]),
+])
+def test_mirrored_half_axis_agrees_with_the_full_box(spec, xs):
+    # an even amplitude centred at 0 and a phase of one parity: the panels cover [0, R]
+    # alone, at half the nodes; the custom wrapper of the same bump keeps [-R, R]
+    half = oscint.evaluate_points(spec, xs)
+    full = oscint.evaluate_points(replace(spec, amplitude=_as_custom(spec.amplitude)), xs)
+    odd = spec.phase is A2
+    for a, b in zip(half, full, strict=True):
+        assert a.converged and b.converged
+        assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-12 * abs(b.value)
+        assert a.nodes <= 0.55 * b.nodes
+        assert (a.value.imag == 0.0) == odd  # 2 Re S: exactly real
+
+
+@pytest.mark.parametrize("spec, xs", [
+    (IntegralSpec(A2, make_amplitude("narrow_bump", center=0.5), (0.0,), 2.0**-10), []),
+    # shell targets with x1, x2 != 0 add odd and even terms to the even t^4
+    (IntegralSpec(A3, FIXED, (0.0, 0.0), 2.0**-9), [(0.01, 0.02), (-0.01, -0.02)]),
+])
+def test_off_centre_or_mixed_parity_keeps_the_full_box(spec, xs):
+    res = oscint.evaluate_points(spec, xs)
+    full = oscint.evaluate_points(replace(spec, amplitude=_as_custom(spec.amplitude)), xs)
+    assert [r.nodes for r in res] == [r.nodes for r in full]
+    assert res == full
 
 
 @pytest.mark.parametrize("amp, h", [
@@ -406,7 +447,7 @@ def _scripted_passes(monkeypatch, values):
     offset at -dx repeats the one at +dx.  Returns the list the pass costs go to."""
     costs, script = [], iter(values)
 
-    def scripted(parts, mixed, h, amp_fns, axes, chains):
+    def scripted(parts, mixed, h, amp_fns, axes, chains, mirror):
         costs.append(PANEL_ORDER * axes[0][0].size)
         origin, offset = next(script)
         return [origin, offset, offset]
