@@ -9,8 +9,9 @@ Families a(theta; h) in the class S^k_delta satisfy
                                                                   order (3-delta)/4
 
 Each kind's KINDS row gives, as functions of delta, its width and prefactor
-exponents, cubic modulation, declared order and support, so an
-AmplitudeProfile is (kind, delta, center) and nothing else.
+exponents, cubic modulation and support, so an AmplitudeProfile is (kind,
+delta, center) and nothing else.  Each kind is h^-p times a factor in
+S^0_delta, so its symbol order is its prefactor exponent p.
 
 At delta = 0 the narrow bump is the fixed bump chi(theta - c), the amplitude
 that concentrates at the maximal rate; it is the default everywhere.  The
@@ -46,19 +47,17 @@ class KindRow(NamedTuple):
     """What (kind, delta) fix of a family; a bump kind is h^-p chi((u - c)/h^w) e^{i c3 u^3/h}."""
 
     width_exponent: float  # w
-    prefactor_exponent: float  # p
+    prefactor_exponent: float  # p, also the symbol order k of S^k_delta
     cubic_modulation: float  # c3
-    declared_order: float  # the symbol order k of S^k_delta
     support_const: float  # the support is |u - c| <= support_const h^w
 
 
 # kind -> delta -> its KindRow
 KINDS = {
-    "narrow_bump": lambda d: KindRow(d, 0.0, 0.0, 0.0, 2.0),
-    "gaussian": lambda d: KindRow(d, d / 2.0, 0.0, d / 2.0, 4.0),
-    "fold_saturator_above": lambda d: KindRow((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0,
-                                              (3.0 - d) / 4.0, 2.0),
-    "custom": lambda d: KindRow(0.0, 0.0, 0.0, 0.0, 2.0),
+    "narrow_bump": lambda d: KindRow(d, 0.0, 0.0, 2.0),
+    "gaussian": lambda d: KindRow(d, d / 2.0, 0.0, 4.0),
+    "fold_saturator_above": lambda d: KindRow((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0, 2.0),
+    "custom": lambda d: KindRow(0.0, 0.0, 0.0, 2.0),
 }
 
 
@@ -229,14 +228,15 @@ class SymbolOrderRow:
 def check_symbol_order(profile: AmplitudeProfile, h_grid) -> list[SymbolOrderRow]:
     """Fit sup|d^alpha a| ~ h^{-order} for alpha = 0..3 and compare to the class.
 
-    The expected order for |alpha| = a is declared_order + delta*a.  Requires a
-    geometric h-grid with at least 6 points; raises on degenerate fits.
+    The expected order for |alpha| = a is p + delta*a, p the kind's prefactor
+    exponent (its symbol order).  Requires a geometric h-grid with at least 6
+    points; raises on degenerate fits.
     """
     hs = np.asarray(sorted(h_grid, reverse=True), dtype=float)
     if hs.size < 6:
         raise ValueError("need at least 6 h values")
     rows = []
-    order = profile.row.declared_order
+    order = profile.row.prefactor_exponent
     logs_inv_h = np.log(1.0 / hs)
     for alpha in _STENCILS:
         sups = np.array([estimate_sup_derivative(profile, alpha, h) for h in hs])

@@ -14,14 +14,16 @@ Every summary.json echoes the experiment and, under ``config``, the out
 directory and the fields its subcommand reads.  Wall time is printed to
 stdout and written to a sidecar (run.log; verify's per-criterion
 timings.json), never into the summary or the verify matrix.
-Each verdict and its tolerance is defined once, in the library module that
-owns the experiment, and no flag overrides a tolerance; the runners here wire
-a config to it and return the summary.  An amplitude is named by its kind,
-delta and centre; the kind fixes the rest, and the default kind is the
+Each tolerance is defined once, in the library module that owns the
+experiment, and no flag overrides one.  The runners here wire a config to the
+library and return the summary; the symbols and torus runners compare their
+fits with the library's tolerance themselves.  An amplitude is named by its
+kind, delta and centre; the kind fixes the rest, and the default kind is the
 narrow bump, so --delta alone sets its concentration rate.  supnorm and sweep
 build one scan plan (``_scan_plan``): a sweep entry is the supnorm scan with
-the narrow bump at that delta.  The torus direction is the rational preset
-for dyadic sphere caps and the diophantine one for balls.
+the narrow bump at that delta.  A torus ball run takes the diophantine
+direction and reads its exponent from --delta-prime alone (0.55 when unset);
+a dyadic run reads --torus-delta, on the rational direction.
 """
 
 from __future__ import annotations
@@ -158,11 +160,13 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("torus_mode", "must be ball or dyadic")
     if cfg.torus_mode == "dyadic" and cfg.torus_delta_prime is not None:
         raise ConfigError("torus_delta_prime", "only --mode ball reads it")
+    if cfg.torus_mode == "ball" and cfg.torus_delta != RunConfig.torus_delta:
+        raise ConfigError("torus_delta", "only --mode dyadic reads it")
     if not 0.0 < cfg.torus_delta <= 1.0:
         raise ConfigError("torus_delta", "must lie in (0, 1]")
-    if cfg.torus_mode == "ball" and cfg.torus_delta_prime is not None \
-            and cfg.torus_delta != RunConfig.torus_delta:
-        raise ConfigError("torus_delta", "--mode ball reads it only without --delta-prime")
+    if cfg.torus_delta_prime is not None and not 0.0 < cfg.torus_delta_prime <= 1.0:
+        raise ConfigError("torus_delta_prime",
+                          f"must lie in (0, 1], got {cfg.torus_delta_prime}")
     if cfg.j_min < 1 or cfg.j_max < cfg.j_min:
         raise ConfigError("j_max", "need 1 <= j_min <= j_max")
     if cfg.torus_mode == "dyadic" and cfg.j_max > ENUM_LIMITS["j"][cfg.torus_n]:
@@ -270,16 +274,10 @@ def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     n = cfg.torus_n
-    om = OMEGA_PRESETS["diophantine" if cfg.torus_mode == "ball" else "rational"][n]
     summary: dict = {"n": n, "mode": cfg.torus_mode}
     if cfg.torus_mode == "ball":
-        dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None \
-            else cfg.torus_delta + 0.05
-        if not 0.0 < dprime <= 1.0:
-            if cfg.torus_delta_prime is None:
-                raise ConfigError("torus_delta", f"the default delta' = torus_delta + 0.05 "
-                                  f"= {dprime:g} exceeds 1")
-            raise ConfigError("torus_delta_prime", f"must lie in (0, 1], got {dprime}")
+        om = OMEGA_PRESETS["diophantine"][n]
+        dprime = cfg.torus_delta_prime if cfg.torus_delta_prime is not None else 0.55
         js = [j for j in (2**k for k in range(1, 40))
               if cfg.j_min <= j <= cfg.j_max]
         if len(js) < 3:
@@ -294,8 +292,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         summary.update(delta_prime=dprime, ratio_exponent=slope, reference=n * dprime / 2)
         ok = abs(slope - n * dprime / 2) <= BALL_EXPONENT_TOLERANCE
     else:
-        blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max),
-                                           omega=om)
+        blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max))
         rows = [[b.best_j, b.best_j**-0.5, b.best_count,
                  math.sqrt(b.best_count), b.J] for b in blocks]
         summary["blocks"] = [{

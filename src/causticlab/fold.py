@@ -180,7 +180,6 @@ def two_segment_breakpoint(deltas, slopes):
 class FoldCurve:
     runs: tuple[FoldRun, ...]
     breakpoint: float
-    breakpoint_sse: float
 
     @property
     def max_slope_error(self) -> float:
@@ -201,9 +200,9 @@ def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
     for d in deltas:
         runs.append(run_fold(FoldExperiment(float(d), tuple(h_grid), rel_tol=rel_tol,
                                             eval_budget=eval_budget)))
-    bp, sse = two_segment_breakpoint(
+    bp, _ = two_segment_breakpoint(
         [r.experiment.delta for r in runs], [r.fit.slope for r in runs])
-    return FoldCurve(tuple(runs), bp, sse)
+    return FoldCurve(tuple(runs), bp)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ equal increments of the accumulated density.  Passes refine the density by
 sqrt(2), and by at least one panel per axis, until two successive passes
 agree to rel_tol; the reported est_error is the delta between the last two
 passes, the pair the returned value comes from (no rigorous bound is
-claimed).  A spec's ``floor`` (in the units of ``abs_value``) relaxes that
-test to delta <= rel_tol * max(|I|, floor): a scan passes |I(0; h)| there,
-since a point many orders below the sup cannot move it and needs no precision
-relative to its own size.  Amplitude modulations of the form
+claimed).  ``evaluate_points`` relaxes that test for every point but the
+first, x_0 (0 in a scan), to delta <= rel_tol * max(|I|, |I(x_0)|): a point
+many orders below the sup cannot move it and needs no precision relative to
+its own size.  Amplitude modulations of the form
 e^{i c theta^3 / h} are folded into the phase polynomial exactly, so the
 sampled amplitude factor is always slowly varying.  e^{i phi/h} is formed as
 cos and sin of the real phase, written into the two parts of one complex array.
@@ -93,7 +93,6 @@ class IntegralSpec:
     rel_tol: float = 1e-6
     includes_prefactor: bool = True
     budget: int | None = None
-    floor: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.h < 1.0:
@@ -102,8 +101,6 @@ class IntegralSpec:
             raise ValueError(f"rel_tol must lie in [1e-10, 1e-3], got {self.rel_tol}")
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not 0.0 <= self.floor < math.inf:
-            raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
         if len(self.x) != self.phase.k0:
             raise ValueError(
                 f"x needs {self.phase.k0} entries for {self.phase.singularity.label}")
@@ -332,13 +329,15 @@ def _mirror_parity(amp: AmplitudeProfile, polys) -> int | None:
     return None if len(parities) > 1 else max(parities, default=0)
 
 
-def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[IntegralResult]:
+def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
+               floor: float = 0.0) -> list[IntegralResult]:
     """Shared refinement loop of ``evaluate`` and ``evaluate_points``.
 
     It integrates at spec.x and at each target j, whose phase is phi + d_j for
     the phase offsets d_j = ``offsets[j - 1]`` (k = 1 only), all on one node set
     per pass, placed from the profile bound(phi') + max_j bound(d_j'), which
-    bounds every point's |phi'|.  spec.x converges against ``spec.floor``, every
+    bounds every point's |phi'|.  spec.x converges within
+    rel_tol * max(|I|, ``floor``) (``floor`` in the units of ``abs_value``), every
     other point against the converged |I(spec.x)| (0 if that never converged).
     Each result is the one of the first pass that met its point's rule, or of
     the last pass; the loop stops once every point has met it, or on budget or
@@ -373,10 +372,10 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = ()) -> list[
             0, box, tgrids[0]) for _, d, ts in chains], axis=0)
 
     def met_passes():
-        origin = _first_met([v[0] for v in history], rel_tol, max(spec.floor / mag, 1e-300))
-        floor = mag * abs(history[origin][0]) if origin is not None else 0.0
+        origin = _first_met([v[0] for v in history], rel_tol, max(floor / mag, 1e-300))
+        offset_floor = mag * abs(history[origin][0]) if origin is not None else 0.0
         return [origin] + [_first_met([v[j] for v in history], rel_tol,
-                                      max(floor / mag, 1e-300))
+                                      max(offset_floor / mag, 1e-300))
                            for j in range(1, len(offsets) + 1)]
 
     for s in range(MAX_PASSES):
@@ -424,7 +423,7 @@ def evaluate(spec: IntegralSpec) -> IntegralResult:
 def evaluate_points(spec: IntegralSpec, xs) -> list[IntegralResult]:
     """Evaluate I at spec.x, then at each x of ``xs`` (same spec but for x), in that order.
 
-    spec.x converges against ``spec.floor``, every other point within
+    spec.x converges within rel_tol * |I|, every other point within
     rel_tol * max(|I|, |I(spec.x)|) once spec.x has converged (against 0 if it
     never does).  For k = 1 one node set per pass serves them all, the phase at
     x being phi(t; spec.x) + sum_i (x - spec.x)_i f_i(t), f_i the
@@ -436,4 +435,4 @@ def evaluate_points(spec: IntegralSpec, xs) -> list[IntegralResult]:
             for c, e in f.terms]) for x in xs))
     first = evaluate(spec)
     floor = first.abs_value if first.converged else 0.0
-    return [first] + [evaluate(replace(spec, x=tuple(x), floor=floor)) for x in xs]
+    return [first] + [_integrate(replace(spec, x=tuple(x)), floor=floor)[0] for x in xs]

@@ -18,7 +18,7 @@ inside the cap of j = |alpha|^2}, and each point's j = |alpha|^2 picks its cap
 test.  A single sphere is the case j_lo = j_hi = j; the dyadic search of the
 lower-bound argument runs it once per block [J, 2J] and bins the points by j,
 which gives every M(j) = sphere_cap_count of the block in one pass.  Each
-block's sum of M(j) is compared against the volume of the corresponding
+block's sum of M(j) is reported beside the volume of the corresponding
 annular cap solid, and the maximizing j per block is selected, realizing
 M(j) >= c j^{(n-1)delta/2 - 1/2} along the selected sequence.
 
@@ -240,8 +240,8 @@ def cap_solid_volume(n: int, J: int, delta: float) -> float:
     r = np.linspace(math.sqrt(J), math.sqrt(2 * J), 2001)
     half = np.minimum(1.0, 0.5 * r ** (delta - 1.0))
     psi = 2.0 * np.arcsin(half)
-    if n == 1:
-        area = np.where(psi > 0, 2.0, 0.0)  # degenerate: two endpoints
+    if n == 1:  # the 0-sphere {r omega, -r omega}: a cap holds -r omega only at psi = pi
+        area = np.where(half >= 1.0, 2.0, 1.0)
     elif n == 2:
         area = 2.0 * psi * r
     elif n == 3:
@@ -264,24 +264,24 @@ class DyadicBlock:
 
 
 def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
-                              omega=None, cap_constant: float = 1.0) -> list[DyadicBlock]:
+                              cap_constant: float = 1.0) -> list[DyadicBlock]:
     """Per dyadic block [J, 2J] inside J_range: every M(j), and the argmax.
 
     M(j) = sphere_cap_count(CapQuery(n, omega, mu=delta, j, cap_constant)),
     the lattice points on |alpha|^2 = j within cap_constant * j^{delta/2} of
-    sqrt(j) omega.  One enumeration of the block's annular cap counts them all,
-    binned by j = |alpha|^2.  Blocks with no representable j are reported with
-    best_count 0, not treated as fatal.
+    sqrt(j) omega, omega = OMEGA_PRESETS["rational"][n].  One enumeration of
+    the block's annular cap counts them all, binned by j = |alpha|^2.  Blocks
+    with no representable j are reported with best_count 0, not treated as
+    fatal.
     """
-    if omega is None:
-        omega = OMEGA_PRESETS["rational"][n]
+    omega = OMEGA_PRESETS["rational"][n]
     lo, hi = J_range
     if lo < 1 or hi < lo:
         raise ValueError("bad J_range")
     blocks = []
     J = int(lo)
     while 2 * J <= hi:
-        q = CapQuery(n=n, omega=tuple(omega), mu=float(delta), j=J,
+        q = CapQuery(n=n, omega=omega, mu=float(delta), j=J,
                      cap_constant=cap_constant)
         counts = np.zeros(J + 1, dtype=np.int64)
         for _, js in _cap_points(q, 2 * J):

@@ -296,6 +296,22 @@ def test_fold_summary_says_where_each_sup_lies(tmp_path):
         [[(-3, False)] * 5, [(0, False)] * 5]
 
 
+def test_torus_ball_default_exponent_is_delta_prime_055(tmp_path):
+    # without --delta-prime a ball run takes delta' = 0.55; the echo keeps the unset null
+    argv = ["torus", "--mode", "ball", "--n", "2", "--j-min", "1024", "--j-max", "65536"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == \
+        main(argv + ["--delta-prime", "0.55", "--out", str(tmp_path / "set")])
+    assert (tmp_path / "default" / "torus.csv").read_bytes() == \
+        (tmp_path / "set" / "torus.csv").read_bytes()
+    default, set_ = (json.loads((tmp_path / d / "summary.json").read_text())
+                     for d in ("default", "set"))
+    assert default["config"].pop("torus_delta_prime") is None
+    assert set_["config"].pop("torus_delta_prime") == 0.55
+    for s in (default, set_):
+        s["config"].pop("out_dir")
+    assert default == set_ and default["delta_prime"] == 0.55
+
+
 def test_torus_ball_run(tmp_path):
     cfg = RunConfig(experiment="torus", torus_mode="ball", torus_n=2, torus_delta_prime=0.5,
                     j_min=2**10, j_max=2**22, out_dir=str(tmp_path))
@@ -367,7 +383,7 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, fieldname", [
     (["supnorm", "--amplitude", "bogus"], "amplitude"),
     (["supnorm", "--amplitude", "custom"], "amplitude"),
-    (["torus", "--mode", "ball", "--torus-delta", "1"], "torus_delta"),  # derived delta' 1.05
+    (["torus", "--mode", "ball", "--torus-delta", "1"], "torus_delta"),  # read by dyadic mode only
     (["torus", "--mode", "ball", "--delta-prime", "0"], "torus_delta_prime"),
     (["torus", "--mode", "ball", "--delta-prime", "1.5"], "torus_delta_prime"),
     (["sweep", "--deltas", "0.1,1.5"], "deltas"),
@@ -473,6 +489,7 @@ def _exit_status(argv) -> int:
      "torus_delta"),
     (["supnorm", "--workers", "2"], "--workers"),
     (["sweep", "--workers", "2"], "--workers"),
+    (["torus", "--mode", "ball", "--torus-delta", "0.3"], "torus_delta"),
 ])
 def test_unread_settings_exit_2(tmp_path, capsys, argv, name):
     if isinstance(argv[-1], dict):
@@ -540,12 +557,14 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
 # means editing this table.
 GOLDEN_OPTIONS = {
     "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "includes_prefactor",
-                     "budget", "floor"],
+                     "budget"],
     "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "points_per_shell",
                  "rel_tol", "eval_budget"],
     "FoldExperiment": ["delta", "h_grid", "rel_tol", "eval_budget"],
     "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "center", "evaluator"],
+    "KindRow": ["width_exponent", "prefactor_exponent", "cubic_modulation", "support_const"],
+    "FoldCurve": ["runs", "breakpoint"],
     "make_amplitude": ["kind", "delta", "center", "dim", "evaluator"],
     "KINDS": ["narrow_bump", "gaussian", "fold_saturator_above", "custom"],
     "ORDER_TOLERANCE": [1, 2],
@@ -554,6 +573,7 @@ GOLDEN_OPTIONS = {
     "threshold_sweep": ["plan", "deltas"],
     "two_segment_breakpoint": ["deltas", "slopes"],
     "cap_solid_volume": ["n", "J", "delta"],
+    "dyadic_lower_bound_search": ["n", "delta", "J_range", "cap_constant"],
     "crit02_quasi_homogeneity": [],
     "crit03_quadrature_oracles": [],
     "crit10_torus_exact": [],
@@ -563,13 +583,15 @@ GOLDEN_OPTIONS = {
 def test_option_surface_golden():
     classes = {"IntegralSpec": oscint.IntegralSpec, "ScanPlan": scaling.ScanPlan,
                "FoldExperiment": fold.FoldExperiment, "CapQuery": torus.CapQuery,
-               "AmplitudeProfile": amplitudes.AmplitudeProfile}
+               "AmplitudeProfile": amplitudes.AmplitudeProfile, "FoldCurve": fold.FoldCurve}
     seen = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in classes.items()}
+    seen["KindRow"] = list(amplitudes.KindRow._fields)
     seen["KINDS"] = list(amplitudes.KINDS)
     seen["ORDER_TOLERANCE"] = list(scaling.ORDER_TOLERANCE)
     for fn in (amplitudes.make_amplitude, amplitudes.check_symbol_order,
                amplitudes.estimate_sup_derivative, scaling.threshold_sweep,
                fold.two_segment_breakpoint, torus.cap_solid_volume,
+               torus.dyadic_lower_bound_search,
                acceptance.crit02_quasi_homogeneity,
                acceptance.crit03_quadrature_oracles, acceptance.crit10_torus_exact):
         seen[fn.__name__] = list(inspect.signature(fn).parameters)

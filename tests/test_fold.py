@@ -228,7 +228,7 @@ def test_inconclusive_run_fails_the_curve_in_any_order():
 
     good, bad = run(0.0, 1.0 / 6.0, "pass"), run(0.2, math.nan, "inconclusive")
     for runs in ((good, bad), (bad, good)):
-        curve = FoldCurve(runs, 1.0 / 3.0, 0.0)
+        curve = FoldCurve(runs, 1.0 / 3.0)
         assert math.isnan(curve.max_slope_error)
         assert not curve.passed
-    assert FoldCurve((good, good), 1.0 / 3.0, 0.0).passed
+    assert FoldCurve((good, good), 1.0 / 3.0).passed

@@ -150,13 +150,25 @@ def test_floor_stops_shadow_point_early():
     shadow = IntegralSpec(A2, FIXED, (0.5,), h, rel_tol=1e-6, budget=2**20)
     origin = evaluate(replace(shadow, x=(0.0,)))
     plain = evaluate(shadow)
-    floored = evaluate(replace(shadow, floor=origin.abs_value))
+    [floored] = oscint._integrate(shadow, floor=origin.abs_value)
     assert not plain.converged
     assert floored.converged and floored.nodes < plain.nodes
     assert floored.est_error <= 1e-6 * origin.abs_value
-    assert evaluate(replace(shadow, floor=0.0)) == plain
-    with pytest.raises(ValueError):
-        replace(shadow, floor=-1.0)
+    assert oscint._integrate(shadow, floor=0.0) == [plain]
+    # a floor far above |I| stops at the first pair of passes
+    assert oscint._integrate(shadow, floor=3.0)[0].passes == 2
+
+
+def test_k2_points_take_the_origin_as_floor():
+    # 2D points are evaluated one by one, each within rel_tol * max(|I|, |I(spec.x)|);
+    # x1 = 3 is on the shadow side, where only that floor lets it converge
+    spec = IntegralSpec(build_phase(SingularityType.parse("E6")),
+                        make_amplitude("narrow_bump", dim=2), (0.0,) * 5, 2.0**-6)
+    xs = [(0.0, -0.2, 0.1, 0.0, 0.0), (3.0, 0.0, 0.0, 0.0, 0.0)]
+    res = oscint.evaluate_points(spec, xs)
+    assert res == [evaluate(spec)] + [
+        oscint._integrate(replace(spec, x=x), floor=res[0].abs_value)[0] for x in xs]
+    assert res[2].converged and not evaluate(replace(spec, x=xs[1])).converged
 
 
 def test_2d_separable_equals_full_path():
@@ -354,7 +366,7 @@ def _line(spec, dx, count):
 @pytest.mark.parametrize("spec", [
     IntegralSpec(A2, FIXED, (-0.4,), 1e-3, rel_tol=1e-8),
     IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-10, budget=3_000),
-    IntegralSpec(A2, FIXED, (0.5,), 2.0**-8, floor=3.0),
+    IntegralSpec(A2, FIXED, (0.5,), 2.0**-8, budget=2**16),
     IntegralSpec(build_phase(SingularityType.parse("E6")), make_amplitude("narrow_bump", dim=2),
                  (0.0,) * 5, 2.0**-6),
 ])
@@ -540,7 +552,7 @@ def test_shell_points_within_the_scan_tolerance_of_evaluate(label):
     res = oscint.evaluate_points(origin, [x for _, x, _ in points[1:]])
     assert len(res) == len(points)
     for (_, x, _), r in zip(points, res):
-        alone = evaluate(replace(origin, x=x, rel_tol=1e-10, floor=res[0].abs_value))
+        [alone] = oscint._integrate(replace(origin, x=x, rel_tol=1e-10), floor=res[0].abs_value)
         assert r.converged and alone.converged
         assert abs(r.value - alone.value) <= \
             plan.rel_tol * max(alone.abs_value, res[0].abs_value), x

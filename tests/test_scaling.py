@@ -11,7 +11,7 @@ from scipy.special import airy
 
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
-from causticlab.oscint import IntegralSpec, evaluate, evaluate_points
+from causticlab.oscint import IntegralSpec, _integrate, evaluate_points
 from causticlab.scaling import (SHELL_LAMBDA_COUNT, ScanPlan, SupRow, fit_exponent,
                                 geometric_grid, shell_unit_samples, supnorm_scan,
                                 threshold_sweep)
@@ -156,7 +156,7 @@ def test_a2_shell_scan_error_within_origin_floor(a2_shell_scan):
 def test_a2_shell_scan_rows_match_evaluate_points_and_evaluate(a2_shell_scan):
     # each h's rows are exactly one evaluate_points call on the origin and the
     # shell points, and each point lies within the scan's tolerance of its own
-    # standalone evaluate at rel_tol 1e-10 (judged, like the scan, against |I(0; h)|)
+    # standalone evaluation at rel_tol 1e-10 (judged, like the scan, against |I(0; h)|)
     plan, result = a2_shell_scan
     for h in plan.h_grid:
         rows = [r for r in result.rows if r.h == h]
@@ -165,7 +165,7 @@ def test_a2_shell_scan_rows_match_evaluate_points_and_evaluate(a2_shell_scan):
         assert [(r.abs_value, r.est_error, r.converged, r.nodes) for r in rows] == \
             [(res.abs_value, res.est_error, res.converged, res.nodes) for res in shared]
         for r in rows:
-            alone = evaluate(replace(origin, x=r.x, rel_tol=1e-10, floor=rows[0].abs_value))
+            [alone] = _integrate(replace(origin, x=r.x, rel_tol=1e-10), floor=rows[0].abs_value)
             assert alone.converged
             assert abs(r.abs_value - alone.abs_value) <= \
                 plan.rel_tol * max(alone.abs_value, rows[0].abs_value), r

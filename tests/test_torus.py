@@ -230,8 +230,7 @@ def test_dyadic_block_sums_track_volume():
 
 def test_dyadic_n1_degenerate():
     # with cap width 2 sqrt(j) the cap spans the whole two-point sphere
-    blocks = dyadic_lower_bound_search(1, 1.0, (16, 64), omega=(1.0,),
-                                       cap_constant=2.0)
+    blocks = dyadic_lower_bound_search(1, 1.0, (16, 64), cap_constant=2.0)
     for b in blocks:
         assert 0 <= b.best_count <= 2
         assert b.best_count == 2  # a perfect square exists in every dyadic block here
@@ -266,6 +265,17 @@ def test_dyadic_selected_sequence_slope():
     slope = np.polyfit(np.log([j**0.5 for j, _ in sel]),
                        np.log([m for _, m in sel]), 1)[0]
     assert slope >= (3 - 1) * 0.5 - 1 - 0.15
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.75, 1.0])
+def test_dyadic_n1_block_sum_within_one_of_volume(delta):
+    # at cap constant 1 the cap of |alpha|^2 = j holds sqrt(j) alone, so a block counts
+    # the integers in [sqrt(J), sqrt(2J)], within 1 of its length, the n = 1 volume
+    blocks = dyadic_lower_bound_search(1, delta, (256, 2**17))
+    assert len(blocks) == 9
+    for b in blocks:
+        assert b.volume == pytest.approx(math.sqrt(2 * b.J) - math.sqrt(b.J), rel=1e-12)
+        assert abs(b.block_sum - b.volume) <= 1.0, b
 
 
 def test_cap_volume_formula_2d():
