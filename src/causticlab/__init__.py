@@ -2,7 +2,6 @@
 
 from .catalog import (
     SingularityType,
-    HomogeneityProfile,
     PhaseFunction,
     build_phase,
     caustic_order,
@@ -17,7 +16,7 @@ from .fold import FoldExperiment, sharp_exponent, run_fold, fold_curve, l2_from_
 __version__ = "0.1.0"
 
 __all__ = [
-    "SingularityType", "HomogeneityProfile", "PhaseFunction",
+    "SingularityType", "PhaseFunction",
     "build_phase", "caustic_order", "threshold",
     "AmplitudeProfile", "make_amplitude", "bump",
     "check_symbol_order",

@@ -51,6 +51,12 @@ class CriterionResult:
         return "PASS" if self.passed else "FAIL"
 
 
+# The bounds of the criteria that are functions (the command rows judge at
+# their library's tolerances).
+QUASI_HOMOGENEITY_TOL = 1e-12  # C02: the defect is at most this times 1 + |lam phi(x, theta)|
+FRESNEL_REL_TOL = 1e-6  # C03: the A1 Fresnel integral against its closed form
+E_SERIES_SPREAD = 3.0  # C08: the largest over the smallest h^kappa sup|I|, per E type
+
 # Orders kappa and thresholds delta0, by label: the tabulated constants.
 EXPECTED_TABLE = {
     "A1": ("0", "1"),
@@ -142,7 +148,7 @@ def crit02_quasi_homogeneity() -> CriterionResult:
             x = tuple(rng.uniform(-1.5, 1.5, ph.k0))
             theta = tuple(rng.uniform(-1.5, 1.5, ph.k))
             defect, ref = quasi_homogeneity_defect(ph, lam, x, theta)
-            bound = 1e-12 * (1.0 + abs(ref))
+            bound = QUASI_HOMOGENEITY_TOL * (1.0 + abs(ref))
             worst = max(worst, defect / bound)
             ok = ok and defect <= bound
     return CriterionResult("C02", "quasi-homogeneity identity", ok,
@@ -161,7 +167,7 @@ def crit03_quadrature_oracles() -> CriterionResult:
                                 rel_tol=1e-8, includes_prefactor=False))
     exact = math.sqrt(math.pi * h) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     fresnel_err = abs(res.value - exact) / abs(exact)
-    ok = lemma_ok and fresnel_err <= 1e-6
+    ok = lemma_ok and fresnel_err <= FRESNEL_REL_TOL
     return CriterionResult("C03", "quadrature oracles", ok,
                            details={"lemma62_max_rel": rep.max_rel_error,
                                     "fresnel_rel": fresnel_err})
@@ -178,7 +184,7 @@ def crit08_e_series_boundedness() -> CriterionResult:
         vals = [r.sup_abs * r.h**kap for r in sup_rows]
         spread = max(vals) / min(vals)
         det[label] = {"normalized_values": vals, "spread": spread}
-        ok = ok and spread <= 3.0
+        ok = ok and spread <= E_SERIES_SPREAD
     return CriterionResult("C08", "E-series boundedness", ok, details=det)
 
 
@@ -213,7 +219,7 @@ def crit10_torus_exact() -> CriterionResult:
         (4, 729, OMEGA_PRESETS["rational"][4], 12.0),
     ]
     for n, j, om, width in sphere_cases:
-        q = CapQuery(n=n, omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
+        q = CapQuery(omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
         a = sphere_cap_count(q)
         b = naive_sphere_cap_count(n, j, om, q.cap_radius)
         checked += 1

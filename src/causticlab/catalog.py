@@ -7,7 +7,9 @@ Each type carries a polynomial normal-form phase
 on R^{k0} x R^k with the minimal number k of phase variables (1 for the
 A series, 2 for D and E; the padding quadratic block in the extra phase
 variables is omitted because it only contributes a modulus-one Fresnel
-constant after the h^{-k/2} normalization).  Alongside the phase we store the
+constant after the h^{-k/2} normalization).  A type is its family (A, D or
+E), its index m and a sign; the index convention and the types that carry
+a sign are on ``SingularityType``.  Alongside the phase we store the
 quasi-homogeneity weights r (phase variables) and s (base variables), so that
 
     phi(lam^{1-s} x, lam^r theta) = lam * phi(x, theta)   for all lam > 0.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .polys import ThetaPoly
 
-FAMILIES = ("A", "D", "Dminus", "Dplus", "E")
+FAMILIES = ("A", "D", "E")
 E_INDICES = (6, 7, 8)
 
 
@@ -35,6 +37,13 @@ class SingularityType:
 
     Index convention: ``index`` is m, so A_{m+1} has index m (A2 <-> m=1) and
     D_{m+1} has index m (D4 <-> m=3).  For the E family the index is 6, 7, 8.
+    The sign multiplies the pure power of the last phase variable in f(theta)
+    (theta^{m+2} for A, theta_2^m for D, theta_2^4 for E6) and is the label's
+    suffix.  A and E6 take either sign (A3-, E6-; + goes unwritten); D with
+    odd m (D4, D6, D8) takes either and always writes it (D4+, D4-); D with
+    even m, E7 and E8 have the one variant +1.  The sign defaults to +1 for
+    every type, so ``SingularityType("D", 3)`` is D4+; only ``parse`` asks a
+    D label to write its sign when m is odd.
     """
 
     family: str
@@ -49,19 +58,11 @@ class SingularityType:
         if self.family == "A":
             if self.index < 0:
                 raise ValueError("A series needs index m >= 0")
-        elif self.family in ("D", "Dminus", "Dplus"):
+        elif self.family == "D":
             if self.index < 3:
                 raise ValueError("D series needs index m >= 3")
-            odd = self.index % 2 == 1
-            if self.family == "D" and odd:
-                raise ValueError(
-                    f"D with odd m={self.index} must be Dplus or Dminus")
-            if self.family in ("Dminus", "Dplus") and not odd:
-                raise ValueError(
-                    f"D{'+' if self.family == 'Dplus' else '-'} needs odd m, got m={self.index}")
-            expected = {"D": +1, "Dminus": -1, "Dplus": +1}[self.family]
-            if self.sign != expected:
-                raise ValueError("D-series sign is fixed by the family")
+            if self.index % 2 == 0 and self.sign != +1:
+                raise ValueError(f"D{self.index + 1} (even m) has no sign variant")
         else:
             if self.index not in E_INDICES:
                 raise ValueError("E family index must be 6, 7 or 8")
@@ -70,10 +71,11 @@ class SingularityType:
 
     @property
     def label(self) -> str:
-        if self.family in ("D", "Dminus", "Dplus"):
-            return f"D{self.index + 1}" + {"D": "", "Dminus": "-", "Dplus": "+"}[self.family]
-        base = f"A{self.index + 1}" if self.family == "A" else f"E{self.index}"
-        return base if self.sign == +1 else base + "-"
+        num = self.index if self.family == "E" else self.index + 1
+        if self.sign < 0:
+            return f"{self.family}{num}-"
+        # D with odd m writes both signs (D4+, D4-); every other + goes unwritten
+        return f"{self.family}{num}" + ("+" if self.family == "D" and self.index % 2 else "")
 
     @classmethod
     def parse(cls, text: str) -> "SingularityType":
@@ -82,24 +84,39 @@ class SingularityType:
         if not m:
             raise ValueError(f"cannot parse singularity label {text!r}")
         fam, num, suffix = m.group(1), int(m.group(2)), m.group(3)
+        sign = -1 if suffix == "-" else +1
         if fam == "A":
-            return cls("A", num - 1, -1 if suffix == "-" else +1)
+            return cls("A", num - 1, sign)
         if fam == "D":
-            idx = num - 1
-            if suffix == "+":
-                return cls("Dplus", idx, +1)
-            if suffix == "-":
-                return cls("Dminus", idx, -1)
-            return cls("D", idx, +1)
-        return cls("E", num, -1 if suffix == "-" else +1)
+            signed = num % 2 == 0  # D4, D6, D8 carry + or -; D5, D7 none
+            if signed != bool(suffix):
+                raise ValueError(f"D{num} takes {'+ or -' if signed else 'no sign'}, "
+                                 f"got {text!r}")
+            return cls("D", num - 1, sign)
+        return cls("E", num, sign)
 
 
 @dataclass(frozen=True)
-class HomogeneityProfile:
-    """Quasi-homogeneity weights: r per phase variable, s per active base variable."""
+class PhaseFunction:
+    """Normal-form phase with evaluators and exact homogeneity data.
 
+    ``r`` holds the quasi-homogeneity weight of each phase variable and ``s``
+    that of each active base variable, so k = len(r) and k0 = len(s).
+    ``f_terms`` is the x-independent part f(theta); ``fj_monomials[j]`` is the
+    single monomial f_{j+1}(theta) multiplying x_{j+1}.
+    """
+
+    singularity: SingularityType
     r: tuple[Fraction, ...]
     s: tuple[Fraction, ...]
+    f_terms: ThetaPoly
+    fj_monomials: tuple[ThetaPoly, ...] = field(default=())
+
+    def __post_init__(self):
+        if not all(Fraction(0) < rj <= Fraction(1, 2) for rj in self.r):
+            raise ValueError("phase weights r_j must lie in (0, 1/2]")
+        if not all(Fraction(0) <= sj < Fraction(1) for sj in self.s):
+            raise ValueError("base weights s_j must lie in [0, 1)")
 
     @property
     def k(self) -> int:
@@ -108,34 +125,6 @@ class HomogeneityProfile:
     @property
     def k0(self) -> int:
         return len(self.s)
-
-    def __post_init__(self):
-        if not all(Fraction(0) < rj <= Fraction(1, 2) for rj in self.r):
-            raise ValueError("phase weights r_j must lie in (0, 1/2]")
-        if not all(Fraction(0) <= sj < Fraction(1) for sj in self.s):
-            raise ValueError("base weights s_j must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class PhaseFunction:
-    """Normal-form phase with evaluators and exact homogeneity data.
-
-    ``f_terms`` is the x-independent part f(theta); ``fj_monomials[j]`` is the
-    single monomial f_{j+1}(theta) multiplying x_{j+1}.
-    """
-
-    singularity: SingularityType
-    homogeneity: HomogeneityProfile
-    f_terms: ThetaPoly
-    fj_monomials: tuple[ThetaPoly, ...] = field(default=())
-
-    @property
-    def k(self) -> int:
-        return self.homogeneity.k
-
-    @property
-    def k0(self) -> int:
-        return self.homogeneity.k0
 
     def theta_poly(self, x) -> ThetaPoly:
         """Collapse to a polynomial in theta at a fixed base point x."""
@@ -164,7 +153,7 @@ def build_phase(t: SingularityType) -> PhaseFunction:
         f = _monomial(k, t.sign, m + 2)
         fjs = tuple(_monomial(k, 1, j) for j in range(1, m + 1))
         r = (Fraction(1, m + 2),)
-    elif t.family in ("D", "Dminus", "Dplus"):
+    elif t.family == "D":
         m = t.index
         k = 2
         f = ThetaPoly.from_terms(k, [(1.0, (2, 1)), (float(t.sign), (0, m))])
@@ -213,13 +202,13 @@ def build_phase(t: SingularityType) -> PhaseFunction:
         sum((Fraction(a) * rj for a, rj in zip(mono.terms[0][1], r)), Fraction(0))
         for mono in fjs
     )
-    return PhaseFunction(t, HomogeneityProfile(r, s), f, fjs)
+    return PhaseFunction(t, r, s, f, fjs)
 
 
 def caustic_order(t: SingularityType) -> Fraction:
     """Exact caustic order kappa = k/2 - sum(r_j) with minimal k."""
-    hom = build_phase(t).homogeneity
-    return Fraction(hom.k, 2) - sum(hom.r, Fraction(0))
+    ph = build_phase(t)
+    return Fraction(ph.k, 2) - sum(ph.r, Fraction(0))
 
 
 def threshold(t: SingularityType) -> Fraction:
@@ -227,10 +216,8 @@ def threshold(t: SingularityType) -> Fraction:
     m = t.index
     if t.family == "A":
         return Fraction(1) if m == 0 else Fraction(1, m + 2)
-    if t.family == "Dplus":
-        return Fraction(1, m)
-    if t.family in ("D", "Dminus"):
-        return Fraction(1, m + 1)
+    if t.family == "D":
+        return Fraction(1, m) if m % 2 == 1 and t.sign == +1 else Fraction(1, m + 1)
     return Fraction(1, t.index)
 
 
@@ -244,9 +231,8 @@ CANONICAL_LABELS = (
 def quasi_homogeneity_defect(phase: PhaseFunction, lam, x, theta) -> tuple[float, float]:
     """Return (|phi(lam^{1-s} x, lam^r theta) - lam*phi(x, theta)|, lam*phi(x, theta))."""
     lam = float(lam)
-    hom = phase.homogeneity
-    xs = tuple(lam ** (1.0 - float(sj)) * xj for sj, xj in zip(hom.s, x))
-    ts = tuple(lam ** float(rj) * tj for rj, tj in zip(hom.r, theta))
+    xs = tuple(lam ** (1.0 - float(sj)) * xj for sj, xj in zip(phase.s, x))
+    ts = tuple(lam ** float(rj) * tj for rj, tj in zip(phase.r, theta))
     lhs = float(phase.phi(xs, *ts))
     rhs = lam * float(phase.phi(tuple(x), *theta))
     return abs(lhs - rhs), rhs
@@ -258,16 +244,15 @@ def catalog_rows() -> list[dict]:
     for label in CANONICAL_LABELS:
         t = SingularityType.parse(label)
         ph = build_phase(t)
-        hom = ph.homogeneity
         rows.append({
             "family": t.family,
             "index": t.index,
             "sign": "+" if t.sign > 0 else "-",
             "label": t.label,
-            "k": hom.k,
-            "k0": hom.k0,
-            "r": hom.r,
-            "s": hom.s,
+            "k": ph.k,
+            "k0": ph.k0,
+            "r": ph.r,
+            "s": ph.s,
             "kappa": caustic_order(t),
             "delta0": threshold(t),
         })

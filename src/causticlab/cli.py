@@ -282,7 +282,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
               if cfg.j_min <= j <= cfg.j_max]
         if len(js) < 3:
             raise ConfigError("j_max", "range too narrow for a fit")
-        queries = [CapQuery(n=n, omega=om, mu=dprime, j=j) for j in js]
+        queries = [CapQuery(omega=om, mu=dprime, j=j) for j in js]
         if queries[-1].cap_radius > ENUM_LIMITS["radius"][n]:
             raise ConfigError("j_max", f"ball radius {queries[-1].cap_radius:g} exceeds "
                               f"the n = {n} enumeration bound {ENUM_LIMITS['radius'][n]:g}")

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
-from .catalog import HomogeneityProfile, PhaseFunction, SingularityType, build_phase
+from .catalog import PhaseFunction, SingularityType, build_phase
 from .oscint import IntegralResult, IntegralSpec, evaluate_points, line_offsets
 from .polys import ThetaPoly
 from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_row, work_cost
@@ -76,18 +76,17 @@ def _below_phase() -> PhaseFunction:
 
 def _above_phase() -> PhaseFunction:
     # the Airy-convention fold phase x*t - t^3/3 (same homogeneity weights)
-    a2 = SingularityType.parse("A2")
-    hom = HomogeneityProfile((Fraction(1, 3),), (Fraction(1, 3),))
+    third = (Fraction(1, 3),)
     f = ThetaPoly.from_terms(1, [(-1.0 / 3.0, (3,))])
     fj = (ThetaPoly.from_terms(1, [(1.0, (1,))]),)
-    return PhaseFunction(a2, hom, f, fj)
+    return PhaseFunction(SingularityType.parse("A2"), third, third, f, fj)
 
 
 @dataclass(frozen=True)
 class FoldExperiment:
     delta: float
     h_grid: tuple[float, ...] = DEFAULT_FOLD_H_GRID
-    rel_tol: float = 1e-7
+    rel_tol: float = 1e-6
     eval_budget: int | None = None
 
     @property
@@ -144,12 +143,11 @@ def run_fold(exp: FoldExperiment) -> FoldRun:
     for h in exp.h_grid:
         spec = IntegralSpec(phase, amp, (0.0,), h, rel_tol=exp.rel_tol,
                             includes_prefactor=False, budget=exp.eval_budget)
-        xs = [(x,) for x in _x_offsets(h)]
-        results = evaluate_points(spec, xs[1:])
-        sup = sup_row(h, xs, results)
+        results = evaluate_points(spec, [(x,) for x in _x_offsets(h)[1:]])
+        sup = sup_row(h, results)
         l2 = l2_from_coefficients(exp, h)
         rows.append(FoldRow(exp.delta, h, sup.sup_abs, l2, sup.sup_abs / l2,
-                            line_offsets(X_POINTS)[xs.index(sup.argmax_x)]))
+                            line_offsets(X_POINTS)[sup.argmax]))
         sup_rows.append(replace(sup, sup_abs=sup.sup_abs / l2))
         evaluations += results
     ref = sharp_exponent(Fraction(exp.delta).limit_denominator(10**6))
@@ -194,7 +192,7 @@ class FoldCurve:
 
 
 def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
-               rel_tol: float = 1e-7, eval_budget: int | None = None) -> FoldCurve:
+               rel_tol: float = 1e-6, eval_budget: int | None = None) -> FoldCurve:
     """Fit the exponent at each delta (below-family through 1/3, above after)."""
     runs = []
     for d in deltas:

@@ -106,8 +106,6 @@ class IntegralSpec:
                 f"x needs {self.phase.k0} entries for {self.phase.singularity.label}")
         if self.amplitude.dim != self.phase.k:
             raise ValueError("amplitude dimension must match the phase variable count")
-        if self.phase.k not in (1, 2):
-            raise ValueError("only k in {1, 2} phase variables are supported")
 
 
 @dataclass(frozen=True)

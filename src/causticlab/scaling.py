@@ -84,9 +84,12 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class SupRow:
+    """One h's sup of |I| (``sup_row``): where it lies is ``argmax``, the
+    position of its evaluation in the list the sup was taken over."""
+
     h: float
     sup_abs: float
-    argmax_x: tuple[float, ...]
+    argmax: int
     all_converged: bool
 
 
@@ -106,7 +109,7 @@ class ScanResult:
         out = []
         for sup in self.sup_rows:
             rows = [r for r in self.rows if r.h == sup.h]
-            best = next(r for r in rows if r.x == sup.argmax_x)
+            best = rows[sup.argmax]
             level = sorted({r.lam for r in rows}).index(best.lam) - 1  # the origin's lambda is 0
             out.append({"h": sup.h, "level": level, "y_index": best.y_index,
                         "edge": level == SHELL_LAMBDA_COUNT - 1})
@@ -171,8 +174,8 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     points = [(0.0, origin, -1)]
     if plan.x_strategy == "origin_only" or k0 == 0:
         return points
-    s = [float(v) for v in plan.phase.homogeneity.s]
-    ys = shell_unit_samples(plan.phase.homogeneity.s, plan.points_per_shell)
+    s = [float(v) for v in plan.phase.s]
+    ys = shell_unit_samples(plan.phase.s, plan.points_per_shell)
     lams = np.geomspace(h, 1.0, SHELL_LAMBDA_COUNT)
     for lam in lams:
         for idx, y in enumerate(ys):
@@ -181,17 +184,18 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     return points
 
 
-def sup_row(h: float, xs, results) -> SupRow:
-    """The sup of |I| over the evaluations ``results`` at the points ``xs``.
+def sup_row(h: float, results) -> SupRow:
+    """The sup of |I| over the evaluations ``results`` at one h.
 
-    argmax_x is the first x of the largest |I|.  The row is all_converged
-    unless some unconverged point could reach the sup, abs_value + est_error
-    >= sup_abs: always so for est_error = inf and for an unconverged sup.
+    argmax is the position in ``results`` of the first largest |I|.  The row
+    is all_converged unless some unconverged point could reach the sup,
+    abs_value + est_error >= sup_abs: always so for est_error = inf and for an
+    unconverged sup.
     """
-    best_x, best = max(zip(xs, results), key=lambda p: p[1].abs_value)
-    return SupRow(h, best.abs_value, best_x,
-                  all(r.converged or r.abs_value + r.est_error < best.abs_value
-                      for r in results))
+    argmax = max(range(len(results)), key=lambda i: results[i].abs_value)
+    sup = results[argmax].abs_value
+    return SupRow(h, sup, argmax,
+                  all(r.converged or r.abs_value + r.est_error < sup for r in results))
 
 
 def supnorm_scan(plan: ScanPlan) -> ScanResult:
@@ -202,12 +206,11 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
         origin = IntegralSpec(plan.phase, plan.amplitude, points[0][1], h,
                               rel_tol=plan.rel_tol, includes_prefactor=True,
                               budget=plan.eval_budget)
-        xs = [x for _, x, _ in points]
-        results = evaluate_points(origin, xs[1:])
+        results = evaluate_points(origin, [x for _, x, _ in points[1:]])
         rows += [ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error,
                          res.converged, res.nodes)
                  for (lam, x, y_idx), res in zip(points, results)]
-        sup_rows.append(sup_row(h, xs, results))
+        sup_rows.append(sup_row(h, results))
     return ScanResult(tuple(rows), tuple(sup_rows))
 
 

@@ -62,25 +62,29 @@ OMEGA_PRESETS = {
 
 @dataclass(frozen=True)
 class CapQuery:
-    """Ball or sphere-cap counting query at h = j^{-1/2}."""
+    """Ball or sphere-cap counting query at h = j^{-1/2}.
 
-    n: int
+    The dimension n is the number of entries of the direction omega (1 to 4).
+    """
+
     omega: tuple[float, ...]
     mu: float
     j: int
     cap_constant: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise ValueError("dimension n must be between 1 and 4")
-        if len(self.omega) != self.n:
-            raise ValueError("omega must have n entries")
+        if not 1 <= len(self.omega) <= 4:
+            raise ValueError("omega needs 1 to 4 entries")
         if self.j < 1:
             raise ValueError("j must be a positive integer")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError("mu must lie in (0, 1]")
         if self.cap_constant <= 0:
             raise ValueError("cap_constant must be positive")
+
+    @property
+    def n(self) -> int:
+        return len(self.omega)
 
     @property
     def h_value(self) -> float:
@@ -267,7 +271,7 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
                               cap_constant: float = 1.0) -> list[DyadicBlock]:
     """Per dyadic block [J, 2J] inside J_range: every M(j), and the argmax.
 
-    M(j) = sphere_cap_count(CapQuery(n, omega, mu=delta, j, cap_constant)),
+    M(j) = sphere_cap_count(CapQuery(omega, mu=delta, j, cap_constant)),
     the lattice points on |alpha|^2 = j within cap_constant * j^{delta/2} of
     sqrt(j) omega, omega = OMEGA_PRESETS["rational"][n].  One enumeration of
     the block's annular cap counts them all, binned by j = |alpha|^2.  Blocks
@@ -281,8 +285,7 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
     blocks = []
     J = int(lo)
     while 2 * J <= hi:
-        q = CapQuery(n=n, omega=omega, mu=float(delta), j=J,
-                     cap_constant=cap_constant)
+        q = CapQuery(omega=omega, mu=float(delta), j=J, cap_constant=cap_constant)
         counts = np.zeros(J + 1, dtype=np.int64)
         for _, js in _cap_points(q, 2 * J):
             counts += np.bincount(js - J, minlength=J + 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from causticlab.catalog import (CANONICAL_LABELS, SingularityType, build_phase,
+from causticlab.catalog import (CANONICAL_LABELS, FAMILIES, SingularityType, build_phase,
                                 caustic_order, quasi_homogeneity_defect, threshold)
 
 F = Fraction
@@ -15,19 +15,24 @@ F = Fraction
 def test_parse_and_labels():
     assert SingularityType.parse("A2") == SingularityType("A", 1, +1)
     assert SingularityType.parse("A3-") == SingularityType("A", 2, -1)
-    assert SingularityType.parse("D4+") == SingularityType("Dplus", 3, +1)
-    assert SingularityType.parse("D4-") == SingularityType("Dminus", 3, -1)
+    assert SingularityType.parse("D4+") == SingularityType("D", 3, +1)
+    assert SingularityType.parse("D4-") == SingularityType("D", 3, -1)
     assert SingularityType.parse("D5") == SingularityType("D", 4, +1)
     assert SingularityType.parse("E6-") == SingularityType("E", 6, -1)
+    assert FAMILIES == ("A", "D", "E")
+    # every canonical label round-trips; its kappa and delta0 are pinned by
+    # test_orders_and_thresholds_exact below
+    assert len(CANONICAL_LABELS) == 19
     for label in CANONICAL_LABELS:
-        assert SingularityType.parse(label).label == label
+        t = SingularityType.parse(label)
+        assert t.label == label
 
 
 @pytest.mark.parametrize("bad", [
     lambda: SingularityType("A", -1),          # A needs m >= 0
-    lambda: SingularityType("D", 3),           # odd m needs a signed family
-    lambda: SingularityType("Dplus", 4, +1),   # even m has no +- variants
-    lambda: SingularityType("Dminus", 3, +1),  # D- sign is fixed
+    lambda: SingularityType.parse("D4"),       # odd m writes its sign
+    lambda: SingularityType.parse("D5+"),      # even m has no +- variants
+    lambda: SingularityType("Dplus", 3, +1),   # the sign is no part of the family
     lambda: SingularityType("E", 5),
     lambda: SingularityType("E", 7, -1),       # E7 has no sign flag
     lambda: SingularityType("D", 2),
@@ -41,8 +46,8 @@ def test_a2_normal_form_values():
     ph = build_phase(SingularityType.parse("A2"))
     # x*t + t^3 with weights r=(1/3), s=(1/3)
     assert ph.k == 1 and ph.k0 == 1
-    assert ph.homogeneity.r == (F(1, 3),)
-    assert ph.homogeneity.s == (F(1, 3),)
+    assert ph.r == (F(1, 3),)
+    assert ph.s == (F(1, 3),)
     assert ph.phi((2.0,), 1.5) == pytest.approx(2.0 * 1.5 + 1.5**3)
 
 
@@ -59,7 +64,7 @@ def test_a1_projectable_degenerate():
 def test_d4_minus_normal_form():
     ph = build_phase(SingularityType.parse("D4-"))
     assert ph.k == 2 and ph.k0 == 3
-    assert ph.homogeneity.r == (F(1, 3), F(1, 3))
+    assert ph.r == (F(1, 3), F(1, 3))
     x = (0.5, -1.0, 2.0)
     t1, t2 = 0.7, -1.3
     want = 0.5 * t1 - 1.0 * t2 + 2.0 * t2**2 + t1**2 * t2 - t2**3
@@ -91,12 +96,12 @@ def test_orders_and_thresholds_exact(label):
 
 
 def test_homogeneity_table_rows():
-    e8 = build_phase(SingularityType.parse("E8")).homogeneity
+    e8 = build_phase(SingularityType.parse("E8"))
     assert e8.r == (F(1, 3), F(1, 5))
     assert e8.s == (F(1, 3), F(1, 5), F(2, 5), F(3, 5), F(8, 15), F(11, 15), F(14, 15))
-    e7 = build_phase(SingularityType.parse("E7")).homogeneity
+    e7 = build_phase(SingularityType.parse("E7"))
     assert e7.s == (F(1, 3), F(2, 9), F(4, 9), F(2, 3), F(8, 9), F(5, 9))
-    d6 = build_phase(SingularityType.parse("D6-")).homogeneity
+    d6 = build_phase(SingularityType.parse("D6-"))
     assert d6.r == (F(2, 5), F(1, 5))
     assert d6.s == (F(2, 5), F(1, 5), F(2, 5), F(3, 5), F(4, 5))
 

@@ -34,12 +34,8 @@ def _row_label(family, index, sign):
     m = int(index)
     if family == "A":
         return f"A{m + 1}"
-    if family == "Dminus":
-        return f"D{m + 1}-"
-    if family == "Dplus":
-        return f"D{m + 1}+"
     if family == "D":
-        return f"D{m + 1}"
+        return f"D{m + 1}" + (sign if m % 2 else "")  # D4+, D4-; D5
     return f"E{m}"
 
 
@@ -241,6 +237,16 @@ def test_supnorm_scans_the_delta_it_is_given(tmp_path):
     assert scans["0"] != scans["0.5"]
 
 
+@pytest.mark.parametrize("delta", ["0.5", "0.6"])
+def test_fold_saturator_symbols_pass_on_a_fine_grid(tmp_path, delta):
+    # e^{i theta^3/3h}'s derivatives carry lower-order terms that a grid
+    # coarser than 2^-10 still sees (exit 1 there); 2^-10..2^-20 fits each order
+    argv = ["symbols", "--amplitude", "fold_saturator_above", "--delta", delta,
+            "--h-start", "0.0009765625", "--h-stop", "9.5367431640625e-07",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+
+
 def test_symbols_fits_the_delta_it_is_given(tmp_path):
     assert main(["symbols", "--delta", "0.5", "--out", str(tmp_path)]) == 0
     orders = json.loads((tmp_path / "summary.json").read_text())["orders"]
@@ -272,6 +278,13 @@ def test_fold_runs_the_config_it_echoes(tmp_path, monkeypatch, argv, grid, rel_t
         main(["fold", *argv, "--out", str(tmp_path)])
     assert seen["h_grid"] == grid
     assert seen["rel_tol"] == rel_tol
+
+
+def test_fold_library_defaults_to_the_cli_precision():
+    # fold_curve() with no arguments is the experiment `causticlab fold` runs
+    assert fold.FoldExperiment(0.0).rel_tol == RunConfig().rel_tol
+    assert inspect.signature(fold.fold_curve).parameters["rel_tol"].default == \
+        RunConfig().rel_tol
 
 
 def test_fold_summary_reports_cost(tmp_path):
@@ -561,7 +574,7 @@ GOLDEN_OPTIONS = {
     "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "points_per_shell",
                  "rel_tol", "eval_budget"],
     "FoldExperiment": ["delta", "h_grid", "rel_tol", "eval_budget"],
-    "CapQuery": ["n", "omega", "mu", "j", "cap_constant"],
+    "CapQuery": ["omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "center", "evaluator"],
     "KindRow": ["width_exponent", "prefactor_exponent", "cubic_modulation", "support_const"],
     "FoldCurve": ["runs", "breakpoint"],

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import causticlab
-from causticlab import amplitudes, fold, scaling, torus
+from causticlab import acceptance, amplitudes, fold, scaling, torus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,7 +33,7 @@ _DECIMAL = re.compile(r"\d*\.\d+|\d+e-\d+")  # 0.05, 1e-6; not the 2 of nδ′/2
 
 def test_readme_tolerance_table_matches_the_constants():
     # no flag overrides a tolerance, so this table is the one statement of every bound
-    lines = README.read_text(encoding="utf-8").split("| fit | tolerance on the slope |")[1]
+    lines = README.read_text(encoding="utf-8").split("| fit or check | tolerance |")[1]
     rows = {}
     for line in lines.splitlines()[2:]:
         if not line.startswith("|"):
@@ -58,4 +58,10 @@ def test_readme_tolerance_table_matches_the_constants():
         "`lemma62`": (f"relative error # against the closed forms; ε-exponents within # "
                       f"of {first} and {second}",
                       [fold.LEMMA62_REL_TOL, fold.LEMMA62_EXPONENT_TOL]),
+        "C02 quasi-homogeneity identity": ("defect at most # · (1 + abs(λφ(x, θ)))",
+                                           [acceptance.QUASI_HOMOGENEITY_TOL]),
+        "C03 A₁ Fresnel integral": ("relative error # against √(πh) e^{iπ/4}",
+                                    [acceptance.FRESNEL_REL_TOL]),
+        "C08 E-series boundedness": ("spread (largest over smallest h^κ sup abs(I)) at most #",
+                                     [acceptance.E_SERIES_SPREAD]),
     }

@@ -17,6 +17,7 @@ from causticlab.oscint import IntegralSpec, evaluate, evaluate_points, line_offs
 from causticlab.scaling import ExponentFit, geometric_grid
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
+QUICK_REL_TOL = 1e-7  # the precision C09 runs the fold at
 
 
 def test_sharp_exponent_values():
@@ -93,16 +94,16 @@ def test_plancherel_cross_check_x_side():
 
 
 def test_run_fold_below_slope():
-    run = run_fold(FoldExperiment(0.2, QUICK_GRID))
+    run = run_fold(FoldExperiment(0.2, QUICK_GRID, rel_tol=QUICK_REL_TOL))
     assert run.fit.verdict == "pass"
     assert run.fit.slope == pytest.approx((1 + 3 * 0.2) / 6, abs=0.04)
 
 
 def test_run_fold_above_slope_and_origin_saturation():
-    run = run_fold(FoldExperiment(0.5, QUICK_GRID))
+    run = run_fold(FoldExperiment(0.5, QUICK_GRID, rel_tol=QUICK_REL_TOL))
     assert run.fit.slope == pytest.approx(0.375, abs=0.04)
     # u(0) alone achieves the h^{-(1+d)/4} growth: sup equals the origin value
-    exp = FoldExperiment(0.5, QUICK_GRID)
+    exp = FoldExperiment(0.5, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     for h in QUICK_GRID[:2]:
         origin = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h,
                                        rel_tol=1e-7, includes_prefactor=False))
@@ -115,7 +116,7 @@ def test_fold_offsets_converge_against_the_origin():
     # max(|I(x; h)|, |I(0; h)|), as a scan's shells do.  The offsets share one
     # node set per pass, so each sup is compared with the sup of offsets each
     # evaluated alone to rel_tol of its own size, within rel_tol of the sup
-    exp = FoldExperiment(1.0, QUICK_GRID)
+    exp = FoldExperiment(1.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     run = run_fold(exp)
     per_h = len(_x_offsets(QUICK_GRID[0]))
     assert run.cost["evaluations"] == per_h * len(QUICK_GRID)
@@ -139,7 +140,7 @@ def test_fold_offsets_converge_against_the_origin():
 def test_origin_line_takes_the_half_axis(monkeypatch):
     # the delta = 0 bump is even about 0 and the fold's t^3 and offsets x t are odd, so
     # its line runs on [0, R]; a mixed-parity offset would send it back to [-R, R]
-    exp = FoldExperiment(0.0, QUICK_GRID)
+    exp = FoldExperiment(0.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     half = run_fold(exp).cost["nodes"]
     full_box = make_amplitude("custom", evaluator=lambda u, h: exp.amplitude.axis_slow(u, h))
     monkeypatch.setattr(fold, "evaluate_points",
@@ -149,8 +150,9 @@ def test_origin_line_takes_the_half_axis(monkeypatch):
 
 def test_threshold_families_agree():
     # the above family runs from just past the side rule's 1/3 + 1e-12
-    below = run_fold(FoldExperiment(1.0 / 3.0, QUICK_GRID))
-    above = run_fold(FoldExperiment(1.0 / 3.0 + 1e-11, QUICK_GRID))
+    below = run_fold(FoldExperiment(1.0 / 3.0, QUICK_GRID, rel_tol=QUICK_REL_TOL))
+    above = run_fold(FoldExperiment(1.0 / 3.0 + 1e-11, QUICK_GRID,
+                                  rel_tol=QUICK_REL_TOL))
     assert (below.experiment.side, above.experiment.side) == ("below", "above")
     assert abs(below.fit.slope - above.fit.slope) < 0.05
 
@@ -164,7 +166,7 @@ def test_breakpoint_recovers_synthetic_hinge():
 
 
 def test_fold_curve_small():
-    curve = fold_curve([0.0, 0.2, 1.0 / 3.0, 0.6, 1.0], QUICK_GRID)
+    curve = fold_curve([0.0, 0.2, 1.0 / 3.0, 0.6, 1.0], QUICK_GRID, rel_tol=QUICK_REL_TOL)
     assert curve.max_slope_error <= 0.04
     assert 0.25 <= curve.breakpoint <= 0.42  # coarse delta grid, looser window
 

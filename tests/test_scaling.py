@@ -11,14 +11,20 @@ from scipy.special import airy
 
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
-from causticlab.oscint import IntegralSpec, _integrate, evaluate_points
+from causticlab.oscint import IntegralResult, IntegralSpec, _integrate, evaluate_points
 from causticlab.scaling import (SHELL_LAMBDA_COUNT, ScanPlan, SupRow, fit_exponent,
-                                geometric_grid, shell_unit_samples, supnorm_scan,
+                                geometric_grid, shell_unit_samples, sup_row, supnorm_scan,
                                 threshold_sweep)
 
 
 def _rows(hs, vals, conv=True):
-    return [SupRow(h, v, (0.0,), conv) for h, v in zip(hs, vals)]
+    return [SupRow(h, v, 0, conv) for h, v in zip(hs, vals)]
+
+
+def test_sup_row_takes_the_first_of_tied_maxima():
+    results = [IntegralResult(v, v, 0.0, True, 2, 10, "converged")
+               for v in (1.0, 3.0, 2.0, 3.0)]
+    assert sup_row(0.5, results) == SupRow(0.5, 3.0, 1, True)
 
 
 def test_fit_exact_power_law():
@@ -260,8 +266,6 @@ def _scan_with_one_unconverged_point(monkeypatch, abs_share, err_share):
     shell point converged at 1e-3 of it but the first, which is unconverged with
     |I| and est_error the given shares of it."""
     from causticlab import scaling
-    from causticlab.oscint import IntegralResult
-
     grid = geometric_grid(2.0**-6, 2.0**-10, 5)
     plan = ScanPlan(build_phase(SingularityType.parse("A2")), make_amplitude("narrow_bump"),
                     grid, x_strategy="omega_shells")

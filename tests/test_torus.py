@@ -151,11 +151,11 @@ def test_ball_frontier_split_across_slabs(monkeypatch):
     # sphere caps take their candidates from the same walk, over all n axes
     for n, j, J in ((2, 125, 64), (3, 54, 32), (4, 30, 16)):
         om = OMEGA_PRESETS["rational"][n]
-        q = CapQuery(n=n, omega=om, mu=0.75, j=j, cap_constant=1.5)
+        q = CapQuery(omega=om, mu=0.75, j=j, cap_constant=1.5)
         assert sphere_cap_count(q) == naive_sphere_cap_count(n, q.j, om, q.cap_radius) > 0
         (b,) = dyadic_lower_bound_search(n, 0.75, (J, 2 * J), cap_constant=1.5)
         counts = [naive_sphere_cap_count(
-            n, j, om, CapQuery(n=n, omega=om, mu=0.75, j=j, cap_constant=1.5).cap_radius)
+            n, j, om, CapQuery(omega=om, mu=0.75, j=j, cap_constant=1.5).cap_radius)
             for j in range(J, 2 * J + 1)]
         assert (b.best_j - J, b.best_count, b.block_sum, b.represented) == \
             (int(np.argmax(counts)), max(counts), sum(counts), np.count_nonzero(counts))
@@ -166,14 +166,14 @@ def test_ball_scaling_law():
     om = OMEGA_PRESETS["diophantine"][2]
     mu = 0.5
     js = [2**k for k in range(12, 25, 2)]
-    counts = [ball_count(CapQuery(n=2, omega=om, mu=mu, j=j)) for j in js]
+    counts = [ball_count(CapQuery(omega=om, mu=mu, j=j)) for j in js]
     hs = [j**-0.5 for j in js]
     slope = np.polyfit(np.log([1 / h for h in hs]), np.log(counts), 1)[0]
     assert slope == pytest.approx(2 * mu, abs=0.1)
 
 
 def test_sphere_cap_example():
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=2.0 / 25**0.5)
+    q = CapQuery(omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=2.0 / 25**0.5)
     assert q.cap_radius == pytest.approx(2.0)
     assert sphere_cap_count(q) == 2
     points = np.concatenate([pts for pts, _ in torus._cap_points(q, q.j)])
@@ -182,7 +182,7 @@ def test_sphere_cap_example():
 
 def test_sphere_cap_covers_whole_circle():
     # r_2(25) = 12 representations
-    q = CapQuery(n=2, omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
+    q = CapQuery(omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=100.0)
     assert sphere_cap_count(q) == 12
 
 
@@ -191,7 +191,7 @@ def test_sphere_counts_match_naive_oracle():
              (4, 729, 12.0)]
     for n, j, width in cases:
         om = OMEGA_PRESETS["rational"][n]
-        q = CapQuery(n=n, omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
+        q = CapQuery(omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
         assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, om, q.cap_radius)
     # directions with negative and zero components; cap_constant >= 1 at mu = 1 makes
     # the cap wider than its sphere, and the walk takes ball(0, sqrt(j) + 1) instead
@@ -200,24 +200,24 @@ def test_sphere_counts_match_naive_oracle():
     wide = [(om, j, C * j**0.5) for om, j, _ in sloped for C in (2.0, 1.5)]
     for om, j, width in sloped + wide:
         n = len(om)
-        q = CapQuery(n=n, omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
+        q = CapQuery(omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
         assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, om, q.cap_radius) > 0
 
 
 def test_sphere_query_validation():
     with pytest.raises(ValueError, match="omega"):
-        sphere_cap_count(CapQuery(n=2, omega=(1.0, 1.0), mu=0.5, j=25))
+        sphere_cap_count(CapQuery(omega=(1.0, 1.0), mu=0.5, j=25))
     with pytest.raises(ValueError):
-        sphere_cap_count(CapQuery(n=2, omega=(0.6, 0.8), mu=0.5, j=10**7))
+        sphere_cap_count(CapQuery(omega=(0.6, 0.8), mu=0.5, j=10**7))
 
 
 def test_sphere_n1_degenerate():
     om = (1.0,)
     for j, want in ((16, 1), (15, 0)):
-        q = CapQuery(n=1, omega=om, mu=0.5, j=j, cap_constant=1.0)
+        q = CapQuery(omega=om, mu=0.5, j=j, cap_constant=1.0)
         assert sphere_cap_count(q) == want
     # a wide cap picks up both +-sqrt(j)
-    q = CapQuery(n=1, omega=om, mu=1.0, j=16, cap_constant=3.0)
+    q = CapQuery(omega=om, mu=1.0, j=16, cap_constant=3.0)
     assert sphere_cap_count(q) == 2
 
 
@@ -249,7 +249,7 @@ def test_dyadic_blocks_match_naive_oracle(n, J_range):
                                              if 2 * J <= J_range[1]]
             for b in blocks:
                 counts = [naive_sphere_cap_count(
-                    n, j, om, CapQuery(n=n, omega=om, mu=delta, j=j, cap_constant=C).cap_radius)
+                    n, j, om, CapQuery(omega=om, mu=delta, j=j, cap_constant=C).cap_radius)
                     for j in range(b.J, 2 * b.J + 1)]
                 best = int(np.argmax(counts))
                 assert (b.best_j, b.best_count, b.block_sum, b.represented) == \
@@ -287,9 +287,10 @@ def test_cap_volume_formula_2d():
 
 
 def test_cap_query_validation():
+    assert CapQuery(omega=(0.6, 0.8), mu=1.0, j=25).n == 2  # n is omega's length
     with pytest.raises(ValueError):
-        CapQuery(n=5, omega=(1.0,) * 5, mu=0.5, j=10)
+        CapQuery(omega=(1.0,) * 5, mu=0.5, j=10)
     with pytest.raises(ValueError):
-        CapQuery(n=2, omega=(1.0,), mu=0.5, j=10)
+        CapQuery(omega=(), mu=0.5, j=10)
     with pytest.raises(ValueError):
-        CapQuery(n=2, omega=(0.6, 0.8), mu=0.5, j=0)
+        CapQuery(omega=(0.6, 0.8), mu=0.5, j=0)
