@@ -3,9 +3,10 @@
 Strategy: composite Gauss-Legendre with oscillation-aware panels.  For each
 axis we bound the local frequency |d(phi)/d(theta_i)| / h by a monomial-sum
 profile over the integration box, convert it to a node-density function
-(plus a resolution floor for the amplitude), and place fixed-order panels by
-equal increments of the accumulated density.  Passes refine the density by
-sqrt(2), and by at least one panel per axis, until two successive passes
+(plus a resolution floor for the amplitude), and place an odd number of
+fixed-order panels by equal increments of the accumulated density, so a panel
+lies across the box's middle.  Passes refine the density by sqrt(2), and by
+at least two panels per axis, until two successive passes
 agree to rel_tol; the reported est_error is the delta between the last two
 passes, the pair the returned value comes from (no rigorous bound is
 claimed).  ``evaluate_points`` relaxes that test for every point but the
@@ -27,9 +28,9 @@ reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes.
 Half rule (k = 1): every amplitude kind but ``custom`` is real and even about
 its centre.  When that centre is 0 and every exponent of phi(t; x_0), the
 modulation folded in, and of every offset d_j has one parity (no exponent at
-all counts as even), the integrand on [-R, 0] mirrors the one on [0, R].  The
-panels then cover [0, R] alone: the full box's panels that lie there, at the
-same node density, so each pass adds at least one panel on [0, R].  Each sum S
+all counts as even), the integrand on [-R, 0] mirrors the one on [0, R].  A
+pass then keeps the upper (n + 1) / 2 of the full box's n panels, the middle
+one cut at 0, so each pass adds at least one panel on [0, R].  Each sum S
 over them stands for 2 S (even) or 2 Re S (odd, an exactly real integral), and
 ``nodes`` counts the evaluations made, about half the full box's.  This takes
 every A-type origin, every A2 line or shell scan and both fold families; a
@@ -120,29 +121,23 @@ class IntegralResult:
 
 
 def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h: float, q: float,
-                 min_nodes: float, min_panels: int,
-                 mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
+                 min_nodes: float, min_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Panel midpoints and half-widths for one axis from a sampled frequency-bound profile.
 
+    The n panels take equal shares of the accumulated density.  n is the odd
+    count nearest total / PANEL_ORDER, and at least ``min_panels``, so a panel,
+    not an edge, lies across the box's middle, where a caustic's phase is flat.
     ``min_panels`` exceeds the previous pass's count, so a pass never repeats
-    the node set it is compared with.  A ``mirrored`` axis [0, R] is half of
-    [-R, R] and takes that box's panels, at its density, that lie on [0, R]:
-    when their count is odd, the middle one keeps its right half.
+    the node set it is compared with.
     """
     lo, hi = tgrid[0], tgrid[-1]
-    width = 2.0 * (hi - lo) if mirrored else hi - lo
-    density = gprofile * (q / (2.0 * math.pi * h)) + min_nodes / width
+    density = gprofile * (q / (2.0 * math.pi * h)) + min_nodes / (hi - lo)
     steps = np.diff(tgrid)
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
-    total = cum[-1]
-    if mirrored:  # n panels of [-R, R] at 2 total / n each: edges at total - k (2 total / n)
-        n = max(2 * min_panels - 1, int(math.ceil(2.0 * total / PANEL_ORDER)))
-        targets = np.maximum(total - (2.0 * total / n) * np.arange((n + 1) // 2, -1, -1), 0.0)
-    else:
-        n_panels = max(min_panels, int(math.ceil(total / PANEL_ORDER)))
-        targets = np.linspace(0.0, total, n_panels + 1)
-    edges = np.interp(targets, cum, tgrid)
+    # min_panels | 1 is the smallest odd count >= min_panels
+    n = max(min_panels | 1, 2 * int(cum[-1] / (2 * PANEL_ORDER)) + 1)
+    edges = np.interp(np.linspace(0.0, cum[-1], n + 1), cum, tgrid)
     edges[0], edges[-1] = lo, hi
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
 
@@ -339,8 +334,8 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     other point against the converged |I(spec.x)| (0 if that never converged).
     Each result is the one of the first pass that met its point's rule, or of
     the last pass; the loop stops once every point has met it, or on budget or
-    MAX_PASSES.  A k = 1 integrand with a ``_mirror_parity`` takes its panels on
-    [0, R] alone, at the full box's node density, and spends about half the nodes.
+    MAX_PASSES.  A k = 1 integrand with a ``_mirror_parity`` keeps the full box's
+    panels on [0, R] alone, and spends about half the nodes.
     """
     h, amp, rel_tol = spec.h, spec.amplitude, spec.rel_tol
     phi = spec.phase.theta_poly(spec.x)
@@ -350,7 +345,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     amp_fns = [(lambda u, ax=ax: amp.axis_slow(u, h, ax)) for ax in range(phi.nvars)]
     mirror = _mirror_parity(amp, (phi, *offsets))
     rad = amp.support_radius(h)
-    box = [(c - rad, c + rad) for c in amp.center] if mirror is None else [(0.0, rad)]
+    box = [(c - rad, c + rad) for c in amp.center]
     # the h^{-k/2} prefactor multiplies the raw integrals at the end
     mag = h ** (-spec.phase.k / 2.0) if spec.includes_prefactor else 1.0
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[spec.phase.k]
@@ -358,7 +353,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     # nodes of a pass: the tensor grid when a term couples the axes
     combine = math.prod if mixed[1].terms else sum
     spent = 0
-    axis_panels = [1] * phi.nvars  # of the last pass; the first has at least 2
+    axis_panels = [1] * phi.nvars  # of the last pass; the first has at least 3
     history, spent_after = [], []
     stop = "max_passes"
 
@@ -379,10 +374,14 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     for s in range(MAX_PASSES):
         q = NODES_PER_PERIOD * REFINE_FACTOR**s
         min_nodes = MIN_AXIS_NODES * REFINE_FACTOR**s
-        axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1, mirror is not None)
+        axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1)
                 for g, tg, n in zip(gs, tgrids, axis_panels)]
         axis_panels = [a[0].size for a in axes]
-        cost = combine(PANEL_ORDER * n for n in axis_panels)
+        if mirror is not None:  # the upper (n + 1) / 2 panels, the middle one cut at 0
+            mid, half = (a[axis_panels[0] // 2:] for a in axes[0])
+            mid[0] = half[0] = 0.5 * (mid[0] + half[0])
+            axes = [(mid, half)]
+        cost = combine(PANEL_ORDER * a[0].size for a in axes)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
         if s > 0 and spent + cost > budget:

@@ -267,16 +267,15 @@ class DyadicBlock:
     represented: int
 
 
-def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
-                              cap_constant: float = 1.0) -> list[DyadicBlock]:
+def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int]) -> list[DyadicBlock]:
     """Per dyadic block [J, 2J] inside J_range: every M(j), and the argmax.
 
-    M(j) = sphere_cap_count(CapQuery(omega, mu=delta, j, cap_constant)),
-    the lattice points on |alpha|^2 = j within cap_constant * j^{delta/2} of
-    sqrt(j) omega, omega = OMEGA_PRESETS["rational"][n].  One enumeration of
-    the block's annular cap counts them all, binned by j = |alpha|^2.  Blocks
-    with no representable j are reported with best_count 0, not treated as
-    fatal.
+    M(j) = sphere_cap_count(CapQuery(omega, mu=delta, j)), the lattice points
+    on |alpha|^2 = j within j^{delta/2} of sqrt(j) omega, omega =
+    OMEGA_PRESETS["rational"][n]: the caps whose solid ``cap_solid_volume``
+    measures.  One enumeration of the block's annular cap counts them all,
+    binned by j = |alpha|^2.  Blocks with no representable j are reported with
+    best_count 0, not treated as fatal.
     """
     omega = OMEGA_PRESETS["rational"][n]
     lo, hi = J_range
@@ -285,7 +284,7 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int],
     blocks = []
     J = int(lo)
     while 2 * J <= hi:
-        q = CapQuery(omega=omega, mu=float(delta), j=J, cap_constant=cap_constant)
+        q = CapQuery(omega=omega, mu=float(delta), j=J)
         counts = np.zeros(J + 1, dtype=np.int64)
         for _, js in _cap_points(q, 2 * J):
             counts += np.bincount(js - J, minlength=J + 1)

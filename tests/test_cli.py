@@ -586,7 +586,7 @@ GOLDEN_OPTIONS = {
     "threshold_sweep": ["plan", "deltas"],
     "two_segment_breakpoint": ["deltas", "slopes"],
     "cap_solid_volume": ["n", "J", "delta"],
-    "dyadic_lower_bound_search": ["n", "delta", "J_range", "cap_constant"],
+    "dyadic_lower_bound_search": ["n", "delta", "J_range"],
     "crit02_quasi_homogeneity": [],
     "crit03_quadrature_oracles": [],
     "crit10_torus_exact": [],

@@ -345,7 +345,7 @@ def test_first_pass_at_fine_h_against_dense_sum(label, monkeypatch):
     assert abs(fast - dense) <= 1e-10 * abs(dense)
 
 
-@pytest.mark.parametrize("label, nodes, passes", [("E7", 4612608, 2), ("D4-", 1783296, 2)])
+@pytest.mark.parametrize("label, nodes, passes", [("E7", 4372992, 2), ("D4-", 1668096, 2)])
 def test_quadrature_rule_pinned(label, nodes, passes):
     # the panel placement and pass count of the dense engine this one replaced
     ph = build_phase(SingularityType.parse(label))
@@ -419,6 +419,31 @@ def test_mirrored_half_axis_agrees_with_the_full_box(spec, xs):
         assert (a.value.imag == 0.0) == odd  # 2 Re S: exactly real
 
 
+@pytest.mark.parametrize("e", [14, 16])
+def test_first_pass_at_the_a2_origin_against_closed_form(e):
+    # h^{-1/3} integral chi(t) e^{i t^3/h} dt = (2/3) Gamma(1/3) cos(pi/6) + O(h^inf): a
+    # panel lies across the flat point t = 0, so one pass resolves it on either rule
+    h = 2.0**-e
+    exact = h ** (1.0 / 3.0) * (2.0 / 3.0) * math.gamma(1.0 / 3.0) * math.cos(math.pi / 6.0)
+    for amp, tol in ((FIXED, 1e-10), (_as_custom(FIXED), 1e-5)):  # half axis, full box
+        res = evaluate(IntegralSpec(A2, amp, (0.0,), h, includes_prefactor=False, budget=1))
+        assert res.passes == 1
+        assert abs(res.value - exact) <= tol * exact
+
+
+@pytest.mark.parametrize("min_panels", [2, 3, 8, 9])
+@pytest.mark.parametrize("power", [0, 2, 3])
+def test_axis_panels_put_a_panel_across_the_middle(power, min_panels):
+    # a symmetric frequency profile |t|^power, as of an A-type phase at x = 0
+    tgrid = np.linspace(-1.5, 1.5, oscint.PROFILE_SAMPLES)
+    for h in (2.0**-4, 2.0**-12):
+        mid, half = oscint._axis_panels(np.abs(tgrid) ** power, tgrid, h, oscint.NODES_PER_PERIOD,
+                                        oscint.MIN_AXIS_NODES, min_panels)
+        edges = np.append(mid - half, mid[-1] + half[-1])
+        assert mid.size % 2 == 1 and mid.size >= min_panels
+        assert np.min(np.abs(edges)) > 1e-12
+
+
 @pytest.mark.parametrize("spec, xs", [
     (IntegralSpec(A2, make_amplitude("narrow_bump", center=0.5), (0.0,), 2.0**-10), []),
     # shell targets with x1, x2 != 0 add odd and even terms to the even t^4
@@ -486,7 +511,10 @@ def test_starved_origin_gives_offsets_floor_zero(monkeypatch):
 
 
 def test_line_counters_follow_each_points_passes():
-    line = _line(IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7), 0.01, 2)
+    # the delta = 0 bump's x = 0 line meets its tolerance at pass 2 at every point, so
+    # the points stop apart on the narrower delta = 1/2 bump at a tighter tolerance
+    line = _line(IntegralSpec(A2, make_amplitude("narrow_bump", 0.5), (-0.2,), 2.0**-12,
+                              rel_tol=1e-9), 0.2, 4)
     assert len({r.passes for r in line}) > 1  # the points stop at different passes
     by_passes = {}
     for r in line:

@@ -153,10 +153,9 @@ def test_ball_frontier_split_across_slabs(monkeypatch):
         om = OMEGA_PRESETS["rational"][n]
         q = CapQuery(omega=om, mu=0.75, j=j, cap_constant=1.5)
         assert sphere_cap_count(q) == naive_sphere_cap_count(n, q.j, om, q.cap_radius) > 0
-        (b,) = dyadic_lower_bound_search(n, 0.75, (J, 2 * J), cap_constant=1.5)
-        counts = [naive_sphere_cap_count(
-            n, j, om, CapQuery(omega=om, mu=0.75, j=j, cap_constant=1.5).cap_radius)
-            for j in range(J, 2 * J + 1)]
+        (b,) = dyadic_lower_bound_search(n, 0.75, (J, 2 * J))
+        counts = [naive_sphere_cap_count(n, j, om, CapQuery(omega=om, mu=0.75, j=j).cap_radius)
+                  for j in range(J, 2 * J + 1)]
         assert (b.best_j - J, b.best_count, b.block_sum, b.represented) == \
             (int(np.argmax(counts)), max(counts), sum(counts), np.count_nonzero(counts))
 
@@ -228,33 +227,34 @@ def test_dyadic_block_sums_track_volume():
         assert abs(b.block_sum - b.volume) / b.volume < 0.5
 
 
-def test_dyadic_n1_degenerate():
-    # with cap width 2 sqrt(j) the cap spans the whole two-point sphere
-    blocks = dyadic_lower_bound_search(1, 1.0, (16, 64), cap_constant=2.0)
-    for b in blocks:
-        assert 0 <= b.best_count <= 2
-        assert b.best_count == 2  # a perfect square exists in every dyadic block here
-
-
 @pytest.mark.parametrize("n, J_range", [(1, (1, 512)), (2, (16, 512)), (3, (16, 256)),
                                         (4, (8, 64))])
-def test_dyadic_blocks_match_naive_oracle(n, J_range):
+def test_dyadic_blocks_match_naive_oracle(n, J_range, monkeypatch):
     # every block field that counts points, rebuilt one j at a time from the oracle
     om = OMEGA_PRESETS["rational"][n]
+    walk, centres = torus._walk, []
+
+    def recorded_walk(center, radius, margin):
+        centres.append(center)
+        return walk(center, radius, margin)
+
+    monkeypatch.setattr(torus, "_walk", recorded_walk)
     nonempty = 0
     for delta in (0.5, 0.75, 1.0):
-        for C in (1.0, 2.0):
-            blocks = dyadic_lower_bound_search(n, delta, J_range, cap_constant=C)
-            assert [b.J for b in blocks] == [J for J in (J_range[0] * 2**k for k in range(10))
-                                             if 2 * J <= J_range[1]]
-            for b in blocks:
-                counts = [naive_sphere_cap_count(
-                    n, j, om, CapQuery(omega=om, mu=delta, j=j, cap_constant=C).cap_radius)
-                    for j in range(b.J, 2 * b.J + 1)]
-                best = int(np.argmax(counts))
-                assert (b.best_j, b.best_count, b.block_sum, b.represented) == \
-                    (b.J + best, counts[best], sum(counts), np.count_nonzero(counts))
-                nonempty += b.best_count > 0
+        centres.clear()
+        blocks = dyadic_lower_bound_search(n, delta, J_range)
+        assert [b.J for b in blocks] == [J for J in (J_range[0] * 2**k for k in range(10))
+                                         if 2 * J <= J_range[1]]
+        for b in blocks:
+            counts = [naive_sphere_cap_count(
+                n, j, om, CapQuery(omega=om, mu=delta, j=j).cap_radius)
+                for j in range(b.J, 2 * b.J + 1)]
+            best = int(np.argmax(counts))
+            assert (b.best_j, b.best_count, b.block_sum, b.represented) == \
+                (b.J + best, counts[best], sum(counts), np.count_nonzero(counts))
+            nonempty += b.best_count > 0
+        # at delta = 1 the caps (width j^{1/2}) reach past ball(0, hi + 1): the walk takes that
+        assert all(not any(c) for c in centres) == (delta == 1.0)
     assert nonempty > 0
 
 
