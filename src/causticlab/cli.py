@@ -298,7 +298,7 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         summary["blocks"] = [{
             "J": b.J, "best_j": b.best_j, "best_count": b.best_count,
             "block_sum": b.block_sum, "volume": b.volume,
-            "represented": b.represented} for b in blocks]
+            "represented": b.represented, "candidates": b.candidates} for b in blocks]
         slope = dyadic_exponent(blocks)
         ok = slope is not None
         if ok:

@@ -14,13 +14,16 @@ of radius r costs O(r^2 log r).  It is exact on the float center and radius:
 floats decide all points but those within a thin margin of the sphere, which
 are re-decided in Fractions (cap tests are still floats).  Caps walk all n axes
 of a ball holding the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha
-inside the cap of j = |alpha|^2}, and each point's j = |alpha|^2 picks its cap
-test.  A single sphere is the case j_lo = j_hi = j; the dyadic search of the
+inside the cap of j = |alpha|^2}, the last axis of each prefix cut to the
+annulus (by exact integer square roots) and to a cone about omega that holds
+every cap of the range, and each point's j = |alpha|^2 picks its cap test.  A
+single sphere is the case j_lo = j_hi = j; the dyadic search of the
 lower-bound argument runs it once per block [J, 2J] and bins the points by j,
 which gives every M(j) = sphere_cap_count of the block in one pass.  Each
 block's sum of M(j) is reported beside the volume of the corresponding
-annular cap solid, and the maximizing j per block is selected, realizing
-M(j) >= c j^{(n-1)delta/2 - 1/2} along the selected sequence.
+annular cap solid and the number of walk points examined, and the maximizing
+j per block is selected, realizing M(j) >= c j^{(n-1)delta/2 - 1/2} along the
+selected sequence.
 
 Convention: the torus carries normalized measure, so the exponentials
 e_alpha(x) = e^{-i alpha.x} are orthonormal and the sum of count of them with
@@ -104,17 +107,24 @@ class CapQuery:
             raise ValueError(f"sphere-cap queries need |omega| = 1, got {norm}")
 
 
-def _expand(chunks, c: float, margin: float):
+def _expand(chunks, c: float, margin: float, bound=None):
     """Extend every prefix by each integer a with (a - c)^2 < budget + margin.
 
     A chunk is (budgets, coordinate columns of the prefixes).  Its ranges of a
     are laid end to end and cut into slabs of SLAB_POINTS; each slab yields
     the new budgets budget - (a - c)^2 above -margin and their prefixes.
+    `bound(count, columns)`, if given, trims the ranges: it returns (rows, lo,
+    hi), and prefix rows[k] keeps only the a in [lo[k], hi[k]].
     """
     for rem, coords in chunks:
         w = np.sqrt(rem + margin)
         lo = np.ceil(c - w).astype(np.int64)
-        size = np.floor(c + w).astype(np.int64) - lo + 1
+        hi = np.floor(c + w).astype(np.int64)
+        if bound is not None:
+            rows, lo_b, hi_b = bound(len(rem), coords)
+            rem, coords = rem[rows], [col[rows] for col in coords]
+            lo, hi = np.maximum(lo[rows], lo_b), np.minimum(hi[rows], hi_b)
+        size = np.maximum(hi - lo + 1, 0)
         ends = np.cumsum(size)
         starts = ends - size
         total = int(np.sum(size))
@@ -137,11 +147,11 @@ def _margin(center, radius: float) -> float:
     return 2.0**-40 * (radius + 1.0) * (radius + max(map(abs, center)) + 1.0)
 
 
-def _walk(center, radius: float, margin: float):
-    """The _expand chain over every axis of `center`: the points of ball(center, radius)."""
+def _walk(center, radius: float, margin: float, last_bound=None):
+    """The _expand chain over every axis of `center`, the last trimmed by `last_bound`."""
     chunks = iter([(np.array([radius * radius]), [])])
-    for c in center:
-        chunks = _expand(chunks, c, margin)
+    for i, c in enumerate(center):
+        chunks = _expand(chunks, c, margin, last_bound if i == len(center) - 1 else None)
     return chunks
 
 
@@ -204,8 +214,11 @@ def _cap_points(q: CapQuery, j_hi: int):
     A point alpha belongs to the sphere j = |alpha|^2 and is kept when
     |alpha - sqrt(j) omega| <= q.cap_constant * (j^{-1/2})^{-q.mu}, the cap
     of CapQuery(j=j).  The candidates come from the ball walk (_walk) over all
-    n axes; a slab holds at most SLAB_POINTS of them and is yielded as (points,
-    j of each point), and the points come in lexicographic order.
+    n axes, its last axis trimmed per prefix to the annulus j_lo <= |alpha|^2
+    <= j_hi and to the cone alpha.omega >= kappa |alpha| that holds every cap
+    of the block; a slab holds at most SLAB_POINTS candidates and is yielded as
+    (cap points, j of each, number of candidates), and the points come in
+    lexicographic order.
     """
     q.require_unit_omega()
     limit = ENUM_LIMITS["j"][q.n]
@@ -223,20 +236,43 @@ def _cap_points(q: CapQuery, j_hi: int):
     if radius > hi + 1.0:
         center, radius = np.zeros(q.n), hi + 1.0
     center = center.tolist()
-    for _, coords in _walk(center, radius, _margin(center, radius)):
+    # on |alpha|^2 = j the cap is alpha.omega >= kappa_j |alpha|, kappa_j = 1 - width^2/(2j),
+    # which does not fall with j (mu <= 1): kappa_{j_lo}, less a margin far above rounding,
+    # holds the block.  Per prefix (P, s = its |alpha|^2, alpha.omega) that cone keeps the a
+    # between the roots of (omega_n^2 - kappa^2) a^2 + 2 s omega_n a + s^2 - kappa^2 P, widened
+    # by one; cones near the last axis, whose roots rounding could move, are not used
+    kappa, wn = 1.0 - width[0] ** 2 / (2.0 * j_lo) - 1e-6, omega[-1]
+    steep = kappa * kappa - wn * wn if kappa > 0 else 0.0
+
+    def last_bound(count, coords):  # a <= -1 or a >= 0 with j_lo - P <= a^2 <= j_hi - P
+        P = sum((col * col for col in coords), np.zeros(count, dtype=np.int64))
+        # floor(sqrt(x)) is the exact integer square root of an integer x < 2^52
+        amax = np.where(P <= j_hi, np.floor(np.sqrt(np.maximum(j_hi - P, 0))), -1)
+        amin = np.where(P < j_lo, np.floor(np.sqrt(np.maximum(j_lo - P - 1, 0))) + 1, 0)
+        first = np.stack([-amax, amin], axis=1).ravel()
+        last = np.stack([-np.maximum(amin, 1), amax], axis=1).ravel()
+        if steep > 1e-4:
+            s = sum((w * col for w, col in zip(omega, coords)), np.zeros(count))
+            disc = s * s - steep * P
+            # a root of -1 where disc < 0 puts first above last: no a
+            root = np.where(disc >= 0, kappa * np.sqrt(np.maximum(disc, 0.0)), -1.0)
+            first = np.maximum(first, np.repeat(np.ceil((s * wn - root) / steep) - 1, 2))
+            last = np.minimum(last, np.repeat(np.floor((s * wn + root) / steep) + 1, 2))
+        return np.repeat(np.arange(count), 2), first.astype(np.int64), last.astype(np.int64)
+
+    for _, coords in _walk(center, radius, _margin(center, radius), last_bound):
         pts = np.stack(coords, axis=1)
         js = np.sum(pts * pts, axis=1)
         ok = (js >= j_lo) & (js <= j_hi)
         pts, js = pts[ok], js[ok]
         d = pts.astype(float) - np.sqrt(js.astype(float))[:, None] * omega[None, :]
         inside = np.sqrt(np.sum(d * d, axis=1)) <= width[js - j_lo]
-        if np.any(inside):
-            yield pts[inside], js[inside]
+        yield pts[inside], js[inside], len(coords[0])
 
 
 def sphere_cap_count(q: CapQuery) -> int:
     """Exact count of lattice points on the sphere |alpha|^2 = j inside the cap."""
-    return sum(len(js) for _, js in _cap_points(q, q.j))
+    return sum(len(js) for _, js, _ in _cap_points(q, q.j))
 
 
 def cap_solid_volume(n: int, J: int, delta: float) -> float:
@@ -265,6 +301,7 @@ class DyadicBlock:
     block_sum: int
     volume: float
     represented: int
+    candidates: int  # walk points examined for the block
 
 
 def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int]) -> list[DyadicBlock]:
@@ -285,9 +322,10 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int]) ->
     J = int(lo)
     while 2 * J <= hi:
         q = CapQuery(omega=omega, mu=float(delta), j=J)
-        counts = np.zeros(J + 1, dtype=np.int64)
-        for _, js in _cap_points(q, 2 * J):
+        counts, candidates = np.zeros(J + 1, dtype=np.int64), 0
+        for _, js, examined in _cap_points(q, 2 * J):
             counts += np.bincount(js - J, minlength=J + 1)
+            candidates += examined
         best_idx = int(np.argmax(counts))
         blocks.append(DyadicBlock(
             J=J,
@@ -296,6 +334,7 @@ def dyadic_lower_bound_search(n: int, delta: float, J_range: tuple[int, int]) ->
             block_sum=int(np.sum(counts)),
             volume=cap_solid_volume(n, J, float(delta)),
             represented=int(np.count_nonzero(counts)),
+            candidates=candidates,
         ))
         J *= 2
     return blocks

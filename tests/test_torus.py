@@ -126,8 +126,8 @@ def test_ball_frontier_split_across_slabs(monkeypatch):
     monkeypatch.setattr(torus, "SLAB_POINTS", 7)
     walk, calls = torus._walk, []
 
-    def counted_walk(center, radius, margin):
-        chunks = list(walk(center, radius, margin))
+    def counted_walk(center, radius, margin, *bound):
+        chunks = list(walk(center, radius, margin, *bound))
         calls.append((len(center), len(chunks)))
         return iter(chunks)
 
@@ -175,7 +175,7 @@ def test_sphere_cap_example():
     q = CapQuery(omega=(0.6, 0.8), mu=1.0, j=25, cap_constant=2.0 / 25**0.5)
     assert q.cap_radius == pytest.approx(2.0)
     assert sphere_cap_count(q) == 2
-    points = np.concatenate([pts for pts, _ in torus._cap_points(q, q.j)])
+    points = np.concatenate([pts for pts, *_ in torus._cap_points(q, q.j)])
     assert sorted(map(tuple, points.tolist())) == [(3, 4), (4, 3)]
 
 
@@ -201,6 +201,73 @@ def test_sphere_counts_match_naive_oracle():
         n = len(om)
         q = CapQuery(omega=om, mu=1.0, j=j, cap_constant=width * j**-0.5)
         assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, om, q.cap_radius) > 0
+
+
+# rational unit directions, with zero and negative last entries
+RATIONAL_OMEGAS = {1: [(1.0,), (-1.0,)],
+                   2: [(0.6, 0.8), (0.8, -0.6), (1.0, 0.0), (5 / 13, 12 / 13)],
+                   3: [(1 / 3, 2 / 3, 2 / 3), (2 / 7, 3 / 7, -6 / 7), (0.6, 0.8, 0.0),
+                       (0.0, 0.6, 0.8)],
+                   4: [(0.2, 0.4, 0.4, 0.8), (0.5, 0.5, 0.5, -0.5), (0.6, 0.0, 0.8, 0.0),
+                       (0.5, 0.5, 0.5, 0.5)]}
+ORACLE_ROOT = {1: 300, 2: 60, 3: 20, 4: 10}  # largest sqrt(j) of a single-sphere example
+BLOCK_TOP = {1: 1024, 2: 128, 3: 32, 4: 16}  # largest J of a block example
+
+
+def block_counts(q: CapQuery, j_hi: int) -> list[int]:
+    counts = np.zeros(j_hi - q.j + 1, dtype=np.int64)
+    for _, js, _ in torus._cap_points(q, j_hi):
+        counts += np.bincount(js - q.j, minlength=len(counts))
+    return counts.tolist()
+
+
+def naive_block_counts(q: CapQuery, j_hi: int) -> list[int]:
+    return [naive_sphere_cap_count(q.n, j, q.omega, CapQuery(
+        omega=q.omega, mu=q.mu, j=j, cap_constant=q.cap_constant).cap_radius)
+        for j in range(q.j, j_hi + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sphere_caps_exact_on_rational_boundaries(data):
+    # square j put sqrt(j) omega on a rational point, and an integer cap radius puts
+    # lattice points of the sphere at that distance from it, where the last axis's
+    # annulus and cone cuts must keep every one the cap test keeps
+    n = data.draw(st.integers(1, 4))
+    omega = data.draw(st.sampled_from(RATIONAL_OMEGAS[n]))
+    mu = data.draw(st.sampled_from([0.1, 0.5, 0.75, 1.0]))
+    k = data.draw(st.integers(1, ORACLE_ROOT[n]))
+    j = data.draw(st.sampled_from([k * k, k * k + 1, max(k * k - 1, 1)]))
+    radius = data.draw(st.integers(1, 2 * k + 1))
+    cap_constant = data.draw(st.one_of(st.just(radius / j ** (mu / 2)), st.floats(0.5, 3.0)))
+    q = CapQuery(omega=omega, mu=mu, j=j, cap_constant=cap_constant)
+    assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, omega, q.cap_radius)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cap_blocks_exact_on_rational_directions(n):
+    # whole blocks [J, 2J] from J = 1 and 2 up, at the four dyadic deltas and cap
+    # constants 0.5 to 3: narrow caps cut the last axis by the cone, wide ones
+    # (delta = 1, or cap constant 3) by the annulus alone
+    for omega in RATIONAL_OMEGAS[n]:
+        for mu in (0.1, 0.5, 0.75, 1.0):
+            for J in (1, 2, 3, BLOCK_TOP[n]):
+                for cap_constant in (0.5, 1.0, 3.0):
+                    q = CapQuery(omega=omega, mu=mu, j=J, cap_constant=cap_constant)
+                    assert block_counts(q, 2 * J) == naive_block_counts(q, 2 * J), q
+    om = OMEGA_PRESETS["rational"][n]
+    for delta in (0.1, 0.5, 0.75, 1.0):
+        for J in (1, 2):
+            (b,) = dyadic_lower_bound_search(n, delta, (J, 2 * J))
+            counts = naive_block_counts(CapQuery(omega=om, mu=delta, j=J), 2 * J)
+            assert (b.best_j - J, b.best_count, b.block_sum) == \
+                (int(np.argmax(counts)), max(counts), sum(counts))
+
+
+def test_dyadic_block_examines_few_more_points_than_it_counts():
+    # the ball holding this block's caps has about 6 times as many points as the caps
+    (b,) = dyadic_lower_bound_search(3, 0.75, (2048, 4096))
+    assert b.block_sum <= b.candidates <= 1.25 * b.block_sum
 
 
 def test_sphere_query_validation():
@@ -234,9 +301,9 @@ def test_dyadic_blocks_match_naive_oracle(n, J_range, monkeypatch):
     om = OMEGA_PRESETS["rational"][n]
     walk, centres = torus._walk, []
 
-    def recorded_walk(center, radius, margin):
+    def recorded_walk(center, radius, margin, *bound):
         centres.append(center)
-        return walk(center, radius, margin)
+        return walk(center, radius, margin, *bound)
 
     monkeypatch.setattr(torus, "_walk", recorded_walk)
     nonempty = 0
