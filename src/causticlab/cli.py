@@ -44,7 +44,7 @@ import numpy as np
 from . import acceptance
 from .amplitudes import KINDS, SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
 from .catalog import SingularityType, build_phase, catalog_rows, caustic_order, threshold
-from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, X_POINTS, fold_curve, lemma_62_suite
+from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, fold_curve, lemma_62_suite
 from .reports import fmt_fraction, write_csv, write_json
 from .scaling import (DEFAULT_H_GRID, ORDER_TOLERANCE, ScanPlan, fit_exponent,
                       geometric_grid, supnorm_scan, threshold_sweep)
@@ -318,11 +318,9 @@ def _run_fold(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             for run in curve.runs for r in run.rows]
     write_csv(out / "fold.csv", ["delta", "h", "sup_abs", "l2", "ratio"], rows)
     return 0 if curve.passed else 1, {
-        "slopes": {f"{r.experiment.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
-        "cost": {f"{r.experiment.delta:.6g}": r.cost for r in curve.runs},
-        "sup_at": {f"{run.experiment.delta:.6g}": [
-            {"h": r.h, "k": r.k, "edge": abs(r.k) == X_POINTS} for r in run.rows]
-            for run in curve.runs},
+        "slopes": {f"{r.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
+        "cost": {f"{r.delta:.6g}": r.cost for r in curve.runs},
+        "sup_at": {f"{r.delta:.6g}": r.sup_at for r in curve.runs},
         "breakpoint": curve.breakpoint,
         "max_slope_error": curve.max_slope_error,
     }

@@ -11,21 +11,21 @@ The sharp sup-norm exponent for a delta-concentrated fold family is
     above:  u_h(x) = integral a(t) e^{i(x t - t^3/3)/h} dt,
             a(t) = h^{(delta-3)/4} chi(t/h^{(1-delta)/2}) e^{i t^3/3h}
 
-and each family is run with its own displayed phase.  ||u_h||_2 comes from
-the coefficient side: the map a -> u is (2 pi h)^{1/2} times an isometry, so
-||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}; sup|u_h| is taken over
-x = 0 plus offsets k dx at the caustic scale, dx = X_WINDOW h^{2/3} / X_POINTS,
-by ``oscint.evaluate_points``: one node set per pass for all of them, e^{ik dx t/h}
-by repeated products, and the offsets converge against |u_h(0)| as a scan's
-shells do against |I(0; h)|.  Both families' amplitudes are even about 0, and
-their phase terms with the modulation folded in (none are left above 1/3) and
-the offsets k dx t are all odd, so that node set covers t >= 0 alone and each
-sum S stands for 2 Re S (the half rule of ``oscint``): about half the nodes of
-the full support.
-``scaling.sup_row`` takes the sup, as for every sup-norm scan.  Fitting
-log(sup/||u||_2) against log(1/h) per delta and locating the best two-segment
-breakpoint of the slope-vs-delta curve turns the regime change into one
-scalar test.
+and each family is run with its own displayed phase.  ``fold_plan`` makes
+the family a ``scaling.ScanPlan`` whose caustic_window scans x = 0 and the
+offsets k dx at the caustic scale, dx = X_WINDOW h^{2/3} / X_POINTS; ``run_fold``
+is that plan's ``supnorm_scan``, so the offsets share one node set per pass,
+e^{ik dx t/h} by repeated products, and converge against |I(0; h)| as a scan's
+shells do.  Both families' amplitudes are even about 0, and their phase terms
+with the modulation folded in (none are left above 1/3) and the offsets k dx t
+are all odd, so that node set covers t >= 0 alone and each sum S stands for
+2 Re S (the half rule of ``oscint``): about half the nodes of the full support.
+||u_h||_2 comes from the coefficient side: the map a -> u is (2 pi h)^{1/2}
+times an isometry, so ||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}.  The scan's
+sup carries the h^{-1/2} of every evaluation, so each row's sup|u_h| is the
+scan's times h^{1/2}.  Fitting log(sup/||u||_2) against log(1/h) per delta and
+locating the best two-segment breakpoint of the slope-vs-delta curve turns the
+regime change into one scalar test.
 
 ``lemma_62_suite`` cross-checks the two exact integrals behind the
 above-threshold estimate against adaptive quadrature and fits their
@@ -45,18 +45,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitudes import AmplitudeProfile, make_amplitude
+from .amplitudes import make_amplitude
 from .catalog import PhaseFunction, SingularityType, build_phase
-from .oscint import IntegralResult, IntegralSpec, evaluate_points, line_offsets
+from .oscint import line_offsets
 from .polys import ThetaPoly
-from .scaling import ExponentFit, fit_exponent, geometric_grid, sup_row, work_cost
+from .scaling import (X_POINTS, ExponentFit, ScanPlan, ScanResult, fit_exponent,
+                      geometric_grid, supnorm_scan)
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
 DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
 FOLD_TOLERANCE = 0.04
 BREAKPOINT_WINDOW = (0.28, 0.38)  # around the regime change at delta = 1/3
-# sup|u_h| is scanned at x = 0 and X_POINTS offsets a side out to X_WINDOW h^{2/3}
-X_WINDOW, X_POINTS = 2.0, 4
 LEMMA62_REL_TOL = 1e-6  # closed forms against adaptive quadrature
 LEMMA62_EXPONENTS, LEMMA62_EXPONENT_TOL = (1.5, 1.0), 0.02  # eps-blowup of the two sups
 
@@ -82,26 +81,16 @@ def _above_phase() -> PhaseFunction:
     return PhaseFunction(SingularityType.parse("A2"), third, third, f, fj)
 
 
-@dataclass(frozen=True)
-class FoldExperiment:
-    delta: float
-    h_grid: tuple[float, ...] = DEFAULT_FOLD_H_GRID
-    rel_tol: float = 1e-6
-    eval_budget: int | None = None
-
-    @property
-    def side(self) -> str:
-        """The saturating family run at this delta: below through 1/3, above after."""
-        return "below" if self.delta <= 1.0 / 3.0 + 1e-12 else "above"
-
-    @property
-    def amplitude(self) -> AmplitudeProfile:
-        kind = "narrow_bump" if self.side == "below" else "fold_saturator_above"
-        return make_amplitude(kind, self.delta)
-
-    @property
-    def phase(self) -> PhaseFunction:
-        return _below_phase() if self.side == "below" else _above_phase()
+def fold_plan(delta, h_grid=DEFAULT_FOLD_H_GRID, *, rel_tol: float = 1e-6,
+              eval_budget: int | None = None) -> ScanPlan:
+    """The caustic-window scan of the saturating family at delta: below through 1/3, above after."""
+    delta = float(delta)
+    if delta <= 1.0 / 3.0 + 1e-12:
+        phase, amp = _below_phase(), make_amplitude("narrow_bump", delta)
+    else:
+        phase, amp = _above_phase(), make_amplitude("fold_saturator_above", delta)
+    return ScanPlan(phase, amp, tuple(h_grid), x_strategy="caustic_window",
+                    rel_tol=rel_tol, eval_budget=eval_budget)
 
 
 @dataclass(frozen=True)
@@ -111,48 +100,49 @@ class FoldRow:
     sup_abs: float
     l2: float
     ratio: float
-    k: int  # the sup's offset: x = k dx
 
 
 @dataclass(frozen=True)
 class FoldRun:
-    experiment: FoldExperiment
+    plan: ScanPlan
+    scan: ScanResult
     rows: tuple[FoldRow, ...]
     fit: ExponentFit
-    evaluations: tuple[IntegralResult, ...] = ()  # what cost counts
+
+    @property
+    def delta(self) -> float:
+        return self.plan.amplitude.delta
 
     @property
     def cost(self) -> dict:
-        return work_cost(self.evaluations)
+        return self.scan.cost
+
+    @property
+    def sup_at(self) -> list[dict]:
+        """Per h, the window offset k of the sup (x = k dx), and edge when |k| = X_POINTS."""
+        ks = line_offsets(X_POINTS)  # the window in result order
+        return [{"h": sup.h, "k": ks[sup.argmax], "edge": abs(ks[sup.argmax]) == X_POINTS}
+                for sup in self.scan.sup_rows]
 
 
-def l2_from_coefficients(exp: FoldExperiment, h: float) -> float:
+def l2_from_coefficients(plan: ScanPlan, h: float) -> float:
     """||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2(theta)} (Fourier-side)."""
-    return math.sqrt(2.0 * math.pi * h) * exp.amplitude.l2_theta(h)
+    return math.sqrt(2.0 * math.pi * h) * plan.amplitude.l2_theta(h)
 
 
-def _x_offsets(h: float) -> list[float]:
-    """The scanned x = k dx, dx = X_WINDOW h^{2/3} / X_POINTS, in ``line_offsets`` order."""
-    return [k * (X_WINDOW * h ** (2.0 / 3.0) / X_POINTS) for k in line_offsets(X_POINTS)]
-
-
-def run_fold(exp: FoldExperiment) -> FoldRun:
-    """sup/L2 ratio per h and its exponent fit against sharp_exponent(delta)."""
-    phase, amp = exp.phase, exp.amplitude
-    rows, sup_rows, evaluations = [], [], []
-    for h in exp.h_grid:
-        spec = IntegralSpec(phase, amp, (0.0,), h, rel_tol=exp.rel_tol,
-                            includes_prefactor=False, budget=exp.eval_budget)
-        results = evaluate_points(spec, [(x,) for x in _x_offsets(h)[1:]])
-        sup = sup_row(h, results)
-        l2 = l2_from_coefficients(exp, h)
-        rows.append(FoldRow(exp.delta, h, sup.sup_abs, l2, sup.sup_abs / l2,
-                            line_offsets(X_POINTS)[sup.argmax]))
-        sup_rows.append(replace(sup, sup_abs=sup.sup_abs / l2))
-        evaluations += results
-    ref = sharp_exponent(Fraction(exp.delta).limit_denominator(10**6))
-    fit = fit_exponent(sup_rows, ref, FOLD_TOLERANCE)
-    return FoldRun(exp, tuple(rows), fit, tuple(evaluations))
+def run_fold(plan: ScanPlan) -> FoldRun:
+    """sup/L2 ratio per h of the plan's scan and its exponent fit against sharp_exponent(delta)."""
+    scan = supnorm_scan(plan)
+    delta = plan.amplitude.delta
+    rows = []
+    for sup in scan.sup_rows:
+        sup_abs = sup.sup_abs * math.sqrt(sup.h)  # |u_h|: without the scan's h^{-1/2}
+        l2 = l2_from_coefficients(plan, sup.h)
+        rows.append(FoldRow(delta, sup.h, sup_abs, l2, sup_abs / l2))
+    ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
+    fit = fit_exponent([replace(sup, sup_abs=row.ratio) for sup, row in zip(scan.sup_rows, rows)],
+                       ref, FOLD_TOLERANCE)
+    return FoldRun(plan, scan, tuple(rows), fit)
 
 
 def two_segment_breakpoint(deltas, slopes):
@@ -194,12 +184,9 @@ class FoldCurve:
 def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
                rel_tol: float = 1e-6, eval_budget: int | None = None) -> FoldCurve:
     """Fit the exponent at each delta (below-family through 1/3, above after)."""
-    runs = []
-    for d in deltas:
-        runs.append(run_fold(FoldExperiment(float(d), tuple(h_grid), rel_tol=rel_tol,
-                                            eval_budget=eval_budget)))
-    bp, _ = two_segment_breakpoint(
-        [r.experiment.delta for r in runs], [r.fit.slope for r in runs])
+    runs = [run_fold(fold_plan(d, h_grid, rel_tol=rel_tol, eval_budget=eval_budget))
+            for d in deltas]
+    bp, _ = two_segment_breakpoint([r.delta for r in runs], [r.fit.slope for r in runs])
     return FoldCurve(tuple(runs), bp)
 
 

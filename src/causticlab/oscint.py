@@ -92,7 +92,6 @@ class IntegralSpec:
     x: tuple[float, ...]
     h: float
     rel_tol: float = 1e-6
-    includes_prefactor: bool = True
     budget: int | None = None
 
     def __post_init__(self):
@@ -347,7 +346,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     rad = amp.support_radius(h)
     box = [(c - rad, c + rad) for c in amp.center]
     # the h^{-k/2} prefactor multiplies the raw integrals at the end
-    mag = h ** (-spec.phase.k / 2.0) if spec.includes_prefactor else 1.0
+    mag = h ** (-spec.phase.k / 2.0)
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[spec.phase.k]
     parts, mixed = phi.split_axes()
     # nodes of a pass: the tensor grid when a term couples the axes
@@ -366,9 +365,9 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
 
     def met_passes():
         origin = _first_met([v[0] for v in history], rel_tol, max(floor / mag, 1e-300))
-        offset_floor = mag * abs(history[origin][0]) if origin is not None else 0.0
+        offset_floor = abs(history[origin][0]) if origin is not None else 0.0
         return [origin] + [_first_met([v[j] for v in history], rel_tol,
-                                      max(offset_floor / mag, 1e-300))
+                                      max(offset_floor, 1e-300))
                            for j in range(1, len(offsets) + 1)]
 
     for s in range(MAX_PASSES):
@@ -413,7 +412,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
 
 
 def evaluate(spec: IntegralSpec) -> IntegralResult:
-    """Evaluate I(x; h), optionally including the h^{-k/2} normalization."""
+    """Evaluate I(x; h), the h^{-k/2} normalization included."""
     return _integrate(spec)[0]
 
 

@@ -1,23 +1,30 @@
 """Sup-norm scans over (x, h) grids and scaling-exponent fits.
 
-A scan evaluates |I(x; h)| at x = 0 and (optionally) on quasi-homogeneous
-shells: for each of the SHELL_LAMBDA_COUNT lambdas of a geometric ladder from
-h to 1, points x_j = lambda^{1-s_j} y_j with y on the unit shell
+A scan evaluates |I(x; h)| at x = 0 and, by its x_strategy, at more points:
 
-    boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
+* ``omega_shells``: quasi-homogeneous shells.  For each of the
+  SHELL_LAMBDA_COUNT lambdas of a geometric ladder from h to 1, points
+  x_j = lambda^{1-s_j} y_j with y on the unit shell
 
-sampled by sign patterns times a fixed simplex grid in the |y_j|^{1/(1-s_j)}
-coordinates.  The scan is a serial loop over h.  At each h one
-``oscint.evaluate_points`` call evaluates the origin and every shell point, on
-one node set per pass for k = 1, and judges each other point converged once
-its successive-pass change is within rel_tol * max(|I(x; h)|, |I(0; h)|) (the
-floor is 0 if the origin did not converge), as it does the fold experiment's
-offsets.  The origin is always a candidate, so sup_h >= |I(0; h)| and that
-floor is never looser than rel_tol times the sup, while points whose |I| is
-far below it (shadow-side points where |I| is O(h^inf), fold offsets away from
-the caustic) stop spending their budget on digits that cannot move it.
-``sup_row`` takes the sup for both, and keeps a row out of the fit only if an
-unconverged point could reach its sup.  The fitted exponent of log(sup |I|)
+      boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
+
+  sampled by sign patterns times a fixed simplex grid in the
+  |y_j|^{1/(1-s_j)} coordinates.
+* ``caustic_window`` (one unfolding parameter, k0 = 1): the caustic-scale
+  window x = k dx, dx = X_WINDOW h^{1-s} / X_POINTS, k = +-1 .. +-X_POINTS in
+  ``oscint.line_offsets`` order, exact multiples of one dx.  It is the fold
+  experiment's window; the CLI's --x-strategy does not offer it.
+
+The scan is a serial loop over h.  At each h one ``oscint.evaluate_points``
+call evaluates the origin and every other point, on one node set per pass for
+k = 1, and judges each other point converged once its successive-pass change
+is within rel_tol * max(|I(x; h)|, |I(0; h)|) (the floor is 0 if the origin
+did not converge).  The origin is always a candidate, so sup_h >= |I(0; h)|
+and that floor is never looser than rel_tol times the sup, while points whose
+|I| is far below it (shadow-side points where |I| is O(h^inf), window offsets
+away from the caustic) stop spending their budget on digits that cannot move
+it.  ``sup_row`` takes the sup, and keeps a row out of the fit only if an
+unconverged point could reach it.  The fitted exponent of log(sup |I|)
 against log(1/h) is then compared with a reference rational (the caustic
 order, or a regime formula) to produce a pass/fail/inconclusive verdict.
 """
@@ -32,10 +39,12 @@ import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import PhaseFunction, caustic_order, threshold
-from .oscint import IntegralSpec, evaluate_points
+from .oscint import IntegralSpec, evaluate_points, line_offsets
 
 ORDER_TOLERANCE = {1: 0.03, 2: 0.06}  # |slope - kappa| of an order fit, by k
 SHELL_LAMBDA_COUNT = 8  # lambdas of an omega_shells ladder, h to 1
+# a caustic_window scans x = 0 and X_POINTS offsets a side out to X_WINDOW h^{1-s}
+X_WINDOW, X_POINTS = 2.0, 4
 
 
 def geometric_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
@@ -55,7 +64,7 @@ class ScanPlan:
     phase: PhaseFunction
     amplitude: AmplitudeProfile
     h_grid: tuple[float, ...]
-    x_strategy: str = "origin_only"  # origin_only | omega_shells
+    x_strategy: str = "origin_only"  # origin_only | omega_shells | caustic_window
     points_per_shell: int = 1
     rel_tol: float = 1e-6
     eval_budget: int | None = None
@@ -66,8 +75,11 @@ class ScanPlan:
             raise ValueError("h_grid must be strictly decreasing with >= 5 points")
         if self.points_per_shell < 1:
             raise ValueError("points_per_shell must be >= 1")
-        if self.x_strategy not in ("origin_only", "omega_shells"):
+        if self.x_strategy not in ("origin_only", "omega_shells", "caustic_window"):
             raise ValueError(f"unknown x_strategy {self.x_strategy!r}")
+        if self.x_strategy == "caustic_window" and self.phase.k0 > 1:
+            raise ValueError("a caustic_window scans one unfolding parameter, "
+                             f"{self.phase.singularity.label} has {self.phase.k0}")
 
 
 @dataclass(frozen=True)
@@ -168,12 +180,19 @@ def shell_unit_samples(s_weights, points_per_shell: int) -> list[tuple[float, ..
 
 
 def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float, ...], int]]:
-    """(lambda, x, y_index) candidates for one h; origin always included."""
+    """(lambda, x, y_index) candidates for one h; origin always included.
+
+    A caustic_window's offset k dx is (h, (k dx,), i), i its position after
+    the origin in ``line_offsets(X_POINTS)``.
+    """
     k0 = plan.phase.k0
     origin = (0.0,) * k0
     points = [(0.0, origin, -1)]
     if plan.x_strategy == "origin_only" or k0 == 0:
         return points
+    if plan.x_strategy == "caustic_window":
+        dx = X_WINDOW * h ** float(1 - plan.phase.s[0]) / X_POINTS
+        return points + [(h, (k * dx,), i) for i, k in enumerate(line_offsets(X_POINTS)[1:])]
     s = [float(v) for v in plan.phase.s]
     ys = shell_unit_samples(plan.phase.s, plan.points_per_shell)
     lams = np.geomspace(h, 1.0, SHELL_LAMBDA_COUNT)
@@ -204,8 +223,7 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
     for h in plan.h_grid:
         points = _candidate_points(plan, h)
         origin = IntegralSpec(plan.phase, plan.amplitude, points[0][1], h,
-                              rel_tol=plan.rel_tol, includes_prefactor=True,
-                              budget=plan.eval_budget)
+                              rel_tol=plan.rel_tol, budget=plan.eval_budget)
         results = evaluate_points(origin, [x for _, x, _ in points[1:]])
         rows += [ScanRow(h, lam, y_idx, x, res.abs_value, res.est_error,
                          res.converged, res.nodes)

@@ -65,9 +65,12 @@ def test_c07_d4_orders_2d():
 
 
 def test_c08_e_series_boundedness():
+    # h^kappa sup|I| is bounded: each E type's order fits kappa on every h, all converged
     res = _check("C08")
-    for label in ("E6", "E7", "E8"):
-        assert res.details[label]["spread"] <= 3.0
+    for label, kappa in (("E6", 5 / 12), ("E7", 4 / 9), ("E8", 7 / 15)):
+        summary = res.details[f"supnorm --type {label}"]
+        assert abs(summary["slope"] - kappa) <= 0.06
+        assert summary["fit"]["n_rows"] == 10 and summary["cost"]["unconverged"] == 0
 
 
 def test_c09_fold_regime_change():

@@ -282,7 +282,7 @@ def test_fold_runs_the_config_it_echoes(tmp_path, monkeypatch, argv, grid, rel_t
 
 def test_fold_library_defaults_to_the_cli_precision():
     # fold_curve() with no arguments is the experiment `causticlab fold` runs
-    assert fold.FoldExperiment(0.0).rel_tol == RunConfig().rel_tol
+    assert fold.fold_plan(0.0).rel_tol == RunConfig().rel_tol
     assert inspect.signature(fold.fold_curve).parameters["rel_tol"].default == \
         RunConfig().rel_tol
 
@@ -294,7 +294,7 @@ def test_fold_summary_reports_cost(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert list(summary["cost"]) == list(summary["slopes"]) == ["0", "0.5"]
     for cost in summary["cost"].values():
-        assert cost["evaluations"] == 5 * (1 + 2 * fold.X_POINTS)
+        assert cost["evaluations"] == 5 * (1 + 2 * scaling.X_POINTS)
         assert cost["nodes"] > 0 and cost["unconverged"] == 0
 
 
@@ -419,6 +419,9 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     # radius 2^9.5 is within the n <= 3 bound, not the n = 4 one
     (["torus", "--mode", "ball", "--n", "4", "--delta-prime", "1", "--j-min", "2",
       "--j-max", "524288"], "j_max"),
+    # the fold's caustic window is a ScanPlan strategy, not a CLI one
+    (["supnorm", "--x-strategy", "caustic_window"], "x_strategy"),
+    (["sweep", "--x-strategy", "caustic_window"], "x_strategy"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -569,11 +572,10 @@ def test_verify_matrix_carries_details(tmp_path, monkeypatch):
 # amplitude kinds and the keys of the order-tolerance table.  Adding an option
 # means editing this table.
 GOLDEN_OPTIONS = {
-    "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "includes_prefactor",
-                     "budget"],
+    "IntegralSpec": ["phase", "amplitude", "x", "h", "rel_tol", "budget"],
     "ScanPlan": ["phase", "amplitude", "h_grid", "x_strategy", "points_per_shell",
                  "rel_tol", "eval_budget"],
-    "FoldExperiment": ["delta", "h_grid", "rel_tol", "eval_budget"],
+    "fold_plan": ["delta", "h_grid", "rel_tol", "eval_budget"],
     "CapQuery": ["omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "center", "evaluator"],
     "KindRow": ["width_exponent", "prefactor_exponent", "cubic_modulation", "support_const"],
@@ -595,14 +597,14 @@ GOLDEN_OPTIONS = {
 
 def test_option_surface_golden():
     classes = {"IntegralSpec": oscint.IntegralSpec, "ScanPlan": scaling.ScanPlan,
-               "FoldExperiment": fold.FoldExperiment, "CapQuery": torus.CapQuery,
+               "CapQuery": torus.CapQuery,
                "AmplitudeProfile": amplitudes.AmplitudeProfile, "FoldCurve": fold.FoldCurve}
     seen = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in classes.items()}
     seen["KindRow"] = list(amplitudes.KindRow._fields)
     seen["KINDS"] = list(amplitudes.KINDS)
     seen["ORDER_TOLERANCE"] = list(scaling.ORDER_TOLERANCE)
     for fn in (amplitudes.make_amplitude, amplitudes.check_symbol_order,
-               amplitudes.estimate_sup_derivative, scaling.threshold_sweep,
+               amplitudes.estimate_sup_derivative, scaling.threshold_sweep, fold.fold_plan,
                fold.two_segment_breakpoint, torus.cap_solid_volume,
                torus.dyadic_lower_bound_search,
                acceptance.crit02_quasi_homogeneity,

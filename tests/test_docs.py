@@ -60,8 +60,6 @@ def test_readme_tolerance_table_matches_the_constants():
                       [fold.LEMMA62_REL_TOL, fold.LEMMA62_EXPONENT_TOL]),
         "C02 quasi-homogeneity identity": ("defect at most # · (1 + abs(λφ(x, θ)))",
                                            [acceptance.QUASI_HOMOGENEITY_TOL]),
-        "C03 A₁ Fresnel integral": ("relative error # against √(πh) e^{iπ/4}",
+        "C03 A₁ Fresnel integral": ("relative error # against √π e^{iπ/4}",
                                     [acceptance.FRESNEL_REL_TOL]),
-        "C08 E-series boundedness": ("spread (largest over smallest h^κ sup abs(I)) at most #",
-                                     [acceptance.E_SERIES_SPREAD]),
     }

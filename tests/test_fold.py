@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from causticlab import fold
+from causticlab import oscint, scaling
 from causticlab.amplitudes import make_amplitude
-from causticlab.fold import (FoldCurve, FoldExperiment, FoldRun, _x_offsets, fold_curve,
+from causticlab.fold import (DEFAULT_FOLD_H_GRID, FoldCurve, FoldRun, fold_curve, fold_plan,
                              l2_from_coefficients, lemma_62_suite, m_alpha, run_fold,
                              sharp_exponent, two_segment_breakpoint, weighted_cauchy)
 from causticlab.oscint import IntegralSpec, evaluate, evaluate_points, line_offsets
-from causticlab.scaling import ExponentFit, geometric_grid
+from causticlab.scaling import (X_POINTS, ExponentFit, ScanResult, geometric_grid,
+                                supnorm_scan)
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
 QUICK_REL_TOL = 1e-7  # the precision C09 runs the fold at
@@ -39,15 +40,18 @@ def test_sharp_exponent_values():
 
 
 def test_experiment_side_follows_delta():
-    assert [FoldExperiment(d).side for d in (0.0, 0.1, 1.0 / 3.0, 0.34, 0.5, 1.0)] == \
-        ["below"] * 3 + ["above"] * 3
-    assert FoldExperiment(0.2).amplitude.kind == "narrow_bump"
-    assert FoldExperiment(0.5).amplitude.kind == "fold_saturator_above"
+    # the below family (t^3, narrow bump) through 1/3, the above one (-t^3/3) after
+    plans = [fold_plan(d) for d in (0.0, 0.1, 1.0 / 3.0, 0.34, 0.5, 1.0)]
+    assert [p.amplitude.kind for p in plans] == \
+        ["narrow_bump"] * 3 + ["fold_saturator_above"] * 3
+    assert [p.phase.theta_poly((0.0,)).terms[0][0] for p in plans] == [1.0] * 3 + [-1.0 / 3.0] * 3
+    assert {(p.x_strategy, p.h_grid, p.rel_tol, p.eval_budget) for p in plans} == \
+        {("caustic_window", DEFAULT_FOLD_H_GRID, 1e-6, None)}
 
 
 def test_l2_scaling_below():
     # ||u||_2 = (2 pi h)^{1/2} h^{d/2} ||chi||_2
-    exp = FoldExperiment(0.25)
+    exp = fold_plan(0.25)
     vals = [l2_from_coefficients(exp, h) / (math.sqrt(2 * math.pi * h) * h**0.125)
             for h in (1e-2, 1e-3, 1e-4)]
     assert np.ptp(vals) / vals[0] < 1e-6
@@ -55,7 +59,7 @@ def test_l2_scaling_below():
 
 
 def test_l2_scaling_above_is_constant():
-    exp = FoldExperiment(0.5)
+    exp = fold_plan(0.5)
     vals = [l2_from_coefficients(exp, h) for h in (1e-2, 1e-3, 1e-4)]
     assert np.ptp(vals) / vals[0] < 1e-6
     assert vals[0] == pytest.approx(math.sqrt(2 * math.pi) * 1.6767261271736364,
@@ -63,7 +67,7 @@ def test_l2_scaling_above_is_constant():
 
 
 def test_l2_zero_amplitude():
-    exp = FoldExperiment(0.25)
+    exp = fold_plan(0.25)
     assert exp.amplitude.l2_theta(1e-3) > 0  # sanity: the family itself is nonzero
     # the norm is the bump kinds' closed form; a zero (custom) or gaussian amplitude has none
     zero = make_amplitude("custom", 0.0, evaluator=lambda u, h: np.zeros_like(u))
@@ -79,9 +83,8 @@ def test_plancherel_cross_check_x_side():
     order = np.argsort(line_offsets(count))
     xs = dx * np.arange(-count, count + 1)
     for d, h in ((0.5, 2.0**-6), (0.3, 2.0**-6)):
-        exp = FoldExperiment(d)
-        spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7,
-                            includes_prefactor=False)
+        exp = fold_plan(d)
+        spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7)
         results = evaluate_points(spec, [(k * dx,) for k in line_offsets(count)[1:]])
         line = [results[i] for i in order]  # by x
         assert all(r.converged for r in line)
@@ -89,26 +92,25 @@ def test_plancherel_cross_check_x_side():
         for k in (-1600, -377, 0, 21, 900):
             alone = evaluate(replace(spec, x=(k * dx,)))
             assert abs(line[k + count].value - alone.value) <= 1e-7 * peak, (d, k)
-        direct = math.sqrt(np.trapezoid([r.abs_value**2 for r in line], xs))
-        assert direct == pytest.approx(l2_from_coefficients(exp, h), rel=1e-6), d
+        direct = math.sqrt(np.trapezoid([r.abs_value**2 for r in line], xs))  # of h^{-1/2} u
+        assert direct == pytest.approx(h**-0.5 * l2_from_coefficients(exp, h), rel=1e-6), d
 
 
 def test_run_fold_below_slope():
-    run = run_fold(FoldExperiment(0.2, QUICK_GRID, rel_tol=QUICK_REL_TOL))
+    run = run_fold(fold_plan(0.2, QUICK_GRID, rel_tol=QUICK_REL_TOL))
     assert run.fit.verdict == "pass"
     assert run.fit.slope == pytest.approx((1 + 3 * 0.2) / 6, abs=0.04)
 
 
 def test_run_fold_above_slope_and_origin_saturation():
-    run = run_fold(FoldExperiment(0.5, QUICK_GRID, rel_tol=QUICK_REL_TOL))
+    exp = fold_plan(0.5, QUICK_GRID, rel_tol=QUICK_REL_TOL)
+    run = run_fold(exp)
     assert run.fit.slope == pytest.approx(0.375, abs=0.04)
     # u(0) alone achieves the h^{-(1+d)/4} growth: sup equals the origin value
-    exp = FoldExperiment(0.5, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     for h in QUICK_GRID[:2]:
-        origin = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h,
-                                       rel_tol=1e-7, includes_prefactor=False))
+        origin = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7))
         row = next(r for r in run.rows if r.h == h)
-        assert origin.abs_value == pytest.approx(row.sup_abs, rel=1e-9)
+        assert origin.abs_value == pytest.approx(h**-0.5 * row.sup_abs, rel=1e-9)
 
 
 def test_fold_offsets_converge_against_the_origin():
@@ -116,22 +118,22 @@ def test_fold_offsets_converge_against_the_origin():
     # max(|I(x; h)|, |I(0; h)|), as a scan's shells do.  The offsets share one
     # node set per pass, so each sup is compared with the sup of offsets each
     # evaluated alone to rel_tol of its own size, within rel_tol of the sup
-    exp = FoldExperiment(1.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
+    exp = fold_plan(1.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     run = run_fold(exp)
-    per_h = len(_x_offsets(QUICK_GRID[0]))
+    per_h = 1 + 2 * X_POINTS
     assert run.cost["evaluations"] == per_h * len(QUICK_GRID)
     own, on_floor = [], 0
-    for i, (h, row) in enumerate(zip(QUICK_GRID, run.rows)):
-        line = run.evaluations[i * per_h:(i + 1) * per_h]
+    for i, (h, sup) in enumerate(zip(QUICK_GRID, run.scan.sup_rows)):
+        line = run.scan.rows[i * per_h:(i + 1) * per_h]
+        assert {r.h for r in line} == {sup.h} == {h}
         floor = line[0].abs_value if line[0].converged else 0.0
         for res in line:
             assert res.converged
             assert res.est_error <= exp.rel_tol * max(res.abs_value, floor)
             on_floor += res.est_error > exp.rel_tol * res.abs_value
-        alone = [evaluate(IntegralSpec(exp.phase, exp.amplitude, (x,), h,
-                                       rel_tol=exp.rel_tol, includes_prefactor=False))
-                 for x in _x_offsets(h)]
-        assert abs(row.sup_abs - max(r.abs_value for r in alone)) <= exp.rel_tol * row.sup_abs
+        alone = [evaluate(IntegralSpec(exp.phase, exp.amplitude, r.x, h, rel_tol=exp.rel_tol))
+                 for r in line]
+        assert abs(sup.sup_abs - max(r.abs_value for r in alone)) <= exp.rel_tol * sup.sup_abs
         own += alone
     assert on_floor > 0  # some offsets stopped on the origin's floor, not their own size
     assert run.cost["nodes"] < sum(r.nodes for r in own)
@@ -140,20 +142,60 @@ def test_fold_offsets_converge_against_the_origin():
 def test_origin_line_takes_the_half_axis(monkeypatch):
     # the delta = 0 bump is even about 0 and the fold's t^3 and offsets x t are odd, so
     # its line runs on [0, R]; a mixed-parity offset would send it back to [-R, R]
-    exp = FoldExperiment(0.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
+    exp = fold_plan(0.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     half = run_fold(exp).cost["nodes"]
     full_box = make_amplitude("custom", evaluator=lambda u, h: exp.amplitude.axis_slow(u, h))
-    monkeypatch.setattr(fold, "evaluate_points",
+    monkeypatch.setattr(scaling, "evaluate_points",
                         lambda spec, xs: evaluate_points(replace(spec, amplitude=full_box), xs))
     assert half <= 0.55 * run_fold(exp).cost["nodes"]
 
 
+@pytest.mark.parametrize("delta", [0.2, 0.5])
+def test_run_fold_is_the_window_scan_over_l2(delta):
+    # each row is the plan's own supnorm_scan, its sup times h^{1/2} / ||u_h||_2
+    plan = fold_plan(delta, QUICK_GRID, rel_tol=QUICK_REL_TOL)
+    run, scan = run_fold(plan), supnorm_scan(plan)
+    assert run.scan == scan and run.delta == delta
+    assert [(r.h, r.sup_abs, r.l2) for r in run.rows] == [
+        (s.h, s.sup_abs * math.sqrt(s.h), l2_from_coefficients(plan, s.h)) for s in scan.sup_rows]
+    assert [r.ratio for r in run.rows] == [
+        s.sup_abs * math.sqrt(s.h) / l2_from_coefficients(plan, s.h) for s in scan.sup_rows]
+    assert run.cost == scan.cost
+    ks = line_offsets(X_POINTS)
+    assert [(a["h"], a["k"]) for a in run.sup_at] == [(s.h, ks[s.argmax]) for s in scan.sup_rows]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_window_offsets_share_two_chains_at_every_h(monkeypatch, delta):
+    # the window's offsets are exact multiples k dx of one dx, so evaluate_points takes
+    # e^{ik dx t/h} as powers of one z (k > 0) and of its conjugate (k < 0)
+    plan, seen = fold_plan(delta), []
+    chains_of = oscint._chains
+
+    def spy(offsets):
+        seen.append(chains_of(offsets))
+        raise _Stop  # the chains are all this test needs
+
+    monkeypatch.setattr(oscint, "_chains", spy)
+    for h in DEFAULT_FOLD_H_GRID:
+        points = scaling._candidate_points(plan, h)
+        spec = IntegralSpec(plan.phase, plan.amplitude, points[0][1], h)
+        with pytest.raises(_Stop):
+            evaluate_points(spec, [x for _, x, _ in points[1:]])
+    assert [[(c[0], c[2]) for c in chains] for chains in seen] == \
+        [[(None, [1, 3, 5, 7]), (0, [2, 4, 6, 8])]] * len(DEFAULT_FOLD_H_GRID)
+
+
 def test_threshold_families_agree():
     # the above family runs from just past the side rule's 1/3 + 1e-12
-    below = run_fold(FoldExperiment(1.0 / 3.0, QUICK_GRID, rel_tol=QUICK_REL_TOL))
-    above = run_fold(FoldExperiment(1.0 / 3.0 + 1e-11, QUICK_GRID,
-                                  rel_tol=QUICK_REL_TOL))
-    assert (below.experiment.side, above.experiment.side) == ("below", "above")
+    below = run_fold(fold_plan(1.0 / 3.0, QUICK_GRID, rel_tol=QUICK_REL_TOL))
+    above = run_fold(fold_plan(1.0 / 3.0 + 1e-11, QUICK_GRID, rel_tol=QUICK_REL_TOL))
+    assert (below.plan.amplitude.kind, above.plan.amplitude.kind) == \
+        ("narrow_bump", "fold_saturator_above")
     assert abs(below.fit.slope - above.fit.slope) < 0.05
 
 
@@ -226,7 +268,7 @@ def test_inconclusive_run_fails_the_curve_in_any_order():
     def run(delta, slope, verdict):
         ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
         fit = ExponentFit(slope, 0.0, 1.0, ref, 0.04, verdict, 7)
-        return FoldRun(FoldExperiment(delta), (), fit)
+        return FoldRun(fold_plan(delta), ScanResult((), ()), (), fit)
 
     good, bad = run(0.0, 1.0 / 6.0, "pass"), run(0.2, math.nan, "inconclusive")
     for runs in ((good, bad), (bad, good)):

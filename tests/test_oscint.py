@@ -13,7 +13,7 @@ from scipy.special import airy
 from causticlab import oscint, scaling
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
-from causticlab.fold import FoldExperiment
+from causticlab.fold import fold_plan
 from causticlab.oscint import MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate
 
 A1 = build_phase(SingularityType.parse("A1"))
@@ -28,44 +28,42 @@ AIRY_CONST = 1.5466858841559796
 
 
 def test_fresnel_oracle():
-    # integral chi(t) e^{i t^2/h} dt = sqrt(pi h) e^{i pi/4} + O(h^inf)
+    # integral chi(t) e^{i t^2/h} dt = sqrt(pi h) e^{i pi/4} + O(h^inf), times h^{-1/2}
     h = 1e-3
-    res = evaluate(IntegralSpec(A1, FIXED, (), h, rel_tol=1e-8,
-                                includes_prefactor=False))
-    exact = math.sqrt(math.pi * h) * np.exp(1j * math.pi / 4)
+    res = evaluate(IntegralSpec(A1, FIXED, (), h, rel_tol=1e-8))
+    exact = h**-0.5 * math.sqrt(math.pi * h) * np.exp(1j * math.pi / 4)
     assert res.converged
     assert abs(res.value - exact) / abs(exact) < 1e-6
 
 
 def test_airy_frozen_oracle():
+    # I carries the h^{-1/2} prefactor
     h = 1e-2
-    res = evaluate(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=1e-8,
-                                includes_prefactor=False))
+    res = evaluate(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=1e-8))
     assert res.converged
-    assert res.value.real == pytest.approx(AIRY_RAW_H01, rel=1e-9)
-    assert abs(res.value.imag) < 1e-10
+    assert res.value.real == pytest.approx(h**-0.5 * AIRY_RAW_H01, rel=1e-9)
+    assert abs(res.value.imag) < h**-0.5 * 1e-10
     # live cross-check of the frozen constant with a coarser trapezoid
     g = np.linspace(-2.05, 2.05, 2_000_001)
     oracle = np.trapezoid(bump(g) * np.exp(1j * g**3 / h), g)
     assert oracle.real == pytest.approx(AIRY_RAW_H01, rel=1e-8)
-    # with the h^{-1/2} prefactor, |I| tracks the Airy-type constant
-    res_pref = evaluate(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=1e-8))
-    assert res_pref.abs_value == pytest.approx(h**-0.5 * AIRY_RAW_H01, rel=1e-9)
-    assert res_pref.abs_value * h ** (1.0 / 6.0) == pytest.approx(AIRY_CONST, rel=0.05)
+    # |I| tracks the Airy-type constant
+    assert res.abs_value * h ** (1.0 / 6.0) == pytest.approx(AIRY_CONST, rel=0.05)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A3-", "A4", "A5"])
 def test_a_type_origin_against_closed_form(label):
     # h^{-1/p} integral chi(s) e^{i c s^p/h} ds = integral e^{i c u^p} du + O(h^inf),
-    # which is 2 Gamma(1/p)/p |c|^{-1/p} times cos(pi/2p) (odd p) or e^{+-i pi/2p} (even p)
+    # which is 2 Gamma(1/p)/p |c|^{-1/p} times cos(pi/2p) (odd p) or e^{+-i pi/2p} (even p);
+    # I carries h^{-1/2} besides
     phase = build_phase(SingularityType.parse(label))
     x = (0.0,) * phase.k0
     ((c, (p,)),) = phase.theta_poly(x).terms
     h = 2.0**-10
-    res = evaluate(IntegralSpec(phase, FIXED, x, h, rel_tol=1e-10, includes_prefactor=False))
+    res = evaluate(IntegralSpec(phase, FIXED, x, h, rel_tol=1e-10))
     mag = 2.0 * math.gamma(1.0 / p) / p * abs(c) ** (-1.0 / p)
-    exact = mag * (math.cos(math.pi / (2 * p)) if p % 2
-                   else cmath.exp(math.copysign(1.0, c) * 1j * math.pi / (2 * p)))
+    exact = h**-0.5 * mag * (math.cos(math.pi / (2 * p)) if p % 2
+                             else cmath.exp(math.copysign(1.0, c) * 1j * math.pi / (2 * p)))
     assert res.converged
     assert abs(h ** (-1.0 / p) * res.value - exact) <= 1e-11 * abs(exact)
 
@@ -176,10 +174,8 @@ def test_2d_separable_equals_full_path():
     ph = build_phase(SingularityType.parse("E6"))
     amp = make_amplitude("narrow_bump", dim=2)
     h = 2.0**-6
-    sep = evaluate(IntegralSpec(ph, amp, (0.0,) * 5, h, rel_tol=1e-8,
-                                includes_prefactor=False))
-    full = evaluate(IntegralSpec(ph, amp, (0.0, 0.0, 0.0, 1e-30, 0.0), h,
-                                 rel_tol=1e-8, includes_prefactor=False))
+    sep = evaluate(IntegralSpec(ph, amp, (0.0,) * 5, h, rel_tol=1e-8))
+    full = evaluate(IntegralSpec(ph, amp, (0.0, 0.0, 0.0, 1e-30, 0.0), h, rel_tol=1e-8))
     assert sep.value == pytest.approx(full.value, rel=1e-10)
 
 
@@ -251,16 +247,14 @@ def test_coupled_2d_against_brute_tensor_sum(label, x, phase):
 def test_fold_saturator_modulation_cancels_at_origin():
     # above-threshold family against the x t - t^3/3 phase: at x=0 the
     # amplitude modulation cancels the phase exactly and u(0) is a pure
-    # bump integral: u(0) = h^{(d-3)/4} * h^{(1-d)/2} * int chi = 3 h^{-(1+d)/4}
-    from causticlab.fold import FoldExperiment
-
+    # bump integral: u(0) = h^{(d-3)/4} * h^{(1-d)/2} * int chi = 3 h^{-(1+d)/4}, and
+    # I(0) = h^{-1/2} u(0)
     d = 0.5
-    exp = FoldExperiment(d)
+    exp = fold_plan(d)
     h = 2.0**-8
-    res = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h,
-                                rel_tol=1e-8, includes_prefactor=False))
-    assert res.value.imag == pytest.approx(0.0, abs=1e-8)
-    assert res.value.real == pytest.approx(3.0 * h ** (-(1 + d) / 4.0), rel=1e-9)
+    res = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-8))
+    assert res.value.imag == pytest.approx(0.0, abs=h**-0.5 * 1e-8)
+    assert res.value.real == pytest.approx(h**-0.5 * 3.0 * h ** (-(1 + d) / 4.0), rel=1e-9)
 
 
 LABELS_2D = ["D4+", "D4-", "D5", "D6+", "D6-", "D7", "D8+", "D8-", "E6", "E6-", "E7", "E8"]
@@ -377,15 +371,14 @@ def test_line_of_one_point_is_evaluate(spec):
 @pytest.mark.parametrize("e", [8, 12, 14, 16])
 def test_line_offsets_against_airy_closed_form(e):
     # integral e^{i(x t + t^3)/h} dt = 2 pi a Ai(x a / h), a = (h/3)^{1/3} (DLMF 9.5.4);
-    # the bump's edge adds O(h^inf)
+    # the bump's edge adds O(h^inf), and I carries h^{-1/2}
     h = 2.0**-e
     dx = 0.5 * h ** (2.0 / 3.0)
     rel_tol = 1e-7
-    line = _line(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol,
-                              includes_prefactor=False), dx, 4)
+    line = _line(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol), dx, 4)
     a = (h / 3.0) ** (1.0 / 3.0)
     for k, res in zip(oscint.line_offsets(4), line):
-        exact = 2.0 * math.pi * a * float(airy(k * dx * a / h)[0])
+        exact = h**-0.5 * 2.0 * math.pi * a * float(airy(k * dx * a / h)[0])
         assert res.converged
         assert abs(res.value - exact) <= rel_tol * abs(exact), k
 
@@ -403,7 +396,7 @@ def _as_custom(amp):
     (IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=1e-10), []),  # t^3: odd
     (IntegralSpec(A3, FIXED, (0.0, 0.0), 2.0**-10, rel_tol=1e-10), []),  # t^4: even
     # the fold's delta = 0 offsets x = k dx: t^3 and the offsets k dx t, all odd
-    (IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7, includes_prefactor=False),
+    (IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7),
      [(k * 0.5 * 2.0 ** (-8),) for k in oscint.line_offsets(4)[1:]]),
 ])
 def test_mirrored_half_axis_agrees_with_the_full_box(spec, xs):
@@ -421,12 +414,13 @@ def test_mirrored_half_axis_agrees_with_the_full_box(spec, xs):
 
 @pytest.mark.parametrize("e", [14, 16])
 def test_first_pass_at_the_a2_origin_against_closed_form(e):
-    # h^{-1/3} integral chi(t) e^{i t^3/h} dt = (2/3) Gamma(1/3) cos(pi/6) + O(h^inf): a
-    # panel lies across the flat point t = 0, so one pass resolves it on either rule
+    # h^{-1/3} integral chi(t) e^{i t^3/h} dt = (2/3) Gamma(1/3) cos(pi/6) + O(h^inf), and
+    # I carries h^{-1/2}: a panel lies across the flat point t = 0, so one pass resolves
+    # it on either rule
     h = 2.0**-e
-    exact = h ** (1.0 / 3.0) * (2.0 / 3.0) * math.gamma(1.0 / 3.0) * math.cos(math.pi / 6.0)
+    exact = h ** (1.0 / 3.0 - 0.5) * (2.0 / 3.0) * math.gamma(1.0 / 3.0) * math.cos(math.pi / 6.0)
     for amp, tol in ((FIXED, 1e-10), (_as_custom(FIXED), 1e-5)):  # half axis, full box
-        res = evaluate(IntegralSpec(A2, amp, (0.0,), h, includes_prefactor=False, budget=1))
+        res = evaluate(IntegralSpec(A2, amp, (0.0,), h, budget=1))
         assert res.passes == 1
         assert abs(res.value - exact) <= tol * exact
 
@@ -461,7 +455,7 @@ def test_off_centre_or_mixed_parity_keeps_the_full_box(spec, xs):
     (make_amplitude("fold_saturator_above", 0.7), 2.0**-9)])
 def test_line_offsets_agree_with_their_own_evaluate(amp, h):
     rel_tol, dx = 1e-7, 0.5 * h ** (2.0 / 3.0)
-    spec = IntegralSpec(A2, amp, (0.0,), h, rel_tol=rel_tol, includes_prefactor=False)
+    spec = IntegralSpec(A2, amp, (0.0,), h, rel_tol=rel_tol)
     line = _line(spec, dx, 4)
     for k, res in zip(oscint.line_offsets(4), line):
         alone = evaluate(replace(spec, x=(k * dx,)))
@@ -498,7 +492,7 @@ def test_starved_origin_gives_offsets_floor_zero(monkeypatch):
     # of its own 1e-3; the origin converges at pass 4 when the budget lets it
     origin = [1.0, 1.1, 1.05, 1.025, 1.025 + 1e-7]
     offset = [1e-3 + 1e-8 * s for s in range(len(origin))]
-    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=1e-6, includes_prefactor=False)
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=1e-6)
     costs = _scripted_passes(monkeypatch, zip(origin, offset))
     done = _line(spec, 0.01, 1)
     assert [(r.converged, r.passes) for r in done] == [(True, 5), (True, 2), (True, 2)]
@@ -507,7 +501,7 @@ def test_starved_origin_gives_offsets_floor_zero(monkeypatch):
     _scripted_passes(monkeypatch, zip(origin, offset))
     starved = _line(replace(spec, budget=sum(costs[:3])), 0.01, 1)
     assert [(r.converged, r.passes, r.stop) for r in starved] == [(False, 3, "budget")] * 3
-    assert starved[1].est_error == pytest.approx(1e-8)
+    assert starved[1].est_error == pytest.approx(2.0**4 * 1e-8)  # times h^{-1/2}
 
 
 def test_line_counters_follow_each_points_passes():
@@ -539,7 +533,7 @@ def test_points_duplicates_and_mirrors_each_get_their_own_result():
     # repeated targets, a target at spec.x and +-x pairs (one z by cos/sin, the other
     # its conjugate) each get their own result, within the scan's tolerance of evaluate
     rel_tol = 1e-8
-    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=rel_tol, includes_prefactor=False)
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=rel_tol)
     xs = [(0.05,), (0.05,), (-0.05,), (-0.05,), (0.05,), (0.1,), (0.0,), (-0.1,)]
     res = oscint.evaluate_points(spec, xs)
     assert len(res) == 1 + len(xs)
@@ -555,17 +549,16 @@ def test_points_duplicates_and_mirrors_each_get_their_own_result():
 @given(e=st.floats(6.0, 13.0), ys=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5))
 def test_points_against_airy_closed_form(e, ys):
     # integral chi(t) e^{i(x t + t^3)/h} dt = 2 pi a Ai(x a / h), a = (h/3)^{1/3} (DLMF 9.5),
-    # up to O(h^inf) for x <= 0, where the stationary points sit on the bump's plateau;
-    # each x comes with its mirror -x, as on a shell
+    # up to O(h^inf) for x <= 0, where the stationary points sit on the bump's plateau,
+    # and I carries h^{-1/2}; each x comes with its mirror -x, as on a shell
     h, rel_tol = 2.0**-e, 1e-7
     xs = [(sign * y * h ** (2.0 / 3.0),) for y in ys for sign in (-1.0, 1.0)]
-    res = oscint.evaluate_points(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol,
-                                              includes_prefactor=False), xs)
+    res = oscint.evaluate_points(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol), xs)
     a = (h / 3.0) ** (1.0 / 3.0)
     for (x,), r in zip([(0.0,)] + xs, res):
         assert r.converged
         if x <= 0.0:
-            exact = 2.0 * math.pi * a * float(airy(x * a / h)[0])
+            exact = h**-0.5 * 2.0 * math.pi * a * float(airy(x * a / h)[0])
             assert abs(r.value - exact) <= rel_tol * max(abs(exact), res[0].abs_value), x
 
 
@@ -612,10 +605,9 @@ def _line_sums_by_products(part, amp_fn, panels, h, step, count):
 def test_fold_offsets_keep_the_line_bit_for_bit(e, count, delta, slab):
     # the fold's offsets k dx through evaluate_points: the panels follow bound(phi') +
     # count |dx| bound(f_1'), and every pass's sums are the line kernel's, bit for bit
-    h, exp = 2.0**-e, FoldExperiment(delta)
+    h, exp = 2.0**-e, fold_plan(delta)
     dx = 0.5 * h ** (2.0 / 3.0)
-    spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7,
-                        includes_prefactor=False)
+    spec = IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7)
     phi = exp.phase.theta_poly((0.0,))
     if exp.amplitude.modulation_poly() is not None:
         phi = phi + exp.amplitude.modulation_poly()

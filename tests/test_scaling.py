@@ -11,10 +11,11 @@ from scipy.special import airy
 
 from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
-from causticlab.oscint import IntegralResult, IntegralSpec, _integrate, evaluate_points
-from causticlab.scaling import (SHELL_LAMBDA_COUNT, ScanPlan, SupRow, fit_exponent,
-                                geometric_grid, shell_unit_samples, sup_row, supnorm_scan,
-                                threshold_sweep)
+from causticlab.oscint import (IntegralResult, IntegralSpec, _integrate, evaluate_points,
+                               line_offsets)
+from causticlab.scaling import (SHELL_LAMBDA_COUNT, X_POINTS, X_WINDOW, ScanPlan, SupRow,
+                                _candidate_points, fit_exponent, geometric_grid,
+                                shell_unit_samples, sup_row, supnorm_scan, threshold_sweep)
 
 
 def _rows(hs, vals, conv=True):
@@ -96,6 +97,27 @@ def test_scan_plan_validation():
         ScanPlan(ph, amp, (0.25, 0.5, 0.125, 0.0625, 0.03125))  # not decreasing
     with pytest.raises(ValueError):
         ScanPlan(ph, amp, geometric_grid(0.25, 0.001, 5), x_strategy="bogus")
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "D4+"])
+def test_caustic_window_needs_one_unfolding_parameter(label):
+    # the window is a line in x: A3 has k0 = 2 unfolding parameters, A4 and D4+ have 3
+    ph = build_phase(SingularityType.parse(label))
+    with pytest.raises(ValueError, match="caustic_window"):
+        ScanPlan(ph, make_amplitude("narrow_bump", dim=ph.k), geometric_grid(0.25, 0.001, 5),
+                 x_strategy="caustic_window")
+
+
+def test_caustic_window_points_are_multiples_of_one_step():
+    # A2 (s = 1/3): x = k dx, dx = X_WINDOW h^{2/3} / X_POINTS, k in line_offsets order
+    ph = build_phase(SingularityType.parse("A2"))
+    plan = ScanPlan(ph, make_amplitude("narrow_bump"), geometric_grid(2.0**-8, 2.0**-18, 11),
+                    x_strategy="caustic_window")
+    assert (X_WINDOW, X_POINTS) == (2.0, 4)
+    for h in plan.h_grid:
+        dx = 2.0 * h ** (2.0 / 3.0) / 4
+        assert _candidate_points(plan, h) == [(0.0, (0.0,), -1)] + [
+            (h, (k * dx,), i) for i, k in enumerate(line_offsets(4)[1:])]
 
 
 def test_scan_includes_origin_and_dominates_it():
