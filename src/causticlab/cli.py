@@ -267,7 +267,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return 0 if all(e.fit.verdict == "pass" for e in expected) else 1, {
         "type": t.label,
         "entries": [{"delta": e.delta, "exploratory": e.exploratory,
-                     "fit": _fit_payload(e.fit), "cost": e.cost, "sup_at": e.sup_at}
+                     "fit": _fit_payload(e.fit), "cost": e.scan.cost, "sup_at": e.scan.sup_at}
                     for e in entries],
     }
 
@@ -319,8 +319,8 @@ def _run_fold(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     write_csv(out / "fold.csv", ["delta", "h", "sup_abs", "l2", "ratio"], rows)
     return 0 if curve.passed else 1, {
         "slopes": {f"{r.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
-        "cost": {f"{r.delta:.6g}": r.cost for r in curve.runs},
-        "sup_at": {f"{r.delta:.6g}": r.sup_at for r in curve.runs},
+        "cost": {f"{r.delta:.6g}": r.scan.cost for r in curve.runs},
+        "sup_at": {f"{r.delta:.6g}": r.scan.sup_at for r in curve.runs},
         "breakpoint": curve.breakpoint,
         "max_slope_error": curve.max_slope_error,
     }

@@ -47,10 +47,8 @@ import numpy as np
 
 from .amplitudes import make_amplitude
 from .catalog import PhaseFunction, SingularityType, build_phase
-from .oscint import line_offsets
 from .polys import ThetaPoly
-from .scaling import (X_POINTS, ExponentFit, ScanPlan, ScanResult, fit_exponent,
-                      geometric_grid, supnorm_scan)
+from .scaling import ExponentFit, ScanPlan, ScanResult, fit_exponent, geometric_grid, supnorm_scan
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
 DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
@@ -104,25 +102,13 @@ class FoldRow:
 
 @dataclass(frozen=True)
 class FoldRun:
-    plan: ScanPlan
-    scan: ScanResult
+    scan: ScanResult  # the fold_plan's window scan; its cost and sup_at are the run's
     rows: tuple[FoldRow, ...]
     fit: ExponentFit
 
     @property
     def delta(self) -> float:
-        return self.plan.amplitude.delta
-
-    @property
-    def cost(self) -> dict:
-        return self.scan.cost
-
-    @property
-    def sup_at(self) -> list[dict]:
-        """Per h, the window offset k of the sup (x = k dx), and edge when |k| = X_POINTS."""
-        ks = line_offsets(X_POINTS)  # the window in result order
-        return [{"h": sup.h, "k": ks[sup.argmax], "edge": abs(ks[sup.argmax]) == X_POINTS}
-                for sup in self.scan.sup_rows]
+        return self.scan.plan.amplitude.delta
 
 
 def l2_from_coefficients(plan: ScanPlan, h: float) -> float:
@@ -142,7 +128,7 @@ def run_fold(plan: ScanPlan) -> FoldRun:
     ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
     fit = fit_exponent([replace(sup, sup_abs=row.ratio) for sup, row in zip(scan.sup_rows, rows)],
                        ref, FOLD_TOLERANCE)
-    return FoldRun(plan, scan, tuple(rows), fit)
+    return FoldRun(scan, tuple(rows), fit)
 
 
 def two_segment_breakpoint(deltas, slopes):

@@ -48,7 +48,9 @@ e^{i a_i omega_j}, a = theta1^p, omega = G(theta2) / h.  Gaussian gridding
 2005) evaluates it with two spreads and one FFT in O((N1 + N2) w + M log M)
 time, not N1 N2 exponentials, to within 1e-14 sum|u1| sum|u2| by closed-form
 constants: below the dense sum's own round-off, so est_error has no term for
-it.  ``nodes`` still counts the N1 N2 points of the rule.
+it.  So every pass, 1D, 2D product or 2D coupled, costs its axis evaluations,
+PANEL_ORDER times the panels on each axis, summed over the axes: ``nodes``
+counts those, the budget too.
 """
 
 from __future__ import annotations
@@ -62,8 +64,11 @@ from .amplitudes import AmplitudeProfile
 from .catalog import PhaseFunction
 from .polys import ThetaPoly
 
-# Integrand evaluations an evaluation may spend when its spec sets no budget, by k.
-DEFAULT_BUDGET = {1: 2**24, 2: 2**30}
+# Axis evaluations an evaluation may spend when its spec sets no budget, by k.  For
+# k = 2, 2^20 is 3.3 times what D8+- need at h = 2^-10 (317,664 in 2 passes), and a
+# point that never converges (a step amplitude at 2^-10) stops after 1.1-1.5 s at a
+# 190-345 MB peak on a 2-core box.
+DEFAULT_BUDGET = {1: 2**24, 2: 2**20}
 # Panel placement and refinement, calibrated against exact Fresnel/Airy values.
 PANEL_ORDER = 48  # Gauss-Legendre nodes per panel
 NODES_PER_PERIOD = 2.8  # first-pass nodes per local oscillation period
@@ -115,7 +120,7 @@ class IntegralResult:
     est_error: float
     converged: bool
     passes: int
-    nodes: int  # integrand evaluations over all passes
+    nodes: int  # axis evaluations over all passes: N1 + N2 per 2D pass, coupled or not
     stop: str  # converged | budget | max_passes
 
 
@@ -349,8 +354,6 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     mag = h ** (-spec.phase.k / 2.0)
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[spec.phase.k]
     parts, mixed = phi.split_axes()
-    # nodes of a pass: the tensor grid when a term couples the axes
-    combine = math.prod if mixed[1].terms else sum
     spent = 0
     axis_panels = [1] * phi.nvars  # of the last pass; the first has at least 3
     history, spent_after = [], []
@@ -380,7 +383,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
             mid, half = (a[axis_panels[0] // 2:] for a in axes[0])
             mid[0] = half[0] = 0.5 * (mid[0] + half[0])
             axes = [(mid, half)]
-        cost = combine(PANEL_ORDER * a[0].size for a in axes)
+        cost = PANEL_ORDER * sum(a[0].size for a in axes)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
         if s > 0 and spent + cost > budget:

@@ -107,6 +107,7 @@ class SupRow:
 
 @dataclass(frozen=True)
 class ScanResult:
+    plan: ScanPlan
     rows: tuple[ScanRow, ...]
     sup_rows: tuple[SupRow, ...]
 
@@ -116,8 +117,14 @@ class ScanResult:
 
     @property
     def sup_at(self) -> list[dict]:
-        """Per h, where the sup was attained: its lambda level (0 to SHELL_LAMBDA_COUNT - 1,
-        h to 1; -1 at the origin) and y_index, and edge on the outermost level."""
+        """Per h, where the sup was attained: in a caustic_window its offset k (x = k dx),
+        with edge when |k| = X_POINTS; otherwise its lambda level (0 to
+        SHELL_LAMBDA_COUNT - 1, h to 1; -1 at the origin) and y_index, and edge on the
+        outermost level."""
+        if self.plan.x_strategy == "caustic_window":
+            ks = line_offsets(X_POINTS)  # the window in result order
+            return [{"h": sup.h, "k": ks[sup.argmax], "edge": abs(ks[sup.argmax]) == X_POINTS}
+                    for sup in self.sup_rows]
         out = []
         for sup in self.sup_rows:
             rows = [r for r in self.rows if r.h == sup.h]
@@ -229,7 +236,7 @@ def supnorm_scan(plan: ScanPlan) -> ScanResult:
                          res.converged, res.nodes)
                  for (lam, x, y_idx), res in zip(points, results)]
         sup_rows.append(sup_row(h, results))
-    return ScanResult(tuple(rows), tuple(sup_rows))
+    return ScanResult(plan, tuple(rows), tuple(sup_rows))
 
 
 def fit_exponent(sup_rows, reference: Fraction, tolerance: float) -> ExponentFit:
@@ -271,8 +278,7 @@ class SweepEntry:
     delta: float
     fit: ExponentFit
     exploratory: bool
-    cost: dict  # the scan's ScanResult.cost
-    sup_at: list  # and its ScanResult.sup_at
+    scan: ScanResult
 
 
 def threshold_sweep(plan: ScanPlan, deltas) -> list[SweepEntry]:
@@ -290,6 +296,5 @@ def threshold_sweep(plan: ScanPlan, deltas) -> list[SweepEntry]:
     for d in deltas:
         result = supnorm_scan(replace(plan, amplitude=make_amplitude("narrow_bump", d, dim=k)))
         fit = fit_exponent(result.sup_rows, caustic_order(t), ORDER_TOLERANCE[k])
-        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result.cost,
-                              result.sup_at))
+        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result))
     return out

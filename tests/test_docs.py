@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import causticlab
-from causticlab import acceptance, amplitudes, fold, scaling, torus
+from causticlab import acceptance, amplitudes, fold, oscint, scaling, torus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,3 +63,10 @@ def test_readme_tolerance_table_matches_the_constants():
         "C03 A₁ Fresnel integral": ("relative error # against √π e^{iπ/4}",
                                     [acceptance.FRESNEL_REL_TOL]),
     }
+
+
+def test_readme_budget_sentence_matches_default_budget():
+    # the conventions paragraph states each k's default budget as a power of 2
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (one, two), = re.findall(r"2\^(\d+) axis evaluations for k = 1, 2\^(\d+) for k = 2", text)
+    assert oscint.DEFAULT_BUDGET == {1: 2 ** int(one), 2: 2 ** int(two)}

@@ -121,7 +121,7 @@ def test_fold_offsets_converge_against_the_origin():
     exp = fold_plan(1.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     run = run_fold(exp)
     per_h = 1 + 2 * X_POINTS
-    assert run.cost["evaluations"] == per_h * len(QUICK_GRID)
+    assert run.scan.cost["evaluations"] == per_h * len(QUICK_GRID)
     own, on_floor = [], 0
     for i, (h, sup) in enumerate(zip(QUICK_GRID, run.scan.sup_rows)):
         line = run.scan.rows[i * per_h:(i + 1) * per_h]
@@ -136,18 +136,18 @@ def test_fold_offsets_converge_against_the_origin():
         assert abs(sup.sup_abs - max(r.abs_value for r in alone)) <= exp.rel_tol * sup.sup_abs
         own += alone
     assert on_floor > 0  # some offsets stopped on the origin's floor, not their own size
-    assert run.cost["nodes"] < sum(r.nodes for r in own)
+    assert run.scan.cost["nodes"] < sum(r.nodes for r in own)
 
 
 def test_origin_line_takes_the_half_axis(monkeypatch):
     # the delta = 0 bump is even about 0 and the fold's t^3 and offsets x t are odd, so
     # its line runs on [0, R]; a mixed-parity offset would send it back to [-R, R]
     exp = fold_plan(0.0, QUICK_GRID, rel_tol=QUICK_REL_TOL)
-    half = run_fold(exp).cost["nodes"]
+    half = run_fold(exp).scan.cost["nodes"]
     full_box = make_amplitude("custom", evaluator=lambda u, h: exp.amplitude.axis_slow(u, h))
     monkeypatch.setattr(scaling, "evaluate_points",
                         lambda spec, xs: evaluate_points(replace(spec, amplitude=full_box), xs))
-    assert half <= 0.55 * run_fold(exp).cost["nodes"]
+    assert half <= 0.55 * run_fold(exp).scan.cost["nodes"]
 
 
 @pytest.mark.parametrize("delta", [0.2, 0.5])
@@ -160,9 +160,6 @@ def test_run_fold_is_the_window_scan_over_l2(delta):
         (s.h, s.sup_abs * math.sqrt(s.h), l2_from_coefficients(plan, s.h)) for s in scan.sup_rows]
     assert [r.ratio for r in run.rows] == [
         s.sup_abs * math.sqrt(s.h) / l2_from_coefficients(plan, s.h) for s in scan.sup_rows]
-    assert run.cost == scan.cost
-    ks = line_offsets(X_POINTS)
-    assert [(a["h"], a["k"]) for a in run.sup_at] == [(s.h, ks[s.argmax]) for s in scan.sup_rows]
 
 
 class _Stop(Exception):
@@ -194,7 +191,7 @@ def test_threshold_families_agree():
     # the above family runs from just past the side rule's 1/3 + 1e-12
     below = run_fold(fold_plan(1.0 / 3.0, QUICK_GRID, rel_tol=QUICK_REL_TOL))
     above = run_fold(fold_plan(1.0 / 3.0 + 1e-11, QUICK_GRID, rel_tol=QUICK_REL_TOL))
-    assert (below.plan.amplitude.kind, above.plan.amplitude.kind) == \
+    assert (below.scan.plan.amplitude.kind, above.scan.plan.amplitude.kind) == \
         ("narrow_bump", "fold_saturator_above")
     assert abs(below.fit.slope - above.fit.slope) < 0.05
 
@@ -268,7 +265,7 @@ def test_inconclusive_run_fails_the_curve_in_any_order():
     def run(delta, slope, verdict):
         ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
         fit = ExponentFit(slope, 0.0, 1.0, ref, 0.04, verdict, 7)
-        return FoldRun(fold_plan(delta), ScanResult((), ()), (), fit)
+        return FoldRun(ScanResult(fold_plan(delta), (), ()), (), fit)
 
     good, bad = run(0.0, 1.0 / 6.0, "pass"), run(0.2, math.nan, "inconclusive")
     for runs in ((good, bad), (bad, good)):

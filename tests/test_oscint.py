@@ -339,13 +339,39 @@ def test_first_pass_at_fine_h_against_dense_sum(label, monkeypatch):
     assert abs(fast - dense) <= 1e-10 * abs(dense)
 
 
-@pytest.mark.parametrize("label, nodes, passes", [("E7", 4372992, 2), ("D4-", 1668096, 2)])
+def _origin_2d(label, h, **kwargs):
+    ph = build_phase(SingularityType.parse(label))
+    return evaluate(IntegralSpec(ph, make_amplitude("narrow_bump", dim=2), (0.0,) * ph.k0, h,
+                                 **kwargs))
+
+
+@pytest.mark.parametrize("label, nodes, passes", [("E7", 5952, 2), ("D4-", 3744, 2)])
 def test_quadrature_rule_pinned(label, nodes, passes):
     # the panel placement and pass count of the dense engine this one replaced
-    ph = build_phase(SingularityType.parse(label))
-    res = evaluate(IntegralSpec(ph, make_amplitude("narrow_bump", dim=2), (0.0,) * ph.k0,
-                                2.0**-6))
+    res = _origin_2d(label, 2.0**-6)
     assert (res.nodes, res.passes) == (nodes, passes)
+
+
+def test_coupled_and_product_passes_count_alike():
+    # D4+ couples its axes (a NUFFT pass), E6 does not; both place 5 x 7 and then
+    # 7 x 9 panels at 2^-4, so both count PANEL_ORDER (5 + 7 + 7 + 9) axis evaluations
+    pair = [_origin_2d(label, 2.0**-4) for label in ("D4+", "E6")]
+    assert [(r.nodes, r.passes) for r in pair] == [(1344, 2)] * 2
+
+
+def test_budget_counts_axis_evaluations():
+    # D4+ at 2^-4 spends PANEL_ORDER (5 + 7) = 576 axis evaluations on pass 1, 768 on pass 2
+    done = _origin_2d("D4+", 2.0**-4, budget=1344)
+    short = _origin_2d("D4+", 2.0**-4, budget=1343)
+    assert (done.converged, done.passes, done.nodes) == (True, 2, 1344)
+    assert (short.converged, short.passes, short.nodes, short.stop) == (False, 1, 576, "budget")
+
+
+@pytest.mark.parametrize("label", ["D7", "D8-", "D8+"])
+def test_finest_default_2d_h_converges_under_the_default_budget(label):
+    res = _origin_2d(label, 2.0**-10)
+    assert (res.converged, res.passes) == (True, 2)
+    assert res.nodes <= oscint.DEFAULT_BUDGET[2]
 
 
 FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8

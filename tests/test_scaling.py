@@ -13,8 +13,8 @@ from causticlab.amplitudes import make_amplitude
 from causticlab.catalog import SingularityType, build_phase, caustic_order
 from causticlab.oscint import (IntegralResult, IntegralSpec, _integrate, evaluate_points,
                                line_offsets)
-from causticlab.scaling import (SHELL_LAMBDA_COUNT, X_POINTS, X_WINDOW, ScanPlan, SupRow,
-                                _candidate_points, fit_exponent, geometric_grid,
+from causticlab.scaling import (SHELL_LAMBDA_COUNT, X_POINTS, X_WINDOW, ScanPlan, ScanResult,
+                                SupRow, _candidate_points, fit_exponent, geometric_grid,
                                 shell_unit_samples, sup_row, supnorm_scan, threshold_sweep)
 
 
@@ -118,6 +118,17 @@ def test_caustic_window_points_are_multiples_of_one_step():
         dx = 2.0 * h ** (2.0 / 3.0) / 4
         assert _candidate_points(plan, h) == [(0.0, (0.0,), -1)] + [
             (h, (k * dx,), i) for i, k in enumerate(line_offsets(4)[1:])]
+
+
+def test_caustic_window_sup_at_gives_the_offset():
+    # a window's sup lies at an offset k dx (k in line_offsets order), with edge at
+    # |k| = X_POINTS, where a shell scan's lies on a lambda level
+    ph = build_phase(SingularityType.parse("A2"))
+    grid = geometric_grid(2.0**-8, 2.0**-12, 5)
+    plan = ScanPlan(ph, make_amplitude("narrow_bump"), grid, x_strategy="caustic_window")
+    sups = tuple(SupRow(h, 1.0, argmax, True) for h, argmax in zip(grid, (0, 1, 2, 7, 8)))
+    assert ScanResult(plan, (), sups).sup_at == [
+        {"h": h, "k": k, "edge": abs(k) == 4} for h, k in zip(grid, (0, 1, -1, 4, -4))]
 
 
 def test_scan_includes_origin_and_dominates_it():
@@ -266,6 +277,7 @@ def test_threshold_sweep_flags_exploratory():
     entries = threshold_sweep(ScanPlan(build_phase(t), make_amplitude("narrow_bump"), grid),
                               [0.2, 1.0 / 3.0, 0.8])
     assert [e.exploratory for e in entries] == [False, False, True]
+    assert [e.scan.plan.amplitude.delta for e in entries] == [0.2, 1.0 / 3.0, 0.8]
     # at-threshold delta counts as in-scope (inclusive interval)
     assert entries[1].fit.verdict == "pass"
 
