@@ -5,7 +5,7 @@ Families a(theta; h) in the class S^k_delta satisfy
 
     narrow_bump           chi((theta - c)/h^delta)                order 0
     gaussian              h^{-delta/2} exp(-theta^2/h^{2 delta})  order delta/2
-    fold_saturator_above  h^{(delta-3)/4} chi(theta/h^{(1-delta)/2}) e^{i theta^3/3h}
+    fold_saturator_above  h^{(delta-3)/4} chi(theta/h^{(1-delta)/2}) e^{-i theta^3/h}
                                                                   order (3-delta)/4
 
 Each kind's KINDS row gives, as functions of delta, its width and prefactor
@@ -15,8 +15,9 @@ S^0_delta, so its symbol order is its prefactor exponent p.
 
 At delta = 0 the narrow bump is the fixed bump chi(theta - c), the amplitude
 that concentrates at the maximal rate; it is the default everywhere.  The
-narrow bump is also the fold's saturator below delta = 1/3 (paired with
-the fold phase x*t + t^3).  A fourth kind, ``custom``, wraps a caller-supplied
+narrow bump is also the fold's saturator below delta = 1/3 and
+fold_saturator_above its saturator above; both pair with the catalog's A2
+phase x*t + t^3, whose cubic that modulation cancels.  A fourth kind, ``custom``, wraps a caller-supplied
 evaluator; it is the tests' hook for a zero or step amplitude and cannot be
 chosen from the command line.
 
@@ -56,7 +57,7 @@ class KindRow(NamedTuple):
 KINDS = {
     "narrow_bump": lambda d: KindRow(d, 0.0, 0.0, 2.0),
     "gaussian": lambda d: KindRow(d, d / 2.0, 0.0, 4.0),
-    "fold_saturator_above": lambda d: KindRow((1.0 - d) / 2.0, (3.0 - d) / 4.0, 1.0 / 3.0, 2.0),
+    "fold_saturator_above": lambda d: KindRow((1.0 - d) / 2.0, (3.0 - d) / 4.0, -1.0, 2.0),
     "custom": lambda d: KindRow(0.0, 0.0, 0.0, 2.0),
 }
 

@@ -5,21 +5,24 @@ The sharp sup-norm exponent for a delta-concentrated fold family is
     (1 + 3 delta)/6   for delta in [0, 1/3]
     (1 + delta)/4     for delta in [1/3, 1]
 
-(continuous at 1/3).  Each regime has a saturating family:
+(continuous at 1/3).  Both regimes' saturating families run the catalog's
+A2 normal form x t + t^3 (``catalog.build_phase``), and delta picks the
+amplitude, its side read from ``catalog.threshold`` (1/3):
 
     below:  u_h(x) = integral chi(t/h^delta) e^{i(x t + t^3)/h} dt
-    above:  u_h(x) = integral a(t) e^{i(x t - t^3/3)/h} dt,
-            a(t) = h^{(delta-3)/4} chi(t/h^{(1-delta)/2}) e^{i t^3/3h}
+    above:  u_h(x) = integral a(t) e^{i(x t + t^3)/h} dt,
+            a(t) = h^{(delta-3)/4} chi(t/h^{(1-delta)/2}) e^{-i t^3/h}
 
-and each family is run with its own displayed phase.  ``fold_plan`` makes
-the family a ``scaling.ScanPlan`` whose caustic_window scans x = 0 and the
-offsets k dx at the caustic scale, dx = X_WINDOW h^{2/3} / X_POINTS; ``run_fold``
-is that plan's ``supnorm_scan``, so the offsets share one node set per pass,
-e^{ik dx t/h} by repeated products, and converge against |I(0; h)| as a scan's
-shells do.  Both families' amplitudes are even about 0, and their phase terms
-with the modulation folded in (none are left above 1/3) and the offsets k dx t
-are all odd, so that node set covers t >= 0 alone and each sum S stands for
-2 Re S (the half rule of ``oscint``): about half the nodes of the full support.
+whose modulation cancels the cubic, so the above family's phase is x t.
+``fold_plan`` makes the family a ``scaling.ScanPlan`` whose caustic_window
+scans x = 0 and the offsets k dx at the caustic scale,
+dx = X_WINDOW h^{2/3} / X_POINTS; ``run_fold`` is that plan's
+``supnorm_scan``, so the offsets share one node set per pass, e^{ik dx t/h} by
+repeated products, and converge against |I(0; h)| as a scan's shells do.
+Both families' amplitudes are even about 0, and their phase terms with the
+modulation folded in (none are left above 1/3) and the offsets k dx t are all
+odd, so that node set covers t >= 0 alone and each sum S stands for 2 Re S
+(the half rule of ``oscint``): about half the nodes of the full support.
 ||u_h||_2 comes from the coefficient side: the map a -> u is (2 pi h)^{1/2}
 times an isometry, so ||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}.  The scan's
 sup carries the h^{-1/2} of every evaluation, so each row's sup|u_h| is the
@@ -46,8 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .amplitudes import make_amplitude
-from .catalog import PhaseFunction, SingularityType, build_phase
-from .polys import ThetaPoly
+from .catalog import SingularityType, build_phase, threshold
 from .scaling import ExponentFit, ScanPlan, ScanResult, fit_exponent, geometric_grid, supnorm_scan
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
@@ -56,6 +58,7 @@ FOLD_TOLERANCE = 0.04
 BREAKPOINT_WINDOW = (0.28, 0.38)  # around the regime change at delta = 1/3
 LEMMA62_REL_TOL = 1e-6  # closed forms against adaptive quadrature
 LEMMA62_EXPONENTS, LEMMA62_EXPONENT_TOL = (1.5, 1.0), 0.02  # eps-blowup of the two sups
+A2 = SingularityType.parse("A2")
 
 
 def sharp_exponent(delta):
@@ -63,32 +66,16 @@ def sharp_exponent(delta):
     d = Fraction(delta) if isinstance(delta, (Fraction, int)) else float(delta)
     if not 0 <= float(d) <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    return (1 + 3 * d) / 6 if d <= Fraction(1, 3) else (1 + d) / 4
-
-
-def _below_phase() -> PhaseFunction:
-    # the fold normal form itself: x*t + t^3
-    return build_phase(SingularityType.parse("A2"))
-
-
-def _above_phase() -> PhaseFunction:
-    # the Airy-convention fold phase x*t - t^3/3 (same homogeneity weights)
-    third = (Fraction(1, 3),)
-    f = ThetaPoly.from_terms(1, [(-1.0 / 3.0, (3,))])
-    fj = (ThetaPoly.from_terms(1, [(1.0, (1,))]),)
-    return PhaseFunction(SingularityType.parse("A2"), third, third, f, fj)
+    return (1 + 3 * d) / 6 if d <= threshold(A2) else (1 + d) / 4
 
 
 def fold_plan(delta, h_grid=DEFAULT_FOLD_H_GRID, *, rel_tol: float = 1e-6,
               eval_budget: int | None = None) -> ScanPlan:
-    """The caustic-window scan of the saturating family at delta: below through 1/3, above after."""
+    """The caustic-window scan of A2's saturating family at delta: below through 1/3, above after."""
     delta = float(delta)
-    if delta <= 1.0 / 3.0 + 1e-12:
-        phase, amp = _below_phase(), make_amplitude("narrow_bump", delta)
-    else:
-        phase, amp = _above_phase(), make_amplitude("fold_saturator_above", delta)
-    return ScanPlan(phase, amp, tuple(h_grid), x_strategy="caustic_window",
-                    rel_tol=rel_tol, eval_budget=eval_budget)
+    kind = "narrow_bump" if delta <= float(threshold(A2)) + 1e-12 else "fold_saturator_above"
+    return ScanPlan(build_phase(A2), make_amplitude(kind, delta), tuple(h_grid),
+                    x_strategy="caustic_window", rel_tol=rel_tol, eval_budget=eval_budget)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ and one e^{i phi(t; x_0)/h} per node serve every point, and each adds its factor
 e^{i d_j/h}: by cos/sin, as the conjugate of its mirror's (d_j = -d_i), or by
 repeated products along equally spaced targets.  The panels follow a profile
 that bounds every point's |phi'|; each point keeps its own stopping rule and
-reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes.
+reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes,
+and so do a coupled 2D pass's spreads (below), so no pass holds more than one
+slab's per-node temporaries.
 
 Half rule (k = 1): every amplitude kind but ``custom`` is real and even about
 its centre.  When that centre is 0 and every exponent of phi(t; x_0), the
@@ -66,8 +68,8 @@ from .polys import ThetaPoly
 
 # Axis evaluations an evaluation may spend when its spec sets no budget, by k.  For
 # k = 2, 2^20 is 3.3 times what D8+- need at h = 2^-10 (317,664 in 2 passes), and a
-# point that never converges (a step amplitude at 2^-10) stops after 1.1-1.5 s at a
-# 190-345 MB peak on a 2-core box.
+# point that never converges (a step amplitude at 2^-10) stops after 0.6-1.0 s at a
+# 108-118 MB process peak on a 2-core box.
 DEFAULT_BUDGET = {1: 2**24, 2: 2**20}
 # Panel placement and refinement, calibrated against exact Fresnel/Airy values.
 PANEL_ORDER = 48  # Gauss-Legendre nodes per panel
@@ -160,16 +162,21 @@ def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
     Each point reaches the 2 half + 1 grid points around its nearest one, m0, at
     offsets from one rounding of x - m0 step: a large x then shifts its window
     coherently, as a dense sum's phase error would, instead of scattering it.
+    The points go SLAB_NODES at a time, so the memory does not grow with them.
     """
-    m0 = np.rint(x / step)
     k = np.arange(-half, half + 1)
-    w = (x - m0 * step)[:, None] - k * step
-    w **= 2
-    w /= -4.0 * tau
-    np.exp(w, out=w)  # the real weights: each part of values is spread with them
-    idx = ((m0.astype(np.int64)[:, None] + k) & (size - 1)).ravel()
-    return (np.bincount(idx, (w * values.real[:, None]).ravel(), size)
-            + 1j * np.bincount(idx, (w * values.imag[:, None]).ravel(), size))
+    out = np.zeros(size, dtype=complex)
+    for lo in range(0, x.size, SLAB_NODES):
+        xs, vs = x[lo:lo + SLAB_NODES], values[lo:lo + SLAB_NODES]
+        m0 = np.rint(xs / step)
+        w = (xs - m0 * step)[:, None] - k * step
+        w **= 2
+        w /= -4.0 * tau
+        np.exp(w, out=w)  # the real weights: each part of values is spread with them
+        idx = ((m0.astype(np.int64)[:, None] + k) & (size - 1)).ravel()
+        out += (np.bincount(idx, (w * vs.real[:, None]).ravel(), size)
+                + 1j * np.bincount(idx, (w * vs.imag[:, None]).ravel(), size))
+    return out
 
 
 def _type3_sum(u1: np.ndarray, a: np.ndarray, u2: np.ndarray,

@@ -120,10 +120,10 @@ def test_all_builtins_supported_in_fixed_ball():
 
 
 def test_modulated_bump_composition():
-    # the modulated saturator h^{-(3-d)/4} chi(t/h^{(1-d)/2}) e^{i t^3 / 3h}
+    # the modulated saturator h^{-(3-d)/4} chi(t/h^{(1-d)/2}) e^{-i t^3 / h}
     a = make_amplitude("fold_saturator_above", 0.3)
     h, t = 1e-2, 0.05
-    want = h**-0.675 * bump(t / h**0.35) * np.exp(1j * t**3 / (3 * h))
+    want = h**-0.675 * bump(t / h**0.35) * np.exp(-1j * t**3 / h)
     assert a.value(t, h) == pytest.approx(want)
     assert a.modulation_poly() is not None
 

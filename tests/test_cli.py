@@ -237,14 +237,24 @@ def test_supnorm_scans_the_delta_it_is_given(tmp_path):
     assert scans["0"] != scans["0.5"]
 
 
-@pytest.mark.parametrize("delta", ["0.5", "0.6"])
+@pytest.mark.parametrize("delta", ["0.4", "0.5", "0.6"])
 def test_fold_saturator_symbols_pass_on_a_fine_grid(tmp_path, delta):
-    # e^{i theta^3/3h}'s derivatives carry lower-order terms that a grid
-    # coarser than 2^-10 still sees (exit 1 there); 2^-10..2^-20 fits each order
+    # e^{-i theta^3/h}'s derivatives carry lower-order terms that the default
+    # grid still sees for delta from about 0.37 to 0.48 (exit 1 there);
+    # 2^-10..2^-20 fits each order
     argv = ["symbols", "--amplitude", "fold_saturator_above", "--delta", delta,
             "--h-start", "0.0009765625", "--h-stop", "9.5367431640625e-07",
             "--out", str(tmp_path)]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("delta", ["0.6", "0.7"])
+def test_fold_saturator_symbols_pass_on_the_default_grid(tmp_path, delta):
+    argv = ["symbols", "--amplitude", "fold_saturator_above", "--delta", delta,
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["worst_order_error"] <= amplitudes.SYMBOL_ORDER_TOLERANCE
 
 
 def test_symbols_fits_the_delta_it_is_given(tmp_path):

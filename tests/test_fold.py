@@ -9,11 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 from causticlab import oscint, scaling
-from causticlab.amplitudes import make_amplitude
-from causticlab.fold import (DEFAULT_FOLD_H_GRID, FoldCurve, FoldRun, fold_curve, fold_plan,
+from causticlab.amplitudes import bump, make_amplitude
+from causticlab.catalog import SingularityType, build_phase
+from causticlab.fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, FoldCurve, FoldRun, fold_curve, fold_plan,
                              l2_from_coefficients, lemma_62_suite, m_alpha, run_fold,
                              sharp_exponent, two_segment_breakpoint, weighted_cauchy)
 from causticlab.oscint import IntegralSpec, evaluate, evaluate_points, line_offsets
+from causticlab.polys import ThetaPoly
 from causticlab.scaling import (X_POINTS, ExponentFit, ScanResult, geometric_grid,
                                 supnorm_scan)
 
@@ -40,11 +42,16 @@ def test_sharp_exponent_values():
 
 
 def test_experiment_side_follows_delta():
-    # the below family (t^3, narrow bump) through 1/3, the above one (-t^3/3) after
+    # every plan runs the catalog's A2; the narrow bump through 1/3, the above
+    # saturator after, whose modulation cancels t^3 and leaves the phase x t exactly
     plans = [fold_plan(d) for d in (0.0, 0.1, 1.0 / 3.0, 0.34, 0.5, 1.0)]
     assert [p.amplitude.kind for p in plans] == \
         ["narrow_bump"] * 3 + ["fold_saturator_above"] * 3
-    assert [p.phase.theta_poly((0.0,)).terms[0][0] for p in plans] == [1.0] * 3 + [-1.0 / 3.0] * 3
+    assert all(p.phase == build_phase(SingularityType.parse("A2")) for p in plans)
+    for p in plans[3:]:
+        for x in (0.0, 0.25, -1.5):
+            folded = p.phase.theta_poly((x,)) + p.amplitude.modulation_poly()
+            assert folded == ThetaPoly.from_terms(1, [(x, (1,))])
     assert {(p.x_strategy, p.h_grid, p.rel_tol, p.eval_budget) for p in plans} == \
         {("caustic_window", DEFAULT_FOLD_H_GRID, 1e-6, None)}
 
@@ -194,6 +201,22 @@ def test_threshold_families_agree():
     assert (below.scan.plan.amplitude.kind, above.scan.plan.amplitude.kind) == \
         ("narrow_bump", "fold_saturator_above")
     assert abs(below.fit.slope - above.fit.slope) < 0.05
+
+
+@pytest.mark.parametrize("delta", [d for d in DEFAULT_FOLD_DELTAS if d > 1.0 / 3.0])
+def test_above_rows_match_their_closed_form(delta):
+    # C09's above side: at x = 0 the folded phase vanishes, so
+    # u_h(0) = h^{(d-3)/4} integral chi(t/h^{(1-d)/2}) dt = 3 h^{-(1+d)/4}, since
+    # chi(1 + s) + chi(2 - s) = 1 gives integral chi = 3, and |u_h| peaks there
+    # (a >= 0); ||u_h||_2 = sqrt(2 pi) ||chi||_2 at every h
+    assert quad(bump, -2.0, 2.0, points=[-1.0, 1.0])[0] == pytest.approx(3.0, rel=1e-12)
+    chi_l2 = math.sqrt(quad(lambda u: bump(u) ** 2, -2.0, 2.0, points=[-1.0, 1.0],
+                            epsabs=0.0, epsrel=1e-13)[0])
+    run = run_fold(fold_plan(delta, rel_tol=QUICK_REL_TOL))
+    assert len(run.rows) == len(DEFAULT_FOLD_H_GRID)
+    for row in run.rows:
+        assert row.sup_abs == pytest.approx(3.0 * row.h ** (-(1 + delta) / 4.0), rel=QUICK_REL_TOL)
+        assert row.l2 == pytest.approx(math.sqrt(2.0 * math.pi) * chi_l2, rel=QUICK_REL_TOL)
 
 
 def test_breakpoint_recovers_synthetic_hinge():

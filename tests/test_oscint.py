@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_coupled_2d_against_brute_tensor_sum(label, x, phase):
 
 
 def test_fold_saturator_modulation_cancels_at_origin():
-    # above-threshold family against the x t - t^3/3 phase: at x=0 the
+    # above-threshold family against A2's x t + t^3: at x=0 the
     # amplitude modulation cancels the phase exactly and u(0) is a pure
     # bump integral: u(0) = h^{(d-3)/4} * h^{(1-d)/2} * int chi = 3 h^{-(1+d)/4}, and
     # I(0) = h^{-1/2} u(0)
@@ -306,6 +307,36 @@ def test_gauss_spread_bits_match_the_complex_product():
         want = np.bincount(idx, w.real.ravel(), size) + 1j * np.bincount(idx, w.imag.ravel(), size)
         got = oscint._gauss_spread(x, values, step, tau, half, size)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _type3_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=n) + 1j * rng.normal(size=n), rng.uniform(-1.0, 1.0, n),
+            rng.normal(size=n) + 1j * rng.normal(size=n), rng.uniform(-60.0, 40.0, n))
+
+
+def test_type3_sum_is_the_same_in_small_slabs(monkeypatch):
+    # the spreads add up slabs of SLAB_NODES points: 2000 points in one slab or in
+    # eight (the last one short) differ by round-off alone
+    u1, a, u2, omega = _type3_inputs(2000, 21)
+    whole = oscint._type3_sum(u1, a, u2, omega)
+    monkeypatch.setattr(oscint, "SLAB_NODES", 256)
+    sliced = oscint._type3_sum(u1, a, u2, omega)
+    assert sliced != whole  # summed in another order
+    assert abs(sliced - whole) <= 1e-15 * np.abs(u1).sum() * np.abs(u2).sum()
+
+
+def test_type3_sum_memory_is_bounded_by_its_slabs():
+    # 4 SLAB_NODES points per side: one unsliced spread's (N, 2 half + 1) weights,
+    # indices and products alone would pass 128 MiB
+    args = _type3_inputs(4 * oscint.SLAB_NODES, 22)
+    tracemalloc.start()
+    try:
+        oscint._type3_sum(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 @pytest.mark.parametrize("label", LABELS_2D)
