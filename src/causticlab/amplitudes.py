@@ -104,6 +104,8 @@ class AmplitudeProfile:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if self.dim not in (1, 2):
             raise ValueError("only 1D and 2D (tensor) amplitudes are supported")
+        if self.kind == "fold_saturator_above" and self.dim != 1:
+            raise ValueError("fold_saturator_above is A2's amplitude: 1D only")
         if self.kind == "custom" and self.evaluator is None:
             raise ValueError("custom amplitudes need an evaluator")
 
@@ -153,11 +155,7 @@ class AmplitudeProfile:
     def modulation_poly(self) -> ThetaPoly | None:
         """Phase-side modulation exponent as a polynomial (to be divided by h)."""
         c3 = self.row.cubic_modulation
-        if not c3:
-            return None
-        if self.dim == 1:
-            return ThetaPoly.from_terms(1, [(c3, (3,))])
-        return ThetaPoly.from_terms(2, [(c3, (3, 0)), (c3, (0, 3))])
+        return ThetaPoly.from_terms(1, [(c3, (3,))]) if c3 else None
 
     def l2_theta(self, h: float) -> float:
         """||a||_{L^2} in theta (1D) of a bump kind, modulation dropped since |e^{i phi}| = 1.

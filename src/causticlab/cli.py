@@ -21,9 +21,12 @@ fits with the library's tolerance themselves.  An amplitude is named by its
 kind, delta and centre; the kind fixes the rest, and the default kind is the
 narrow bump, so --delta alone sets its concentration rate.  supnorm and sweep
 build one scan plan (``_scan_plan``): a sweep entry is the supnorm scan with
-the narrow bump at that delta.  A torus ball run takes the diophantine
-direction and reads its exponent from --delta-prime alone (0.55 when unset);
-a dyadic run reads --torus-delta, on the rational direction.
+the narrow bump at that delta.  fold runs the same loop over delta
+(``scaling.threshold_sweep``) on ``fold.fold_plan``'s caustic window with
+``fold.fold_family``, whose entries fit sup|u_h| / ||u_h||_2.  A torus ball
+run takes the diophantine direction and reads its exponent from --delta-prime
+alone (0.55 when unset); a dyadic run reads --torus-delta, on the rational
+direction.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ import numpy as np
 from . import acceptance
 from .amplitudes import KINDS, SYMBOL_ORDER_TOLERANCE, check_symbol_order, make_amplitude
 from .catalog import SingularityType, build_phase, catalog_rows, caustic_order, threshold
-from .fold import DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, fold_curve, lemma_62_suite
+from .fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, fold_family, fold_passed, fold_plan,
+                   lemma_62_suite, max_slope_error, two_segment_breakpoint)
 from .reports import fmt_fraction, write_csv, write_json
 from .scaling import (DEFAULT_H_GRID, ORDER_TOLERANCE, ScanPlan, fit_exponent,
                       geometric_grid, supnorm_scan, threshold_sweep)
@@ -131,6 +135,9 @@ def validate(cfg: RunConfig) -> None:
     amplitudes = tuple(kind for kind in KINDS if kind != "custom")  # needs an evaluator
     if cfg.amplitude not in amplitudes:
         raise ConfigError("amplitude", f"must be one of {amplitudes}")
+    if cfg.amplitude == "fold_saturator_above" and \
+            SingularityType.parse(cfg.singularity).label != "A2":
+        raise ConfigError("amplitude", "fold_saturator_above is A2's amplitude: needs --type A2")
     if not 0.0 <= cfg.delta <= 1.0:
         raise ConfigError("delta", f"must lie in [0, 1], got {cfg.delta}")
     if not math.isfinite(cfg.center):
@@ -138,6 +145,8 @@ def validate(cfg: RunConfig) -> None:
     for d in cfg.deltas:
         if not 0.0 <= d <= 1.0:
             raise ConfigError("deltas", f"entry {d} outside [0, 1]")
+    if len({f"{d:.6g}" for d in cfg.deltas}) < len(cfg.deltas):  # the fold's summary keys
+        raise ConfigError("deltas", "two entries agree to 6 significant digits")
     if cfg.h_start is not None and not 0.0 < cfg.h_start < 1.0:
         raise ConfigError("h_start", "must lie in (0, 1)")
     if cfg.h_stop is not None and not 0.0 < cfg.h_stop < 1.0:
@@ -311,18 +320,19 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _run_fold(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    deltas = cfg.deltas or DEFAULT_FOLD_DELTAS
-    curve = fold_curve(deltas, _h_grid(cfg, DEFAULT_FOLD_H_GRID), rel_tol=cfg.rel_tol,
-                       eval_budget=cfg.eval_budget)
-    rows = [[r.delta, r.h, r.sup_abs, r.l2, r.ratio]
-            for run in curve.runs for r in run.rows]
+    plan = fold_plan(0.0, _h_grid(cfg, DEFAULT_FOLD_H_GRID), rel_tol=cfg.rel_tol,
+                     eval_budget=cfg.eval_budget)
+    entries = threshold_sweep(plan, cfg.deltas or DEFAULT_FOLD_DELTAS, fold_family)
+    bp, _ = two_segment_breakpoint([e.delta for e in entries], [e.fit.slope for e in entries])
+    rows = [[e.delta, sup.h, sup.sup_abs * math.sqrt(sup.h), l2, ratio.sup_abs]
+            for e in entries for sup, l2, ratio in zip(e.scan.sup_rows, e.l2, e.fitted)]
     write_csv(out / "fold.csv", ["delta", "h", "sup_abs", "l2", "ratio"], rows)
-    return 0 if curve.passed else 1, {
-        "slopes": {f"{r.delta:.6g}": _fit_payload(r.fit) for r in curve.runs},
-        "cost": {f"{r.delta:.6g}": r.scan.cost for r in curve.runs},
-        "sup_at": {f"{r.delta:.6g}": r.scan.sup_at for r in curve.runs},
-        "breakpoint": curve.breakpoint,
-        "max_slope_error": curve.max_slope_error,
+    return 0 if fold_passed(entries, bp) else 1, {
+        "slopes": {f"{e.delta:.6g}": _fit_payload(e.fit) for e in entries},
+        "cost": {f"{e.delta:.6g}": e.scan.cost for e in entries},
+        "sup_at": {f"{e.delta:.6g}": e.scan.sup_at for e in entries},
+        "breakpoint": bp,
+        "max_slope_error": max_slope_error(entries),
     }
 
 

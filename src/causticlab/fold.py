@@ -14,21 +14,20 @@ amplitude, its side read from ``catalog.threshold`` (1/3):
             a(t) = h^{(delta-3)/4} chi(t/h^{(1-delta)/2}) e^{-i t^3/h}
 
 whose modulation cancels the cubic, so the above family's phase is x t.
-``fold_plan`` makes the family a ``scaling.ScanPlan`` whose caustic_window
-scans x = 0 and the offsets k dx at the caustic scale,
-dx = X_WINDOW h^{2/3} / X_POINTS; ``run_fold`` is that plan's
-``supnorm_scan``, so the offsets share one node set per pass, e^{ik dx t/h} by
-repeated products, and converge against |I(0; h)| as a scan's shells do.
-Both families' amplitudes are even about 0, and their phase terms with the
-modulation folded in (none are left above 1/3) and the offsets k dx t are all
-odd, so that node set covers t >= 0 alone and each sum S stands for 2 Re S
-(the half rule of ``oscint``): about half the nodes of the full support.
-||u_h||_2 comes from the coefficient side: the map a -> u is (2 pi h)^{1/2}
-times an isometry, so ||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2}.  The scan's
-sup carries the h^{-1/2} of every evaluation, so each row's sup|u_h| is the
-scan's times h^{1/2}.  Fitting log(sup/||u||_2) against log(1/h) per delta and
-locating the best two-segment breakpoint of the slope-vs-delta curve turns the
-regime change into one scalar test.
+The fold is a sweep: ``scaling.threshold_sweep`` runs ``fold_family`` over
+``fold_plan``'s caustic_window, x = 0 and the offsets k dx at the caustic
+scale, dx = X_WINDOW h^{2/3} / X_POINTS.  The offsets share one node set per
+pass, e^{ik dx t/h} by repeated products, and converge against |I(0; h)| as a
+scan's shells do.  Both families' amplitudes are even about 0, and their phase
+terms with the modulation folded in (none are left above 1/3) and the offsets
+k dx t are all odd, so that node set covers t >= 0 alone and each sum S stands
+for 2 Re S (the half rule of ``oscint``): about half the nodes of the support.
+The family is normalised by ||u_h||_2 from the coefficient side: the map
+a -> u is (2 pi h)^{1/2} times an isometry, so ||u_h||_{L^2(R)} =
+(2 pi h)^{1/2} ||a||_{L^2}.  Each entry fits log(sup|u_h| / ||u_h||_2), the
+scan's sup without its h^{-1/2}, against log(1/h) and sharp_exponent(delta);
+``run_fold`` is one delta's entry.  The best two-segment breakpoint of the
+slope-vs-delta curve turns the regime change into one scalar test.
 
 ``lemma_62_suite`` cross-checks the two exact integrals behind the
 above-threshold estimate against adaptive quadrature and fits their
@@ -50,7 +49,7 @@ import numpy as np
 
 from .amplitudes import make_amplitude
 from .catalog import SingularityType, build_phase, threshold
-from .scaling import ExponentFit, ScanPlan, ScanResult, fit_exponent, geometric_grid, supnorm_scan
+from .scaling import FamilyMember, ScanPlan, SweepEntry, geometric_grid, threshold_sweep
 
 DEFAULT_FOLD_H_GRID = geometric_grid(2.0**-8, 2.0**-18, 11)
 DEFAULT_FOLD_DELTAS = (0.0, 0.1, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0)
@@ -69,53 +68,32 @@ def sharp_exponent(delta):
     return (1 + 3 * d) / 6 if d <= threshold(A2) else (1 + d) / 4
 
 
-def fold_plan(delta, h_grid=DEFAULT_FOLD_H_GRID, *, rel_tol: float = 1e-6,
-              eval_budget: int | None = None) -> ScanPlan:
-    """The caustic-window scan of A2's saturating family at delta: below through 1/3, above after."""
-    delta = float(delta)
-    kind = "narrow_bump" if delta <= float(threshold(A2)) + 1e-12 else "fold_saturator_above"
-    return ScanPlan(build_phase(A2), make_amplitude(kind, delta), tuple(h_grid),
-                    x_strategy="caustic_window", rel_tol=rel_tol, eval_budget=eval_budget)
-
-
-@dataclass(frozen=True)
-class FoldRow:
-    delta: float
-    h: float
-    sup_abs: float
-    l2: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class FoldRun:
-    scan: ScanResult  # the fold_plan's window scan; its cost and sup_at are the run's
-    rows: tuple[FoldRow, ...]
-    fit: ExponentFit
-
-    @property
-    def delta(self) -> float:
-        return self.scan.plan.amplitude.delta
-
-
 def l2_from_coefficients(plan: ScanPlan, h: float) -> float:
     """||u_h||_{L^2(R)} = (2 pi h)^{1/2} ||a||_{L^2(theta)} (Fourier-side)."""
     return math.sqrt(2.0 * math.pi * h) * plan.amplitude.l2_theta(h)
 
 
-def run_fold(plan: ScanPlan) -> FoldRun:
-    """sup/L2 ratio per h of the plan's scan and its exponent fit against sharp_exponent(delta)."""
-    scan = supnorm_scan(plan)
-    delta = plan.amplitude.delta
-    rows = []
-    for sup in scan.sup_rows:
-        sup_abs = sup.sup_abs * math.sqrt(sup.h)  # |u_h|: without the scan's h^{-1/2}
-        l2 = l2_from_coefficients(plan, sup.h)
-        rows.append(FoldRow(delta, sup.h, sup_abs, l2, sup_abs / l2))
-    ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
-    fit = fit_exponent([replace(sup, sup_abs=row.ratio) for sup, row in zip(scan.sup_rows, rows)],
-                       ref, FOLD_TOLERANCE)
-    return FoldRun(scan, tuple(rows), fit)
+def fold_family(plan: ScanPlan, delta) -> FamilyMember:
+    """A2's saturating family at delta, below through 1/3 and above after, normalised by
+    ||u_h||_2 and judged against sharp_exponent(delta) at FOLD_TOLERANCE."""
+    delta = float(delta)
+    kind = "narrow_bump" if delta <= float(threshold(A2)) + 1e-12 else "fold_saturator_above"
+    return FamilyMember(make_amplitude(kind, delta),
+                        sharp_exponent(Fraction(delta).limit_denominator(10**6)),
+                        FOLD_TOLERANCE, False, l2_from_coefficients)
+
+
+def fold_plan(delta, h_grid=DEFAULT_FOLD_H_GRID, *, rel_tol: float = 1e-6,
+              eval_budget: int | None = None) -> ScanPlan:
+    """The caustic-window scan of A2 with fold_family's amplitude at delta."""
+    plan = ScanPlan(build_phase(A2), make_amplitude("narrow_bump"), tuple(h_grid),
+                    x_strategy="caustic_window", rel_tol=rel_tol, eval_budget=eval_budget)
+    return replace(plan, amplitude=fold_family(plan, delta).amplitude)
+
+
+def run_fold(plan: ScanPlan) -> SweepEntry:
+    """The fold sweep's entry at the plan's delta: its fit of sup/L2 against sharp_exponent."""
+    return threshold_sweep(plan, [plan.amplitude.delta], fold_family)[0]
 
 
 def two_segment_breakpoint(deltas, slopes):
@@ -137,30 +115,15 @@ def two_segment_breakpoint(deltas, slopes):
     return best_t, best_sse
 
 
-@dataclass(frozen=True)
-class FoldCurve:
-    runs: tuple[FoldRun, ...]
-    breakpoint: float
-
-    @property
-    def max_slope_error(self) -> float:
-        """Largest |slope - reference|; NaN if any run has no slope (< 4 converged rows)."""
-        return float(np.max([abs(r.fit.slope - float(r.fit.reference)) for r in self.runs]))
-
-    @property
-    def passed(self) -> bool:
-        """Slopes within FOLD_TOLERANCE, breakpoint in BREAKPOINT_WINDOW."""
-        lo, hi = BREAKPOINT_WINDOW
-        return self.max_slope_error <= FOLD_TOLERANCE and lo <= self.breakpoint <= hi
+def max_slope_error(entries) -> float:
+    """Largest |slope - reference| of the entries; NaN if any has no slope (< 4 converged rows)."""
+    return float(np.max([abs(e.fit.slope - float(e.fit.reference)) for e in entries]))
 
 
-def fold_curve(deltas=DEFAULT_FOLD_DELTAS, h_grid=DEFAULT_FOLD_H_GRID, *,
-               rel_tol: float = 1e-6, eval_budget: int | None = None) -> FoldCurve:
-    """Fit the exponent at each delta (below-family through 1/3, above after)."""
-    runs = [run_fold(fold_plan(d, h_grid, rel_tol=rel_tol, eval_budget=eval_budget))
-            for d in deltas]
-    bp, _ = two_segment_breakpoint([r.delta for r in runs], [r.fit.slope for r in runs])
-    return FoldCurve(tuple(runs), bp)
+def fold_passed(entries, breakpoint: float) -> bool:
+    """Slopes within FOLD_TOLERANCE, breakpoint in BREAKPOINT_WINDOW."""
+    lo, hi = BREAKPOINT_WINDOW
+    return max_slope_error(entries) <= FOLD_TOLERANCE and lo <= breakpoint <= hi
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 Floats are rendered with ``repr`` (shortest round-trip form), rationals as
 "p/q" strings, so rerunning an experiment with the same configuration yields
-byte-identical files.  Nothing time- or environment-dependent belongs here.
+byte-identical files.  A non-finite float (the slope of a fit with too few
+rows) is written to JSON as null, so a strict parser reads every summary.
+Nothing time- or environment-dependent belongs here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,12 +58,12 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):  # NaN and inf have no JSON form
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")

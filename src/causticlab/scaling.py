@@ -27,6 +27,10 @@ it.  ``sup_row`` takes the sup, and keeps a row out of the fit only if an
 unconverged point could reach it.  The fitted exponent of log(sup |I|)
 against log(1/h) is then compared with a reference rational (the caustic
 order, or a regime formula) to produce a pass/fail/inconclusive verdict.
+
+``threshold_sweep`` is the one loop over delta: a family gives each delta's
+amplitude, fit reference and tolerance, and, if normalised, ||u_h||_2.  The
+default ``narrow_bump_family`` tests the h^{-kappa} law up to the threshold.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -273,28 +278,47 @@ def fit_exponent(sup_rows, reference: Fraction, tolerance: float) -> ExponentFit
                        tolerance, verdict, len(usable))
 
 
+class FamilyMember(NamedTuple):
+    """A sweep family at one delta: the amplitude the plan scans, what its fit is judged against."""
+
+    amplitude: AmplitudeProfile
+    reference: Fraction
+    tolerance: float
+    exploratory: bool  # past the family's range: its verdict carries no expectation
+    l2: Callable[[ScanPlan, float], float] | None = None  # ||u_h||_2 of a normalised family
+
+
+def narrow_bump_family(plan: ScanPlan, delta) -> FamilyMember:
+    """The narrow bump centred at 0, fitted to the caustic order at ORDER_TOLERANCE as supnorm
+    is; exploratory past the type's threshold, where the h^-kappa law is not expected."""
+    t, k = plan.phase.singularity, plan.phase.k
+    return FamilyMember(make_amplitude("narrow_bump", delta, dim=k), caustic_order(t),
+                        ORDER_TOLERANCE[k], float(delta) > float(threshold(t)) + 1e-12)
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     delta: float
     fit: ExponentFit
     exploratory: bool
     scan: ScanResult
+    l2: tuple[float, ...]  # ||u_h||_2 per h; empty unless the family is normalised
+    fitted: tuple[SupRow, ...]  # the rows the fit ran on
 
 
-def threshold_sweep(plan: ScanPlan, deltas) -> list[SweepEntry]:
-    """The supnorm scan of ``plan`` with the narrow bump at each delta, fitted alike.
+def threshold_sweep(plan: ScanPlan, deltas, family=narrow_bump_family) -> list[SweepEntry]:
+    """The supnorm scan of ``plan`` with ``family(plan, delta)``'s amplitude at each delta, fitted.
 
-    Each entry scans the plan with its amplitude replaced by the narrow bump
-    centred at 0 and fits the caustic order at ORDER_TOLERANCE, as supnorm
-    does.  Up to and at the type's threshold the verdict is expected to pass;
-    beyond it the entry is flagged exploratory and its verdict carries no
-    expectation.
+    A normalised family (one with ``l2``) is fitted on sup h^{k/2} / ||u_h||_2, the scan's
+    sup without the h^{-k/2} every evaluation carries, over the norm; any other on the sup.
     """
-    t, k = plan.phase.singularity, plan.phase.k
-    thr = float(threshold(t))
     out = []
     for d in deltas:
-        result = supnorm_scan(replace(plan, amplitude=make_amplitude("narrow_bump", d, dim=k)))
-        fit = fit_exponent(result.sup_rows, caustic_order(t), ORDER_TOLERANCE[k])
-        out.append(SweepEntry(float(d), fit, float(d) > thr + 1e-12, result))
+        member = family(plan, d)
+        scan = supnorm_scan(replace(plan, amplitude=member.amplitude))
+        l2 = tuple(member.l2(scan.plan, sup.h) for sup in scan.sup_rows) if member.l2 else ()
+        fitted = tuple(replace(sup, sup_abs=sup.sup_abs * math.sqrt(sup.h**plan.phase.k) / n)
+                       for sup, n in zip(scan.sup_rows, l2)) if l2 else scan.sup_rows
+        fit = fit_exponent(fitted, member.reference, member.tolerance)
+        out.append(SweepEntry(float(d), fit, member.exploratory, scan, l2, fitted))
     return out

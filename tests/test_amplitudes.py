@@ -135,6 +135,8 @@ def test_make_amplitude_rejections():
         make_amplitude("narrow_bump", 1.5)
     with pytest.raises(ValueError):
         make_amplitude("custom", 0.2)  # no evaluator
+    with pytest.raises(ValueError, match="1D only"):
+        make_amplitude("fold_saturator_above", 0.5, dim=2)  # it cancels A2's one cubic
 
 
 def test_narrow_bump_derivative_sup_against_analytic_oracle():

@@ -269,6 +269,20 @@ class _Stop(Exception):
     pass
 
 
+def _fold_sweep_args(tmp_path, monkeypatch, argv) -> tuple:
+    """The arguments `causticlab fold` passes to threshold_sweep."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "threshold_sweep", spy)
+    with pytest.raises(_Stop):
+        main(["fold", *argv, "--out", str(tmp_path)])
+    return seen[0]
+
+
 @pytest.mark.parametrize("argv, grid, rel_tol", [
     ([], fold.DEFAULT_FOLD_H_GRID, 1e-6),
     (["--h-stop", "0.0009765625", "--h-points", "5", "--rel-tol", "1e-10"],
@@ -277,24 +291,43 @@ class _Stop(Exception):
       "--rel-tol", "1e-07"], scaling.geometric_grid(0.0025, 2.0**-14, 7), 1e-7),
 ])
 def test_fold_runs_the_config_it_echoes(tmp_path, monkeypatch, argv, grid, rel_tol):
-    seen = {}
-
-    def spy(deltas, h_grid, **kwargs):
-        seen.update(h_grid=h_grid, **kwargs)
-        raise _Stop
-
-    monkeypatch.setattr(cli, "fold_curve", spy)
-    with pytest.raises(_Stop):
-        main(["fold", *argv, "--out", str(tmp_path)])
-    assert seen["h_grid"] == grid
-    assert seen["rel_tol"] == rel_tol
+    plan, _, family = _fold_sweep_args(tmp_path, monkeypatch, argv)
+    assert family is fold.fold_family
+    assert plan.h_grid == grid
+    assert plan.rel_tol == rel_tol
 
 
-def test_fold_library_defaults_to_the_cli_precision():
-    # fold_curve() with no arguments is the experiment `causticlab fold` runs
+def test_fold_library_defaults_to_the_cli_precision(tmp_path, monkeypatch):
+    # threshold_sweep(fold_plan(0), DEFAULT_FOLD_DELTAS, fold_family) is what `causticlab fold` runs
     assert fold.fold_plan(0.0).rel_tol == RunConfig().rel_tol
-    assert inspect.signature(fold.fold_curve).parameters["rel_tol"].default == \
-        RunConfig().rel_tol
+    assert _fold_sweep_args(tmp_path, monkeypatch, []) == \
+        (fold.fold_plan(0.0), fold.DEFAULT_FOLD_DELTAS, fold.fold_family)
+
+
+def test_fold_csv_ratio_is_the_fitted_sweep_row(tmp_path):
+    # the ratio column is, bit for bit, the fold sweep's fitted sup|u_h| / ||u_h||_2
+    argv = ["fold", "--deltas", "0,0.5", "--h-start", "0.015625", "--h-stop",
+            "0.0009765625", "--h-points", "5", "--out", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    lines = (tmp_path / "fold.csv").read_text().splitlines()
+    assert lines[0] == "delta,h,sup_abs,l2,ratio"
+    ratios = [float(line.split(",")[4]) for line in lines[1:]]
+    plan = fold.fold_plan(0.0, scaling.geometric_grid(2.0**-6, 2.0**-10, 5))
+    assert ratios == [r.sup_abs for d in (0.0, 0.5)
+                      for r in scaling.threshold_sweep(plan, [d], fold.fold_family)[0].fitted]
+
+
+def test_summary_is_strict_json_when_a_fit_has_no_slope(tmp_path):
+    # budget 1 leaves every point unconverged: the fit has no slope, which is null, not NaN
+    assert main(["supnorm", "--type", "A2", "--budget", "1", "--out", str(tmp_path)]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["verdict"] == "inconclusive"
+    assert summary["slope"] is summary["r_squared"] is None
+    assert [summary["fit"][key] for key in ("slope", "intercept", "r_squared")] == [None] * 3
 
 
 def test_fold_summary_reports_cost(tmp_path):
@@ -432,6 +465,12 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     # the fold's caustic window is a ScanPlan strategy, not a CLI one
     (["supnorm", "--x-strategy", "caustic_window"], "x_strategy"),
     (["sweep", "--x-strategy", "caustic_window"], "x_strategy"),
+    # two deltas with one 6-digit summary key
+    (["fold", "--deltas", "0,0.1,0.1000001,0.5,1", "--h-start", "0.015625", "--h-stop",
+      "0.0009765625", "--h-points", "5"], "deltas"),
+    # the above saturator cancels A2's cubic and nothing else
+    (["supnorm", "--type", "A3", "--amplitude", "fold_saturator_above"], "amplitude"),
+    (["supnorm", "--type", "D4+", "--amplitude", "fold_saturator_above"], "amplitude"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -589,13 +628,13 @@ GOLDEN_OPTIONS = {
     "CapQuery": ["omega", "mu", "j", "cap_constant"],
     "AmplitudeProfile": ["kind", "delta", "center", "evaluator"],
     "KindRow": ["width_exponent", "prefactor_exponent", "cubic_modulation", "support_const"],
-    "FoldCurve": ["runs", "breakpoint"],
+    "FamilyMember": ["amplitude", "reference", "tolerance", "exploratory", "l2"],
     "make_amplitude": ["kind", "delta", "center", "dim", "evaluator"],
     "KINDS": ["narrow_bump", "gaussian", "fold_saturator_above", "custom"],
     "ORDER_TOLERANCE": [1, 2],
     "check_symbol_order": ["profile", "h_grid"],
     "estimate_sup_derivative": ["profile", "alpha", "h"],
-    "threshold_sweep": ["plan", "deltas"],
+    "threshold_sweep": ["plan", "deltas", "family"],
     "two_segment_breakpoint": ["deltas", "slopes"],
     "cap_solid_volume": ["n", "J", "delta"],
     "dyadic_lower_bound_search": ["n", "delta", "J_range"],
@@ -608,9 +647,10 @@ GOLDEN_OPTIONS = {
 def test_option_surface_golden():
     classes = {"IntegralSpec": oscint.IntegralSpec, "ScanPlan": scaling.ScanPlan,
                "CapQuery": torus.CapQuery,
-               "AmplitudeProfile": amplitudes.AmplitudeProfile, "FoldCurve": fold.FoldCurve}
+               "AmplitudeProfile": amplitudes.AmplitudeProfile}
     seen = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in classes.items()}
     seen["KindRow"] = list(amplitudes.KindRow._fields)
+    seen["FamilyMember"] = list(scaling.FamilyMember._fields)
     seen["KINDS"] = list(amplitudes.KINDS)
     seen["ORDER_TOLERANCE"] = list(scaling.ORDER_TOLERANCE)
     for fn in (amplitudes.make_amplitude, amplitudes.check_symbol_order,

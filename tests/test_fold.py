@@ -11,13 +11,14 @@ from scipy.integrate import quad
 from causticlab import oscint, scaling
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
-from causticlab.fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, FoldCurve, FoldRun, fold_curve, fold_plan,
-                             l2_from_coefficients, lemma_62_suite, m_alpha, run_fold,
-                             sharp_exponent, two_segment_breakpoint, weighted_cauchy)
+from causticlab.fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, FOLD_TOLERANCE, fold_family,
+                             fold_passed, fold_plan, l2_from_coefficients, lemma_62_suite,
+                             m_alpha, max_slope_error, run_fold, sharp_exponent,
+                             two_segment_breakpoint, weighted_cauchy)
 from causticlab.oscint import IntegralSpec, evaluate, evaluate_points, line_offsets
 from causticlab.polys import ThetaPoly
-from causticlab.scaling import (X_POINTS, ExponentFit, ScanResult, geometric_grid,
-                                supnorm_scan)
+from causticlab.scaling import (X_POINTS, ExponentFit, ScanResult, SweepEntry, geometric_grid,
+                                supnorm_scan, threshold_sweep)
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
 QUICK_REL_TOL = 1e-7  # the precision C09 runs the fold at
@@ -54,6 +55,14 @@ def test_experiment_side_follows_delta():
             assert folded == ThetaPoly.from_terms(1, [(x, (1,))])
     assert {(p.x_strategy, p.h_grid, p.rel_tol, p.eval_budget) for p in plans} == \
         {("caustic_window", DEFAULT_FOLD_H_GRID, 1e-6, None)}
+    # every delta is judged against its sharp exponent on the normalised sup, none exploratory
+    for p in plans:
+        member = fold_family(p, p.amplitude.delta)
+        assert member.amplitude == p.amplitude
+        ref = sharp_exponent(Fraction(p.amplitude.delta).limit_denominator(10**6))
+        assert member.reference == ref
+        assert (member.tolerance, member.exploratory, member.l2) == \
+            (FOLD_TOLERANCE, False, l2_from_coefficients)
 
 
 def test_l2_scaling_below():
@@ -116,8 +125,8 @@ def test_run_fold_above_slope_and_origin_saturation():
     # u(0) alone achieves the h^{-(1+d)/4} growth: sup equals the origin value
     for h in QUICK_GRID[:2]:
         origin = evaluate(IntegralSpec(exp.phase, exp.amplitude, (0.0,), h, rel_tol=1e-7))
-        row = next(r for r in run.rows if r.h == h)
-        assert origin.abs_value == pytest.approx(h**-0.5 * row.sup_abs, rel=1e-9)
+        sup = next(s for s in run.scan.sup_rows if s.h == h)
+        assert origin.abs_value == pytest.approx(h**-0.5 * (sup.sup_abs * math.sqrt(h)), rel=1e-9)
 
 
 def test_fold_offsets_converge_against_the_origin():
@@ -159,14 +168,13 @@ def test_origin_line_takes_the_half_axis(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.2, 0.5])
 def test_run_fold_is_the_window_scan_over_l2(delta):
-    # each row is the plan's own supnorm_scan, its sup times h^{1/2} / ||u_h||_2
+    # each fitted row is the plan's own supnorm_scan, its sup times h^{1/2} / ||u_h||_2
     plan = fold_plan(delta, QUICK_GRID, rel_tol=QUICK_REL_TOL)
     run, scan = run_fold(plan), supnorm_scan(plan)
     assert run.scan == scan and run.delta == delta
-    assert [(r.h, r.sup_abs, r.l2) for r in run.rows] == [
-        (s.h, s.sup_abs * math.sqrt(s.h), l2_from_coefficients(plan, s.h)) for s in scan.sup_rows]
-    assert [r.ratio for r in run.rows] == [
-        s.sup_abs * math.sqrt(s.h) / l2_from_coefficients(plan, s.h) for s in scan.sup_rows]
+    assert run.l2 == tuple(l2_from_coefficients(plan, s.h) for s in scan.sup_rows)
+    assert [(r.h, r.sup_abs) for r in run.fitted] == [
+        (s.h, s.sup_abs * math.sqrt(s.h) / l2_from_coefficients(plan, s.h)) for s in scan.sup_rows]
 
 
 class _Stop(Exception):
@@ -213,10 +221,11 @@ def test_above_rows_match_their_closed_form(delta):
     chi_l2 = math.sqrt(quad(lambda u: bump(u) ** 2, -2.0, 2.0, points=[-1.0, 1.0],
                             epsabs=0.0, epsrel=1e-13)[0])
     run = run_fold(fold_plan(delta, rel_tol=QUICK_REL_TOL))
-    assert len(run.rows) == len(DEFAULT_FOLD_H_GRID)
-    for row in run.rows:
-        assert row.sup_abs == pytest.approx(3.0 * row.h ** (-(1 + delta) / 4.0), rel=QUICK_REL_TOL)
-        assert row.l2 == pytest.approx(math.sqrt(2.0 * math.pi) * chi_l2, rel=QUICK_REL_TOL)
+    assert len(run.fitted) == len(run.l2) == len(DEFAULT_FOLD_H_GRID)
+    for sup, l2 in zip(run.scan.sup_rows, run.l2):
+        assert sup.sup_abs * math.sqrt(sup.h) == \
+            pytest.approx(3.0 * sup.h ** (-(1 + delta) / 4.0), rel=QUICK_REL_TOL)
+        assert l2 == pytest.approx(math.sqrt(2.0 * math.pi) * chi_l2, rel=QUICK_REL_TOL)
 
 
 def test_breakpoint_recovers_synthetic_hinge():
@@ -228,9 +237,11 @@ def test_breakpoint_recovers_synthetic_hinge():
 
 
 def test_fold_curve_small():
-    curve = fold_curve([0.0, 0.2, 1.0 / 3.0, 0.6, 1.0], QUICK_GRID, rel_tol=QUICK_REL_TOL)
-    assert curve.max_slope_error <= 0.04
-    assert 0.25 <= curve.breakpoint <= 0.42  # coarse delta grid, looser window
+    entries = threshold_sweep(fold_plan(0.0, QUICK_GRID, rel_tol=QUICK_REL_TOL),
+                              [0.0, 0.2, 1.0 / 3.0, 0.6, 1.0], fold_family)
+    bp, _ = two_segment_breakpoint([e.delta for e in entries], [e.fit.slope for e in entries])
+    assert max_slope_error(entries) <= 0.04
+    assert 0.25 <= bp <= 0.42  # coarse delta grid, looser window
 
 
 def test_lemma62_rows_and_exponents():
@@ -283,16 +294,16 @@ def test_lemma_62_oracle_agreement_random():
 
 
 def test_inconclusive_run_fails_the_curve_in_any_order():
-    # a run with fewer than 4 converged rows has a NaN slope; it must fail the
-    # verdict wherever it sits among the runs
-    def run(delta, slope, verdict):
+    # an entry with fewer than 4 converged rows has a NaN slope; it must fail the
+    # verdict wherever it sits among the entries
+    def entry(delta, slope, verdict):
         ref = sharp_exponent(Fraction(delta).limit_denominator(10**6))
         fit = ExponentFit(slope, 0.0, 1.0, ref, 0.04, verdict, 7)
-        return FoldRun(ScanResult(fold_plan(delta), (), ()), (), fit)
+        return SweepEntry(delta, fit, False, ScanResult(fold_plan(delta), (), ()), (), ())
 
-    good, bad = run(0.0, 1.0 / 6.0, "pass"), run(0.2, math.nan, "inconclusive")
-    for runs in ((good, bad), (bad, good)):
-        curve = FoldCurve(runs, 1.0 / 3.0)
-        assert math.isnan(curve.max_slope_error)
-        assert not curve.passed
-    assert FoldCurve((good, good), 1.0 / 3.0).passed
+    good, bad = entry(0.0, 1.0 / 6.0, "pass"), entry(0.2, math.nan, "inconclusive")
+    for entries in ((good, bad), (bad, good)):
+        assert math.isnan(max_slope_error(entries))
+        assert not fold_passed(entries, 1.0 / 3.0)
+    assert fold_passed((good, good), 1.0 / 3.0)
+    assert not fold_passed((good, good), 0.5)  # the breakpoint outside BREAKPOINT_WINDOW

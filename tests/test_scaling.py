@@ -280,6 +280,8 @@ def test_threshold_sweep_flags_exploratory():
     assert [e.scan.plan.amplitude.delta for e in entries] == [0.2, 1.0 / 3.0, 0.8]
     # at-threshold delta counts as in-scope (inclusive interval)
     assert entries[1].fit.verdict == "pass"
+    # the narrow bump is not normalised: each fit runs on the scan's own sup rows
+    assert all(e.l2 == () and e.fitted == e.scan.sup_rows for e in entries)
 
 
 def test_sweep_beyond_threshold_changes_law():
