@@ -15,8 +15,10 @@ amplitude, its side read from ``catalog.threshold`` (1/3):
 
 whose modulation cancels the cubic, so the above family's phase is x t.
 The fold is a sweep: ``scaling.threshold_sweep`` runs ``fold_family`` over
-``fold_plan``'s caustic_window, x = 0 and the offsets k dx at the caustic
-scale, dx = X_WINDOW h^{2/3} / X_POINTS.  The offsets share one node set per
+``fold_plan``'s caustic_window, a scan like any other: x = 0, then on each
+level k = 1 .. X_POINTS the unit-shell samples y = -1, +1 at x = k dx y, the
+caustic scale dx = X_WINDOW h^{2/3} / X_POINTS (so a sup_at level is |k| - 1,
+its y_index 0 for k < 0 and 1 for k > 0).  The offsets share one node set per
 pass, e^{ik dx t/h} by repeated products, and converge against |I(0; h)| as a
 scan's shells do.  Both families' amplitudes are even about 0, and their phase
 terms with the modulation folded in (none are left above 1/3) and the offsets

@@ -210,11 +210,6 @@ def _type3_sum(u1: np.ndarray, a: np.ndarray, u2: np.ndarray,
     return complex(eta_side @ a_side) * d / (2.0 * math.sqrt(tau * tau1))
 
 
-def line_offsets(count: int) -> list[int]:
-    """The multiples k of a line's step in result order: 0, 1, -1, ..., count, -count."""
-    return [0] + [sign * k for k in range(1, count + 1) for sign in (1, -1)]
-
-
 def _expi(phase: np.ndarray) -> np.ndarray:
     """e^{i phase}, as cos and sin written into the two parts of one complex array."""
     out = np.empty(phase.shape, dtype=complex)

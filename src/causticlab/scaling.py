@@ -1,19 +1,21 @@
 """Sup-norm scans over (x, h) grids and scaling-exponent fits.
 
-A scan evaluates |I(x; h)| at x = 0 and, by its x_strategy, at more points:
+A scan evaluates |I(x; h)| at x = 0 and, unless its x_strategy is
+``origin_only``, on levels of the unit shell
 
-* ``omega_shells``: quasi-homogeneous shells.  For each of the
-  SHELL_LAMBDA_COUNT lambdas of a geometric ladder from h to 1, points
-  x_j = lambda^{1-s_j} y_j with y on the unit shell
+    boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
 
-      boundary of Omega(1) = { sum_j |y_j|^{1/(1-s_j)} = 1 },
+sampled (``shell_unit_samples``) by sign patterns times a fixed simplex grid
+in the |y_j|^{1/(1-s_j)} coordinates.  Every strategy follows one rule: the
+origin, then for each level each sample y at x_j = scale_j y_j.  ``_levels``
+alone knows the strategy and gives each level's lambda and scales:
 
-  sampled by sign patterns times a fixed simplex grid in the
-  |y_j|^{1/(1-s_j)} coordinates.
-* ``caustic_window`` (one unfolding parameter, k0 = 1): the caustic-scale
-  window x = k dx, dx = X_WINDOW h^{1-s} / X_POINTS, k = +-1 .. +-X_POINTS in
-  ``oscint.line_offsets`` order, exact multiples of one dx.  It is the fold
-  experiment's window; the CLI's --x-strategy does not offer it.
+* ``omega_shells``: the SHELL_LAMBDA_COUNT lambdas of a geometric ladder from
+  h to 1, scale_j = lambda^{1-s_j}, the quasi-homogeneous shells;
+* ``caustic_window``: lambda = h and scale_j = c h^{1-s_j} for
+  c = k X_WINDOW / X_POINTS, k = 1 .. X_POINTS, so each sample's points are
+  exact multiples of its first.  It is the fold experiment's window; the CLI's
+  --x-strategy does not offer it.
 
 The scan is a serial loop over h.  At each h one ``oscint.evaluate_points``
 call evaluates the origin and every other point, on one node set per pass for
@@ -38,17 +40,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .amplitudes import AmplitudeProfile, make_amplitude
 from .catalog import PhaseFunction, caustic_order, threshold
-from .oscint import IntegralSpec, evaluate_points, line_offsets
+from .oscint import IntegralSpec, evaluate_points
 
 ORDER_TOLERANCE = {1: 0.03, 2: 0.06}  # |slope - kappa| of an order fit, by k
 SHELL_LAMBDA_COUNT = 8  # lambdas of an omega_shells ladder, h to 1
-# a caustic_window scans x = 0 and X_POINTS offsets a side out to X_WINDOW h^{1-s}
+# a caustic_window's X_POINTS levels reach out to X_WINDOW h^{1-s} on the unit shell
 X_WINDOW, X_POINTS = 2.0, 4
 
 
@@ -82,9 +85,6 @@ class ScanPlan:
             raise ValueError("points_per_shell must be >= 1")
         if self.x_strategy not in ("origin_only", "omega_shells", "caustic_window"):
             raise ValueError(f"unknown x_strategy {self.x_strategy!r}")
-        if self.x_strategy == "caustic_window" and self.phase.k0 > 1:
-            raise ValueError("a caustic_window scans one unfolding parameter, "
-                             f"{self.phase.singularity.label} has {self.phase.k0}")
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,16 @@ class ScanResult:
 
     @property
     def sup_at(self) -> list[dict]:
-        """Per h, where the sup was attained: in a caustic_window its offset k (x = k dx),
-        with edge when |k| = X_POINTS; otherwise its lambda level (0 to
-        SHELL_LAMBDA_COUNT - 1, h to 1; -1 at the origin) and y_index, and edge on the
-        outermost level."""
-        if self.plan.x_strategy == "caustic_window":
-            ks = line_offsets(X_POINTS)  # the window in result order
-            return [{"h": sup.h, "k": ks[sup.argmax], "edge": abs(ks[sup.argmax]) == X_POINTS}
-                    for sup in self.sup_rows]
+        """Per h, where the sup was attained: the level of ``_levels`` (-1 at the origin) and
+        the y_index of its unit-shell sample, read off the argmax, with edge on the last level."""
+        plan = self.plan
+        levels = len(_levels(plan, plan.h_grid[0]))  # the same at every h
+        per_level = len(shell_unit_samples(plan.phase.s, plan.points_per_shell)) if levels else 1
         out = []
         for sup in self.sup_rows:
-            rows = [r for r in self.rows if r.h == sup.h]
-            best = rows[sup.argmax]
-            level = sorted({r.lam for r in rows}).index(best.lam) - 1  # the origin's lambda is 0
-            out.append({"h": sup.h, "level": level, "y_index": best.y_index,
-                        "edge": level == SHELL_LAMBDA_COUNT - 1})
+            level, y_index = divmod(sup.argmax - 1, per_level) if sup.argmax else (-1, -1)
+            out.append({"h": sup.h, "level": level, "y_index": y_index,
+                        "edge": 0 <= level == levels - 1})
         return out
 
 
@@ -171,48 +166,42 @@ def _compositions(total: int, parts: int):
 def shell_unit_samples(s_weights, points_per_shell: int) -> list[tuple[float, ...]]:
     """Deterministic sample of the unit shell in the |y_j|^{1/(1-s_j)} coordinates.
 
-    Sign patterns times the lattice simplex {n/P : sum n = P} give
-    2^{k0} * binom(P+k0-1, k0-1) points before deduplication of zero
-    coordinates.
+    The lattice simplex {n/P : sum n = P} times the sign patterns of each point's
+    nonzero coordinates, sorted.
     """
     s = [float(v) for v in s_weights]
-    k0 = len(s)
-    if k0 == 0:
+    if not s:
         return [()]
-    us = [tuple(n / points_per_shell for n in comp)
-          for comp in _compositions(points_per_shell, k0)]
-    pts: set[tuple[float, ...]] = set()
-    for u in us:
-        for signs in range(2**k0):
-            y = tuple(
-                (1.0 if (signs >> j) & 1 == 0 else -1.0) * u[j] ** (1.0 - s[j])
-                for j in range(k0))
-            pts.add(y)
+    pts = set()
+    for comp in _compositions(points_per_shell, len(s)):
+        y = [(n / points_per_shell) ** (1.0 - sj) for n, sj in zip(comp, s)]
+        pts.update(product(*[(-v, v) if v else (v,) for v in y]))
     return sorted(pts)
 
 
-def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float, ...], int]]:
-    """(lambda, x, y_index) candidates for one h; origin always included.
-
-    A caustic_window's offset k dx is (h, (k dx,), i), i its position after
-    the origin in ``line_offsets(X_POINTS)``.
-    """
-    k0 = plan.phase.k0
-    origin = (0.0,) * k0
-    points = [(0.0, origin, -1)]
-    if plan.x_strategy == "origin_only" or k0 == 0:
-        return points
+def _levels(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float, ...]]]:
+    """(lambda, per-axis scales) of each level of the plan's candidates at h: the one place
+    that knows the x_strategy.  e_j = 1 - s_j is rounded once from the catalog's Fraction."""
+    if plan.x_strategy == "origin_only" or plan.phase.k0 == 0:
+        return []
+    es = [float(1 - sj) for sj in plan.phase.s]
     if plan.x_strategy == "caustic_window":
-        dx = X_WINDOW * h ** float(1 - plan.phase.s[0]) / X_POINTS
-        return points + [(h, (k * dx,), i) for i, k in enumerate(line_offsets(X_POINTS)[1:])]
-    s = [float(v) for v in plan.phase.s]
+        return [(h, tuple(k * X_WINDOW / X_POINTS * h**e for e in es))
+                for k in range(1, X_POINTS + 1)]
+    return [(lam, tuple(lam**e for e in es))
+            for lam in map(float, np.geomspace(h, 1.0, SHELL_LAMBDA_COUNT))]
+
+
+def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float, ...], int]]:
+    """(lambda, x, y_index) candidates for one h: the origin (0, 0, -1), then for each of
+    ``_levels`` each unit-shell sample y at x_j = scale_j y_j."""
+    points = [(0.0, (0.0,) * plan.phase.k0, -1)]
+    levels = _levels(plan, h)
+    if not levels:
+        return points
     ys = shell_unit_samples(plan.phase.s, plan.points_per_shell)
-    lams = np.geomspace(h, 1.0, SHELL_LAMBDA_COUNT)
-    for lam in lams:
-        for idx, y in enumerate(ys):
-            x = tuple(float(lam) ** (1.0 - sj) * yj for sj, yj in zip(s, y))
-            points.append((float(lam), x, idx))
-    return points
+    return points + [(lam, tuple(c * yj for c, yj in zip(scales, y)), idx)
+                     for lam, scales in levels for idx, y in enumerate(ys)]
 
 
 def sup_row(h: float, results) -> SupRow:

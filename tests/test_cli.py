@@ -342,14 +342,15 @@ def test_fold_summary_reports_cost(tmp_path):
 
 
 def test_fold_summary_says_where_each_sup_lies(tmp_path):
-    # Ai peaks at x a / h = -1.019, i.e. x = -2.94 dx below the regime change; the
-    # above family peaks at x = 0; neither sits on the window's edge k = +-X_POINTS
+    # Ai peaks at x a / h = -1.019, i.e. x = -2.94 dx below the regime change: level 2
+    # (x = -3 dx, y_index 0 on the negative side); the above family peaks at the origin;
+    # neither sits on the window's edge, its last level
     argv = ["fold", "--deltas", "0,0.5", "--h-start", "0.015625", "--h-stop",
             "0.0009765625", "--h-points", "5", "--out", str(tmp_path)]
     assert main(argv) in (0, 1)
     sup_at = json.loads((tmp_path / "summary.json").read_text())["sup_at"]
-    assert [[(s["k"], s["edge"]) for s in sup_at[d]] for d in ("0", "0.5")] == \
-        [[(-3, False)] * 5, [(0, False)] * 5]
+    assert [[(s["level"], s["y_index"], s["edge"]) for s in sup_at[d]] for d in ("0", "0.5")] == \
+        [[(2, 0, False)] * 5, [(-1, -1, False)] * 5]
 
 
 def test_torus_ball_default_exponent_is_delta_prime_055(tmp_path):

@@ -9,6 +9,8 @@ import pytest
 
 import causticlab
 from causticlab import acceptance, amplitudes, fold, oscint, scaling, torus
+from causticlab.amplitudes import make_amplitude
+from causticlab.catalog import SingularityType, build_phase
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,3 +72,16 @@ def test_readme_budget_sentence_matches_default_budget():
     text = " ".join(README.read_text(encoding="utf-8").split())
     (one, two), = re.findall(r"2\^(\d+) axis evaluations for k = 1, 2\^(\d+) for k = 2", text)
     assert oscint.DEFAULT_BUDGET == {1: 2 ** int(one), 2: 2 ** int(two)}
+
+
+def test_readme_sup_at_sentence_names_the_keys_of_every_scan():
+    # one sup_at format: a window's and a shell scan's entries carry the keys the README names
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (sentence,) = re.findall(r"Its `sup_at` list says[^.]*\.", text)
+    named = set(re.findall(r"`(\w+)`", sentence)) - {"sup_at"}
+    grid = scaling.geometric_grid(2.0**-8, 2.0**-12, 5)
+    sups = tuple(scaling.SupRow(h, 1.0, argmax, True) for argmax, h in enumerate(grid))
+    a2 = build_phase(SingularityType.parse("A2"))
+    for strategy in ("caustic_window", "omega_shells"):
+        plan = scaling.ScanPlan(a2, make_amplitude("narrow_bump"), grid, x_strategy=strategy)
+        assert [set(s) for s in scaling.ScanResult(plan, (), sups).sup_at] == [named] * 5

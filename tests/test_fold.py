@@ -15,13 +15,18 @@ from causticlab.fold import (DEFAULT_FOLD_DELTAS, DEFAULT_FOLD_H_GRID, FOLD_TOLE
                              fold_passed, fold_plan, l2_from_coefficients, lemma_62_suite,
                              m_alpha, max_slope_error, run_fold, sharp_exponent,
                              two_segment_breakpoint, weighted_cauchy)
-from causticlab.oscint import IntegralSpec, evaluate, evaluate_points, line_offsets
+from causticlab.oscint import IntegralSpec, evaluate, evaluate_points
 from causticlab.polys import ThetaPoly
 from causticlab.scaling import (X_POINTS, ExponentFit, ScanResult, SweepEntry, geometric_grid,
                                 supnorm_scan, threshold_sweep)
 
 QUICK_GRID = geometric_grid(2.0**-8, 2.0**-16, 7)
 QUICK_REL_TOL = 1e-7  # the precision C09 runs the fold at
+
+
+def line_offsets(count):
+    """The multiples k of a line's step in result order: 0, 1, -1, ..., count, -count."""
+    return [0] + [sign * k for k in range(1, count + 1) for sign in (1, -1)]
 
 
 def test_sharp_exponent_values():

@@ -408,10 +408,15 @@ def test_finest_default_2d_h_converges_under_the_default_budget(label):
 FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8
 
 
+def line_offsets(count):
+    """The multiples k of a line's step in result order: 0, 1, -1, ..., count, -count."""
+    return [0] + [sign * k for k in range(1, count + 1) for sign in (1, -1)]
+
+
 def _line(spec, dx, count):
     """I at spec.x + k dx for k in ``line_offsets(count)`` order, on one node set per pass."""
     return oscint.evaluate_points(
-        spec, [(spec.x[0] + k * dx,) for k in oscint.line_offsets(count)[1:]])
+        spec, [(spec.x[0] + k * dx,) for k in line_offsets(count)[1:]])
 
 
 @pytest.mark.parametrize("spec", [
@@ -434,7 +439,7 @@ def test_line_offsets_against_airy_closed_form(e):
     rel_tol = 1e-7
     line = _line(IntegralSpec(A2, FIXED, (0.0,), h, rel_tol=rel_tol), dx, 4)
     a = (h / 3.0) ** (1.0 / 3.0)
-    for k, res in zip(oscint.line_offsets(4), line):
+    for k, res in zip(line_offsets(4), line):
         exact = h**-0.5 * 2.0 * math.pi * a * float(airy(k * dx * a / h)[0])
         assert res.converged
         assert abs(res.value - exact) <= rel_tol * abs(exact), k
@@ -454,7 +459,7 @@ def _as_custom(amp):
     (IntegralSpec(A3, FIXED, (0.0, 0.0), 2.0**-10, rel_tol=1e-10), []),  # t^4: even
     # the fold's delta = 0 offsets x = k dx: t^3 and the offsets k dx t, all odd
     (IntegralSpec(A2, FIXED, (0.0,), 2.0**-12, rel_tol=1e-7),
-     [(k * 0.5 * 2.0 ** (-8),) for k in oscint.line_offsets(4)[1:]]),
+     [(k * 0.5 * 2.0 ** (-8),) for k in line_offsets(4)[1:]]),
 ])
 def test_mirrored_half_axis_agrees_with_the_full_box(spec, xs):
     # an even amplitude centred at 0 and a phase of one parity: the panels cover [0, R]
@@ -514,7 +519,7 @@ def test_line_offsets_agree_with_their_own_evaluate(amp, h):
     rel_tol, dx = 1e-7, 0.5 * h ** (2.0 / 3.0)
     spec = IntegralSpec(A2, amp, (0.0,), h, rel_tol=rel_tol)
     line = _line(spec, dx, 4)
-    for k, res in zip(oscint.line_offsets(4), line):
+    for k, res in zip(line_offsets(4), line):
         alone = evaluate(replace(spec, x=(k * dx,)))
         assert abs(res.value - alone.value) <= rel_tol * max(alone.abs_value, line[0].abs_value)
 
@@ -525,7 +530,7 @@ def test_line_panels_resolve_every_offset_as_finely_as_alone():
     spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, budget=1)
     dx, count = 0.1, 4
     line = _line(spec, dx, count)
-    alone = [evaluate(replace(spec, x=(k * dx,))) for k in oscint.line_offsets(count)]
+    alone = [evaluate(replace(spec, x=(k * dx,))) for k in line_offsets(count)]
     assert line[0].passes == 1 and line[0].nodes >= max(r.nodes for r in alone)
     assert line[0].nodes > alone[0].nodes
 
@@ -690,6 +695,6 @@ def test_fold_offsets_keep_the_line_bit_for_bit(e, count, delta, slab):
         mp.setattr(oscint, "SLAB_NODES", slab)
         mp.setattr(oscint, "_axis_panels", panels_from_the_line_profile)
         mp.setattr(oscint, "_axis_sums", sums_as_the_line_kernel)
-        res = oscint.evaluate_points(spec, [(k * dx,) for k in oscint.line_offsets(count)[1:]])
+        res = oscint.evaluate_points(spec, [(k * dx,) for k in line_offsets(count)[1:]])
     assert len(res) == 2 * count + 1
     assert checked == [2 * count + 1] * max(r.passes for r in res)

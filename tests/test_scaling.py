@@ -1,6 +1,8 @@
 """Scan geometry, exponent fits, sweep semantics."""
 
+import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
+from causticlab import oscint
 from causticlab.amplitudes import make_amplitude
-from causticlab.catalog import SingularityType, build_phase, caustic_order
-from causticlab.oscint import (IntegralResult, IntegralSpec, _integrate, evaluate_points,
-                               line_offsets)
+from causticlab.catalog import CANONICAL_LABELS, SingularityType, build_phase, caustic_order
+from causticlab.oscint import IntegralResult, IntegralSpec, _integrate, evaluate_points
 from causticlab.scaling import (SHELL_LAMBDA_COUNT, X_POINTS, X_WINDOW, ScanPlan, ScanResult,
                                 SupRow, _candidate_points, fit_exponent, geometric_grid,
                                 shell_unit_samples, sup_row, supnorm_scan, threshold_sweep)
@@ -80,6 +82,36 @@ def test_shell_samples_on_unit_shell():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _all_sign_patterns(s, points_per_shell):
+    """The unit-shell sample as every sign pattern of every simplex point, deduplicated."""
+    pts = set()
+    for comp in itertools.product(range(points_per_shell + 1), repeat=len(s)):
+        if sum(comp) != points_per_shell:
+            continue
+        for signs in itertools.product((1.0, -1.0), repeat=len(s)):
+            pts.add(tuple(sign * (n / points_per_shell) ** (1.0 - float(sj))
+                          for sign, n, sj in zip(signs, comp, s)))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("label", [lb for lb in CANONICAL_LABELS if lb != "A1"])
+def test_shell_samples_flip_only_nonzero_coordinates(label):
+    # a zero coordinate's two signs give one point: the same list, bit for bit
+    s = build_phase(SingularityType.parse(label)).s
+    for p in (1, 2, 3):
+        assert [tuple(map(float.hex, y)) for y in shell_unit_samples(s, p)] == \
+            [tuple(map(float.hex, y)) for y in _all_sign_patterns(s, p)], (label, p)
+
+
+def test_shell_sample_work_follows_its_output():
+    # A19 has k0 = 18: 2^18 sign patterns per simplex point, 36 samples at P = 1
+    s = build_phase(SingularityType.parse("A19")).s
+    start = time.perf_counter()
+    pts = shell_unit_samples(s, 1)
+    assert time.perf_counter() - start < 1.0
+    assert len(pts) == 36
+
+
 def test_shell_sample_count_formula():
     # sign patterns x simplex lattice, minus zero-coordinate duplicates
     s = (Fraction(1, 4), Fraction(1, 2))
@@ -99,17 +131,8 @@ def test_scan_plan_validation():
         ScanPlan(ph, amp, geometric_grid(0.25, 0.001, 5), x_strategy="bogus")
 
 
-@pytest.mark.parametrize("label", ["A3", "A4", "D4+"])
-def test_caustic_window_needs_one_unfolding_parameter(label):
-    # the window is a line in x: A3 has k0 = 2 unfolding parameters, A4 and D4+ have 3
-    ph = build_phase(SingularityType.parse(label))
-    with pytest.raises(ValueError, match="caustic_window"):
-        ScanPlan(ph, make_amplitude("narrow_bump", dim=ph.k), geometric_grid(0.25, 0.001, 5),
-                 x_strategy="caustic_window")
-
-
 def test_caustic_window_points_are_multiples_of_one_step():
-    # A2 (s = 1/3): x = k dx, dx = X_WINDOW h^{2/3} / X_POINTS, k in line_offsets order
+    # A2 (s = 1/3): level k - 1 holds x = -k dx, +k dx, dx = X_WINDOW h^{2/3} / X_POINTS
     ph = build_phase(SingularityType.parse("A2"))
     plan = ScanPlan(ph, make_amplitude("narrow_bump"), geometric_grid(2.0**-8, 2.0**-18, 11),
                     x_strategy="caustic_window")
@@ -117,18 +140,58 @@ def test_caustic_window_points_are_multiples_of_one_step():
     for h in plan.h_grid:
         dx = 2.0 * h ** (2.0 / 3.0) / 4
         assert _candidate_points(plan, h) == [(0.0, (0.0,), -1)] + [
-            (h, (k * dx,), i) for i, k in enumerate(line_offsets(4)[1:])]
+            (h, (sign * k * dx,), i) for k in range(1, 5) for i, sign in enumerate((-1, 1))]
 
 
 def test_caustic_window_sup_at_gives_the_offset():
-    # a window's sup lies at an offset k dx (k in line_offsets order), with edge at
-    # |k| = X_POINTS, where a shell scan's lies on a lambda level
+    # a window's sup at x = k dx reads level |k| - 1 and y_index 0 for k < 0, 1 for k > 0,
+    # with edge at |k| = X_POINTS, the last level; the origin reads level and y_index -1
     ph = build_phase(SingularityType.parse("A2"))
     grid = geometric_grid(2.0**-8, 2.0**-12, 5)
     plan = ScanPlan(ph, make_amplitude("narrow_bump"), grid, x_strategy="caustic_window")
     sups = tuple(SupRow(h, 1.0, argmax, True) for h, argmax in zip(grid, (0, 1, 2, 7, 8)))
     assert ScanResult(plan, (), sups).sup_at == [
-        {"h": h, "k": k, "edge": abs(k) == 4} for h, k in zip(grid, (0, 1, -1, 4, -4))]
+        {"h": h, "level": level, "y_index": y_index, "edge": level == 3}
+        for h, (level, y_index) in zip(grid, ((-1, -1), (0, 0), (0, 1), (3, 0), (3, 1)))]
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_a3_window_is_four_levels_of_unit_shell_samples():
+    # k0 = 2: the four unit-shell samples (+-1, 0), (0, +-1) at x_j = c h^{1-s_j} y_j,
+    # c = k X_WINDOW / X_POINTS, k = 1..4, so each sample's points are multiples of its first
+    ph = build_phase(SingularityType.parse("A3"))
+    plan = ScanPlan(ph, make_amplitude("narrow_bump"), geometric_grid(2.0**-5, 2.0**-9, 5),
+                    x_strategy="caustic_window")
+    ys = shell_unit_samples(ph.s, 1)
+    assert ys == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+    seen, chains_of = [], oscint._chains
+
+    def spy(offsets):
+        seen.append(chains_of(offsets))
+        raise _Stop  # the chains are all this part needs
+
+    for h in plan.h_grid:
+        points = _candidate_points(plan, h)
+        assert len(points) == 17
+        assert [tuple(map(float.hex, x)) for _, x, _ in points[1:]] == [
+            tuple((k / 2 * h ** float(1 - sj) * yj).hex() for sj, yj in zip(ph.s, y))
+            for k in range(1, 5) for y in ys]
+        spec = IntegralSpec(ph, plan.amplitude, points[0][1], h)
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(_Stop):
+            mp.setattr(oscint, "_chains", spy)
+            evaluate_points(spec, [x for _, x, _ in points[1:]])
+    # two direct chains, and two that take the conjugate z of the sample opposite them
+    assert [[(c[0], c[2]) for c in chains] for chains in seen] == [[
+        (None, [1, 5, 9, 13]), (None, [2, 6, 10, 14]), (1, [3, 7, 11, 15]),
+        (0, [4, 8, 12, 16])]] * len(plan.h_grid)
+    result = supnorm_scan(plan)
+    assert len(result.rows) == 17 * len(plan.h_grid)
+    assert all(r.converged for r in result.rows)
+    origin = {r.h: r.abs_value for r in result.rows if r.y_index == -1}
+    assert all(sup.all_converged and sup.sup_abs >= origin[sup.h] for sup in result.sup_rows)
 
 
 def test_scan_includes_origin_and_dominates_it():
