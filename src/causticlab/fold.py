@@ -102,18 +102,21 @@ def two_segment_breakpoint(deltas, slopes):
     """Continuous two-piece linear fit; returns (breakpoint, sse).
 
     The hinge model slope(d) = c0 + c1 d + c2 max(d - t, 0) is linear for each
-    candidate t on the 0.01 grid over [0.05, 0.95]; the best t minimizes the
-    residual.
+    candidate t on the 0.01 grid over [0.05, 0.95], and all of them are solved
+    at once by the stacked pseudo-inverse; the best t minimizes the residual,
+    the first of those within 1e-15 of it.
     """
     d = np.asarray(deltas, dtype=float)
     y = np.asarray(slopes, dtype=float)
+    ts = np.arange(0.05, 0.95 + 0.01 / 2, 0.01)
+    hinge = np.maximum(d - ts[:, None], 0.0)
+    designs = np.stack([np.ones_like(hinge), np.broadcast_to(d, hinge.shape), hinge], axis=2)
+    coef = np.linalg.pinv(designs) @ y
+    sse = np.sum((np.einsum("tij,tj->ti", designs, coef) - y) ** 2, axis=1)
     best_t, best_sse = math.nan, math.inf
-    for t in np.arange(0.05, 0.95 + 0.01 / 2, 0.01):
-        design = np.stack([np.ones_like(d), d, np.maximum(d - t, 0.0)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        sse = float(np.sum((design @ coef - y) ** 2))
-        if sse < best_sse - 1e-15:
-            best_sse, best_t = sse, float(t)
+    for t, e in zip(ts, sse.tolist()):
+        if e < best_sse - 1e-15:
+            best_sse, best_t = e, float(t)
     return best_t, best_sse
 
 

@@ -27,17 +27,21 @@ reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes,
 and so do a coupled 2D pass's spreads (below), so no pass holds more than one
 slab's per-node temporaries.
 
-Half rule (k = 1): every amplitude kind but ``custom`` is real and even about
-its centre.  When that centre is 0 and every exponent of phi(t; x_0), the
-modulation folded in, and of every offset d_j has one parity (no exponent at
-all counts as even), the integrand on [-R, 0] mirrors the one on [0, R].  A
-pass then keeps the upper (n + 1) / 2 of the full box's n panels, the middle
-one cut at 0, so each pass adds at least one panel on [0, R].  Each sum S
-over them stands for 2 S (even) or 2 Re S (odd, an exactly real integral), and
-``nodes`` counts the evaluations made, about half the full box's.  This takes
-every A-type origin, every A2 line or shell scan and both fold families; a
-centre other than 0, a custom amplitude or mixed parities (the A3 shells) keep
-[-R, R].
+Half rule: every amplitude kind but ``custom`` is real and even about its
+centre.  An axis whose centre is 0 halves when every exponent of that axis in
+the terms its sum sees has one parity (a term without the axis counts as
+even): on a product pass the axis's own part of phi(t; x_0) with the
+modulation folded in, plus every offset d_j on the k = 1 axis; on a coupled
+pass every term of phi.  The integrand on t_i < 0 then mirrors the one on
+t_i > 0.  A pass keeps the upper (n + 1) / 2 of the full axis's n panels, the
+middle one cut at 0, so each pass adds at least one panel on [0, R].  An axis
+sum S over them stands for 2 S (even) or 2 Re S (odd, an exactly real
+integral), and a coupled value V with m halved axes for 2^m V, or 2^m Re V if
+one of them is odd; ``nodes`` counts the evaluations made, about half the full
+axis's on each halved one.  This takes every A-type origin, every A2 line or
+shell scan and both fold families, and at x = 0 both axes of D4+-, D6+-, D8+-,
+E6 and E8 and the theta_1 axis of D5, D7 and E7; a centre other than 0, a
+custom amplitude or mixed parities (the A3 shells) keep [-R, R].
 
 For k = 2 the panels tensorize.  The amplitude is a tensor product, so each
 axis's own phase terms sit in that axis's weights, e^{iP(theta_i)/h} times
@@ -67,8 +71,9 @@ from .catalog import PhaseFunction
 from .polys import ThetaPoly
 
 # Axis evaluations an evaluation may spend when its spec sets no budget, by k.  For
-# k = 2, 2^20 is 3.3 times what D8+- need at h = 2^-10 (317,664 in 2 passes), and a
-# point that never converges (a step amplitude at 2^-10) stops after 0.6-1.0 s at a
+# k = 2, 2^20 is 6.2 times what D7, the costliest origin at h = 2^-10, needs there
+# (167,856 in 2 passes; D8+- take 158,928 on their halved axes), and a point that
+# never converges (a step amplitude at 2^-10) stops after 0.6-1.0 s at a
 # 108-118 MB process peak on a 2-core box.
 DEFAULT_BUDGET = {1: 2**24, 2: 2**20}
 # Panel placement and refinement, calibrated against exact Fresnel/Airy values.
@@ -281,7 +286,7 @@ def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, chains) -> np.ndarray:
 
 
 def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: float,
-               amp_fns, axes, chains, mirror: int | None) -> list[complex]:
+               amp_fns, axes, chains, parities) -> list[complex]:
     """One pass on the tensor grid of ``axes``, the (mid, half) panels of each axis.
 
     ``parts`` are the axes' own phase terms and ``mixed`` = (p, G) the rest,
@@ -289,21 +294,25 @@ def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: fl
     weights, u = w * (a * e^{iP/h}); with no mixed term the pass is the product
     of the axis sums (for k = 1, ``_axis_sums`` of the one axis with the
     targets' chains), otherwise the type-3 sum of u1, u2 at a = t1^p,
-    omega = G(t2) / h.  A ``mirror`` parity (``_mirror_parity``) means the k = 1
-    panels cover [0, R] only: each sum S then stands for 2 S (even) or 2 Re S (odd).
+    omega = G(t2) / h.  An axis with a parity (``_axis_parities``, else None)
+    has panels on [0, R] only: its sum S stands for 2 S (even) or 2 Re S (odd),
+    and a type-3 value V with m such axes for 2^m V, or 2^m Re V if one is odd.
     """
     p, g = mixed
     if not g.terms:
         sums = [_axis_sums(part, amp_fn, panels, h, chains if ax == 0 else ())
                 for ax, (part, amp_fn, panels) in enumerate(zip(parts, amp_fns, axes))]
-        if mirror is not None:  # [-R, 0] adds S again, or its conjugate
-            sums[0] = 2.0 * (sums[0].real if mirror else sums[0])
+        for ax, parity in enumerate(parities):  # [-R, 0] adds S again, or its conjugate
+            if parity is not None:
+                sums[ax] = 2.0 * (sums[ax].real if parity else sums[ax])
         # products of numpy scalars round as Python's complex products do; arrays' may not
         return [complex(math.prod(vals)) for vals in zip(*sums)]
     grids = [_panel_nodes(*panels) for panels in axes]
     us = [_weighted_factor(part, amp_fn, nodes, weights, h)
           for part, amp_fn, (nodes, weights) in zip(parts, amp_fns, grids)]
-    return [_type3_sum(us[0], grids[0][0] ** p, us[1], g(grids[1][0]) / h)]
+    value = _type3_sum(us[0], grids[0][0] ** p, us[1], g(grids[1][0]) / h)
+    halved = [parity for parity in parities if parity is not None]
+    return [complex(2 ** len(halved) * (value.real if any(halved) else value))]
 
 
 def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int | None:
@@ -314,18 +323,29 @@ def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int |
     return None
 
 
-def _mirror_parity(amp: AmplitudeProfile, polys) -> int | None:
-    """The parity p shared by every exponent of the 1D ``polys``, if the amplitude is even about 0.
+def _axis_parities(amp: AmplitudeProfile, parts: tuple[ThetaPoly, ...],
+                   mixed: tuple[int, ThetaPoly], offsets) -> list[int | None]:
+    """Per axis i, the parity shared by every t_i exponent its sum sees, if the amplitude allows.
 
-    Every kind but ``custom`` is real and even about its centre.  With that centre
-    at 0 and a phase of parity p (no exponent at all counts as even), the integral
-    over [-R, 0] is the one over [0, R] for p = 0 and its conjugate for p = 1.
-    None when the amplitude is ``custom`` or off centre, or the parities are mixed.
+    Every kind but ``custom`` is real and even about its centre.  With centre_i at 0
+    and one parity p of the terms axis i's sum sees, the integral over t_i < 0 is
+    the one over t_i > 0 for p = 0 and its conjugate for p = 1.  A product pass's
+    axis sees its own part (axis 0 the k = 1 ``offsets`` too), a coupled pass's
+    every term of phi; a term without t_i counts as exponent 0, even.  None when
+    the amplitude is ``custom`` or off centre on the axis, or the parities are mixed.
     """
-    if amp.kind == "custom" or amp.center != (0.0,):
-        return None
-    parities = {e % 2 for poly in polys for _, (e,) in poly.terms}
-    return None if len(parities) > 1 else max(parities, default=0)
+    p, g = mixed
+    out = []
+    for ax, part in enumerate(parts):
+        exps = {e for poly in ((part, *offsets) if ax == 0 else (part,)) for _, (e,) in poly.terms}
+        if g.terms:  # coupled: the mixed terms t1^p G(t2), and the other axis's part
+            exps |= {p} if ax == 0 else {e for _, (e,) in g.terms}
+            if any(other.terms for j, other in enumerate(parts) if j != ax):
+                exps.add(0)
+        parities = {e % 2 for e in exps}
+        out.append(None if amp.kind == "custom" or amp.center[ax] != 0.0 or len(parities) > 1
+                   else max(parities, default=0))
+    return out
 
 
 def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
@@ -340,8 +360,8 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     other point against the converged |I(spec.x)| (0 if that never converged).
     Each result is the one of the first pass that met its point's rule, or of
     the last pass; the loop stops once every point has met it, or on budget or
-    MAX_PASSES.  A k = 1 integrand with a ``_mirror_parity`` keeps the full box's
-    panels on [0, R] alone, and spends about half the nodes.
+    MAX_PASSES.  Each axis with an ``_axis_parities`` parity keeps the full box's
+    panels on [0, R] alone, and spends about half that axis's nodes.
     """
     h, amp, rel_tol = spec.h, spec.amplitude, spec.rel_tol
     phi = spec.phase.theta_poly(spec.x)
@@ -349,13 +369,13 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     if mod is not None:
         phi = phi + mod
     amp_fns = [(lambda u, ax=ax: amp.axis_slow(u, h, ax)) for ax in range(phi.nvars)]
-    mirror = _mirror_parity(amp, (phi, *offsets))
     rad = amp.support_radius(h)
     box = [(c - rad, c + rad) for c in amp.center]
     # the h^{-k/2} prefactor multiplies the raw integrals at the end
     mag = h ** (-spec.phase.k / 2.0)
     budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET[spec.phase.k]
     parts, mixed = phi.split_axes()
+    parities = _axis_parities(amp, parts, mixed, offsets)
     spent = 0
     axis_panels = [1] * phi.nvars  # of the last pass; the first has at least 3
     history, spent_after = [], []
@@ -381,10 +401,11 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
         axes = [_axis_panels(g, tg, h, q, min_nodes, n + 1)
                 for g, tg, n in zip(gs, tgrids, axis_panels)]
         axis_panels = [a[0].size for a in axes]
-        if mirror is not None:  # the upper (n + 1) / 2 panels, the middle one cut at 0
-            mid, half = (a[axis_panels[0] // 2:] for a in axes[0])
-            mid[0] = half[0] = 0.5 * (mid[0] + half[0])
-            axes = [(mid, half)]
+        for ax, (n, parity) in enumerate(zip(axis_panels, parities)):
+            if parity is not None:  # the upper (n + 1) / 2 panels, the middle one cut at 0
+                mid, half = (a[n // 2:] for a in axes[ax])
+                mid[0] = half[0] = 0.5 * (mid[0] + half[0])
+                axes[ax] = (mid, half)
         cost = PANEL_ORDER * sum(a[0].size for a in axes)
         # the coarsest pass always runs so there is a "last estimate" to
         # return; the budget gates every refinement after it
@@ -392,7 +413,7 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
             stop = "budget"
             break
         spent += cost
-        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, chains, mirror))
+        history.append(_pass_sums(parts, mixed, h, amp_fns, axes, chains, parities))
         spent_after.append(spent)
         if None not in met_passes():
             stop = "converged"

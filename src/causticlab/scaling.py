@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
@@ -86,6 +87,17 @@ class ScanPlan:
         if self.x_strategy not in ("origin_only", "omega_shells", "caustic_window"):
             raise ValueError(f"unknown x_strategy {self.x_strategy!r}")
 
+    # what every h's candidates share, computed on first use, once per plan
+    @cached_property
+    def unit_samples(self) -> tuple[tuple[float, ...], ...]:
+        """``shell_unit_samples`` of the phase's s at points_per_shell."""
+        return tuple(shell_unit_samples(self.phase.s, self.points_per_shell))
+
+    @cached_property
+    def exponents(self) -> tuple[float, ...]:
+        """e_j = 1 - s_j, rounded once from the catalog's Fraction."""
+        return tuple(float(1 - sj) for sj in self.phase.s)
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -126,7 +138,7 @@ class ScanResult:
         the y_index of its unit-shell sample, read off the argmax, with edge on the last level."""
         plan = self.plan
         levels = len(_levels(plan, plan.h_grid[0]))  # the same at every h
-        per_level = len(shell_unit_samples(plan.phase.s, plan.points_per_shell)) if levels else 1
+        per_level = len(plan.unit_samples) if levels else 1
         out = []
         for sup in self.sup_rows:
             level, y_index = divmod(sup.argmax - 1, per_level) if sup.argmax else (-1, -1)
@@ -181,10 +193,10 @@ def shell_unit_samples(s_weights, points_per_shell: int) -> list[tuple[float, ..
 
 def _levels(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float, ...]]]:
     """(lambda, per-axis scales) of each level of the plan's candidates at h: the one place
-    that knows the x_strategy.  e_j = 1 - s_j is rounded once from the catalog's Fraction."""
+    that knows the x_strategy.  The scales are powers of the plan's ``exponents``."""
     if plan.x_strategy == "origin_only" or plan.phase.k0 == 0:
         return []
-    es = [float(1 - sj) for sj in plan.phase.s]
+    es = plan.exponents
     if plan.x_strategy == "caustic_window":
         return [(h, tuple(k * X_WINDOW / X_POINTS * h**e for e in es))
                 for k in range(1, X_POINTS + 1)]
@@ -199,9 +211,8 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     levels = _levels(plan, h)
     if not levels:
         return points
-    ys = shell_unit_samples(plan.phase.s, plan.points_per_shell)
     return points + [(lam, tuple(c * yj for c, yj in zip(scales, y)), idx)
-                     for lam, scales in levels for idx, y in enumerate(ys)]
+                     for lam, scales in levels for idx, y in enumerate(plan.unit_samples)]
 
 
 def sup_row(h: float, results) -> SupRow:

@@ -10,7 +10,7 @@ import pytest
 import causticlab
 from causticlab import acceptance, amplitudes, fold, oscint, scaling, torus
 from causticlab.amplitudes import make_amplitude
-from causticlab.catalog import SingularityType, build_phase
+from causticlab.catalog import CANONICAL_LABELS, SingularityType, build_phase
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -85,3 +85,31 @@ def test_readme_sup_at_sentence_names_the_keys_of_every_scan():
     for strategy in ("caustic_window", "omega_shells"):
         plan = scaling.ScanPlan(a2, make_amplitude("narrow_bump"), grid, x_strategy=strategy)
         assert [set(s) for s in scaling.ScanResult(plan, (), sups).sup_at] == [named] * 5
+
+
+def test_readme_half_rule_names_the_halved_axes():
+    # the table of halved axes at x = 0 against the engine's per-axis parities, for
+    # every 2D catalog type; "D4±" names D4+ and D4-, an axis it omits keeps [-R, R]
+    lines = README.read_text(encoding="utf-8").split("| types at x = 0 | halved axes |")[1]
+    table = {}
+    for line in lines.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        types, axes = (cell.strip() for cell in line.strip("|").split("|"))
+        halved = [None, None]
+        for axis, parity in re.findall(r"θ([12]) (even|odd)", axes):
+            halved[int(axis) - 1] = ("even", "odd").index(parity)
+        for label in types.split(", "):
+            for variant in ([label[:-1] + "+", label[:-1] + "-"] if label.endswith("±")
+                            else [label]):
+                assert variant not in table, variant
+                table[variant] = halved
+    amp = make_amplitude("narrow_bump", dim=2)
+    engine = {}
+    for label in CANONICAL_LABELS:
+        ph = build_phase(SingularityType.parse(label))
+        if ph.k == 2:
+            parts, mixed = ph.theta_poly((0.0,) * ph.k0).split_axes()
+            engine[label] = oscint._axis_parities(amp, parts, mixed, ())
+    assert len(engine) == 11
+    assert table == engine

@@ -241,6 +241,35 @@ def test_breakpoint_recovers_synthetic_hinge():
     assert sse < 1e-4
 
 
+def _breakpoint_by_loop(deltas, slopes):
+    """The hinge fit one lstsq per candidate t, as ``two_segment_breakpoint`` states it."""
+    d, y = np.asarray(deltas, dtype=float), np.asarray(slopes, dtype=float)
+    best_t, best_sse = math.nan, math.inf
+    for t in np.arange(0.05, 0.95 + 0.01 / 2, 0.01):
+        design = np.stack([np.ones_like(d), d, np.maximum(d - t, 0.0)], axis=1)
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        sse = float(np.sum((design @ coef - y) ** 2))
+        if sse < best_sse - 1e-15:
+            best_sse, best_t = sse, float(t)
+    return best_t, best_sse
+
+
+def test_stacked_breakpoint_matches_the_loop():
+    # C09's deltas with the sharp exponents, then seeded noise around them, then
+    # seeded slopes with no hinge at all, and a finer random delta set
+    rng = np.random.default_rng(9)
+    d = np.array(DEFAULT_FOLD_DELTAS)
+    sharp = np.array([float(sharp_exponent(v)) for v in d])
+    cases = [(d, sharp)] + [(d, sharp + rng.normal(0.0, s, d.size)) for s in (1e-7, 1e-3, 0.02)]
+    cases += [(d, rng.uniform(0.0, 0.5, d.size)) for _ in range(20)]
+    cases += [(np.sort(rng.uniform(0.0, 1.0, 15)), rng.uniform(0.0, 0.5, 15)) for _ in range(10)]
+    for deltas, slopes in cases:
+        bp, sse = two_segment_breakpoint(deltas, slopes)
+        ref_bp, ref_sse = _breakpoint_by_loop(deltas, slopes)
+        assert bp == ref_bp
+        assert sse == pytest.approx(ref_sse, rel=1e-9, abs=1e-20)
+
+
 def test_fold_curve_small():
     entries = threshold_sweep(fold_plan(0.0, QUICK_GRID, rel_tol=QUICK_REL_TOL),
                               [0.0, 0.2, 1.0 / 3.0, 0.6, 1.0], fold_family)

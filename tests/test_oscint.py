@@ -370,32 +370,74 @@ def test_first_pass_at_fine_h_against_dense_sum(label, monkeypatch):
     assert abs(fast - dense) <= 1e-10 * abs(dense)
 
 
-def _origin_2d(label, h, **kwargs):
+BUMP_2D = make_amplitude("narrow_bump", dim=2)
+
+
+def _as_custom(amp):
+    """``amp`` wrapped as a custom amplitude: the same values, always on the full box."""
+    return make_amplitude("custom", center=amp.center[0], dim=amp.dim,
+                          evaluator=lambda u, h: amp.axis_slow(u, h))
+
+
+def _origin_2d(label, h, amp=BUMP_2D, **kwargs):
     ph = build_phase(SingularityType.parse(label))
-    return evaluate(IntegralSpec(ph, make_amplitude("narrow_bump", dim=2), (0.0,) * ph.k0, h,
-                                 **kwargs))
+    return evaluate(IntegralSpec(ph, amp, (0.0,) * ph.k0, h, **kwargs))
 
 
 @pytest.mark.parametrize("label, nodes, passes", [("E7", 5952, 2), ("D4-", 3744, 2)])
 def test_quadrature_rule_pinned(label, nodes, passes):
-    # the panel placement and pass count of the dense engine this one replaced
-    res = _origin_2d(label, 2.0**-6)
+    # the panel placement and pass count of the dense engine this one replaced, on
+    # the full box: a custom amplitude is never halved
+    res = _origin_2d(label, 2.0**-6, _as_custom(BUMP_2D))
     assert (res.nodes, res.passes) == (nodes, passes)
+
+
+@pytest.mark.parametrize("label, e, nodes", [("D4+", 4, 768), ("E7", 6, 4224), ("D4-", 6, 1968)])
+def test_half_rule_counts_pinned(label, e, nodes):
+    # the same panels with each halved axis cut to its upper (n + 1) / 2: D4+- halve
+    # both axes, E7 theta_1 alone (the full box's counts are 1344, 5952 and 3744)
+    res = _origin_2d(label, 2.0**-e)
+    assert (res.nodes, res.passes) == (nodes, 2)
 
 
 def test_coupled_and_product_passes_count_alike():
     # D4+ couples its axes (a NUFFT pass), E6 does not; both place 5 x 7 and then
     # 7 x 9 panels at 2^-4, so both count PANEL_ORDER (5 + 7 + 7 + 9) axis evaluations
-    pair = [_origin_2d(label, 2.0**-4) for label in ("D4+", "E6")]
-    assert [(r.nodes, r.passes) for r in pair] == [(1344, 2)] * 2
+    # on the full box, and PANEL_ORDER (3 + 4 + 4 + 5) with both axes halved
+    for amp, nodes in ((_as_custom(BUMP_2D), 1344), (BUMP_2D, 768)):
+        pair = [_origin_2d(label, 2.0**-4, amp) for label in ("D4+", "E6")]
+        assert [(r.nodes, r.passes) for r in pair] == [(nodes, 2)] * 2
 
 
 def test_budget_counts_axis_evaluations():
-    # D4+ at 2^-4 spends PANEL_ORDER (5 + 7) = 576 axis evaluations on pass 1, 768 on pass 2
-    done = _origin_2d("D4+", 2.0**-4, budget=1344)
-    short = _origin_2d("D4+", 2.0**-4, budget=1343)
+    # D4+ at 2^-4 spends PANEL_ORDER (5 + 7) = 576 axis evaluations on pass 1, 768 on
+    # pass 2 of the full box
+    custom = _as_custom(BUMP_2D)
+    done = _origin_2d("D4+", 2.0**-4, custom, budget=1344)
+    short = _origin_2d("D4+", 2.0**-4, custom, budget=1343)
     assert (done.converged, done.passes, done.nodes) == (True, 2, 1344)
     assert (short.converged, short.passes, short.nodes, short.stop) == (False, 1, 576, "budget")
+
+
+@pytest.mark.parametrize("label, x, halved, real", [
+    ("D4-", None, 2, True),  # theta_1 even, theta_2 odd: 4 Re V
+    ("D4+", None, 2, True),
+    ("D4+", (0.0, 0.15, 0.0), 2, True),  # x2 theta_2 is odd too
+    ("D5", None, 1, False),  # theta_2^4 against theta_1^2 theta_2: theta_1 alone, even
+    ("E6", None, 2, False),  # a product pass: 2 Re S1 times the even axis's complex 2 S2
+    ("E7", None, 1, True),  # theta_1 alone, odd
+    ("E8", None, 2, True),  # both odd: 2 Re S1 times 2 Re S2
+])
+def test_mirrored_half_axes_agree_with_the_full_box_2d(label, x, halved, real):
+    ph = build_phase(SingularityType.parse(label))
+    spec = IntegralSpec(ph, BUMP_2D, x or (0.0,) * ph.k0, 2.0**-6, rel_tol=1e-10)
+    half = evaluate(spec)
+    full = evaluate(replace(spec, amplitude=_as_custom(BUMP_2D)))
+    assert half.converged and full.converged
+    assert abs(half.value - full.value) <= (half.est_error + full.est_error
+                                            + 1e-12 * abs(full.value))
+    assert half.nodes <= (0.55 if halved == 2 else 0.95) * full.nodes
+    assert (half.value.imag == 0.0) == real
 
 
 @pytest.mark.parametrize("label", ["D7", "D8-", "D8+"])
@@ -448,12 +490,6 @@ def test_line_offsets_against_airy_closed_form(e):
 A3 = build_phase(SingularityType.parse("A3"))
 
 
-def _as_custom(amp):
-    """``amp`` wrapped as a custom amplitude: the same values, always on the full box."""
-    return make_amplitude("custom", center=amp.center[0],
-                          evaluator=lambda u, h: amp.axis_slow(u, h))
-
-
 @pytest.mark.parametrize("spec, xs", [
     (IntegralSpec(A2, FIXED, (0.0,), 2.0**-10, rel_tol=1e-10), []),  # t^3: odd
     (IntegralSpec(A3, FIXED, (0.0, 0.0), 2.0**-10, rel_tol=1e-10), []),  # t^4: even
@@ -504,6 +540,13 @@ def test_axis_panels_put_a_panel_across_the_middle(power, min_panels):
     (IntegralSpec(A2, make_amplitude("narrow_bump", center=0.5), (0.0,), 2.0**-10), []),
     # shell targets with x1, x2 != 0 add odd and even terms to the even t^4
     (IntegralSpec(A3, FIXED, (0.0, 0.0), 2.0**-9), [(0.01, 0.02), (-0.01, -0.02)]),
+    # x1 theta_1 mixes theta_1's parities and, having no theta_2, theta_2's
+    (IntegralSpec(build_phase(SingularityType.parse("D4-")), BUMP_2D, (0.1, 0.0, 0.0), 2.0**-6),
+     [(-0.1, 0.0, 0.0)]),
+    (IntegralSpec(build_phase(SingularityType.parse("D4+")),
+                  make_amplitude("narrow_bump", center=0.5, dim=2), (0.0,) * 3, 2.0**-6), []),
+    (IntegralSpec(build_phase(SingularityType.parse("E6")),
+                  make_amplitude("narrow_bump", center=0.5, dim=2), (0.0,) * 5, 2.0**-6), []),
 ])
 def test_off_centre_or_mixed_parity_keeps_the_full_box(spec, xs):
     res = oscint.evaluate_points(spec, xs)
@@ -540,7 +583,7 @@ def _scripted_passes(monkeypatch, values):
     offset at -dx repeats the one at +dx.  Returns the list the pass costs go to."""
     costs, script = [], iter(values)
 
-    def scripted(parts, mixed, h, amp_fns, axes, chains, mirror):
+    def scripted(parts, mixed, h, amp_fns, axes, chains, parities):
         costs.append(PANEL_ORDER * axes[0][0].size)
         origin, offset = next(script)
         return [origin, offset, offset]
