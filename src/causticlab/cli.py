@@ -301,6 +301,8 @@ def _run_torus(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         summary.update(delta_prime=dprime, ratio_exponent=slope, reference=n * dprime / 2)
         ok = abs(slope - n * dprime / 2) <= BALL_EXPONENT_TOLERANCE
     else:
+        if 16 * cfg.j_min > cfg.j_max:  # blocks [J, 2J] from J = j_min: dyadic_exponent needs 4
+            raise ConfigError("j_max", "range too narrow for a fit")
         blocks = dyadic_lower_bound_search(n, cfg.torus_delta, (cfg.j_min, cfg.j_max))
         rows = [[b.best_j, b.best_j**-0.5, b.best_count,
                  math.sqrt(b.best_count), b.J] for b in blocks]

@@ -9,10 +9,13 @@ One walk enumerates both.  It expands a ball axis by axis as a frontier of
 squared budgets radius^2 - sum (alpha_i - c_i)^2, one per admissible prefix.
 The ball count meets in the middle: it walks the first ceil(n/2) axes, enumerates
 the last floor(n/2) axes once into a sorted table of squared distances, and
-counts each head prefix's tail points by bisection in that table, so a 4D ball
-of radius r costs O(r^2 log r).  It is exact on the float center and radius:
-floats decide all points but those within a thin margin of the sphere, which
-are re-decided in Fractions (cap tests are still floats).  Caps walk all n axes
+counts each head prefix's tail points by bisection in that table, the keys of
+each head slab sorted first, so a 4D ball of radius r costs O(r^2 log r).  It
+is exact on the float center and radius: floats decide all points but those
+within a thin margin of the sphere, which are re-decided in Fractions (cap
+tests are still floats, run per block against one array of cap widths; the
+points within 1e-12 of their width are re-decided on the scalar CapQuery
+width, which the array can miss by 2 ulps).  Caps walk all n axes
 of a ball holding the annular cap {alpha : j_lo <= |alpha|^2 <= j_hi, alpha
 inside the cap of j = |alpha|^2}, the last axis of each prefix cut to the
 annulus (by exact integer square roots) and to a cone about omega that holds
@@ -34,7 +37,7 @@ the ratio whose growth in 1/h = sqrt(j) ``ratio_exponent`` fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -162,8 +165,10 @@ def count_in_ball(center, radius: float) -> int:
     middle: the first ceil(n/2) axes are walked as a frontier of squared
     budgets B (_walk), the last floor(n/2) axes are enumerated once into a
     sorted table T of squared distances, and each head counts the tail
-    entries with T < B by bisection.  The points whose float T lies within a
-    margin of B are re-decided in Fractions.
+    entries with T < B by bisection.  Each slab of heads is sorted by B
+    first, so each search in T starts from the bound of the one before.  The
+    points whose float T lies within a margin of B are re-decided in
+    Fractions.
     """
     center = [float(c) for c in center]
     n = len(center)
@@ -192,6 +197,9 @@ def count_in_ball(center, radius: float) -> int:
     exact_center, exact_r2 = list(map(Fraction, center)), Fraction(radius) ** 2
     total = 0
     for budget, coords in _walk(center[:head], radius, margin):
+        # sorted keys let each search start from the last one's bound
+        order = np.argsort(budget)
+        budget, coords = budget[order], [col[order] for col in coords]
         # table entries before `sure` are inside, those from `near` on outside
         sure = np.searchsorted(table, budget - margin, side="left")
         near = np.searchsorted(table, budget + margin, side="right")
@@ -208,6 +216,15 @@ def ball_count(q: CapQuery) -> int:
     return count_in_ball(q.center, q.cap_radius)
 
 
+def _cap_widths(q: CapQuery, js: np.ndarray) -> np.ndarray:
+    """The cap width of each j in js: CapQuery.cap_radius's expression, in one array.
+
+    numpy's array pow is off from Python's by up to 2 ulps (4.4e-16 relative),
+    so an entry can differ from replace(q, j=j).cap_radius in its last bits.
+    """
+    return q.cap_constant * (js.astype(float) ** -0.5) ** -q.mu
+
+
 def _cap_points(q: CapQuery, j_hi: int):
     """Yield the points of the annular cap j_lo = q.j <= |alpha|^2 <= j_hi, slab by slab.
 
@@ -218,7 +235,11 @@ def _cap_points(q: CapQuery, j_hi: int):
     <= j_hi and to the cone alpha.omega >= kappa |alpha| that holds every cap
     of the block; a slab holds at most SLAB_POINTS candidates and is yielded as
     (cap points, j of each, number of candidates), and the points come in
-    lexicographic order.
+    lexicographic order.  The cap test runs on the walk's coordinate columns
+    against one width array for the block (_cap_widths); the few points whose
+    distance lies within 1e-12 (relative) of their width are re-decided on the
+    scalar CapQuery(j=j).cap_radius, so every point is decided as that cap
+    decides it.
     """
     q.require_unit_omega()
     limit = ENUM_LIMITS["j"][q.n]
@@ -226,13 +247,13 @@ def _cap_points(q: CapQuery, j_hi: int):
         raise ValueError(f"j = {j_hi} exceeds the n = {q.n} enumeration bound {limit}")
     j_lo = q.j
     omega = np.asarray(q.omega, dtype=float)
-    # the same float expression as CapQuery.cap_radius, one entry per j
-    width = np.fromiter((q.cap_constant * (j**-0.5) ** -q.mu for j in range(j_lo, j_hi + 1)),
-                        dtype=float, count=j_hi - j_lo + 1)
-    # every cap point lies within (hi - lo)/2 + max(width) of (lo + hi)/2 omega: walk that
-    # ball one point wider, or ball(0, hi + 1), which holds the whole annulus, if smaller
+    width = _cap_widths(q, np.arange(j_lo, j_hi + 1))
+    # every cap point lies within (hi - lo)/2 + the widest cap (that of j_hi: widths grow
+    # with j) of (lo + hi)/2 omega: walk that ball one point wider, or ball(0, hi + 1),
+    # which holds the whole annulus, if smaller
     lo, hi = math.sqrt(j_lo), math.sqrt(j_hi)
-    center, radius = 0.5 * (lo + hi) * omega, 0.5 * (hi - lo) + float(np.max(width)) + 1.0
+    widest = replace(q, j=j_hi).cap_radius
+    center, radius = 0.5 * (lo + hi) * omega, 0.5 * (hi - lo) + widest + 1.0
     if radius > hi + 1.0:
         center, radius = np.zeros(q.n), hi + 1.0
     center = center.tolist()
@@ -241,7 +262,7 @@ def _cap_points(q: CapQuery, j_hi: int):
     # holds the block.  Per prefix (P, s = its |alpha|^2, alpha.omega) that cone keeps the a
     # between the roots of (omega_n^2 - kappa^2) a^2 + 2 s omega_n a + s^2 - kappa^2 P, widened
     # by one; cones near the last axis, whose roots rounding could move, are not used
-    kappa, wn = 1.0 - width[0] ** 2 / (2.0 * j_lo) - 1e-6, omega[-1]
+    kappa, wn = 1.0 - q.cap_radius ** 2 / (2.0 * j_lo) - 1e-6, omega[-1]
     steep = kappa * kappa - wn * wn if kappa > 0 else 0.0
 
     def last_bound(count, coords):  # a <= -1 or a >= 0 with j_lo - P <= a^2 <= j_hi - P
@@ -261,13 +282,20 @@ def _cap_points(q: CapQuery, j_hi: int):
         return np.repeat(np.arange(count), 2), first.astype(np.int64), last.astype(np.int64)
 
     for _, coords in _walk(center, radius, _margin(center, radius), last_bound):
-        pts = np.stack(coords, axis=1)
-        js = np.sum(pts * pts, axis=1)
+        js = sum(col * col for col in coords)
         ok = (js >= j_lo) & (js <= j_hi)
-        pts, js = pts[ok], js[ok]
-        d = pts.astype(float) - np.sqrt(js.astype(float))[:, None] * omega[None, :]
-        inside = np.sqrt(np.sum(d * d, axis=1)) <= width[js - j_lo]
-        yield pts[inside], js[inside], len(coords[0])
+        cols, js = [col[ok] for col in coords], js[ok]
+        root = np.sqrt(js.astype(float))
+        # |alpha - sqrt(j) omega|^2 summed in axis order, naive_sphere_cap_count's expression
+        dist = np.sqrt(sum((col - root * w) ** 2 for col, w in zip(cols, omega)))
+        cap = width[js - j_lo]
+        inside = dist <= cap
+        # an array width is within 2 ulps (4.4e-16 relative) of the scalar cap_radius, so a
+        # distance more than 1e-12 cap away from it lies on the same side of both; the
+        # points inside that band, few, are decided on the scalar
+        for i in np.flatnonzero(np.abs(dist - cap) <= 1e-12 * cap):
+            inside[i] = dist[i] <= replace(q, j=int(js[i])).cap_radius
+        yield np.stack([col[inside] for col in cols], axis=1), js[inside], len(coords[0])
 
 
 def sphere_cap_count(q: CapQuery) -> int:

@@ -472,6 +472,10 @@ def test_torus_sphere_mode_exits_2(tmp_path, capsys):
     # the above saturator cancels A2's cubic and nothing else
     (["supnorm", "--type", "A3", "--amplitude", "fold_saturator_above"], "amplitude"),
     (["supnorm", "--type", "D4+", "--amplitude", "fold_saturator_above"], "amplitude"),
+    # no block [J, 2J] fits, then three: the slope verdict needs four
+    (["torus", "--mode", "dyadic", "--n", "2", "--torus-delta", "0.5", "--j-min", "300",
+      "--j-max", "500"], "j_max"),
+    (["torus", "--mode", "dyadic", "--j-min", "256", "--j-max", "4095"], "j_max"),
 ])
 def test_out_of_range_configs_exit_2(tmp_path, capsys, argv, fieldname):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -604,6 +608,16 @@ def test_readme_dyadic_example_runs(tmp_path):
     assert main(argv) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["ok"] and len(summary["blocks"]) == 8
+
+
+def test_torus_dyadic_four_blocks_fit(tmp_path):
+    # j_max = 16 j_min is the narrowest range with the four blocks a slope needs;
+    # one less exits 2 before any walk (test_out_of_range_configs_exit_2)
+    argv = ["torus", "--mode", "dyadic", "--n", "2", "--torus-delta", "0.5",
+            "--j-min", "256", "--j-max", "4096", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [b["J"] for b in summary["blocks"]] == [256, 512, 1024, 2048]
 
 
 def test_verify_matrix_carries_details(tmp_path, monkeypatch):

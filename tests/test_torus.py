@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causticlab import torus
@@ -242,6 +242,47 @@ def test_sphere_caps_exact_on_rational_boundaries(data):
     cap_constant = data.draw(st.one_of(st.just(radius / j ** (mu / 2)), st.floats(0.5, 3.0)))
     q = CapQuery(omega=omega, mu=mu, j=j, cap_constant=cap_constant)
     assert sphere_cap_count(q) == naive_sphere_cap_count(n, j, omega, q.cap_radius)
+
+
+@st.composite
+def block_edges(draw):
+    """(omega, mu, k, J, radius): a square j = k^2 inside [J, 2J], an integer cap radius."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, math.isqrt(2 * BLOCK_TOP[n])))
+    return (draw(st.sampled_from(RATIONAL_OMEGAS[n])),
+            draw(st.sampled_from([0.1, 0.5, 0.75, 1.0])), k,
+            draw(st.integers(-(-k * k // 2), min(k * k, BLOCK_TOP[n]))),
+            draw(st.integers(1, 2 * k + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_edges())
+# with numpy 2.4 on x86-64 the array width of j = k^2 falls an ulp below the scalar
+# one, 30.0, 18.0 and 90.0, and the sphere's edge points would be lost without their
+# re-decision on the scalar
+@example(((1.0,), 0.1, 15, 113, 30))
+@example(((0.6, 0.8), 0.1, 15, 120, 18))
+@example(((-1.0,), 0.75, 45, 1024, 90))
+def test_cap_blocks_exact_on_rational_boundaries(case):
+    # the block sibling of the test above: the cap constant radius / j^{mu/2} puts lattice
+    # points of the sphere j = k^2 on its cap's edge, where the block's array of cap
+    # widths must decide as the scalar cap_radius of each j does
+    omega, mu, k, J, radius = case
+    q = CapQuery(omega=omega, mu=mu, j=J, cap_constant=radius / (k * k) ** (mu / 2))
+    assert block_counts(q, 2 * J) == naive_block_counts(q, 2 * J)
+
+
+def test_cap_width_array_within_band_of_scalar():
+    # _cap_points re-decides the points within 1e-12 (relative) of their array width on
+    # the scalar cap_radius; every disagreement between the two is far inside that band
+    rng = np.random.default_rng(20)
+    js = rng.integers(1, torus.ENUM_LIMITS["j"][1] + 1, 20000)
+    for mu in (0.1, 0.5, 0.55, 0.75, 1.0):
+        for cap_constant in (1.0, 1.5):
+            q = CapQuery(omega=(1.0,), mu=mu, j=1, cap_constant=cap_constant)
+            scalar = np.array([CapQuery(omega=(1.0,), mu=mu, j=int(j),
+                                        cap_constant=cap_constant).cap_radius for j in js])
+            assert np.all(np.abs(torus._cap_widths(q, js) - scalar) <= 1e-15 * scalar)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
