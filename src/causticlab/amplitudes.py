@@ -113,9 +113,9 @@ class AmplitudeProfile:
     def dim(self) -> int:
         return len(self.center)
 
-    @property
+    @functools.cached_property
     def row(self) -> KindRow:
-        """The kind's KINDS row at this delta."""
+        """The kind's KINDS row at this delta, built on first use."""
         return KINDS[self.kind](self.delta)
 
     def support_radius(self, h: float) -> float:

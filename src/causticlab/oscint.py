@@ -27,6 +27,15 @@ reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes,
 and so do a coupled 2D pass's spreads (below), so no pass holds more than one
 slab's per-node temporaries.
 
+What one call builds once: the phase polynomial with the modulation folded in
+and its axis parts, the offsets d_j as merged term tuples, their chains (with
+each chain's step as a polynomial), the profile grid and the density profile,
+bound(phi') plus the largest chain bound, all built before the first pass.  A
+pass repeats only array work and one convergence check per unmet point: it
+places the panels on that profile, evaluates the amplitude, e^{i phi/h} and the
+chains' factors at the nodes, sums them, and compares each unmet point's new
+value with its last.  No polynomial is built inside the pass loop.
+
 Half rule: every amplitude kind but ``custom`` is real and even about its
 centre.  An axis whose centre is 0 halves when every exponent of that axis in
 the terms its sum sees has one parity (a term without the axis counts as
@@ -61,14 +70,16 @@ counts those, the budget too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .amplitudes import AmplitudeProfile
 from .catalog import PhaseFunction
-from .polys import ThetaPoly
+from .polys import Term, ThetaPoly, _merge
 
 # Axis evaluations an evaluation may spend when its spec sets no budget, by k.  For
 # k = 2, 2^20 is 6.2 times what D7, the costliest origin at h = 2^-10, needs there
@@ -120,8 +131,7 @@ class IntegralSpec:
             raise ValueError("amplitude dimension must match the phase variable count")
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: complex
     abs_value: float
     est_error: float
@@ -129,6 +139,16 @@ class IntegralResult:
     passes: int
     nodes: int  # axis evaluations over all passes: N1 + N2 per 2D pass, coupled or not
     stop: str  # converged | budget | max_passes
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n + 1) as numpy computes it, k (hi - lo) / n + lo with the last
+    point hi, without its Python-level overhead."""
+    grid = np.arange(n + 1.0)
+    grid *= (hi - lo) / n
+    grid += lo
+    grid[-1] = hi
+    return grid
 
 
 def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h: float, q: float,
@@ -142,22 +162,30 @@ def _axis_panels(gprofile: np.ndarray, tgrid: np.ndarray, h: float, q: float,
     the node set it is compared with.
     """
     lo, hi = tgrid[0], tgrid[-1]
-    density = gprofile * (q / (2.0 * math.pi * h)) + min_nodes / (hi - lo)
-    steps = np.diff(tgrid)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)])
+    density = gprofile * (q / (2.0 * math.pi * h))
+    density += min_nodes / (hi - lo)
+    cum = np.empty_like(density)  # 0, then the running sums of the trapezoids
+    cum[0] = 0.0
+    trapezoids = np.add(density[1:], density[:-1], out=cum[1:])
+    trapezoids *= 0.5
+    trapezoids *= tgrid[1:] - tgrid[:-1]
+    np.add.accumulate(trapezoids, out=trapezoids)
     # min_panels | 1 is the smallest odd count >= min_panels
     n = max(min_panels | 1, 2 * int(cum[-1] / (2 * PANEL_ORDER)) + 1)
-    edges = np.interp(np.linspace(0.0, cum[-1], n + 1), cum, tgrid)
+    edges = np.interp(_grid(0.0, cum[-1], n), cum, tgrid)
     edges[0], edges[-1] = lo, hi
-    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    mid = edges[1:] + edges[:-1]
+    mid *= 0.5
+    half = edges[1:] - edges[:-1]
+    half *= 0.5
+    return mid, half
 
 
 def _panel_nodes(mid: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of the panels (mid, half), panel by panel."""
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+    nodes = np.multiply.outer(half, _GL_NODES)
+    nodes += mid[:, None]
+    return nodes.ravel(), np.multiply.outer(half, _GL_WEIGHTS).ravel()
 
 
 def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
@@ -235,38 +263,56 @@ def _weighted_factor(part: ThetaPoly, amp_fn, nodes: np.ndarray, weights: np.nda
     return u
 
 
+def _scaled(terms: tuple[Term, ...], factor) -> tuple[Term, ...]:
+    """The merged ``terms`` times -1 or an integer >= 2, as ``ThetaPoly.scale`` merges them:
+    no coefficient vanishes or meets another's exponent, so only their order can change."""
+    return tuple(sorted([(factor * c, e) for c, e in terms]))
+
+
+def _slope_bound(terms: tuple[Term, ...], n: int, t: np.ndarray) -> np.ndarray:
+    """bound|(n d)'| at |t| = ``t`` for the merged ``terms`` of d, bit for bit
+    ThetaPoly(1, terms).scale(n).partial(0).abs_bound_profile: the same terms in the same order."""
+    out = np.zeros_like(t)
+    for c, e in sorted([(n * c * a, a - 1) for c, (a,) in terms if a]):
+        out += abs(c) * t**e
+    return out
+
+
 def _chains(offsets) -> list[list]:
     """Targets 1, 2, ... grouped into chains [source, d, targets] of offsets d, 2d, ...: their
     sums take u z, u z^2, ..., z = e^{i d/h}, the conjugate of chain ``source``'s z if d
-    is the exact negative of that chain's (each z serves one mirror), else cos/sin."""
+    is the exact negative of that chain's (each z serves one mirror), else cos/sin.
+    Each offset is the merged term tuple of a one-variable polynomial."""
     chains, extends, unpaired = [], {}, {}
     for j, d in enumerate(offsets, 1):
         chain = extends.pop(d, None)
         if chain is None:
-            chain = [unpaired.pop(d.scale(-1.0), None), d, []]
+            chain = [unpaired.pop(_scaled(d, -1.0), None), d, []]
             if chain[0] is None:
                 unpaired[d] = len(chains)
             chains.append(chain)
         chain[2].append(j)
-        extends[chain[1].scale(len(chain[2]) + 1)] = chain
+        extends[_scaled(chain[1], len(chain[2]) + 1)] = chain
     return chains
 
 
 def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, chains) -> np.ndarray:
     """sum_i u_i e^{i d_j(t_i)/h} over one axis's panels for d_0 = 0 and each target j.
 
-    u is ``_weighted_factor``'s, and each of the ``_chains`` adds one z per node.
-    The panels are taken SLAB_NODES nodes at a time, so a pass's memory does not
-    grow with its nodes.
+    u is ``_weighted_factor``'s, and each of the ``_chains`` (with its step d a
+    ThetaPoly) adds one z per node.  The panels are taken SLAB_NODES nodes at a
+    time, so a pass's memory does not grow with its nodes; each slab adds its
+    sums, listed in chain order, in one write.
     """
     mid, half = panels
-    sums = np.zeros(1 + sum(len(c[2]) for c in chains), dtype=complex)
+    order = [0] + [j for c in chains for j in c[2]]
+    sums = np.zeros(len(order), dtype=complex)
     sources = {c[0] for c in chains}
     per_slab = max(1, SLAB_NODES // PANEL_ORDER)
     for lo in range(0, mid.size, per_slab):
         nodes, weights = _panel_nodes(mid[lo:lo + per_slab], half[lo:lo + per_slab])
         u = _weighted_factor(part, amp_fn, nodes, weights, h)
-        sums[0] += u.sum()
+        slab = [u.sum()]
         kept = {}
         for c, (source, step, targets) in enumerate(chains):
             if source is None:
@@ -276,13 +322,17 @@ def _axis_sums(part: ThetaPoly, amp_fn, panels, h: float, chains) -> np.ndarray:
                 if c in sources:
                     kept[c] = z
             else:
-                z = kept.pop(source).conj()
+                z = kept.pop(source)  # its chain is done with it
+                np.conjugate(z, out=z)
             v = u * z
-            sums[targets[0]] += v.sum()
-            for j in targets[1:]:
+            slab.append(v.sum())
+            for _ in targets[1:]:
                 v *= z
-                sums[j] += v.sum()
-    return sums
+                slab.append(v.sum())
+        sums += slab
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
 
 
 def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: float,
@@ -323,6 +373,27 @@ def _first_met(values: list[complex], rel_tol: float, raw_floor: float) -> int |
     return None
 
 
+def _meet(met: list, history: list, rel_tol: float, origin_floor: float) -> None:
+    """Bring ``met``, per point the pass that met its rule or None, up to ``history``'s last pass.
+
+    Each unmet point is judged by ``_first_met`` on its last two values: x_0 against
+    ``origin_floor``, each target against 0 until x_0 has met its rule and |I(x_0)|
+    from then.  At the pass that floor rises every target's whole history is judged
+    again, so ``met`` is always what ``_first_met`` gives over the whole history.
+    """
+    s, last_two = len(history) - 1, history[-2:]
+    if met[0] is None and _first_met([v[0] for v in last_two], rel_tol, origin_floor):
+        met[0] = s
+        floor = max(abs(history[s][0]), 1e-300)
+        met[1:] = [_first_met([v[j] for v in history], rel_tol, floor)
+                   for j in range(1, len(met))]
+        return
+    floor = max(abs(history[met[0]][0]), 1e-300) if met[0] is not None else 1e-300
+    for j in range(1, len(met)):
+        if met[j] is None and _first_met([v[j] for v in last_two], rel_tol, floor):
+            met[j] = s
+
+
 def _axis_parities(amp: AmplitudeProfile, parts: tuple[ThetaPoly, ...],
                    mixed: tuple[int, ThetaPoly], offsets) -> list[int | None]:
     """Per axis i, the parity shared by every t_i exponent its sum sees, if the amplitude allows.
@@ -337,7 +408,8 @@ def _axis_parities(amp: AmplitudeProfile, parts: tuple[ThetaPoly, ...],
     p, g = mixed
     out = []
     for ax, part in enumerate(parts):
-        exps = {e for poly in ((part, *offsets) if ax == 0 else (part,)) for _, (e,) in poly.terms}
+        exps = {e for terms in ((part.terms, *offsets) if ax == 0 else (part.terms,))
+                for _, (e,) in terms}
         if g.terms:  # coupled: the mixed terms t1^p G(t2), and the other axis's part
             exps |= {p} if ax == 0 else {e for _, (e,) in g.terms}
             if any(other.terms for j, other in enumerate(parts) if j != ax):
@@ -348,12 +420,13 @@ def _axis_parities(amp: AmplitudeProfile, parts: tuple[ThetaPoly, ...],
     return out
 
 
-def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
+def _integrate(spec: IntegralSpec, offsets: tuple[tuple[Term, ...], ...] = (), *,
                floor: float = 0.0) -> list[IntegralResult]:
     """Shared refinement loop of ``evaluate`` and ``evaluate_points``.
 
     It integrates at spec.x and at each target j, whose phase is phi + d_j for
-    the phase offsets d_j = ``offsets[j - 1]`` (k = 1 only), all on one node set
+    the phase offsets d_j = ``offsets[j - 1]`` (k = 1 only, each the merged term
+    tuple of a one-variable polynomial, as ``polys._merge`` gives it), all on one node set
     per pass, placed from the profile bound(phi') + max_j bound(d_j'), which
     bounds every point's |phi'|.  spec.x converges within
     rel_tol * max(|I|, ``floor``) (``floor`` in the units of ``abs_value``), every
@@ -381,19 +454,15 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
     history, spent_after = [], []
     stop = "max_passes"
 
-    tgrids = [np.linspace(lo, hi, PROFILE_SAMPLES) for lo, hi in box]
+    tgrids = [_grid(lo, hi, PROFILE_SAMPLES - 1) for lo, hi in box]
     gs = [phi.partial(ax).abs_bound_profile(ax, box, tg) for ax, tg in enumerate(tgrids)]
     chains = _chains(offsets)
     if chains:  # bound(phi') + max_j bound(d_j'); a chain's largest is at its last target
-        gs[0] = gs[0] + np.max([d.scale(len(ts)).partial(0).abs_bound_profile(
-            0, box, tgrids[0]) for _, d, ts in chains], axis=0)
-
-    def met_passes():
-        origin = _first_met([v[0] for v in history], rel_tol, max(floor / mag, 1e-300))
-        offset_floor = abs(history[origin][0]) if origin is not None else 0.0
-        return [origin] + [_first_met([v[j] for v in history], rel_tol,
-                                      max(offset_floor, 1e-300))
-                           for j in range(1, len(offsets) + 1)]
+        t = np.abs(tgrids[0])
+        gs[0] = gs[0] + functools.reduce(np.maximum, [_slope_bound(d, len(ts), t)
+                                                      for _, d, ts in chains])
+        chains = [(source, ThetaPoly(1, d), ts) for source, d, ts in chains]
+    met, origin_floor = [None] * (len(offsets) + 1), max(floor / mag, 1e-300)
 
     for s in range(MAX_PASSES):
         q = NODES_PER_PERIOD * REFINE_FACTOR**s
@@ -415,24 +484,26 @@ def _integrate(spec: IntegralSpec, offsets: tuple[ThetaPoly, ...] = (), *,
         spent += cost
         history.append(_pass_sums(parts, mixed, h, amp_fns, axes, chains, parities))
         spent_after.append(spent)
-        if None not in met_passes():
-            stop = "converged"
-            break
+        if s:
+            _meet(met, history, rel_tol, origin_floor)
+            if None not in met:
+                stop = "converged"
+                break
 
     results = []
-    for i, met in enumerate(met_passes()):
+    for i, met_at in enumerate(met):
         # the pass pair the returned value comes from; the coarsest pass has none
-        last = len(history) - 1 if met is None else met
+        last = len(history) - 1 if met_at is None else met_at
         value = history[last][i]
         est_error = abs(value - history[last - 1][i]) if last else math.inf
         results.append(IntegralResult(
             value=mag * value,
             abs_value=mag * abs(value),
             est_error=(mag * est_error) if math.isfinite(est_error) else math.inf,
-            converged=met is not None,
+            converged=met_at is not None,
             passes=last + 1,
             nodes=spent_after[last],
-            stop=stop if met is None else "converged",
+            stop=stop if met_at is None else "converged",
         ))
     return results
 
@@ -452,7 +523,7 @@ def evaluate_points(spec: IntegralSpec, xs) -> list[IntegralResult]:
     ``phase.fj_monomials``; for k = 2 each point is evaluated alone.
     """
     if len(xs) and spec.phase.k == 1:
-        return _integrate(spec, tuple(ThetaPoly.from_terms(1, [
+        return _integrate(spec, tuple(_merge([
             ((a - b) * c, e) for f, a, b in zip(spec.phase.fj_monomials, x, spec.x, strict=True)
             for c, e in f.terms]) for x in xs))
     first = evaluate(spec)

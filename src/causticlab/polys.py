@@ -18,11 +18,15 @@ Term = tuple[float, tuple[int, ...]]
 
 
 def _merge(terms: list[Term]) -> tuple[Term, ...]:
+    """The terms with each exponent's coefficients summed, zeros dropped, sorted."""
+    if len(terms) == 1:  # nothing to sum or sort
+        c, e = terms[0]
+        c = float(c)
+        return ((c, e),) if c != 0.0 else ()
     acc: dict[tuple[int, ...], float] = {}
     for c, e in terms:
         acc[e] = acc.get(e, 0.0) + float(c)
-    kept = tuple(sorted((c, e) for e, c in acc.items() if c != 0.0))
-    return tuple((c, e) for c, e in kept)
+    return tuple(sorted((c, e) for e, c in acc.items() if c != 0.0))
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ class ThetaPoly:
         axis 0.  With no mixed term G is zero and p is 0.  Raises ValueError
         when the mixed terms do not share one t_1 exponent p.
         """
+        if self.nvars == 1:  # nothing mixes: the whole polynomial is axis 0's part
+            return (self,), (0, ThetaPoly(1, ()))
         parts: list[list[Term]] = [[] for _ in range(self.nvars)]
         mixed: list[Term] = []
         for c, e in self.terms:
@@ -87,14 +93,22 @@ class ThetaPoly:
         coords = [np.asarray(c, dtype=float) for c in coords]
         if len(coords) != self.nvars:
             raise ValueError("wrong number of coordinate arrays")
-        total = np.zeros(np.broadcast_shapes(*(x.shape for x in coords)))
         if self.nvars == 1:  # Horner, skipping the zero coefficients
+            x = coords[0]
+            total = np.zeros(x.shape)
+            if len(self.terms) == 1:  # c t^a: c, then a factors of t, in Horner's order
+                [(c, (a,))] = self.terms
+                total += c
+                for _ in range(a):
+                    total *= x
+                return total
             coef = {a: c for c, (a,) in self.terms}
             for a in range(max(coef, default=0), -1, -1):
-                total *= coords[0]
+                total *= x
                 if a in coef:
                     total += coef[a]
             return total
+        total = np.zeros(np.broadcast_shapes(*(x.shape for x in coords)))
         for c, e in self.terms:
             total += c * math.prod(x**a for x, a in zip(coords, e))
         return total

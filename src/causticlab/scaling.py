@@ -99,8 +99,7 @@ class ScanPlan:
         return tuple(float(1 - sj) for sj in self.phase.s)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     h: float
     lam: float
     y_index: int
@@ -111,8 +110,7 @@ class ScanRow:
     nodes: int
 
 
-@dataclass(frozen=True)
-class SupRow:
+class SupRow(NamedTuple):
     """One h's sup of |I| (``sup_row``): where it lies is ``argmax``, the
     position of its evaluation in the list the sup was taken over."""
 
@@ -198,9 +196,10 @@ def _levels(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float, ...]]]:
         return []
     es = plan.exponents
     if plan.x_strategy == "caustic_window":
-        return [(h, tuple(k * X_WINDOW / X_POINTS * h**e for e in es))
+        powers = [h**e for e in es]
+        return [(h, tuple([k * X_WINDOW / X_POINTS * p for p in powers]))
                 for k in range(1, X_POINTS + 1)]
-    return [(lam, tuple(lam**e for e in es))
+    return [(lam, tuple([lam**e for e in es]))
             for lam in map(float, np.geomspace(h, 1.0, SHELL_LAMBDA_COUNT))]
 
 
@@ -211,7 +210,7 @@ def _candidate_points(plan: ScanPlan, h: float) -> list[tuple[float, tuple[float
     levels = _levels(plan, h)
     if not levels:
         return points
-    return points + [(lam, tuple(c * yj for c, yj in zip(scales, y)), idx)
+    return points + [(lam, tuple([c * yj for c, yj in zip(scales, y)]), idx)
                      for lam, scales in levels for idx, y in enumerate(plan.unit_samples)]
 
 
@@ -223,9 +222,9 @@ def sup_row(h: float, results) -> SupRow:
     abs_value + est_error >= sup_abs: always so for est_error = inf and for an
     unconverged sup.
     """
-    argmax = max(range(len(results)), key=lambda i: results[i].abs_value)
-    sup = results[argmax].abs_value
-    return SupRow(h, sup, argmax,
+    values = [r.abs_value for r in results]
+    sup = max(values)
+    return SupRow(h, sup, values.index(sup),
                   all(r.converged or r.abs_value + r.est_error < sup for r in results))
 
 
@@ -317,7 +316,7 @@ def threshold_sweep(plan: ScanPlan, deltas, family=narrow_bump_family) -> list[S
         member = family(plan, d)
         scan = supnorm_scan(replace(plan, amplitude=member.amplitude))
         l2 = tuple(member.l2(scan.plan, sup.h) for sup in scan.sup_rows) if member.l2 else ()
-        fitted = tuple(replace(sup, sup_abs=sup.sup_abs * math.sqrt(sup.h**plan.phase.k) / n)
+        fitted = tuple(sup._replace(sup_abs=sup.sup_abs * math.sqrt(sup.h**plan.phase.k) / n)
                        for sup, n in zip(scan.sup_rows, l2)) if l2 else scan.sup_rows
         fit = fit_exponent(fitted, member.reference, member.tolerance)
         out.append(SweepEntry(float(d), fit, member.exploratory, scan, l2, fitted))

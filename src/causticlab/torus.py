@@ -282,12 +282,10 @@ def _cap_points(q: CapQuery, j_hi: int):
         return np.repeat(np.arange(count), 2), first.astype(np.int64), last.astype(np.int64)
 
     for _, coords in _walk(center, radius, _margin(center, radius), last_bound):
-        js = sum(col * col for col in coords)
-        ok = (js >= j_lo) & (js <= j_hi)
-        cols, js = [col[ok] for col in coords], js[ok]
+        js = sum(col * col for col in coords)  # in [j_lo, j_hi]: last_bound's exact cuts
         root = np.sqrt(js.astype(float))
         # |alpha - sqrt(j) omega|^2 summed in axis order, naive_sphere_cap_count's expression
-        dist = np.sqrt(sum((col - root * w) ** 2 for col, w in zip(cols, omega)))
+        dist = np.sqrt(sum((col - root * w) ** 2 for col, w in zip(coords, omega)))
         cap = width[js - j_lo]
         inside = dist <= cap
         # an array width is within 2 ulps (4.4e-16 relative) of the scalar cap_radius, so a
@@ -295,7 +293,7 @@ def _cap_points(q: CapQuery, j_hi: int):
         # points inside that band, few, are decided on the scalar
         for i in np.flatnonzero(np.abs(dist - cap) <= 1e-12 * cap):
             inside[i] = dist[i] <= replace(q, j=int(js[i])).cap_radius
-        yield np.stack([col[inside] for col in cols], axis=1), js[inside], len(coords[0])
+        yield np.stack([col[inside] for col in coords], axis=1), js[inside], len(coords[0])
 
 
 def sphere_cap_count(q: CapQuery) -> int:

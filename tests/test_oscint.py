@@ -7,15 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import airy
 
-from causticlab import oscint, scaling
+from causticlab import oscint, polys, scaling
 from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
 from causticlab.fold import fold_plan
 from causticlab.oscint import MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate
+from conftest import line_offsets
 
 A1 = build_phase(SingularityType.parse("A1"))
 A2 = build_phase(SingularityType.parse("A2"))
@@ -450,11 +451,6 @@ def test_finest_default_2d_h_converges_under_the_default_budget(label):
 FOLD_LINE = (0.5 * 2.0 ** (-16 / 3), 4)  # the fold's (dx, count) at h = 2^-8
 
 
-def line_offsets(count):
-    """The multiples k of a line's step in result order: 0, 1, -1, ..., count, -count."""
-    return [0] + [sign * k for k in range(1, count + 1) for sign in (1, -1)]
-
-
 def _line(spec, dx, count):
     """I at spec.x + k dx for k in ``line_offsets(count)`` order, on one node set per pass."""
     return oscint.evaluate_points(
@@ -521,6 +517,14 @@ def test_first_pass_at_the_a2_origin_against_closed_form(e):
         res = evaluate(IntegralSpec(A2, amp, (0.0,), h, budget=1))
         assert res.passes == 1
         assert abs(res.value - exact) <= tol * exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-8.0, 8.0), width=st.floats(1e-6, 16.0), n=st.integers(1, 600))
+def test_grid_is_linspace_bit_for_bit(lo, width, n):
+    # the profile grid and the panel edges' targets: np.linspace's values, without its overhead
+    assert oscint._grid(lo, lo + width, n).tobytes() == np.linspace(lo, lo + width, n + 1).tobytes()
+    assert oscint._grid(0.0, width, n).tobytes() == np.linspace(0.0, width, n + 1).tobytes()
 
 
 @pytest.mark.parametrize("min_panels", [2, 3, 8, 9])
@@ -607,6 +611,92 @@ def test_starved_origin_gives_offsets_floor_zero(monkeypatch):
     starved = _line(replace(spec, budget=sum(costs[:3])), 0.01, 1)
     assert [(r.converged, r.passes, r.stop) for r in starved] == [(False, 3, "budget")] * 3
     assert starved[1].est_error == pytest.approx(2.0**4 * 1e-8)  # times h^{-1/2}
+
+
+def _met_by_whole_history(history, rel_tol):
+    """Each point's met pass as the whole history decides it (``_first_met`` per point):
+    x_0 against its own |I|, every target against |I(x_0)| where x_0 met its rule, or 0."""
+    origin = oscint._first_met([v[0] for v in history], rel_tol, 1e-300)
+    floor = max(abs(history[origin][0]) if origin is not None else 0.0, 1e-300)
+    return [origin] + [oscint._first_met([v[j] for v in history], rel_tol, floor)
+                       for j in range(1, len(history[0]))]
+
+
+@st.composite
+def pass_histories(draw):
+    """MAX_PASSES passes of 2 to 5 points, each changing by a drawn relative step a pass."""
+    values = draw(st.lists(st.sampled_from([1.0, -2e-3, 1e-6, 3.0 + 4.0j]), min_size=2,
+                           max_size=5))
+    history = []
+    for _ in range(MAX_PASSES):
+        values = [v * (1.0 + draw(st.sampled_from([0.0, 1e-9, -1e-7, 1e-5, 0.3])))
+                  for v in values]
+        history.append(values)
+    return history
+
+
+NEVER = 0.3  # a relative step a pass that meets no rel_tol below
+
+
+@settings(max_examples=80, deadline=None)
+@given(history=pass_histories(), rel_tol=st.sampled_from([1e-8, 1e-6, 1e-4]),
+       budget=st.one_of(st.none(), st.integers(1, 200_000)))
+# x_0 never meets its rule, and each target meets its own at pass 1
+@example(history=[[(1.0 + NEVER) ** s, 1e-3, 1e-3] for s in range(MAX_PASSES)],
+         rel_tol=1e-6, budget=None)
+# a target 1e-6 below x_0 moves by 1e-11 a pass: within rel_tol of |I(x_0)| from pass 1,
+# once x_0 meets its rule at pass 3, though never within rel_tol of its own |I|
+@example(history=[[(1.0 + NEVER) ** min(s, 2), 1e-6 * (1.0 + 1e-5 * s)]
+                  for s in range(MAX_PASSES)], rel_tol=1e-6, budget=None)
+# the budget stops that line after its first pass; and after the third (1008 + 1392 +
+# 1968 nodes) one where x_0 meets its rule at pass 2, a target that never does
+@example(history=[[(1.0 + NEVER) ** min(s, 2), 1e-6 * (1.0 + 1e-5 * s)]
+                  for s in range(MAX_PASSES)], rel_tol=1e-6, budget=1)
+@example(history=[[(1.0 + NEVER) ** min(s, 1), 1e-6 * (1.0 + 1e-5 * s), (1.0 + NEVER) ** s]
+                  for s in range(MAX_PASSES)], rel_tol=1e-6, budget=4_368)
+def test_incremental_met_passes_match_the_whole_history(history, rel_tol, budget):
+    # the loop judges each unmet point on its last two passes alone, and every target
+    # again when x_0 meets its rule; each point must stop at the pass the whole history
+    # gives it, however the budget cuts that history
+    costs, rows = [], iter(history)
+
+    def scripted(parts, mixed, h, amp_fns, axes, chains, parities):
+        costs.append(PANEL_ORDER * axes[0][0].size)
+        return next(rows)
+
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-8, rel_tol=rel_tol, budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oscint, "_pass_sums", scripted)
+        res = oscint.evaluate_points(spec, [(0.01 * j,) for j in range(1, len(history[0]))])
+    run = history[:len(costs)]
+    met = _met_by_whole_history(run, rel_tol)
+    assert [r.passes for r in res] == [len(run) if m is None else m + 1 for m in met]
+    assert [r.converged for r in res] == [m is not None for m in met]
+    stop = "max_passes" if len(run) == MAX_PASSES else "budget"
+    assert [r.stop for r in res] == [stop if m is None else "converged" for m in met]
+
+
+def test_window_builds_its_polynomials_once_per_call():
+    # no polynomial algebra is left in the pass loop: a window evaluation that takes 4
+    # passes merges as many term lists (one per ThetaPoly built) as one that takes 2
+    plan, h = fold_plan(0.2), 2.0**-8
+    points = scaling._candidate_points(plan, h)
+    merges, merge = {}, polys._merge
+    for rel_tol in (1e-8, 1e-10):
+        calls = []
+
+        def counted(terms):
+            calls.append(terms)
+            return merge(terms)
+
+        spec = IntegralSpec(plan.phase, plan.amplitude, points[0][1], h, rel_tol=rel_tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polys, "_merge", counted)
+            mp.setattr(oscint, "_merge", counted)
+            res = oscint.evaluate_points(spec, [x for _, x, _ in points[1:]])
+        merges[max(r.passes for r in res)] = len(calls)
+    assert list(merges) == [2, 4]
+    assert merges[2] == merges[4] > 0
 
 
 def test_line_counters_follow_each_points_passes():

@@ -305,6 +305,30 @@ def test_cap_blocks_exact_on_rational_directions(n):
                 (int(np.argmax(counts)), max(counts), sum(counts))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cap_walk_keeps_every_candidate_in_the_annulus(n, monkeypatch):
+    # _cap_points takes each walked candidate as a point of a sphere of its block, with
+    # no filter: the last axis's exact integer square roots must keep J <= |alpha|^2 <= 2J,
+    # for narrow caps (cut by the cone too) and wide ones (the annulus alone)
+    walk, seen = torus._walk, []
+
+    def recorded_walk(center, radius, margin, *bound):
+        for budgets, coords in walk(center, radius, margin, *bound):
+            seen.append(sum(col * col for col in coords))
+            yield budgets, coords
+
+    monkeypatch.setattr(torus, "_walk", recorded_walk)
+    for omega in RATIONAL_OMEGAS[n]:
+        for mu in (0.1, 0.5, 0.75, 1.0):
+            for J in (1, 2, 3, BLOCK_TOP[n]):
+                for cap_constant in (0.5, 1.0, 3.0):
+                    q = CapQuery(omega=omega, mu=mu, j=J, cap_constant=cap_constant)
+                    seen.clear()
+                    block_counts(q, 2 * J)
+                    js = np.concatenate(seen)
+                    assert js.size > 0 and J <= js.min() and js.max() <= 2 * J, q
+
+
 def test_dyadic_block_examines_few_more_points_than_it_counts():
     # the ball holding this block's caps has about 6 times as many points as the caps
     (b,) = dyadic_lower_bound_search(3, 0.75, (2048, 4096))
