@@ -23,9 +23,21 @@ and one e^{i phi(t; x_0)/h} per node serve every point, and each adds its factor
 e^{i d_j/h}: by cos/sin, as the conjugate of its mirror's (d_j = -d_i), or by
 repeated products along equally spaced targets.  The panels follow a profile
 that bounds every point's |phi'|; each point keeps its own stopping rule and
-reports the pass where it met it.  Sum passes run in slabs of SLAB_NODES nodes,
-and so do a coupled 2D pass's spreads (below), so no pass holds more than one
-slab's per-node temporaries.
+reports the pass where it met it.
+
+Working set: one constant, SLAB_NODES, bounds the per-node temporaries of
+every pass to about 1 MiB, half the 2 MiB L2 cache of the x86-64 Xeon it was
+sized on, so a pass reuses cached buffers instead of faulting in fresh ones
+from L3 or DRAM.  A sum slab takes SLAB_NODES = 2^13 nodes at about 120 B of
+live arrays each (nodes, weights, amplitude, phase, u, z, a kept mirror's z,
+v); there 2^12 ran about 4 % slower on the fold sweep, 2^14 no faster and
+2^16 about 12 % slower.  A coupled 2D pass's spreads (below) take their
+points in chunks of at most 4 SLAB_NODES window entries, a point's window
+being its 2 half + 1 grid points: an entry holds one weight, one int64 index
+and two weighted parts, about a quarter of a node's bytes, so a chunk is
+about a slab's size whatever the window (840 points at 39 entries).  Chunks
+of 2^13 or 2^17 entries ran 13-26 % slower.  Only a coupled pass's axis
+factors, one complex value per node, are held for a whole axis.
 
 What one call builds once: the phase polynomial with the modulation folded in
 and its axis parts, the offsets d_j as merged term tuples, their chains (with
@@ -84,8 +96,8 @@ from .polys import Term, ThetaPoly, _merge
 # Axis evaluations an evaluation may spend when its spec sets no budget, by k.  For
 # k = 2, 2^20 is 6.2 times what D7, the costliest origin at h = 2^-10, needs there
 # (167,856 in 2 passes; D8+- take 158,928 on their halved axes), and a point that
-# never converges (a step amplitude at 2^-10) stops after 0.6-1.0 s at a
-# 108-118 MB process peak on a 2-core box.
+# never converges (a step amplitude at 2^-10) stops after 0.35-0.53 s at a
+# 53-62 MB process peak on a 2-core box.
 DEFAULT_BUDGET = {1: 2**24, 2: 2**20}
 # Panel placement and refinement, calibrated against exact Fresnel/Airy values.
 PANEL_ORDER = 48  # Gauss-Legendre nodes per panel
@@ -94,7 +106,7 @@ MIN_AXIS_NODES = 96  # first-pass resolution floor for the amplitude, per axis
 REFINE_FACTOR = math.sqrt(2.0)  # node-density growth from one pass to the next
 MAX_PASSES = 14
 PROFILE_SAMPLES = 513  # samples of the frequency-bound profile per axis
-SLAB_NODES = 2**16  # nodes per slab of a sum pass; bounds its memory
+SLAB_NODES = 2**13  # nodes per slab of a sum pass; bounds every pass's memory
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)  # on [-1, 1]
 # ``_type3_sum``'s constants, t = tau X^2 and u = tau1 M^2, hold each of its four
 # error terms to e^-NUFFT_LOG_EPS = 2.1e-15 of sum|u1| sum|u2|: eta-grid aliasing
@@ -195,20 +207,31 @@ def _gauss_spread(x: np.ndarray, values: np.ndarray, step: float, tau: float,
     Each point reaches the 2 half + 1 grid points around its nearest one, m0, at
     offsets from one rounding of x - m0 step: a large x then shifts its window
     coherently, as a dense sum's phase error would, instead of scattering it.
-    The points go SLAB_NODES at a time, so the memory does not grow with them.
+    The points go in chunks of at most 4 SLAB_NODES window entries, so the
+    memory grows neither with the points nor with the window.  A chunk's
+    bincounts run from its lowest grid index, first - half, and stop at its
+    highest or after ``size`` bins, added to the grid as one slice, or two where
+    they wrap: consecutive nodes of an axis lie close, so a chunk's work follows
+    its entries, not the grid.
     """
     k = np.arange(-half, half + 1)
     out = np.zeros(size, dtype=complex)
-    for lo in range(0, x.size, SLAB_NODES):
-        xs, vs = x[lo:lo + SLAB_NODES], values[lo:lo + SLAB_NODES]
+    per_chunk = max(1, 4 * SLAB_NODES // k.size)
+    for lo in range(0, x.size, per_chunk):
+        xs, vs = x[lo:lo + per_chunk], values[lo:lo + per_chunk]
         m0 = np.rint(xs / step)
         w = (xs - m0 * step)[:, None] - k * step
         w **= 2
         w /= -4.0 * tau
         np.exp(w, out=w)  # the real weights: each part of values is spread with them
-        idx = ((m0.astype(np.int64)[:, None] + k) & (size - 1)).ravel()
-        out += (np.bincount(idx, (w * vs.real[:, None]).ravel(), size)
-                + 1j * np.bincount(idx, (w * vs.imag[:, None]).ravel(), size))
+        first = m0.min()
+        idx = (((m0 - first).astype(np.int64)[:, None] + (k + half)) & (size - 1)).ravel()
+        part = (np.bincount(idx, (w * vs.real[:, None]).ravel())
+                + 1j * np.bincount(idx, (w * vs.imag[:, None]).ravel()))
+        start = (int(first) - half) & (size - 1)
+        head = min(part.size, size - start)  # the bins before the grid wraps to index 0
+        out[start:start + head] += part[:head]
+        out[:part.size - head] += part[head:]
     return out
 
 
@@ -355,6 +378,8 @@ def _pass_sums(parts: tuple[ThetaPoly, ...], mixed: tuple[int, ThetaPoly], h: fl
         for ax, parity in enumerate(parities):  # [-R, 0] adds S again, or its conjugate
             if parity is not None:
                 sums[ax] = 2.0 * (sums[ax].real if parity else sums[ax])
+        if len(sums) == 1:  # the axis's own sums, bit for bit; an odd axis's are real
+            return sums[0].astype(complex).tolist()
         # products of numpy scalars round as Python's complex products do; arrays' may not
         return [complex(math.prod(vals)) for vals in zip(*sums)]
     grids = [_panel_nodes(*panels) for panels in axes]

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from causticlab.amplitudes import bump, make_amplitude
 from causticlab.catalog import SingularityType, build_phase
 from causticlab.fold import fold_plan
 from causticlab.oscint import MAX_PASSES, PANEL_ORDER, IntegralSpec, evaluate
-from conftest import line_offsets
+from conftest import line_offsets, traced_peak
 
 A1 = build_phase(SingularityType.parse("A1"))
 A2 = build_phase(SingularityType.parse("A2"))
@@ -295,17 +294,25 @@ def test_type3_sum_within_its_closed_form_bound():
 
 def test_gauss_spread_bits_match_the_complex_product():
     # the spread weighs each part of the values with one real array; the reference
-    # forms the complex N x (2 half + 1) product, and the sums agree bit for bit,
-    # also where windows wrap past either end of the grid
+    # forms the complex N x (2 half + 1) product, chunk by chunk as the spread takes
+    # its points (4 SLAB_NODES window entries), and the sums agree bit for bit, also
+    # where windows wrap past either end of the grid
     rng = np.random.default_rng(5)
-    for n, step, tau, half, size in ((400, 0.05, 3e-3, 10, 64), (2000, 0.3, 0.2, 12, 256)):
+    for n, step, tau, half, size, chunks in ((400, 0.05, 3e-3, 10, 64, 1),
+                                             (2000, 0.3, 0.2, 12, 256, 2)):
         x = rng.uniform(-0.6, 0.6, n) * step * size
         values = rng.normal(size=n) + 1j * rng.normal(size=n)
-        m0 = np.rint(x / step)
         k = np.arange(-half, half + 1)
-        w = np.exp(((x - m0 * step)[:, None] - k * step) ** 2 / (-4.0 * tau)) * values[:, None]
-        idx = ((m0.astype(np.int64)[:, None] + k) % size).ravel()
-        want = np.bincount(idx, w.real.ravel(), size) + 1j * np.bincount(idx, w.imag.ravel(), size)
+        per_chunk = 4 * oscint.SLAB_NODES // k.size
+        assert -(-n // per_chunk) == chunks
+        want = np.zeros(size, dtype=complex)
+        for lo in range(0, n, per_chunk):
+            xs, vs = x[lo:lo + per_chunk], values[lo:lo + per_chunk]
+            m0 = np.rint(xs / step)
+            w = np.exp(((xs - m0 * step)[:, None] - k * step) ** 2 / (-4.0 * tau)) * vs[:, None]
+            idx = ((m0.astype(np.int64)[:, None] + k) % size).ravel()
+            want += (np.bincount(idx, w.real.ravel(), size)
+                     + 1j * np.bincount(idx, w.imag.ravel(), size))
         got = oscint._gauss_spread(x, values, step, tau, half, size)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -317,8 +324,9 @@ def _type3_inputs(n, seed):
 
 
 def test_type3_sum_is_the_same_in_small_slabs(monkeypatch):
-    # the spreads add up slabs of SLAB_NODES points: 2000 points in one slab or in
-    # eight (the last one short) differ by round-off alone
+    # the spreads add up chunks of 4 SLAB_NODES window entries, 35 or 39 a point: 2000
+    # points in 3 chunks, or in 69 or 77 of 29 or 26 points (the last one short) at
+    # SLAB_NODES = 256, differ by round-off alone
     u1, a, u2, omega = _type3_inputs(2000, 21)
     whole = oscint._type3_sum(u1, a, u2, omega)
     monkeypatch.setattr(oscint, "SLAB_NODES", 256)
@@ -328,16 +336,19 @@ def test_type3_sum_is_the_same_in_small_slabs(monkeypatch):
 
 
 def test_type3_sum_memory_is_bounded_by_its_slabs():
-    # 4 SLAB_NODES points per side: one unsliced spread's (N, 2 half + 1) weights,
-    # indices and products alone would pass 128 MiB
-    args = _type3_inputs(4 * oscint.SLAB_NODES, 22)
-    tracemalloc.start()
-    try:
-        oscint._type3_sum(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 2**20
+    # 20,000 points per side: their own arrays (centred, weighted, scaled) take about
+    # 50 B a point, 1 MiB, and a spread chunk of 4 SLAB_NODES window entries about 40 B
+    # an entry, 1.25 MiB; one unchunked spread's (20,000, 39) weights alone take 6 MiB
+    args = _type3_inputs(20_000, 22)
+    assert traced_peak(lambda: oscint._type3_sum(*args)) < 4 * 2**20
+
+
+def test_a2_origin_memory_is_bounded_by_its_slabs():
+    # the A2 origin at h = 2^-14 spends 141,168 nodes in 2 passes, the second 82,704 of
+    # them; a slab of SLAB_NODES nodes holds about 90 B a node with no targets,
+    # 0.7 MiB, where the whole second pass would hold 7 MiB
+    spec = IntegralSpec(A2, FIXED, (0.0,), 2.0**-14, rel_tol=1e-7)
+    assert traced_peak(lambda: evaluate(spec)) < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("label", LABELS_2D)
@@ -557,6 +568,18 @@ def test_off_centre_or_mixed_parity_keeps_the_full_box(spec, xs):
     full = oscint.evaluate_points(replace(spec, amplitude=_as_custom(spec.amplitude)), xs)
     assert [r.nodes for r in res] == [r.nodes for r in full]
     assert res == full
+
+
+def test_one_axis_pass_returns_its_axis_sums_bit_for_bit(monkeypatch):
+    # a k = 1 pass returns _axis_sums' values as they are, signed zeros too (a product
+    # 1 * S would turn a -0.0 part into +0.0); an odd half axis's 2 Re S stays complex
+    sums = np.array([complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, -0.0)])
+    monkeypatch.setattr(oscint, "_axis_sums", lambda *args: sums.copy())
+    no_mixed = (0, polys.ThetaPoly(1, ()))
+    for parity, want in ((None, sums), (True, (2.0 * sums.real).astype(complex))):
+        values = oscint._pass_sums((None,), no_mixed, 0.1, (None,), (None,), (), (parity,))
+        assert all(type(v) is complex for v in values)
+        assert np.array(values).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("amp, h", [

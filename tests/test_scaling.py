@@ -293,13 +293,21 @@ def test_a2_shell_scan_evaluates_the_amplitude_once_per_pass(monkeypatch):
         passes[spec.h] = max(r.passes for r in results)
         return results
 
+    pass_nodes = []
+    axis_sums = oscint._axis_sums
+
+    def sized(part, amp_fn, panels, h, chains):
+        pass_nodes.append(panels[0].size * oscint.PANEL_ORDER)
+        return axis_sums(part, amp_fn, panels, h, chains)
+
     monkeypatch.setattr(AmplitudeProfile, "axis_slow", counted)
     monkeypatch.setattr(scaling, "evaluate_points", spy)
+    monkeypatch.setattr(oscint, "_axis_sums", sized)
     ph = build_phase(SingularityType.parse("A2"))
     plan = ScanPlan(ph, make_amplitude("narrow_bump"), geometric_grid(2.0**-6, 2.0**-10, 5),
                     x_strategy="omega_shells", points_per_shell=2)
     result = supnorm_scan(plan)
-    assert max(r.nodes for r in result.rows) <= oscint.SLAB_NODES  # one slab a pass
+    assert max(pass_nodes) <= oscint.SLAB_NODES  # one slab a pass
     assert len(result.rows) == len(plan.h_grid) * (1 + 2 * SHELL_LAMBDA_COUNT)
     assert calls == passes and sum(passes.values()) < len(result.rows)
 

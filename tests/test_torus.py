@@ -1,7 +1,6 @@
 """Lattice counting exactness and the dyadic search."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from causticlab import torus
 from causticlab.acceptance import naive_ball_count, naive_sphere_cap_count
 from causticlab.torus import (CapQuery, OMEGA_PRESETS, ball_count, cap_solid_volume,
                               count_in_ball, dyadic_lower_bound_search, sphere_cap_count)
+from conftest import traced_peak
 
 
 def test_ball_example_21():
@@ -60,14 +60,12 @@ def test_ball_count_rejects_out_of_bounds():
 def test_ball_count_refuses_large_4d_radius():
     # radius 600 would ask for a tail table of about 1.1M entries: refused before any walk
     assert torus.ENUM_LIMITS["radius"][4] == 512 < 600 <= torus.ENUM_LIMITS["radius"][3]
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(ValueError, match="n = 4 enumeration bound"):
             count_in_ball((0.5, 0.0, 0.0, 0.0), 600.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16
+
+    assert traced_peak(refused) < 2**16
 
 
 def exact_half_integer_ball_count(center, radius: float) -> int:
